@@ -78,12 +78,18 @@ def assign(scheme: BinScheme, u):
     Vectorized over u; raises DomainError if any value leaves [0, 1].
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(~((arr >= 0.0) & (arr <= 1.0))):
+    # one min/max pass; NaN fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("assign requires values in [0, 1]")
     edges = np.asarray(scheme.edges)
     idx = np.searchsorted(edges, arr, side="left")
-    idx = np.maximum(idx, 1) - 1
-    return idx if idx.ndim else int(idx)
+    if not idx.ndim:
+        return max(int(idx), 1) - 1
+    # in place: a batch of draws x observations would otherwise leave two
+    # more temporaries of that size per call for the allocator to churn
+    np.maximum(idx, 1, out=idx)
+    idx -= 1
+    return idx
 
 
 def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream):
@@ -93,19 +99,30 @@ def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream)
     drawn uniformly from that interval and assigned as usual, which is
     equivalent in law to allocating the outcome's mass proportionally across
     the cells it straddles.
+
+    An interval collapsed at 0 or 1 holds a far-tail outcome whose mass is
+    below the rounding of its CDF values; that point lands in the cell the
+    exact interval lies in.  Any other empty interval is rejected.
     """
     lo = np.asarray(f_below, dtype=float)
     hi = np.asarray(f_at, dtype=float)
-    if np.any(~((lo >= 0.0) & (hi <= 1.0))):
+    if lo.size and not (lo.min() >= 0.0 and hi.max() <= 1.0):
         raise DomainError("CDF values must lie in [0, 1]")
-    if np.any(~(lo < hi)):
-        raise DomainError("zero-probability outcome: f_below must be < f_at")
+    width = hi - lo
+    at_edge = (width == 0.0) & ((hi == 0.0) | (lo == 1.0))
+    if np.any(~((width > 0.0) | at_edge)):
+        raise DomainError("zero-probability outcome: f_below must be < f_at, or equal at 0 or 1")
     v = rng.generator.random(lo.shape if lo.ndim else None)
-    u = hi - v * (hi - lo)  # lands in (f_below, f_at]
+    u = hi - v * width  # lands in (f_below, f_at], or on a collapsed edge
     return assign(scheme, u)
 
 
 def tally(scheme: BinScheme, u) -> np.ndarray:
-    """Counts per cell for a batch of unit-interval values."""
+    """Counts per cell for a batch of unit-interval values; one row of counts
+    per row of a 2-D batch."""
     idx = np.atleast_1d(assign(scheme, u))
-    return np.bincount(idx, minlength=scheme.k)
+    if idx.ndim == 1:
+        return np.bincount(idx, minlength=scheme.k)
+    rows, k = idx.shape[0], scheme.k
+    idx += np.arange(rows)[:, None] * k  # row r counts in cells r*k .. r*k + k - 1
+    return np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)

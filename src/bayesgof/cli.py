@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, harness, probkit
+from . import __version__, harness, models
 from .binning import default_bin_count, equiprobable
 from .errors import (
     ConfigError,
@@ -32,14 +32,6 @@ from .errors import (
     OptimizationError,
 )
 from .harness import ExperimentConfig
-from .models import (
-    ChainSettings,
-    ExchangeableDraw,
-    NormalModel,
-    PoissonCommonRate,
-    PoissonExchangeable,
-    PoissonSaturated,
-)
 from .probkit import RngStream, split
 
 EXIT_OK = 0
@@ -201,23 +193,23 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
 def _build_model(ns: argparse.Namespace, y: np.ndarray, offsets: np.ndarray | None):
     name = ns.model
     if name == "normal":
-        return NormalModel()
+        return models.NormalModel()
     if offsets is None:
         raise DataError(
             f"dataset is missing the offset column 'E' required by model {name}"
         )
     if name == "poisson-common":
-        return PoissonCommonRate(offsets)
+        return models.PoissonCommonRate(offsets)
     if name == "poisson-saturated":
-        return PoissonSaturated(offsets, prior_exponent=ns.prior_exponent)
+        return models.PoissonSaturated(offsets, prior_exponent=ns.prior_exponent)
     if name == "poisson-exchangeable":
-        settings = ChainSettings(
+        settings = models.ChainSettings(
             burn_in=ns.chain_burn_in,
             thin=ns.chain_thin,
             target_accept=ns.chain_target_accept,
             initial_step=ns.chain_step,
         )
-        return PoissonExchangeable(
+        return models.PoissonExchangeable(
             offsets, sigma2_fixed=ns.sigma2_fixed, settings=settings
         )
     raise ConfigError(f"unknown model {name}")
@@ -369,13 +361,18 @@ def cmd_power(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(ns: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    outdir = _ensure_outdir(ns.outdir)
+def _load_fit(ns: argparse.Namespace):
+    """Dataset, model and equiprobable cells of a dataset subcommand."""
     y, offsets = read_dataset(ns.data)
     model = _build_model(ns, y, offsets)
     k = ns.k if ns.k is not None else default_bin_count(y.size)
-    scheme = equiprobable(k)
+    return y, model, equiprobable(k)
+
+
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    started = time.perf_counter()
+    outdir = _ensure_outdir(ns.outdir)
+    y, model, scheme = _load_fit(ns)
     result = harness.analyze(
         y, model, RngStream(ns.seed),
         n_draws=ns.draws, scheme=scheme, threshold=ns.threshold,
@@ -404,12 +401,10 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 def cmd_pp_test(ns: argparse.Namespace) -> int:
     started = time.perf_counter()
     outdir = _ensure_outdir(ns.outdir)
-    y, offsets = read_dataset(ns.data)
-    model = _build_model(ns, y, offsets)
-    k = ns.k if ns.k is not None else default_bin_count(y.size)
+    y, model, scheme = _load_fit(ns)
     result = harness.predictive_auc_test(
         y, model, RngStream(ns.seed),
-        pp_reps=ns.pp_reps, n_draws=ns.draws, scheme=equiprobable(k),
+        pp_reps=ns.pp_reps, n_draws=ns.draws, scheme=scheme,
     )
     _write_csv(
         os.path.join(outdir, "summary.csv"),
@@ -428,42 +423,10 @@ def cmd_pp_test(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _theta_arity(model) -> int:
-    if isinstance(model, NormalModel):
-        return 2
-    if isinstance(model, PoissonCommonRate):
-        return 1
-    if isinstance(model, PoissonExchangeable):
-        return model.n_obs + 2
-    return model.n_obs
-
-
-def _theta_from_tokens(model, values: np.ndarray):
-    if isinstance(model, NormalModel):
-        if values[1] <= 0.0:
-            raise ValueError("scale must be positive")
-        return (float(values[0]), float(values[1]))
-    if isinstance(model, PoissonCommonRate):
-        if values[0] <= 0.0:
-            raise ValueError("rate must be positive")
-        return float(values[0])
-    if isinstance(model, PoissonExchangeable):
-        if values[-1] <= 0.0:
-            raise ValueError("sigma2 must be positive")
-        return ExchangeableDraw(float(values[0]), values[1:-1].copy(), float(values[-1]))
-    if np.any(values <= 0.0):
-        raise ValueError("means must be positive")
-    return values
-
-
 def cmd_monitor(ns: argparse.Namespace) -> int:
     started = time.perf_counter()
     outdir = _ensure_outdir(ns.outdir)
-    y, offsets = read_dataset(ns.data)
-    model = _build_model(ns, y, offsets)
-    k = ns.k if ns.k is not None else default_bin_count(y.size)
-    scheme = equiprobable(k)
-    arity = _theta_arity(model)
+    y, model, scheme = _load_fit(ns)
 
     counters = {"total": 0, "malformed": 0}
 
@@ -473,15 +436,10 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
             if not text:
                 continue
             counters["total"] += 1
-            tokens = text.split()
-            if len(tokens) != arity:
-                counters["malformed"] += 1
-                continue
             try:
-                values = np.array([float(t) for t in tokens])
-                if not np.all(np.isfinite(values)):
-                    raise ValueError("non-finite parameter")
-                theta = _theta_from_tokens(model, values)
+                # DomainError, raised for a wrong length or an invalid value,
+                # is a ValueError like a token that is not a number
+                theta = model.theta_from_vector([float(t) for t in text.split()])
             except ValueError:
                 counters["malformed"] += 1
                 continue
@@ -567,6 +525,20 @@ def cmd_replay(ns: argparse.Namespace) -> int:
     config = manifest.get("config")
     if not isinstance(config, dict):
         raise DataError(f"{ns.manifest}: missing config block")
+    # the recorded keys are the subcommand's flags: a key the manifest lacks
+    # takes the flag's default, and a key no flag knows is an error
+    flags = {
+        a.dest: a for a in _subparser(build_parser(), command)._actions
+        if a.dest not in ("help", "config")
+    }
+    unknown = sorted(set(config) - set(flags))
+    if unknown:
+        raise DataError(f"{ns.manifest}: unknown config key(s) {', '.join(unknown)}")
+    for dest, action in flags.items():
+        if dest not in config:
+            if action.required:
+                raise DataError(f"{ns.manifest}: config lacks required key {dest!r}")
+            config[dest] = action.default
     replay_ns = argparse.Namespace(**config)
     if ns.outdir is not None:
         replay_ns.outdir = ns.outdir
@@ -598,9 +570,7 @@ def _add_common(sub: argparse.ArgumentParser, *, seed_default: int = 0) -> None:
     sub.add_argument("--config", default=None, help="key=value config file")
 
 
-def _add_dataset_flags(sub: argparse.ArgumentParser, models: list[str]) -> None:
-    sub.add_argument("--data", required=True, help="headered CSV with columns y[,E]")
-    sub.add_argument("--model", required=True, choices=models)
+def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--prior-exponent", type=float, default=0.5, choices=[0.5, 1.0],
         help="saturated-model prior is mean**(-exponent)",
@@ -611,6 +581,12 @@ def _add_dataset_flags(sub: argparse.ArgumentParser, models: list[str]) -> None:
     sub.add_argument("--chain-thin", type=int, default=4)
     sub.add_argument("--chain-step", type=float, default=0.2)
     sub.add_argument("--chain-target-accept", type=float, default=0.44)
+
+
+def _add_dataset_flags(sub: argparse.ArgumentParser, choices: list[str]) -> None:
+    sub.add_argument("--data", required=True, help="headered CSV with columns y[,E]")
+    sub.add_argument("--model", required=True, choices=choices)
+    _add_model_flags(sub)
     sub.add_argument("--k", type=int, default=None,
                      help="bin count (default: rule-of-thumb from n)")
 
@@ -746,12 +722,7 @@ def build_parser() -> _Parser:
     )
     val.add_argument("--data", required=True)
     val.add_argument("--model", choices=_DATA_MODELS, default=None)
-    val.add_argument("--prior-exponent", type=float, default=0.5, choices=[0.5, 1.0])
-    val.add_argument("--sigma2-fixed", type=float, default=None)
-    val.add_argument("--chain-burn-in", type=int, default=2000)
-    val.add_argument("--chain-thin", type=int, default=4)
-    val.add_argument("--chain-step", type=float, default=0.2)
-    val.add_argument("--chain-target-accept", type=float, default=0.44)
+    _add_model_flags(val)
     _add_common(val)
 
     rp = subs.add_parser(
@@ -807,6 +778,12 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
     return tokens
 
 
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices[command]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -816,10 +793,7 @@ def main(argv: list[str] | None = None) -> int:
         if config_path:
             # flags win over the file: file tokens are injected first and
             # later command-line occurrences override them
-            sub = next(
-                a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)
-            ).choices[ns.command]
+            sub = _subparser(parser, ns.command)
             merged = [args[0]] + _config_tokens(config_path, sub) + args[1:]
             ns = parser.parse_args(merged)
         handler = _COMMANDS[ns.command]

@@ -18,12 +18,11 @@ import numpy as np
 from scipy import optimize
 
 from . import probkit
-from .binning import BinScheme, assign, assign_discrete_randomized
+from .binning import BinScheme, assign_discrete_randomized, tally
 from .errors import DomainError, EvaluationError, OptimizationError
 from .probkit import RngStream
 
 __all__ = [
-    "ChisqDraw",
     "BinnedStat",
     "FittedStat",
     "OutcomeBins",
@@ -42,17 +41,11 @@ PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class ChisqDraw:
-    """One statistic value at one posterior draw."""
-
-    value: float
-    dof: int
-    draw_index: int
-
-
-@dataclass(frozen=True)
 class BinnedStat:
-    value: float
+    """A float and K counts at one parameter value; D values and D x K counts
+    for a batch of D draws."""
+
+    value: float | np.ndarray
     counts: np.ndarray
 
 
@@ -94,16 +87,21 @@ class OutcomeBins:
         return np.bincount(idx, minlength=self.k)
 
 
-def pearson(counts, probs) -> float:
-    """Sum of (observed - expected)^2 / expected over cells."""
-    m = np.asarray(counts, dtype=float)
+def pearson(counts, probs):
+    """Sum of (observed - expected)^2 / expected over cells: a float for a
+    vector of counts, one value per row for a 2-D array of counts."""
+    m = np.asarray(counts)
     p = np.asarray(probs, dtype=float)
-    if m.shape != p.shape or m.ndim != 1 or m.size < 2:
-        raise DomainError("counts and probs must be matching 1-D vectors of length >= 2")
-    if np.any(m < 0) or np.any(m != np.floor(m)):
+    if m.ndim not in (1, 2) or p.ndim != 1 or m.shape[-1] != p.size or m.size < 2:
+        raise DomainError(
+            "counts must be a vector, or rows of vectors, matching probs of length >= 2"
+        )
+    if m.dtype.kind not in "iu":  # an integer dtype needs no whole-number check
+        m = m.astype(float)
+    if not m.min() >= 0 or (m.dtype.kind == "f" and np.any(m != np.floor(m))):
         raise DomainError("counts must be non-negative integers")
-    n = m.sum()
-    if n <= 0:
+    n = m.sum(axis=-1)
+    if not n.min() > 0:
         raise DomainError("counts must sum to a positive total")
     if abs(p.sum() - 1.0) > 1e-9:
         raise DomainError(f"cell probabilities must sum to 1, got {p.sum()!r}")
@@ -112,31 +110,36 @@ def pearson(counts, probs) -> float:
             f"cell probability below the {PROB_FLOOR} floor in cells "
             f"{np.nonzero(p < PROB_FLOOR)[0].tolist()}"
         )
-    expected = n * p
-    return float(np.sum((m - expected) ** 2 / expected))
+    expected = n[..., None] * p
+    value = np.sum((m - expected) ** 2 / expected, axis=-1)
+    return float(value) if m.ndim == 1 else value
 
 
 def _check_unit_interval(u: np.ndarray, what: str) -> None:
-    bad = ~(np.isfinite(u) & (u >= 0.0) & (u <= 1.0))
-    if np.any(bad):
+    # one min/max pass; NaN fails both comparisons
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+        bad = ~((u >= 0.0) & (u <= 1.0))
         raise EvaluationError(
-            f"{what} produced invalid values at observations {np.nonzero(bad)[0].tolist()}"
+            f"{what} produced invalid values at observations "
+            f"{np.unique(np.nonzero(bad)[-1]).tolist()}"
         )
 
 
 def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedStat:
-    """Pearson statistic from CDF transforms at one parameter value.
+    """Pearson statistic from CDF transforms at one parameter value or a batch.
 
     Each observation is mapped to u = F_j(y_j | theta) and assigned to a
     right-closed cell of the scheme; cell probabilities are the scheme's
     widths.  Reference law: chi-square with scheme.k - 1 degrees of freedom
     when theta is a posterior draw.
+
+    theta may also be the stacked draws of the model's posterior_draws; row i
+    of the result then equals the call at draw i alone.
     """
     y = np.asarray(data, dtype=float)
     u = np.asarray(model.obs_cdf(y, theta), dtype=float)
     _check_unit_interval(u, "CDF transform")
-    idx = assign(scheme, u)
-    counts = np.bincount(idx, minlength=scheme.k)
+    counts = tally(scheme, u)
     return BinnedStat(pearson(counts, scheme.widths()), counts)
 
 
@@ -144,19 +147,25 @@ def posterior_chisq_discrete_randomized(
     data, model, theta, scheme: BinScheme, rng: RngStream
 ) -> BinnedStat:
     """Discrete-data variant: each outcome's CDF mass interval is resolved
-    to a single point drawn uniformly within it, then binned as usual."""
+    to a single point drawn uniformly within it, then binned as usual.
+
+    A far-tail count can have a collapsed interval, so zero mass is judged
+    by the model's log pmf, which does not round to zero.
+    """
     y = np.asarray(data)
     f_below, f_at = model.obs_cdf_pair(y, theta)
     f_below = np.asarray(f_below, dtype=float)
     f_at = np.asarray(f_at, dtype=float)
     _check_unit_interval(f_below, "CDF-below transform")
     _check_unit_interval(f_at, "CDF-at transform")
-    zero = ~(f_at > f_below)
-    if np.any(zero):
-        raise EvaluationError(
-            "observed outcome has zero probability at this draw for observations "
-            f"{np.nonzero(zero)[0].tolist()}"
-        )
+    collapsed = ~(f_at > f_below)
+    if np.any(collapsed):
+        zero = collapsed & (np.asarray(model.obs_logpmf(y, theta)) == -np.inf)
+        if np.any(zero):
+            raise EvaluationError(
+                "observed outcome has zero probability at this draw for observations "
+                f"{np.nonzero(zero)[0].tolist()}"
+            )
     idx = assign_discrete_randomized(scheme, f_below, f_at, rng)
     counts = np.bincount(idx, minlength=scheme.k)
     return BinnedStat(pearson(counts, scheme.widths()), counts)

@@ -1,18 +1,26 @@
 """Built-in models with posterior samplers and observation-level CDFs.
 
-Every model exposes the same behavioral surface consumed by the gof and
-harness modules:
+Every model exposes the same behavioral surface consumed by the gof,
+harness and cli modules:
 
-- ``obs_cdf(y, theta)`` (continuous) or ``obs_cdf_pair(y, theta)`` (discrete)
-  evaluates each observation's own CDF at the observed value;
+- ``obs_cdf(y, theta)`` (continuous) evaluates each observation's own CDF at
+  the observed value; given the stacked draws of ``posterior_draws`` it
+  returns draws x observations, row i equal to the call at draw i alone;
+- ``obs_cdf_pair(y, theta)`` (discrete) gives each outcome's CDF below and at
+  the observed value, and ``obs_logpmf`` its log mass, which tells a zero
+  mass from one too small for the rounded CDF pair to resolve;
 - ``posterior_draw`` / ``posterior_draws`` / ``posterior_sample`` sample the
   parameter from its posterior given the data;
 - ``predictive_draw`` replicates a dataset at a fixed parameter value;
-- ``obs_mean_var`` gives per-observation predictive moments.
+- ``obs_mean_var`` gives per-observation predictive moments;
+- ``theta_from_vector(values)`` builds theta from a flat vector of
+  ``theta_size`` values, raising DomainError for a wrong length, a
+  non-finite value or a non-positive scale, rate, mean or sigma2.
 
 theta is opaque to callers: a (mu, sigma) pair for the normal model, a scalar
 rate for the pooled Poisson model, a vector of means for the saturated model,
-and an (alpha0, gamma, sigma2) draw for the exchangeable model.
+and an (alpha0, gamma, sigma2) draw for the exchangeable model, flattened as
+(alpha0, gamma_1, ..., gamma_n, sigma2).
 """
 
 from __future__ import annotations
@@ -57,6 +65,24 @@ def _validate_normal_data(data) -> np.ndarray:
     return y
 
 
+def _parameter_vector(values, size: int, positive) -> np.ndarray:
+    """values as a vector of size finite floats whose [positive] entries are > 0."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (size,) or not np.isfinite(v).all() or not (v[positive] > 0.0).all():
+        raise DomainError(
+            f"need {size} finite parameter values with a positive scale, rate, mean or sigma2"
+        )
+    return v
+
+
+def _span(a: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest entry; a single value skips numpy's reductions,
+    which cost more than the rest of a one-draw CDF transform's checks."""
+    if a.ndim:
+        return a.min(), a.max()
+    return float(a), float(a)
+
+
 def normal_posterior_from_uniforms(data, v_sigma: float, v_mu: float) -> tuple[float, float]:
     """Deterministic posterior draw from two explicit uniforms.
 
@@ -87,14 +113,25 @@ class NormalModel:
 
     is_discrete = False
     n_params = 2
+    theta_size = 2
 
     def validate_data(self, data) -> np.ndarray:
         return _validate_normal_data(data)
 
+    def theta_from_vector(self, values) -> tuple[float, float]:
+        mu, sigma = _parameter_vector(values, self.theta_size, positive=1)
+        return (float(mu), float(sigma))
+
     def obs_cdf(self, y, theta):
-        mu, sigma = theta
-        if not (sigma > 0.0) or not math.isfinite(sigma) or not math.isfinite(mu):
+        mu, sigma = (np.asarray(v, dtype=float) for v in theta)
+        (mu_lo, mu_hi), (sigma_lo, sigma_hi) = _span(mu), _span(sigma)
+        # NaN fails every comparison
+        if mu.shape != sigma.shape or mu.ndim > 1 or not (
+            -math.inf < mu_lo and mu_hi < math.inf and 0.0 < sigma_lo and sigma_hi < math.inf
+        ):
             raise DomainError(f"normal parameters outside the space: mu={mu}, sigma={sigma}")
+        if mu.ndim:  # a stack of draws, one row each
+            mu, sigma = mu[:, None], sigma[:, None]
         return probkit.normal_cdf((np.asarray(y, dtype=float) - mu) / sigma)
 
     def posterior_draw(self, data, rng: RngStream) -> tuple[float, float]:
@@ -165,6 +202,10 @@ def _validate_counts(data, n: int) -> np.ndarray:
 
 
 def _poisson_cdf_pair(y: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # a mean below the smallest normal double has underflowed; a positive
+    # count's log mass there is finite but meaningless
+    if not (np.finfo(float).tiny <= means.min() and means.max() < np.inf):
+        raise EvaluationError(f"Poisson means must be normal finite doubles, got {means.min()}")
     f_at = probkit.poisson_cdf(means, y)
     f_below = probkit.poisson_cdf(means, y - 1)
     return f_below, f_at
@@ -193,6 +234,9 @@ class _PoissonBase:
     def obs_cdf_pair(self, y, theta):
         return _poisson_cdf_pair(np.asarray(y), self.means(theta))
 
+    def obs_logpmf(self, y, theta):
+        return probkit.poisson_logpmf(self.means(theta), np.asarray(y))
+
     def outcome_bin_probs(self, theta, bins: OutcomeBins) -> np.ndarray:
         return _poisson_outcome_bin_probs(self.means(theta), bins)
 
@@ -212,6 +256,10 @@ class PoissonCommonRate(_PoissonBase):
     """
 
     n_params = 1
+    theta_size = 1
+
+    def theta_from_vector(self, values) -> float:
+        return float(_parameter_vector(values, self.theta_size, positive=0)[0])
 
     def means(self, theta) -> np.ndarray:
         return float(theta) * self.offsets
@@ -255,6 +303,13 @@ class PoissonSaturated(_PoissonBase):
     @property
     def n_params(self) -> int:
         return self.n_obs
+
+    @property
+    def theta_size(self) -> int:
+        return self.n_obs
+
+    def theta_from_vector(self, values) -> np.ndarray:
+        return _parameter_vector(values, self.theta_size, positive=slice(None))
 
     def means(self, theta) -> np.ndarray:
         return np.asarray(theta, dtype=float)
@@ -358,6 +413,14 @@ class PoissonExchangeable(_PoissonBase):
     def n_params(self) -> int:
         # alpha0 plus one random effect per observation (sigma2 is a hyperparameter)
         return 1 + self.n_obs
+
+    @property
+    def theta_size(self) -> int:
+        return self.n_obs + 2
+
+    def theta_from_vector(self, values) -> ExchangeableDraw:
+        v = _parameter_vector(values, self.theta_size, positive=-1)
+        return ExchangeableDraw(float(v[0]), v[1:-1].copy(), float(v[-1]))
 
     def means(self, theta: ExchangeableDraw) -> np.ndarray:
         return np.exp(theta.alpha0 + theta.gamma) * self.offsets

@@ -41,6 +41,7 @@ __all__ = [
     "poisson_cdf",
     "poisson_survival",
     "poisson_pmf",
+    "poisson_logpmf",
 ]
 
 _MAX_SEED = 2**64
@@ -211,10 +212,15 @@ def poisson_survival(mean, k):
 
 
 def poisson_pmf(mean, k):
+    out = np.exp(poisson_logpmf(mean, k))
+    return out if out.ndim else float(out)
+
+
+def poisson_logpmf(mean, k):
+    """log P(Y = k): finite for any positive mass, however small."""
     k = np.asarray(k, dtype=float)
     mean = np.asarray(mean, dtype=float)
-    out = np.exp(sp.xlogy(k, mean) - mean - sp.gammaln(k + 1.0))
-    out = np.where(k < 0.0, 0.0, out)
+    out = np.where(k < 0.0, -np.inf, sp.xlogy(k, mean) - mean - sp.gammaln(k + 1.0))
     return out if out.ndim else float(out)
 
 

@@ -98,6 +98,27 @@ def test_randomized_rejects_zero_mass():
         assign_discrete_randomized(equiprobable(5), 0.4, 0.4, RngStream(0))
 
 
+def test_randomized_collapsed_edges_take_their_point():
+    # a far-tail outcome whose CDF values round to 1 (or 0) lands in the cell
+    # its exact interval lies in; an inverted interval is still rejected
+    s = equiprobable(5)
+    idx = assign_discrete_randomized(
+        s, np.array([1.0, 0.0, 0.3]), np.array([1.0, 0.0, 0.5]), RngStream(2)
+    )
+    assert idx[0] == 4 and idx[1] == 0
+    with pytest.raises(DomainError):
+        assign_discrete_randomized(s, 1.0, 0.9, RngStream(0))
+
+
+def test_tally_rows_match_single_tallies():
+    s = equiprobable(4)
+    u = RngStream(89).uniform((6, 30))
+    rows = tally(s, u)
+    assert rows.shape == (6, 4)
+    for i in range(6):
+        assert np.array_equal(rows[i], tally(s, u[i]))
+
+
 def test_tally_hand_example():
     # u values landing in cells 1,1,2,5 of equiprobable(5), spec's 1-based terms
     s = equiprobable(5)

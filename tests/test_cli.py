@@ -175,6 +175,18 @@ def test_analyze_outputs(tmp_path, poisson_csv):
     assert all(r[2] == "3" for r in trace[1:])
 
 
+def test_outlier_count_gives_a_statistic(tmp_path, poisson_csv):
+    # one count of 300 at exposure 25: its CDF values both round to 1.0
+    path = tmp_path / "outlier.csv"
+    path.write_text(poisson_csv.read_text() + "300,25.0\n")
+    for command in (("analyze", "--draws", "100"), ("pp-test", "--pp-reps", "3", "--draws", "50")):
+        out = tmp_path / command[0]
+        assert run_cli(*command, "--data", path, "--model", "poisson-common",
+                       "--seed", "5", "--outdir", out) == 0
+    summary = read_csv(tmp_path / "analyze" / "summary.csv")
+    assert float(summary[1][1]) > 0.9  # a gross outlier reads as misfit
+
+
 def test_pp_test_outputs(tmp_path, normal_csv):
     out = tmp_path / "run"
     assert run_cli("pp-test", "--data", normal_csv, "--model", "normal",
@@ -272,6 +284,32 @@ def test_replay_reproduces_bytes(tmp_path, poisson_csv):
     assert run_cli("replay", first / "manifest.json", "--outdir", second) == 0
     for name in ("summary.csv", "trace.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def _recorded_analyze(tmp_path, poisson_csv):
+    first = tmp_path / "first"
+    assert run_cli("analyze", "--data", poisson_csv, "--model", "poisson-common",
+                   "--draws", "150", "--seed", "11", "--outdir", first) == 0
+    return first, json.loads((first / "manifest.json").read_text())
+
+
+def test_replay_fills_missing_keys_from_defaults(tmp_path, poisson_csv):
+    first, manifest = _recorded_analyze(tmp_path, poisson_csv)
+    assert manifest["config"].pop("threshold") is None
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    second = tmp_path / "second"
+    assert run_cli("replay", path, "--outdir", second) == 0
+    assert (first / "trace.csv").read_bytes() == (second / "trace.csv").read_bytes()
+
+
+def test_replay_rejects_unknown_key(tmp_path, poisson_csv, capsys):
+    _, manifest = _recorded_analyze(tmp_path, poisson_csv)
+    manifest["config"]["thresh_old"] = 3.0
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("replay", path, "--outdir", tmp_path / "second") == 65
+    assert "thresh_old" in capsys.readouterr().err
 
 
 def test_replay_rejects_garbage(tmp_path):

@@ -3,6 +3,8 @@ calibration of the fixed-outcome-bin path, and the tail-area summaries."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesgof import gof, probkit
 from bayesgof.binning import equiprobable
@@ -44,6 +46,52 @@ def test_pearson_rejects_bad_probs():
         pearson([1, 1, 0], [0.5, 0.5, 0.0])
 
 
+def test_pearson_rows_equal_single_calls():
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    counts = RngStream(5).generator.multinomial(40, probs, size=7)
+    values = pearson(counts, probs)
+    assert values.shape == (7,)
+    assert values.tolist() == [pearson(row, probs) for row in counts]
+
+
+@pytest.mark.parametrize(
+    "counts, probs, error",
+    [
+        ([1, 1], [0.6, 0.6], DomainError),
+        ([1, -1], [0.5, 0.5], DomainError),
+        ([1.5, 1], [0.5, 0.5], DomainError),
+        ([0, 0], [0.5, 0.5], DomainError),
+        ([1, 1, 0], [0.5, 0.5], DomainError),
+        ([1, 1, 0], [0.5, 0.5, 0.0], EvaluationError),
+    ],
+)
+def test_pearson_rows_reject_what_single_calls_reject(counts, probs, error):
+    with pytest.raises(error):
+        pearson(counts, probs)
+    with pytest.raises(error):
+        pearson(np.array([[2] * len(counts), counts]), probs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 12),
+    draws=st.integers(1, 6),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_continuous_equals_single_draw_calls(k, draws, n, seed):
+    model = NormalModel()
+    y = RngStream(seed).generator.normal(0.3, 1.7, n)
+    mu, sigma = model.posterior_draws(y, draws, split(RngStream(seed), 1))
+    scheme = equiprobable(k)
+    batch = posterior_chisq_continuous(y, model, (mu, sigma), scheme)
+    assert batch.counts.shape == (draws, k)
+    for i in range(draws):
+        one = posterior_chisq_continuous(y, model, (mu[i], sigma[i]), scheme)
+        assert batch.value[i] == one.value
+        assert np.array_equal(batch.counts[i], one.counts)
+
+
 def test_continuous_exact_fit():
     model = NormalModel()
     data = probkit.normal_quantile(np.array([0.1, 0.3, 0.5, 0.7, 0.9]))
@@ -75,6 +123,48 @@ def test_randomized_impossible_outcome_rejected():
     with pytest.raises(EvaluationError):
         posterior_chisq_discrete_randomized(
             np.array([40, 40]), model, tiny, equiprobable(5), RngStream(0)
+        )
+
+
+def test_randomized_outlier_lands_in_top_cell():
+    # pdtr(299, 25) and pdtr(300, 25) both round to 1.0, yet the mass of 300
+    # is about 1e-206; the outlier is binned at 1, in the top cell
+    model = PoissonCommonRate(offsets=[25.0, 25.0, 25.0])
+    stat = posterior_chisq_discrete_randomized(
+        np.array([300, 0, 0]), model, 1.0, equiprobable(5), RngStream(6)
+    )
+    assert stat.counts[4] >= 1
+    lone = PoissonCommonRate(offsets=[25.0])
+    stat = posterior_chisq_discrete_randomized(
+        np.array([300]), lone, 1.0, equiprobable(5), RngStream(6)
+    )
+    assert list(stat.counts) == [0, 0, 0, 0, 1]
+    assert stat.value == pytest.approx(4.0)
+
+
+def test_randomized_zero_count_at_huge_mean_lands_in_bottom_cell():
+    # exp(-1e4) underflows, so both CDF values are 0.0
+    model = PoissonCommonRate(offsets=[1e4])
+    stat = posterior_chisq_discrete_randomized(
+        np.array([0]), model, 1.0, equiprobable(5), RngStream(7)
+    )
+    assert list(stat.counts) == [1, 0, 0, 0, 0]
+
+
+class _ZeroMassModel:
+    """Outcome 0 has no mass: its CDF interval is empty at 0.5."""
+
+    def obs_cdf_pair(self, y, theta):
+        return np.where(y == 0, 0.5, 0.25), np.where(y == 0, 0.5, 0.75)
+
+    def obs_logpmf(self, y, theta):
+        return np.where(y == 0, -np.inf, np.log(0.5))
+
+
+def test_randomized_true_zero_mass_rejected():
+    with pytest.raises(EvaluationError):
+        posterior_chisq_discrete_randomized(
+            np.array([1, 0, 1]), _ZeroMassModel(), None, equiprobable(4), RngStream(8)
         )
 
 

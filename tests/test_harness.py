@@ -250,6 +250,9 @@ def test_analyze_flags_small_cells():
 
     res = analyze(y, model, RngStream(36), n_draws=50, outcome_bins=OutcomeBins((0, 6, 9)))
     assert 0 in res.summary.small_cells
+    with pytest.raises(ConfigError):
+        analyze(RngStream(51).generator.normal(0, 1, n), NormalModel(), RngStream(36),
+                n_draws=50, outcome_bins=OutcomeBins((0, 6, 9)))
 
 
 def test_pp_test_p_value_granularity():
@@ -316,6 +319,17 @@ def test_monitor_marks_invalid_draws():
     assert np.isnan(recs[1].value)
     # invalid draws are excluded from the running denominator
     assert recs[2].cumulative_rate in (0.0, 0.5, 1.0)
+
+
+def test_monitor_evaluator_faults_propagate():
+    # only package errors mark a draw invalid; a TypeError is a bug to surface
+    class Faulty(NormalModel):
+        def obs_cdf(self, y, theta):
+            raise TypeError("evaluator bug")
+
+    y = RngStream(45).generator.normal(0, 1, 50)
+    with pytest.raises(TypeError):
+        list(stream_monitor([(0.0, 1.0)], y, Faulty(), equiprobable(5)))
 
 
 def test_monitor_alert_latches():

@@ -15,6 +15,7 @@ from bayesgof import probkit
 from bayesgof.errors import DataError, DomainError
 from bayesgof.models import (
     ChainSettings,
+    ExchangeableDraw,
     NormalModel,
     PoissonCommonRate,
     PoissonExchangeable,
@@ -341,3 +342,51 @@ def test_posterior_predictive_round_trip():
         draws = model.posterior_draws(y, 2000, split(rep, 1))
         good += int(abs(draws.mean() - 3.5) <= 3.0 * draws.std())
     assert good >= 95
+
+
+def _layout_cases():
+    offsets = np.array([1.0, 2.0, 3.0])
+    return [
+        (NormalModel(), [0.5, 2.0], 1),
+        (PoissonCommonRate(offsets), [1.5], 0),
+        (PoissonSaturated(offsets), [1.0, 2.5, 4.0], 2),
+        (PoissonExchangeable(offsets), [0.1, -0.2, 0.0, 0.3, 0.5], 4),
+    ]
+
+
+@pytest.mark.parametrize("model, values, positive", _layout_cases())
+def test_theta_from_vector_round_trip(model, values, positive):
+    assert model.theta_size == len(values)
+    theta = model.theta_from_vector(values)
+    if isinstance(theta, ExchangeableDraw):
+        flat = [theta.alpha0, *theta.gamma, theta.sigma2]
+    else:
+        flat = np.atleast_1d(np.asarray(theta, dtype=float)).tolist()
+    assert flat == values
+
+
+@pytest.mark.parametrize("model, values, positive", _layout_cases())
+def test_theta_from_vector_rejects_bad_vectors(model, values, positive):
+    # index `positive` holds a scale, rate, mean or sigma2
+    for bad in (0.0, -1.0, float("nan")):
+        broken = list(values)
+        broken[positive] = bad
+        with pytest.raises(DomainError):
+            model.theta_from_vector(broken)
+    with pytest.raises(DomainError):
+        model.theta_from_vector(values + [1.0])
+    with pytest.raises(DomainError):
+        model.theta_from_vector(values[:-1])
+
+
+def test_normal_obs_cdf_stacked_rows_equal_single_calls():
+    model = NormalModel()
+    y = RngStream(70).generator.normal(0.0, 1.0, 20)
+    mu, sigma = model.posterior_draws(y, 8, RngStream(71))
+    rows = model.obs_cdf(y, (mu, sigma))
+    assert rows.shape == (8, 20)
+    for i in range(8):
+        assert np.array_equal(rows[i], model.obs_cdf(y, (mu[i], sigma[i])))
+    sigma[3] = 0.0
+    with pytest.raises(DomainError):
+        model.obs_cdf(y, (mu, sigma))
