@@ -144,6 +144,16 @@ def _write_manifest(
     return path
 
 
+def _grouped_fit(iterations: np.ndarray) -> dict:
+    """Manifest entry for a study's grouped fits: how many, and their total
+    and largest Fisher-scoring step counts."""
+    return {
+        "fits": int(iterations.size),
+        "iterations_total": int(iterations.sum()),
+        "iterations_max": int(iterations.max()),
+    }
+
+
 def _ensure_outdir(outdir: str) -> str:
     os.makedirs(outdir, exist_ok=True)
     return outdir
@@ -309,9 +319,12 @@ def cmd_simulate_null(ns: argparse.Namespace) -> int:
             ks.alpha if ks else None, ks.passed if ks else None,
         ])
     _write_csv(os.path.join(outdir, "summary.csv"), summary_header, summary_rows)
+    derived = {"runtime_s": result.runtime_s}
+    if result.grouped_iterations is not None:
+        derived["grouped_fit"] = _grouped_fit(result.grouped_iterations)
     _write_manifest(
         outdir, "simulate-null", ns, ["qq.csv", "summary.csv"],
-        started=started, derived={"runtime_s": result.runtime_s},
+        started=started, derived=derived,
     )
 
     if ns.assert_calibrated:
@@ -354,9 +367,11 @@ def cmd_power(ns: argparse.Namespace) -> int:
         ["df", "method", "rejections", "replicates", "rate"],
         rows,
     )
+    derived = {"auc_critical": critical}
+    if result.grouped_iterations is not None:
+        derived["grouped_fit"] = _grouped_fit(result.grouped_iterations)
     _write_manifest(
-        outdir, "power", ns, ["power.csv"],
-        started=started, derived={"auc_critical": critical},
+        outdir, "power", ns, ["power.csv"], started=started, derived=derived,
     )
     return EXIT_OK
 
@@ -505,6 +520,32 @@ def cmd_validate(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flag_text(value) -> str:
+    """A recorded value as the command-line text that parses back to it."""
+    if isinstance(value, list):
+        return ",".join(_flag_text(v) for v in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _replay_value(path: str, dest: str, action: argparse.Action, value):
+    """A manifest's config value checked and converted as its flag would be."""
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:  # a store_true flag
+        ok = isinstance(value, bool)
+    elif action.type is None:
+        ok = isinstance(value, str)
+    else:
+        try:
+            value = action.type(_flag_text(value))
+            ok = True
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            ok = False
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise DataError(f"{path}: config key {dest!r} has an invalid value {value!r}")
+    return value
+
+
 def cmd_replay(ns: argparse.Namespace) -> int:
     try:
         with open(ns.manifest) as fh:
@@ -535,9 +576,11 @@ def cmd_replay(ns: argparse.Namespace) -> int:
     if unknown:
         raise DataError(f"{ns.manifest}: unknown config key(s) {', '.join(unknown)}")
     for dest, action in flags.items():
-        if dest not in config:
-            if action.required:
-                raise DataError(f"{ns.manifest}: config lacks required key {dest!r}")
+        if dest in config:
+            config[dest] = _replay_value(ns.manifest, dest, action, config[dest])
+        elif action.required:
+            raise DataError(f"{ns.manifest}: config lacks required key {dest!r}")
+        else:
             config[dest] = action.default
     replay_ns = argparse.Namespace(**config)
     if ns.outdir is not None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import probkit
 from .binning import BinScheme, assign_discrete_randomized, tally
@@ -38,6 +37,12 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12
+# grouped-MLE Fisher scoring: stop below this Newton decrement relative to the
+# rounding scale of the log-likelihood (steps stall near 1e-17 of it), give up
+# after this many steps, and halve a step at most this many times
+SCORING_TOL = 1e-14
+SCORING_MAX_ITER = 50
+SCORING_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -214,66 +219,93 @@ def plugin_chisq(data, model, edges) -> FittedStat:
     return FittedStat(pearson(counts, probs), counts, probs, tuple(np.atleast_1d(theta)))
 
 
-def grouped_chisq(
-    data, model, edges, *, max_iter: int = 500, rel_tol: float = 1e-8
-) -> FittedStat:
+def _group_loglik(model, edges, counts: np.ndarray, vec: np.ndarray):
+    """(log-likelihood, theta, cell probabilities) of the grouped counts at
+    free parameters vec; the log-likelihood is -inf where a cell probability
+    underflows or theta leaves the representable range."""
+    try:
+        theta = model.theta_from_free(vec)
+    except OverflowError:
+        return -np.inf, None, None
+    p = np.asarray(model.cell_probs(edges, theta), dtype=float)
+    if not p.min() >= 1e-300:  # NaN fails too
+        return -np.inf, None, None
+    return float(np.dot(counts, np.log(p))), theta, p
+
+
+def grouped_chisq(data, model, edges) -> FittedStat:
     """Pearson statistic at the grouped-data maximum-likelihood estimate.
 
-    The parameter maximizes the multinomial likelihood of the observed cell
-    counts, found by a derivative-free simplex search started at the raw-data
-    MLE.  Reference law: chi-square(K - 1 - s).
+    The parameter maximizes the multinomial log-likelihood
+    l = sum_j m_j log p_j of the observed cell counts m.  It is found by
+    Fisher scoring in the model's free coordinates, started at the raw-data
+    MLE: with J the model's cell_probs_jacobian, each step is I^-1 score,
+    where score = J'(m / p) and I = n J' diag(1 / p) J, halved until l does
+    not decrease.  The fit ends with the step whose Newton decrement
+    score' I^-1 score is below SCORING_TOL * (1 + |l| + sum(m / p)), the
+    scale on which l is rounded: about 3e-12 for 50 observations in 5
+    well-fitting cells.  FittedStat.iterations counts the steps.  Reference
+    law: chi-square(K - 1 - s).
+
+    EvaluationError: l is not finite at the start, or a fitted cell
+    probability lies below the floor.  OptimizationError: the information
+    is singular, not finite or not positive definite, no halving of a step
+    keeps l, or the fit takes more than SCORING_MAX_ITER steps.
     """
     y = np.asarray(data, dtype=float)
     counts = _data_space_counts(y, edges)
-    start = np.asarray(model.free_params(model.mle(y)), dtype=float)
-
-    def neg_group_loglik(vec: np.ndarray) -> float:
-        theta = model.theta_from_free(vec)
-        p = np.asarray(model.cell_probs(edges, theta), dtype=float)
-        if np.any(p < 1e-300) or not np.all(np.isfinite(p)):
-            return np.inf
-        return -float(np.dot(counts, np.log(p)))
-
-    f0 = neg_group_loglik(start)
-    if not np.isfinite(f0):
+    n = counts.sum()
+    vec = np.asarray(model.free_params(model.mle(y)), dtype=float)
+    loglik, theta, probs = _group_loglik(model, edges, counts, vec)
+    if loglik == -np.inf:
         raise EvaluationError("grouped likelihood is not finite at the raw MLE start")
-    # convergence is judged on the objective (relative rel_tol).  Two guards
-    # against simplex pathologies: the initial simplex is sized to the
-    # parameter scale (scipy's 5% default crawls when the grouped optimum sits
-    # a standard error away), and the search restarts from its best point with
-    # a fresh simplex when a round stalls.  Total budget stays max_iter.
-    remaining = max_iter
-    used = 0
-    x = start
-    res = None
-    while remaining > 0:
-        steps = 0.1 * (1.0 + np.abs(x))
-        simplex = np.vstack([x, x + np.diag(steps)])
-        res = optimize.minimize(
-            neg_group_loglik,
-            x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": min(remaining, 200),
-                "initial_simplex": simplex,
-                "xatol": 1e-4 * (1.0 + float(np.abs(start).max())),
-                "fatol": rel_tol * (1.0 + abs(f0)),
-            },
-        )
-        remaining -= res.nit
-        used += int(res.nit)
-        x = res.x
-        if res.success or res.nit == 0:
-            break
-    if res is None or not res.success:
-        raise OptimizationError(
-            f"grouped MLE search did not converge in {max_iter} iterations"
-        )
-    theta = model.theta_from_free(res.x)
-    probs = np.asarray(model.cell_probs(edges, theta), dtype=float)
+    # a trial step may push theta to where the cell probabilities over- or
+    # underflow; such a trial has l = -inf and is halved, so numpy's warnings
+    # about it would only be noise
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for iterations in range(1, SCORING_MAX_ITER + 1):
+            jac = np.asarray(model.cell_probs_jacobian(edges, theta), dtype=float)
+            ratio = counts / probs
+            score = jac.T @ ratio
+            # l is rounded by about one unit per unit of |l| + sum(m / p): the
+            # sum, and cell probabilities with an absolute rounding error
+            tol = SCORING_TOL * (1.0 + abs(loglik) + ratio.sum())
+            info = n * (jac.T / probs) @ jac
+            if not np.isfinite(info).all():
+                raise OptimizationError("grouped-fit information matrix is not finite")
+            try:
+                step = np.linalg.solve(info, score)
+            except np.linalg.LinAlgError:
+                raise OptimizationError("grouped-fit information matrix is singular") from None
+            decrement = float(score @ step)
+            if not decrement >= 0.0:  # NaN fails too
+                raise OptimizationError(
+                    "grouped-fit information matrix is not positive definite"
+                )
+            for _ in range(SCORING_MAX_HALVINGS):
+                trial = _group_loglik(model, edges, counts, vec + step)
+                if trial[0] >= loglik:
+                    break
+                step = 0.5 * step
+            else:
+                raise OptimizationError(
+                    "no halving of the scoring step keeps the grouped likelihood"
+                )
+            vec = vec + step
+            loglik, theta, probs = trial
+            # scoring converges linearly, so the step that meets the
+            # tolerance is still worth taking
+            if decrement < tol:
+                break
+        else:
+            raise OptimizationError(
+                f"grouped MLE did not converge in {SCORING_MAX_ITER} scoring steps"
+            )
     if np.any(probs < PROB_FLOOR):
         raise EvaluationError("grouped-fit cell probability below floor")
-    return FittedStat(pearson(counts, probs), counts, probs, tuple(np.atleast_1d(theta)), used)
+    return FittedStat(
+        pearson(counts, probs), counts, probs, tuple(np.atleast_1d(theta)), iterations
+    )
 
 
 def chisq_discrepancy(y_rep, model, theta) -> float:

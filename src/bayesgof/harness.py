@@ -36,8 +36,6 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-# probkit (scipy.special) before gof (scipy.optimize): with scipy 1.17 the
-# other order adds about 0.1 s to importing the CLI
 from . import probkit, gof
 from .binning import BinScheme, equiprobable, default_bin_count
 from .errors import ConfigError, DataError, DomainError, EvaluationError
@@ -144,11 +142,15 @@ class CalibrationSeries:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """grouped_iterations holds the Fisher-scoring steps of each replicate's
+    grouped fit, in replicate order; None when no grouped fit ran."""
+
     series: dict[str, CalibrationSeries]
     n: int
     k: int
     replicates: int
     runtime_s: float
+    grouped_iterations: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -187,12 +189,15 @@ class PowerResult:
     in replicate order.  Given the data, the single-draw test rejects with
     probability equal to the fraction, so its power is their mean; the
     exceedance-proportion test rejects when the fraction lies above
-    AucDistribution.exceedance_critical.
+    AucDistribution.exceedance_critical.  grouped_iterations holds the
+    Fisher-scoring steps of each grouped fit, in df-grid then replicate
+    order; None when the grouped method is not run.
     """
 
     rows: tuple[PowerRow, ...]
     auc_critical: float
     exceedance_fractions: dict[float, np.ndarray]
+    grouped_iterations: np.ndarray | None = None
 
     def rate(self, df: float, method: str) -> float:
         for row in self.rows:
@@ -303,21 +308,22 @@ def null_calibration(config: ExperimentConfig) -> CalibrationResult:
     root = RngStream(config.seed)
     k = config.k
     scheme = equiprobable(k)
+    grouped_iterations = None
 
     if config.model == "normal":
         model = NormalModel()
         edges = _null_edges(k)
 
-        def one(r: int) -> tuple[float, float, float]:
+        def one(r: int) -> tuple[float, float, float, int]:
             c = split(root, r)
             y = generate_null_normal(config.n, split(c, 0))
             theta = model.posterior_draw(y, split(c, 1))
             value = gof.posterior_chisq_continuous(y, model, theta, scheme).value
             if not config.include_classical:
-                return (value, np.nan, np.nan)
+                return (value, np.nan, np.nan, 0)
             plug = gof.plugin_chisq(y, model, edges).value
-            grouped = gof.grouped_chisq(y, model, edges).value
-            return (value, plug, grouped)
+            grouped = gof.grouped_chisq(y, model, edges)
+            return (value, plug, grouped.value, grouped.iterations)
 
         rows = np.asarray(_map_replicates(one, config.replicates, config.workers))
         series = {"posterior": _series("posterior", rows[:, 0], k - 1, config.ks_alpha)}
@@ -326,6 +332,7 @@ def null_calibration(config: ExperimentConfig) -> CalibrationResult:
             series["grouped"] = _series(
                 "grouped", rows[:, 2], k - 1 - model.n_params, config.ks_alpha
             )
+            grouped_iterations = rows[:, 3].astype(int)
     else:
         if config.include_classical:
             raise ConfigError("classical statistics are defined for the normal model only")
@@ -350,6 +357,7 @@ def null_calibration(config: ExperimentConfig) -> CalibrationResult:
         k=k,
         replicates=config.replicates,
         runtime_s=time.perf_counter() - t0,
+        grouped_iterations=grouped_iterations,
     )
 
 
@@ -446,12 +454,14 @@ def power_study(config: ExperimentConfig, auc_critical: float) -> PowerResult:
     single_crit = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
     grouped_crit = probkit.chi2_quantile(k - 1 - model.n_params, 1.0 - config.alpha)
 
+    grouped = "grouped" in config.methods
     rows: list[PowerRow] = []
     fractions_by_df: dict[float, np.ndarray] = {}
+    iterations_by_df: list[np.ndarray] = []
     for d_index, df in enumerate(config.df_grid):
         base = split(root, d_index)
 
-        def one(r: int) -> tuple[bool, bool, bool, float]:
+        def one(r: int) -> tuple[bool, bool, bool, float, int]:
             c = split(base, r)
             y = generate_t(config.n, df, split(c, 0))
             auc, first, fraction = _auc_for_dataset(
@@ -459,13 +469,15 @@ def power_study(config: ExperimentConfig, auc_critical: float) -> PowerResult:
             )
             rej_auc = auc > auc_critical
             rej_single = first > single_crit
-            rej_grouped = False
-            if "grouped" in config.methods:
-                rej_grouped = gof.grouped_chisq(y, model, edges).value > grouped_crit
-            return (rej_auc, rej_single, rej_grouped, fraction)
+            rej_grouped, iterations = False, 0
+            if grouped:
+                fit = gof.grouped_chisq(y, model, edges)
+                rej_grouped, iterations = fit.value > grouped_crit, fit.iterations
+            return (rej_auc, rej_single, rej_grouped, fraction, iterations)
 
         out = np.asarray(_map_replicates(one, config.replicates, config.workers))
         flags, fractions = out[:, :3].astype(bool), out[:, 3]
+        iterations_by_df.append(out[:, 4].astype(int))
         for j, method in enumerate(POWER_METHODS):
             if method not in config.methods:
                 continue
@@ -474,7 +486,12 @@ def power_study(config: ExperimentConfig, auc_critical: float) -> PowerResult:
                 PowerRow(float(df), method, rej, config.replicates, rej / config.replicates)
             )
         fractions_by_df[float(df)] = fractions
-    return PowerResult(tuple(rows), float(auc_critical), fractions_by_df)
+    return PowerResult(
+        tuple(rows),
+        float(auc_critical),
+        fractions_by_df,
+        np.concatenate(iterations_by_df) if grouped else None,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,12 @@ harness and cli modules:
 - ``obs_mean_var`` gives per-observation predictive moments;
 - ``theta_from_vector(values)`` builds theta from a flat vector of
   ``theta_size`` values, raising DomainError for a wrong length, a
-  non-finite value or a non-positive scale, rate, mean or sigma2.
+  non-finite value or a non-positive scale, rate, mean or sigma2;
+- ``mle`` gives the raw-data maximum-likelihood estimate; for the classical
+  comparators the normal model also has ``cell_probs`` for data-space cut
+  points, ``free_params`` / ``theta_from_free`` for unconstrained
+  coordinates, and ``cell_probs_jacobian`` for the derivative of the cell
+  probabilities in those coordinates.
 
 theta is opaque to callers: a (mu, sigma) pair for the normal model, a scalar
 rate for the pooled Poisson model, a vector of means for the saturated model,
@@ -169,6 +174,19 @@ class NormalModel:
         z = (np.asarray(edges, dtype=float) - mu) / sigma
         cum = np.concatenate(([0.0], np.atleast_1d(probkit.normal_cdf(z)), [1.0]))
         return np.diff(cum)
+
+    def cell_probs_jacobian(self, edges, theta) -> np.ndarray:
+        """K x 2 derivative of cell_probs with respect to free_params
+        (mu, log sigma): -diff(phi(z)) / sigma and -diff(z phi(z)), the
+        differences taken between each cell's upper and lower edge, where
+        phi and z phi vanish at the infinite outer edges."""
+        mu, sigma = theta
+        z = (np.asarray(edges, dtype=float) - mu) / sigma
+        phi = probkit.normal_pdf(z)
+        at_edges = np.zeros((z.size + 2, 2))
+        at_edges[1:-1, 0] = phi / sigma
+        at_edges[1:-1, 1] = z * phi
+        return -np.diff(at_edges, axis=0)
 
     def free_params(self, theta) -> np.ndarray:
         mu, sigma = theta

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from bayesgof import cli
+from bayesgof import cli, harness
 from bayesgof.probkit import RngStream
 
 
@@ -119,6 +119,9 @@ def test_simulate_null_classical_columns(tmp_path):
     assert [r[0] for r in summary[1:]] == ["posterior", "plugin", "grouped"]
     plugin_row = summary[2]
     assert plugin_row[6] == ""  # no KS against a named law
+    fit = json.loads((out / "manifest.json").read_text())["derived"]["grouped_fit"]
+    assert fit["fits"] == 30
+    assert 30 <= fit["iterations_total"] <= 30 * fit["iterations_max"]
 
 
 def test_assert_calibrated_failure_exit_2(tmp_path):
@@ -146,6 +149,7 @@ def test_power_outputs(tmp_path):
     assert len(rows) == 1 + 2 * 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["derived"]["auc_critical"] == 0.786
+    assert manifest["derived"]["grouped_fit"]["fits"] == 2 * 10
 
 
 def test_power_df_range_parsing(tmp_path):
@@ -156,6 +160,24 @@ def test_power_df_range_parsing(tmp_path):
     rows = read_csv(out / "power.csv")
     assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
     assert all(r[1] == "grouped" for r in rows[1:])
+    out = tmp_path / "auc-only"
+    assert run_cli("power", "--df", "1", "--methods", "auc", "--reps", "5",
+                   "--draws", "20", "--n", "30", "--auc-critical", "0.7",
+                   "--outdir", out) == 0
+    assert "grouped_fit" not in json.loads((out / "manifest.json").read_text())["derived"]
+
+
+def test_power_on_data_without_a_grouped_mle_exit_70(tmp_path, monkeypatch, capsys):
+    # 40 observations in the bottom cell and 10 in the top one: the grouped
+    # likelihood rises without bound as sigma grows
+    def two_cell_sample(n, df, rng):
+        return np.r_[np.linspace(-3.0, -2.5, 40), np.linspace(2.5, 3.0, 10)]
+
+    monkeypatch.setattr(harness, "generate_t", two_cell_sample)
+    assert run_cli("power", "--df", "3", "--methods", "grouped", "--reps", "2",
+                   "--draws", "20", "--n", "50", "--k", "5", "--auc-critical", "0.7",
+                   "--outdir", tmp_path) == 70
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_analyze_outputs(tmp_path, poisson_csv):
@@ -310,6 +332,45 @@ def test_replay_rejects_unknown_key(tmp_path, poisson_csv, capsys):
     path.write_text(json.dumps(manifest))
     assert run_cli("replay", path, "--outdir", tmp_path / "second") == 65
     assert "thresh_old" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("draws", "abc"),  # an int flag
+    ("draws", 2.5),
+    ("draws", True),
+    ("threshold", "high"),  # a float flag
+    ("model", "gamma"),  # outside the flag's choices
+    ("data", 7),  # a string flag
+    ("seed", None),
+])
+def test_replay_rejects_mistyped_value(tmp_path, poisson_csv, capsys, key, value):
+    _, manifest = _recorded_analyze(tmp_path, poisson_csv)
+    manifest["config"][key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("replay", path, "--outdir", tmp_path / "second") == 65
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_replay_converts_recorded_values_like_flags(tmp_path, poisson_csv):
+    first, manifest = _recorded_analyze(tmp_path, poisson_csv)
+    manifest["config"].update(draws="150", seed=11.0)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    second = tmp_path / "second"
+    assert run_cli("replay", path, "--outdir", second) == 0
+    assert (first / "trace.csv").read_bytes() == (second / "trace.csv").read_bytes()
+
+
+def test_replay_store_true_flag_needs_a_bool(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run_cli("simulate-null", "--reps", "5", "--classical", "--outdir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["classical"] = "true"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("replay", path, "--outdir", tmp_path / "second") == 65
+    assert "'classical'" in capsys.readouterr().err
 
 
 def test_replay_rejects_garbage(tmp_path):

@@ -1,6 +1,10 @@
 """Statistic-level checks: hand-computable Pearson values, exact-fit zeros,
 calibration of the fixed-outcome-bin path, and the tail-area summaries."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from bayesgof import gof, probkit
 from bayesgof.binning import equiprobable
-from bayesgof.errors import DomainError, EvaluationError
+from bayesgof.errors import DomainError, EvaluationError, OptimizationError
 from bayesgof.gof import (
     OutcomeBins,
     chisq_discrepancy,
@@ -233,6 +237,79 @@ def test_grouped_statistic_not_above_plugin_on_average():
         y = split(root, r).generator.normal(0.0, 1.0, 50)
         diffs.append(plugin_chisq(y, model, edges).value - grouped_chisq(y, model, edges).value)
     assert np.mean(diffs) > 0.0
+
+
+def _grouped_datasets(reps):
+    """(edges, y) for seeded normal and t(2) samples of 50 at k 5 and 12."""
+    root = RngStream(83)
+    for k in (5, 12):
+        edges = probkit.normal_quantile(np.arange(1, k) / k)
+        for d, draw in enumerate((
+            lambda g: g.standard_normal(50),
+            lambda g: g.standard_t(2, 50),
+        )):
+            for r in range(reps):
+                yield edges, draw(split(split(root, 2 * k + d), r).generator)
+
+
+def test_grouped_score_vanishes_at_optimum():
+    model = NormalModel()
+    for edges, y in _grouped_datasets(10):
+        grp = grouped_chisq(y, model, edges)
+        jac = model.cell_probs_jacobian(edges, grp.theta)
+        score = jac.T @ (grp.counts / grp.probs)
+        assert np.abs(score).max() <= 1e-6 * y.size
+        assert 1 <= grp.iterations <= gof.SCORING_MAX_ITER
+
+
+def test_grouped_matches_tight_nelder_mead_reference():
+    from scipy import optimize
+
+    model = NormalModel()
+    for edges, y in _grouped_datasets(50):
+        grp = grouped_chisq(y, model, edges)
+        counts = grp.counts
+
+        def neg_loglik(vec):
+            p = model.cell_probs(edges, model.theta_from_free(vec))
+            return np.inf if np.any(p < 1e-300) else -float(counts @ np.log(p))
+
+        ref = optimize.minimize(
+            neg_loglik, model.free_params(model.mle(y)), method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 20000},
+        )
+        ref_probs = model.cell_probs(edges, model.theta_from_free(ref.x))
+        # at least the reference's likelihood, up to rounding of the sum
+        assert float(counts @ np.log(grp.probs)) >= -ref.fun - 1e-11
+        assert abs(grp.value - pearson(counts, ref_probs)) <= 1e-6
+
+
+def _one_or_two_cell_samples(edges):
+    spread = np.linspace(0.0, 0.1, 25)
+    return [
+        np.linspace(-0.05, 0.05, 50),  # around the median
+        np.linspace(-40.0, -3.0, 50),  # the bottom cell
+        np.r_[-3.0 + spread, 3.0 + spread],  # bottom and top cells, evenly
+        np.r_[np.linspace(-3.0, -2.5, 40), np.linspace(2.5, 3.0, 10)],  # unevenly
+        np.r_[edges[1] - 0.01 - spread / 2, edges[1] + 0.01 + spread / 2],  # adjacent
+    ]
+
+
+@pytest.mark.parametrize("k", [5, 12])
+def test_grouped_one_or_two_cell_data_raise_documented_errors(k):
+    model = NormalModel()
+    edges = probkit.normal_quantile(np.arange(1, k) / k)
+    for y in _one_or_two_cell_samples(edges):
+        assert np.count_nonzero(np.bincount(np.searchsorted(edges, y))) <= 2
+        with pytest.raises((EvaluationError, OptimizationError)):
+            grouped_chisq(y, model, edges)
+
+
+def test_scipy_optimize_not_imported_by_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gof.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, bayesgof.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_discrepancy_zero_at_exact_mean():

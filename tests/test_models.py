@@ -390,3 +390,23 @@ def test_normal_obs_cdf_stacked_rows_equal_single_calls():
     sigma[3] = 0.0
     with pytest.raises(DomainError):
         model.obs_cdf(y, (mu, sigma))
+
+
+@pytest.mark.parametrize("k", [2, 5, 12])
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (-1.3, 0.4), (2.0, 3.0)])
+def test_normal_cell_probs_jacobian_matches_central_differences(k, mu, sigma):
+    model = NormalModel()
+    edges = probkit.normal_quantile(np.arange(1, k) / k)
+    free = model.free_params((mu, sigma))
+    jac = model.cell_probs_jacobian(edges, (mu, sigma))
+    assert jac.shape == (k, 2)
+    h = 1e-6
+    for j in range(2):
+        up, down = free.copy(), free.copy()
+        up[j] += h
+        down[j] -= h
+        fd = (
+            model.cell_probs(edges, model.theta_from_free(up))
+            - model.cell_probs(edges, model.theta_from_free(down))
+        ) / (2.0 * h)
+        np.testing.assert_allclose(jac[:, j], fd, rtol=1e-6, atol=1e-9)
