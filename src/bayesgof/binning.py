@@ -28,7 +28,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BinScheme:
-    """Ordered cut points 0 = a_0 < a_1 < ... < a_K = 1 on the unit interval."""
+    """Ordered cut points 0 = a_0 < a_1 < ... < a_K = 1 on the unit interval.
+
+    The edges and widths are also kept as read-only arrays, built once: a
+    scheme is evaluated once per posterior draw.  They are not fields, so
+    equality, hashing and repr see the edge tuple only.
+    """
 
     edges: tuple[float, ...]
 
@@ -40,15 +45,20 @@ class BinScheme:
             raise DomainError(f"edges must start at 0 and end at 1, got {e[0]}..{e[-1]}")
         if any(not (lo < hi) for lo, hi in zip(e, e[1:])):
             raise DomainError("edges must be strictly increasing")
+        edge_array = np.asarray(e)
+        widths = np.diff(edge_array)
+        edge_array.setflags(write=False)
+        widths.setflags(write=False)
+        object.__setattr__(self, "_edge_array", edge_array)
+        object.__setattr__(self, "_widths", widths)
 
     @property
     def k(self) -> int:
         return len(self.edges) - 1
 
     def widths(self) -> np.ndarray:
-        """Cell probabilities implied by the edges."""
-        e = np.asarray(self.edges)
-        return np.diff(e)
+        """Cell probabilities implied by the edges (read-only, shared)."""
+        return self._widths
 
 
 def equiprobable(k: int) -> BinScheme:
@@ -81,8 +91,7 @@ def assign(scheme: BinScheme, u):
     # one min/max pass; NaN fails both comparisons
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("assign requires values in [0, 1]")
-    edges = np.asarray(scheme.edges)
-    idx = np.searchsorted(edges, arr, side="left")
+    idx = np.searchsorted(scheme._edge_array, arr, side="left")
     if not idx.ndim:
         return max(int(idx), 1) - 1
     # in place: a batch of draws x observations would otherwise leave two
@@ -109,9 +118,13 @@ def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream)
     if lo.size and not (lo.min() >= 0.0 and hi.max() <= 1.0):
         raise DomainError("CDF values must lie in [0, 1]")
     width = hi - lo
-    at_edge = (width == 0.0) & ((hi == 0.0) | (lo == 1.0))
-    if np.any(~((width > 0.0) | at_edge)):
-        raise DomainError("zero-probability outcome: f_below must be < f_at, or equal at 0 or 1")
+    # one reduction decides the common case; NaN fails it
+    if width.size and not width.min() > 0.0:
+        at_edge = (width == 0.0) & ((hi == 0.0) | (lo == 1.0))
+        if np.any(~((width > 0.0) | at_edge)):
+            raise DomainError(
+                "zero-probability outcome: f_below must be < f_at, or equal at 0 or 1"
+            )
     v = rng.generator.random(lo.shape if lo.ndim else None)
     u = hi - v * width  # lands in (f_below, f_at], or on a collapsed edge
     return assign(scheme, u)

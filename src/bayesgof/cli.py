@@ -568,10 +568,8 @@ def cmd_replay(ns: argparse.Namespace) -> int:
         raise DataError(f"{ns.manifest}: missing config block")
     # the recorded keys are the subcommand's flags: a key the manifest lacks
     # takes the flag's default, and a key no flag knows is an error
-    flags = {
-        a.dest: a for a in _subparser(build_parser(), command)._actions
-        if a.dest not in ("help", "config")
-    }
+    sub = _subparser(build_parser(), command)
+    flags = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     unknown = sorted(set(config) - set(flags))
     if unknown:
         raise DataError(f"{ns.manifest}: unknown config key(s) {', '.join(unknown)}")
@@ -582,6 +580,15 @@ def cmd_replay(ns: argparse.Namespace) -> int:
             raise DataError(f"{ns.manifest}: config lacks required key {dest!r}")
         else:
             config[dest] = action.default
+    # a manifest records every flag, so only values away from their default
+    # count as given, as on the command line
+    for group in sub._mutually_exclusive_groups:
+        given = [a.dest for a in group._group_actions if config[a.dest] != a.default]
+        if len(given) > 1:
+            raise DataError(
+                f"{ns.manifest}: config keys {', '.join(map(repr, given))} "
+                "are mutually exclusive"
+            )
     replay_ns = argparse.Namespace(**config)
     if ns.outdir is not None:
         replay_ns.outdir = ns.outdir

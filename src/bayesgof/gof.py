@@ -108,15 +108,16 @@ def pearson(counts, probs):
     n = m.sum(axis=-1)
     if not n.min() > 0:
         raise DomainError("counts must sum to a positive total")
-    if abs(p.sum() - 1.0) > 1e-9:
+    # written so that NaN fails both tests
+    if not abs(p.sum() - 1.0) <= 1e-9:
         raise DomainError(f"cell probabilities must sum to 1, got {p.sum()!r}")
-    if np.any(p < PROB_FLOOR):
+    if not p.min() >= PROB_FLOOR:
         raise EvaluationError(
             f"cell probability below the {PROB_FLOOR} floor in cells "
             f"{np.nonzero(p < PROB_FLOOR)[0].tolist()}"
         )
     expected = n[..., None] * p
-    value = np.sum((m - expected) ** 2 / expected, axis=-1)
+    value = ((m - expected) ** 2 / expected).sum(axis=-1)
     return float(value) if m.ndim == 1 else value
 
 
@@ -161,16 +162,25 @@ def posterior_chisq_discrete_randomized(
     f_below, f_at = model.obs_cdf_pair(y, theta)
     f_below = np.asarray(f_below, dtype=float)
     f_at = np.asarray(f_at, dtype=float)
-    _check_unit_interval(f_below, "CDF-below transform")
-    _check_unit_interval(f_at, "CDF-at transform")
-    collapsed = ~(f_at > f_below)
-    if np.any(collapsed):
-        zero = collapsed & (np.asarray(model.obs_logpmf(y, theta)) == -np.inf)
-        if np.any(zero):
-            raise EvaluationError(
-                "observed outcome has zero probability at this draw for observations "
-                f"{np.nonzero(zero)[0].tolist()}"
-            )
+    # 0 <= f_below < f_at <= 1 everywhere passes every check below, so three
+    # reductions decide the common case; NaN fails them.  Tested in this
+    # order, f_at - f_below cannot meet inf - inf.
+    if not (
+        f_below.size
+        and f_below.min() >= 0.0
+        and f_at.max() <= 1.0
+        and (f_at - f_below).min() > 0.0
+    ):
+        _check_unit_interval(f_below, "CDF-below transform")
+        _check_unit_interval(f_at, "CDF-at transform")
+        collapsed = ~(f_at > f_below)
+        if np.any(collapsed):
+            zero = collapsed & (np.asarray(model.obs_logpmf(y, theta)) == -np.inf)
+            if np.any(zero):
+                raise EvaluationError(
+                    "observed outcome has zero probability at this draw for observations "
+                    f"{np.nonzero(zero)[0].tolist()}"
+                )
     idx = assign_discrete_randomized(scheme, f_below, f_at, rng)
     counts = np.bincount(idx, minlength=scheme.k)
     return BinnedStat(pearson(counts, scheme.widths()), counts)

@@ -540,6 +540,7 @@ def analyze(
         values = np.empty(n_draws)
         thetas = model.posterior_sample(y, n_draws, draw_rng)
         expected_total = np.zeros(k)
+        scheme_expected = y.size * sch.widths()
         for i, theta in enumerate(thetas):
             if outcome_bins is not None:
                 stat = gof.posterior_chisq_fixed_outcome_bins(y, model, theta, outcome_bins)
@@ -551,7 +552,7 @@ def analyze(
                 stat = gof.posterior_chisq_discrete_randomized(
                     y, model, theta, sch, assign_rng
                 )
-                expected_total += y.size * sch.widths()
+                expected_total += scheme_expected
             values[i] = stat.value
             counts_total += stat.counts
         expected_mean = expected_total / n_draws

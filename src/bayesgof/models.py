@@ -170,10 +170,20 @@ class NormalModel:
         return mu, sigma * sigma
 
     def cell_probs(self, edges, theta) -> np.ndarray:
+        """Cell probabilities between increasing cut points, each taken on
+        the side of 0 where it keeps full relative precision: a cell below 0
+        as Phi(z_hi) - Phi(z_lo), a cell above 0 as Phi(-z_lo) - Phi(-z_hi),
+        and the cell that holds 0 as 1 - Phi(z_lo) - Phi(-z_hi).  All three
+        are differences of the smaller tail Phi(-|z|) at each edge."""
         mu, sigma = theta
         z = (np.asarray(edges, dtype=float) - mu) / sigma
-        cum = np.concatenate(([0.0], np.atleast_1d(probkit.normal_cdf(z)), [1.0]))
-        return np.diff(cum)
+        small = np.zeros(z.size + 2)  # 0 at the infinite outer edges
+        small[1:-1] = probkit.normal_cdf(-np.abs(z))
+        p = small[1:] - small[:-1]
+        m = int(np.count_nonzero(z <= 0.0))  # cells 0..m-1 lie below 0
+        p[m + 1:] = small[m + 1:-1] - small[m + 2:]
+        p[m] = 1.0 - small[m] - small[m + 1]
+        return p
 
     def cell_probs_jacobian(self, edges, theta) -> np.ndarray:
         """K x 2 derivative of cell_probs with respect to free_params
@@ -219,10 +229,13 @@ def _validate_counts(data, n: int) -> np.ndarray:
     return yf.astype(np.int64)
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _poisson_cdf_pair(y: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a mean below the smallest normal double has underflowed; a positive
     # count's log mass there is finite but meaningless
-    if not (np.finfo(float).tiny <= means.min() and means.max() < np.inf):
+    if not (_TINY <= means.min() and means.max() < np.inf):
         raise EvaluationError(f"Poisson means must be normal finite doubles, got {means.min()}")
     f_at = probkit.poisson_cdf(means, y)
     f_below = probkit.poisson_cdf(means, y - 1)

@@ -190,3 +190,24 @@ def test_scheme_requires_monotone_edges():
         BinScheme(edges=(0.0, 0.6, 0.4, 1.0))
     with pytest.raises(DomainError):
         BinScheme(edges=(0.1, 0.5, 1.0))
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [equiprobable(k) for k in range(2, 13)] + [BinScheme((0.0, 0.05, 0.3, 0.31, 0.9, 1.0))],
+)
+def test_widths_are_the_edge_differences_and_read_only(scheme):
+    w = scheme.widths()
+    assert np.array_equal(w, np.diff(np.asarray(scheme.edges)))
+    assert w is scheme.widths()
+    with pytest.raises(ValueError):
+        w[0] = 0.5
+    assert np.array_equal(assign(scheme, scheme.edges), [0, *range(scheme.k)])
+
+
+def test_equal_schemes_compare_and_hash_equal():
+    a, b = equiprobable(5), BinScheme(tuple(j / 5 for j in range(6)))
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != equiprobable(4)
+    assert repr(a) == f"BinScheme(edges={a.edges!r})"

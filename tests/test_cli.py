@@ -2,6 +2,7 @@
 precedence, and manifest replay."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -426,3 +427,40 @@ def test_same_seed_same_bytes_any_workers(tmp_path):
                        "--workers", workers, "--outdir", out) == 0
         runs.append((out / "qq.csv").read_bytes())
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_replay_rejects_mutually_exclusive_keys(tmp_path, monkeypatch, capsys):
+    first = tmp_path / "first"
+    assert run_cli("simulate-null", "--reps", "5", "--outdir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["full_scale"] = True
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+
+    def no_study(config):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "null_calibration", no_study)
+    assert run_cli("replay", path, "--outdir", tmp_path / "second") == 65
+    err = capsys.readouterr().err
+    assert "'reps'" in err and "'full_scale'" in err
+    assert not (tmp_path / "second" / "qq.csv").exists()
+
+
+def test_replay_of_a_full_scale_manifest_runs_full_scale(tmp_path, monkeypatch):
+    # 10000 replicates are recorded, then cut to 5 so the test stays short
+    asked = []
+    study = harness.null_calibration
+
+    def short_study(config):
+        asked.append(config.replicates)
+        return study(dataclasses.replace(config, replicates=5))
+
+    monkeypatch.setattr(harness, "null_calibration", short_study)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("simulate-null", "--full-scale", "--outdir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["config"]["full_scale"] is True
+    assert run_cli("replay", first / "manifest.json", "--outdir", second) == 0
+    assert asked == [10000, 10000]
+    assert (first / "qq.csv").read_bytes() == (second / "qq.csv").read_bytes()

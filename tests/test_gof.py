@@ -4,6 +4,7 @@ calibration of the fixed-outcome-bin path, and the tail-area summaries."""
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayesgof import gof, probkit
-from bayesgof.binning import equiprobable
+from bayesgof.binning import assign, assign_discrete_randomized, equiprobable
 from bayesgof.errors import DomainError, EvaluationError, OptimizationError
 from bayesgof.gof import (
     OutcomeBins,
@@ -387,3 +388,123 @@ def test_classical_cdf_ordering(null_run_2000):
     f_grp = ecdf(grp, grid)
     assert np.all(f_grp >= f_plug - 0.03)
     assert np.all(f_plug >= f_post - 0.03)
+
+
+# --- the per-draw checks decide by reductions first; outcomes must not move --
+
+def _reference_unit_interval(u, what):
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+        bad = ~((u >= 0.0) & (u <= 1.0))
+        raise EvaluationError(
+            f"{what} produced invalid values at observations "
+            f"{np.unique(np.nonzero(bad)[-1]).tolist()}"
+        )
+
+
+def _reference_assign_randomized(scheme, f_below, f_at, rng):
+    """The element-wise check sequence of assign_discrete_randomized, kept as
+    the reference its one-reduction form must agree with."""
+    lo = np.asarray(f_below, dtype=float)
+    hi = np.asarray(f_at, dtype=float)
+    if lo.size and not (lo.min() >= 0.0 and hi.max() <= 1.0):
+        raise DomainError("CDF values must lie in [0, 1]")
+    width = hi - lo
+    at_edge = (width == 0.0) & ((hi == 0.0) | (lo == 1.0))
+    if np.any(~((width > 0.0) | at_edge)):
+        raise DomainError("zero-probability outcome: f_below must be < f_at, or equal at 0 or 1")
+    v = rng.generator.random(lo.shape if lo.ndim else None)
+    return assign(scheme, hi - v * width)
+
+
+def _reference_discrete_randomized(y, model, theta, scheme, rng):
+    f_below, f_at = model.obs_cdf_pair(y, theta)
+    f_below = np.asarray(f_below, dtype=float)
+    f_at = np.asarray(f_at, dtype=float)
+    _reference_unit_interval(f_below, "CDF-below transform")
+    _reference_unit_interval(f_at, "CDF-at transform")
+    collapsed = ~(f_at > f_below)
+    if np.any(collapsed):
+        zero = collapsed & (np.asarray(model.obs_logpmf(y, theta)) == -np.inf)
+        if np.any(zero):
+            raise EvaluationError(
+                "observed outcome has zero probability at this draw for observations "
+                f"{np.nonzero(zero)[0].tolist()}"
+            )
+    idx = _reference_assign_randomized(scheme, f_below, f_at, rng)
+    counts = np.bincount(idx, minlength=scheme.k)
+    return gof.BinnedStat(pearson(counts, scheme.widths()), counts)
+
+
+class _TableModel:
+    """Hands back fixed CDF pairs and log masses, whatever the draw."""
+
+    def __init__(self, f_below, f_at, logpmf):
+        self.pair = (np.array(f_below, dtype=float), np.array(f_at, dtype=float))
+        self.logpmf = np.array(logpmf, dtype=float)
+
+    def obs_cdf_pair(self, y, theta):
+        return self.pair
+
+    def obs_logpmf(self, y, theta):
+        return self.logpmf
+
+
+def _outcome(fn, *args):
+    """What a call did: the exception type and message, or its result; a
+    numpy warning counts as a failure of the call."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = fn(*args)
+        except (DomainError, EvaluationError) as exc:
+            return type(exc), str(exc)
+    if isinstance(out, gof.BinnedStat):
+        return float(out.value), np.asarray(out.counts).tolist()
+    return np.asarray(out).tolist()
+
+
+_cdf_value = st.floats(min_value=0.0, max_value=1.0)
+_wild_value = st.one_of(
+    _cdf_value, st.sampled_from([np.nan, np.inf, -np.inf, -0.25, 1.25, -0.0, 1e-300])
+)
+_cdf_interval = st.one_of(
+    st.tuples(_cdf_value, _cdf_value).map(lambda t: tuple(sorted(t))),  # may collapse
+    st.tuples(_cdf_value, _cdf_value),  # either order
+    _cdf_value.map(lambda x: (x, x)),  # collapsed in the interior
+    st.sampled_from([(0.0, 0.0), (1.0, 1.0)]),  # collapsed at an end
+    st.tuples(_wild_value, _wild_value),  # NaN and values outside [0, 1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_cdf_interval, st.sampled_from([-np.inf, -2.5])), min_size=0, max_size=8
+    ),
+    k=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_randomized_checks_match_the_element_wise_reference(rows, k, seed):
+    f_below = [lo for (lo, _), _ in rows]
+    f_at = [hi for (_, hi), _ in rows]
+    logpmf = [lp for _, lp in rows]
+    model = _TableModel(f_below, f_at, logpmf)
+    y = np.zeros(len(rows), dtype=np.int64)
+    scheme = equiprobable(k)
+    assert _outcome(
+        posterior_chisq_discrete_randomized, y, model, None, scheme, RngStream(seed)
+    ) == _outcome(_reference_discrete_randomized, y, model, None, scheme, RngStream(seed))
+    lo, hi = model.pair
+    assert _outcome(assign_discrete_randomized, scheme, lo, hi, RngStream(seed)) == _outcome(
+        _reference_assign_randomized, scheme, lo, hi, RngStream(seed)
+    )
+
+
+@pytest.mark.parametrize("probs", [
+    [np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan], [np.inf, 0.5], [0.5, -np.inf],
+])
+def test_pearson_rejects_nan_and_infinite_probs(probs):
+    with pytest.raises(DomainError, match="must sum to 1"):
+        pearson([3, 2], probs)
+    with pytest.raises(DomainError, match="must sum to 1"):
+        pearson(np.array([[3, 2], [1, 4]]), probs)

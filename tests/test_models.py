@@ -410,3 +410,25 @@ def test_normal_cell_probs_jacobian_matches_central_differences(k, mu, sigma):
             - model.cell_probs(edges, model.theta_from_free(down))
         ) / (2.0 * h)
         np.testing.assert_allclose(jac[:, j], fd, rtol=1e-6, atol=1e-9)
+
+
+_NULL_EDGES_5 = probkit.normal_quantile(np.arange(1, 5) / 5)
+
+
+@pytest.mark.parametrize("mu, sigma", [
+    # grouped optimum for 49 zeros and one 5.0: top cell p near 1.6e-6
+    (0.03661955270257277, 0.17281561038455204),
+    (0.0, _NULL_EDGES_5[-1] / 5.5),  # top edge at z = 5.5
+    (-1.5, 1.0),  # every edge above 0: the first cell holds 0
+    (1.5, 1.0),  # every edge below 0: the last cell holds 0
+])
+def test_normal_cell_probs_keep_relative_precision_in_both_tails(mu, sigma):
+    from scipy.stats import norm
+
+    p = NormalModel().cell_probs(_NULL_EDGES_5, (mu, sigma))
+    z = (_NULL_EDGES_5 - mu) / sigma
+    lo, hi = np.concatenate(([-np.inf], z)), np.concatenate((z, [np.inf]))
+    # each cell on the side of 0 where scipy's tails are exact
+    ref = np.where(hi <= 0.0, norm.cdf(hi) - norm.cdf(lo), norm.sf(lo) - norm.sf(hi))
+    np.testing.assert_allclose(p, ref, rtol=1e-14, atol=0.0)
+    assert abs(p.sum() - 1.0) < 1e-15

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special as sp
 
 from bayesgof import probkit
 from bayesgof.errors import DomainError
@@ -226,3 +227,19 @@ def test_poisson_cdf_matches_pmf_sum():
         math.exp(k * math.log(mean) - mean - math.lgamma(k + 1)) for k in range(6)
     )
     assert abs(probkit.poisson_cdf(mean, 5) - direct) < 1e-12
+
+
+def test_poisson_cdf_equals_its_clipped_form_bit_for_bit():
+    # the form that clips every k, kept as the reference for the path that
+    # skips the clip when no k is negative
+    gen = RngStream(12).generator
+    for size in (1, 5, 56):
+        for low in (-3, 0):
+            k = gen.integers(low, 40, size).astype(float)
+            k[gen.random(size) < 0.1] = np.nan
+            k[gen.random(size) < 0.1] = -0.0
+            mean = gen.gamma(2.0, 5.0, size)
+            ref = np.where(k < 0.0, 0.0, sp.pdtr(np.maximum(k, 0.0), mean))
+            assert probkit.poisson_cdf(mean, k).tobytes() == ref.tobytes()
+    assert probkit.poisson_cdf(2.0, 3.0) == sp.pdtr(3.0, 2.0)
+    assert probkit.poisson_cdf(2.0, -1.0) == 0.0
