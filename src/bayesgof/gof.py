@@ -48,10 +48,12 @@ SCORING_MAX_HALVINGS = 60
 @dataclass(frozen=True)
 class BinnedStat:
     """A float and K counts at one parameter value; D values and D x K counts
-    for a batch of D draws."""
+    for a batch of D draws.  probs holds the K cell probabilities the
+    statistic used."""
 
     value: float | np.ndarray
     counts: np.ndarray
+    probs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,8 @@ def pearson(counts, probs):
     if not m.min() >= 0 or (m.dtype.kind == "f" and np.any(m != np.floor(m))):
         raise DomainError("counts must be non-negative integers")
     n = m.sum(axis=-1)
-    if not n.min() > 0:
+    vector = m.ndim == 1
+    if not (n if vector else n.min()) > 0:
         raise DomainError("counts must sum to a positive total")
     # written so that NaN fails both tests
     if not abs(p.sum() - 1.0) <= 1e-9:
@@ -116,9 +119,11 @@ def pearson(counts, probs):
             f"cell probability below the {PROB_FLOOR} floor in cells "
             f"{np.nonzero(p < PROB_FLOOR)[0].tolist()}"
         )
-    expected = n[..., None] * p
-    value = ((m - expected) ** 2 / expected).sum(axis=-1)
-    return float(value) if m.ndim == 1 else value
+    expected = (n if vector else n[:, None]) * p
+    dev = m - expected
+    dev *= dev
+    dev /= expected
+    return float(dev.sum()) if vector else dev.sum(axis=-1)
 
 
 def _check_unit_interval(u: np.ndarray, what: str) -> None:
@@ -146,7 +151,8 @@ def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedS
     u = np.asarray(model.obs_cdf(y, theta), dtype=float)
     _check_unit_interval(u, "CDF transform")
     counts = tally(scheme, u)
-    return BinnedStat(pearson(counts, scheme.widths()), counts)
+    widths = scheme.widths()
+    return BinnedStat(pearson(counts, widths), counts, widths)
 
 
 def posterior_chisq_discrete_randomized(
@@ -183,7 +189,8 @@ def posterior_chisq_discrete_randomized(
                 )
     idx = assign_discrete_randomized(scheme, f_below, f_at, rng)
     counts = np.bincount(idx, minlength=scheme.k)
-    return BinnedStat(pearson(counts, scheme.widths()), counts)
+    widths = scheme.widths()
+    return BinnedStat(pearson(counts, widths), counts, widths)
 
 
 def posterior_chisq_fixed_outcome_bins(
@@ -201,7 +208,7 @@ def posterior_chisq_fixed_outcome_bins(
         probs = probs.mean(axis=0)
     if not np.all(np.isfinite(probs)):
         raise EvaluationError("outcome-bin probabilities are not finite")
-    return BinnedStat(pearson(counts, probs), counts)
+    return BinnedStat(pearson(counts, probs), counts, probs)
 
 
 def _data_space_counts(y: np.ndarray, edges) -> np.ndarray:

@@ -11,7 +11,13 @@ Stream layout (fixed, documented so runs can be reproduced precisely):
                                where c = split(root, r)
   power studies                per alternative d: base = split(root, d),
                                then per replicate as above
-  analyze                      posterior split(rng,0), randomization split(rng,1)
+  analyze                      posterior split(rng,0), randomization split(rng,1);
+                               the exchangeable model's chain reads children
+                               0-4 of the posterior stream p = split(rng,0):
+                               alpha0 proposals split(p,0), alpha0 acceptance
+                               uniforms split(p,1), gamma proposals split(p,2),
+                               gamma acceptance uniforms split(p,3), sigma2
+                               gamma variates split(p,4)
   predictive recalibration     observed split(rng,0), predictive parameters
                                split(rng,1), replicate m: split(rng, 2 + m)
 
@@ -544,10 +550,7 @@ def analyze(
         for i, theta in enumerate(thetas):
             if outcome_bins is not None:
                 stat = gof.posterior_chisq_fixed_outcome_bins(y, model, theta, outcome_bins)
-                probs = np.asarray(
-                    model.outcome_bin_probs(theta, outcome_bins), dtype=float
-                ).mean(axis=0)
-                expected_total += y.size * probs
+                expected_total += y.size * stat.probs
             else:
                 stat = gof.posterior_chisq_discrete_randomized(
                     y, model, theta, sch, assign_rng

@@ -38,7 +38,7 @@ import numpy as np
 from . import probkit
 from .errors import DataError, DomainError, EvaluationError
 from .gof import OutcomeBins
-from .probkit import RngStream
+from .probkit import RngStream, split
 
 __all__ = [
     "NormalModel",
@@ -374,6 +374,12 @@ class PoissonSaturated(_PoissonBase):
 # exchangeable log-rates via Metropolis-within-Gibbs
 # ---------------------------------------------------------------------------
 
+# sweeps whose random variates are drawn at once; the gamma update keeps two
+# float and one bool (block, n) arrays, 17 * CHAIN_BLOCK * n bytes: 244 KB for
+# 56 counts
+CHAIN_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class ExchangeableDraw:
     alpha0: float
@@ -420,6 +426,13 @@ class PoissonExchangeable(_PoissonBase):
     inverse-gamma refresh for sigma2.  Step sizes adapt toward the target
     acceptance rate during burn-in only and are frozen afterwards, so the
     retained draws come from a fixed transition kernel.
+
+    Each kind of variate has its own child of the chain's stream rng:
+    split(rng, 0) the alpha0 proposal normals, split(rng, 1) the alpha0
+    acceptance uniforms, split(rng, 2) the gamma proposal normals (one row of
+    n per sweep), split(rng, 3) the gamma acceptance uniforms (likewise) and
+    split(rng, 4) the sigma2 gamma variates.  Each is read CHAIN_BLOCK sweeps
+    at a time, and the draws are the same for any block size.
     """
 
     def __init__(
@@ -471,12 +484,10 @@ class PoissonExchangeable(_PoissonBase):
         if y.sum() < 1:
             raise DataError("all counts are zero: cannot initialize the chain")
         cfg = settings if settings is not None else self.settings
-        gen = rng.generator
         m = self.n_obs
         e = self.offsets
 
         alpha0 = math.log(float(y.sum() / e.sum()))
-        gamma = np.zeros(m)
         sigma2 = self.sigma2_fixed if self.sigma2_fixed is not None else 0.1
         if not math.isfinite(alpha0):
             raise EvaluationError("log-posterior is not finite at initialization")
@@ -485,57 +496,86 @@ class PoissonExchangeable(_PoissonBase):
         step_g = np.full(m, cfg.initial_step)
         total = cfg.burn_in + cfg.retained * cfg.thin
         y_sum = float(y.sum())
+        sigma2_shape = self.sigma2_shape + m / 2.0
+        # one child stream per variate family, so the draws do not depend on
+        # how the sweeps are cut into blocks
+        gen_za, gen_ua, gen_zg, gen_ug, gen_s2 = (split(rng, i).generator for i in range(5))
 
+        # rows gamma, exp(gamma) and gamma^2, so that one acceptance mask
+        # carries all three from a proposal into the state
+        state = np.zeros((3, m))
+        state[1] = 1.0
+        gamma, exp_g, sq_g = state
+        prop = np.empty((3, m))
+        prop_g, exp_prop_g, sq_prop_g = prop
+        exp_a = math.exp(alpha0)
+        rate_e = exp_a * e
         draws: list[ExchangeableDraw] = []
         acc_a = 0
-        acc_g = 0
-        kept_iters = 0
+        acc_g = np.zeros(m, dtype=np.int64)
+        # each sweep's gamma acceptances, summed once per block
+        accepted = np.empty((CHAIN_BLOCK, m), dtype=bool)
 
-        for t in range(total):
-            adapting = t < cfg.burn_in
+        with np.errstate(over="ignore"):
+            for start in range(0, total, CHAIN_BLOCK):
+                size = min(CHAIN_BLOCK, total - start)
+                z_a = gen_za.standard_normal(size).tolist()
+                log_u_a = np.log(np.maximum(gen_ua.random(size), 1e-300)).tolist()
+                z_g = gen_zg.standard_normal((size, m))
+                log_u_g = np.log(np.maximum(gen_ug.random((size, m)), 1e-300))
+                if self.sigma2_fixed is None:
+                    v_s2 = gen_s2.gamma(sigma2_shape, 1.0, size).tolist()
+                # step sizes are frozen after burn-in, so a block past it
+                # scales its gamma proposals at once
+                scaled = start >= cfg.burn_in
+                if scaled:
+                    z_g *= step_g
 
-            # alpha0: random walk on the shared log-rate
-            exp_g = np.exp(gamma)
-            s_eg = float(np.dot(e, exp_g))
-            prop_a = alpha0 + step_a * gen.standard_normal()
-            delta = y_sum * (prop_a - alpha0) - s_eg * (math.exp(prop_a) - math.exp(alpha0))
-            a_accepted = math.log(max(gen.random(), 1e-300)) < delta
-            if a_accepted:
-                alpha0 = prop_a
+                for j in range(size):
+                    t = start + j
+                    # alpha0: random walk on the shared log-rate
+                    prop_a = alpha0 + step_a * z_a[j]
+                    exp_prop_a = math.exp(prop_a)
+                    s_eg = float(np.dot(e, exp_g))
+                    delta = y_sum * (prop_a - alpha0) - s_eg * (exp_prop_a - exp_a)
+                    a_accepted = log_u_a[j] < delta
+                    if a_accepted:
+                        alpha0, exp_a = prop_a, exp_prop_a
+                        rate_e = exp_a * e
 
-            # gamma: independent per-coordinate proposals, accepted coordinatewise
-            prop_g = gamma + step_g * gen.standard_normal(m)
-            rate0 = math.exp(alpha0) * e
-            with np.errstate(over="ignore"):
-                delta_g = (
-                    y * (prop_g - gamma)
-                    - rate0 * (np.exp(prop_g) - np.exp(gamma))
-                    - (prop_g**2 - gamma**2) / (2.0 * sigma2)
-                )
-            g_accepted = np.log(np.maximum(gen.random(m), 1e-300)) < delta_g
-            gamma = np.where(g_accepted, prop_g, gamma)
+                    # gamma: independent per-coordinate proposals, accepted coordinatewise
+                    move = z_g[j] if scaled else step_g * z_g[j]
+                    np.add(gamma, move, out=prop_g)
+                    np.exp(prop_g, out=exp_prop_g)
+                    np.multiply(prop_g, prop_g, out=sq_prop_g)
+                    delta_g = (
+                        y * move
+                        - rate_e * (exp_prop_g - exp_g)
+                        - (sq_prop_g - sq_g) * (0.5 / sigma2)
+                    )
+                    g_accepted = np.less(log_u_g[j], delta_g, out=accepted[j])
+                    np.copyto(state, prop, where=g_accepted)
 
-            # sigma2: conjugate inverse-gamma refresh
-            if self.sigma2_fixed is None:
-                shape = self.sigma2_shape + m / 2.0
-                rate = self.sigma2_rate + float(np.dot(gamma, gamma)) / 2.0
-                sigma2 = rate / gen.gamma(shape, 1.0)
+                    # sigma2: conjugate inverse-gamma refresh
+                    if self.sigma2_fixed is None:
+                        rate = self.sigma2_rate + float(np.dot(gamma, gamma)) / 2.0
+                        sigma2 = rate / v_s2[j]
 
-            if adapting:
-                lr = (t + 1) ** -0.6
-                step_a *= math.exp(lr * ((1.0 if a_accepted else 0.0) - cfg.target_accept))
-                step_g *= np.exp(lr * (g_accepted.astype(float) - cfg.target_accept))
-            else:
-                acc_a += int(a_accepted)
-                acc_g += int(g_accepted.sum())
-                kept_iters += 1
-                if (t - cfg.burn_in) % cfg.thin == cfg.thin - 1:
-                    draws.append(ExchangeableDraw(alpha0, gamma.copy(), float(sigma2)))
+                    if t < cfg.burn_in:
+                        lr = (t + 1) ** -0.6
+                        step_a *= math.exp(lr * ((1.0 if a_accepted else 0.0) - cfg.target_accept))
+                        step_g *= np.exp(lr * (g_accepted - cfg.target_accept))
+                    else:
+                        acc_a += a_accepted
+                        if (t - cfg.burn_in) % cfg.thin == cfg.thin - 1:
+                            draws.append(ExchangeableDraw(alpha0, gamma.copy(), float(sigma2)))
+                acc_g += accepted[max(cfg.burn_in - start, 0):size].sum(axis=0)
 
+        kept_iters = total - cfg.burn_in
         return ChainResult(
             draws=draws,
-            accept_alpha0=acc_a / max(kept_iters, 1),
-            accept_gamma=acc_g / max(kept_iters * m, 1),
+            accept_alpha0=acc_a / kept_iters,
+            accept_gamma=int(acc_g.sum()) / (kept_iters * m),
             step_alpha0=step_a,
             step_gamma=step_g,
             iterations=total,

@@ -255,6 +255,25 @@ def test_analyze_flags_small_cells():
                 n_draws=50, outcome_bins=OutcomeBins((0, 6, 9)))
 
 
+def test_analyze_outcome_bins_evaluates_cell_probabilities_once_per_draw():
+    from bayesgof.gof import OutcomeBins
+
+    n = 20
+    y = RngStream(52).generator.poisson(5.0, n)
+    model = PoissonCommonRate(offsets=np.ones(n))
+    evaluate = model.outcome_bin_probs
+    calls = 0
+
+    def counted(theta, bins):
+        nonlocal calls
+        calls += 1
+        return evaluate(theta, bins)
+
+    model.outcome_bin_probs = counted
+    analyze(y, model, RngStream(53), n_draws=100, outcome_bins=OutcomeBins((2, 4, 6)))
+    assert calls == 100
+
+
 def test_pp_test_p_value_granularity():
     y = RngStream(37).generator.normal(0, 1, 50)
     res = predictive_auc_test(y, NormalModel(), RngStream(38), pp_reps=20, n_draws=100)

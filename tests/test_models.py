@@ -325,6 +325,69 @@ def test_exchangeable_interval_coverage():
     assert hits >= 90
 
 
+def test_exchangeable_means_match_grid_quadrature():
+    # oracle: the posterior of (alpha0, gamma_1, gamma_2) summed on a tensor
+    # grid; given alpha0 the two effects are independent, so the 3-D sum
+    # factors into one sum over gamma per observation
+    y = np.array([3, 11])
+    offsets = np.array([1.0, 2.0])
+    sigma2 = 0.5
+    a = np.linspace(-3.0, 5.5, 681)[:, None]
+    g = np.linspace(-6.0, 6.0, 961)[None, :]
+    log_w = np.zeros(a.shape[0])
+    cond_g = []
+    for yi, ei in zip(y, offsets):
+        log_f = yi * (a + g) - ei * np.exp(a + g) - g * g / (2.0 * sigma2)
+        peak = log_f.max(axis=1, keepdims=True)
+        f = np.exp(log_f - peak)
+        log_w += np.log(f.sum(axis=1)) + peak[:, 0]
+        cond_g.append((f * g).sum(axis=1) / f.sum(axis=1))  # E[gamma_i | alpha0]
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    mean_a0 = float(w @ a[:, 0])
+    oracle = np.array([mean_a0] + [mean_a0 + float(w @ c) for c in cond_g])
+
+    model = PoissonExchangeable(offsets, sigma2_fixed=sigma2)
+    settings = ChainSettings(retained=20_000, burn_in=2000, thin=2)
+    draws = model.run_chain(y, RngStream(29), settings).draws
+    a0 = np.array([d.alpha0 for d in draws])
+    cols = np.column_stack([a0, a0[:, None] + np.array([d.gamma for d in draws])])
+    batches = cols.reshape(40, -1, 3).mean(axis=1)  # 40 batch means per column
+    se = batches.std(axis=0, ddof=1) / math.sqrt(40)
+    assert np.all(np.abs(cols.mean(axis=0) - oracle) < 4.0 * se)
+
+
+def _chain_values(result):
+    return (
+        np.array([d.alpha0 for d in result.draws]),
+        np.array([d.gamma for d in result.draws]),
+        np.array([d.sigma2 for d in result.draws]),
+        result.accept_alpha0,
+        result.accept_gamma,
+        result.step_alpha0,
+        result.step_gamma,
+        result.iterations,
+    )
+
+
+def _same_chain(a, b):
+    return all(np.array_equal(u, v) for u, v in zip(_chain_values(a), _chain_values(b)))
+
+
+def test_exchangeable_draws_do_not_depend_on_block_size(monkeypatch):
+    from bayesgof import models
+
+    y = RngStream(30).generator.poisson(5.0, 6)
+    model = PoissonExchangeable(np.ones(6))
+    # 450 sweeps: two default blocks, and burn-in ends inside a block of 7
+    settings = ChainSettings(retained=100, burn_in=150, thin=3)
+    reference = model.run_chain(y, RngStream(31), settings)
+    assert _same_chain(model.run_chain(y, RngStream(31), settings), reference)
+    for block in (1, 7, models.CHAIN_BLOCK):
+        monkeypatch.setattr(models, "CHAIN_BLOCK", block)
+        assert _same_chain(model.run_chain(y, RngStream(31), settings), reference)
+
+
 def test_exchangeable_rejects_all_zero():
     model = PoissonExchangeable(np.ones(4))
     with pytest.raises(DataError):
