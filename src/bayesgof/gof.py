@@ -108,8 +108,7 @@ def pearson(counts, probs):
     if not m.min() >= 0 or (m.dtype.kind == "f" and np.any(m != np.floor(m))):
         raise DomainError("counts must be non-negative integers")
     n = m.sum(axis=-1)
-    vector = m.ndim == 1
-    if not (n if vector else n.min()) > 0:
+    if not n.min() > 0:
         raise DomainError("counts must sum to a positive total")
     # written so that NaN fails both tests
     if not abs(p.sum() - 1.0) <= 1e-9:
@@ -119,11 +118,9 @@ def pearson(counts, probs):
             f"cell probability below the {PROB_FLOOR} floor in cells "
             f"{np.nonzero(p < PROB_FLOOR)[0].tolist()}"
         )
-    expected = (n if vector else n[:, None]) * p
-    dev = m - expected
-    dev *= dev
-    dev /= expected
-    return float(dev.sum()) if vector else dev.sum(axis=-1)
+    expected = n[..., None] * p
+    value = ((m - expected) ** 2 / expected).sum(axis=-1)
+    return float(value) if m.ndim == 1 else value
 
 
 def _check_unit_interval(u: np.ndarray, what: str) -> None:

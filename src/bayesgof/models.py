@@ -374,10 +374,10 @@ class PoissonSaturated(_PoissonBase):
 # exchangeable log-rates via Metropolis-within-Gibbs
 # ---------------------------------------------------------------------------
 
-# sweeps whose random variates are drawn at once; the gamma update keeps two
-# float and one bool (block, n) arrays, 17 * CHAIN_BLOCK * n bytes: 244 KB for
-# 56 counts
-CHAIN_BLOCK = 256
+# gamma variates drawn at once: a block of the chain holds CHAIN_ELEMENTS // n
+# sweeps (at least one) of n counts, and its two float and one bool (block, n)
+# arrays take about 17 * CHAIN_ELEMENTS bytes, 272 KB, whatever n is
+CHAIN_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -431,8 +431,11 @@ class PoissonExchangeable(_PoissonBase):
     split(rng, 0) the alpha0 proposal normals, split(rng, 1) the alpha0
     acceptance uniforms, split(rng, 2) the gamma proposal normals (one row of
     n per sweep), split(rng, 3) the gamma acceptance uniforms (likewise) and
-    split(rng, 4) the sigma2 gamma variates.  Each is read CHAIN_BLOCK sweeps
-    at a time, and the draws are the same for any block size.
+    split(rng, 4) the sigma2 gamma variates.  Each is read a block of sweeps
+    at a time (see CHAIN_ELEMENTS), and the draws are the same for any block
+    size.  The children are derived from rng's (seed, path) alone, so the
+    chain never advances rng itself: two calls with the same stream give the
+    same draws.  Pass fresh children of a stream for independent chains.
     """
 
     def __init__(
@@ -514,22 +517,19 @@ class PoissonExchangeable(_PoissonBase):
         acc_a = 0
         acc_g = np.zeros(m, dtype=np.int64)
         # each sweep's gamma acceptances, summed once per block
-        accepted = np.empty((CHAIN_BLOCK, m), dtype=bool)
+        block = max(1, CHAIN_ELEMENTS // m)
+        accepted = np.empty((block, m), dtype=bool)
+        move = np.empty(m)
 
         with np.errstate(over="ignore"):
-            for start in range(0, total, CHAIN_BLOCK):
-                size = min(CHAIN_BLOCK, total - start)
+            for start in range(0, total, block):
+                size = min(block, total - start)
                 z_a = gen_za.standard_normal(size).tolist()
                 log_u_a = np.log(np.maximum(gen_ua.random(size), 1e-300)).tolist()
                 z_g = gen_zg.standard_normal((size, m))
                 log_u_g = np.log(np.maximum(gen_ug.random((size, m)), 1e-300))
                 if self.sigma2_fixed is None:
                     v_s2 = gen_s2.gamma(sigma2_shape, 1.0, size).tolist()
-                # step sizes are frozen after burn-in, so a block past it
-                # scales its gamma proposals at once
-                scaled = start >= cfg.burn_in
-                if scaled:
-                    z_g *= step_g
 
                 for j in range(size):
                     t = start + j
@@ -544,7 +544,7 @@ class PoissonExchangeable(_PoissonBase):
                         rate_e = exp_a * e
 
                     # gamma: independent per-coordinate proposals, accepted coordinatewise
-                    move = z_g[j] if scaled else step_g * z_g[j]
+                    np.multiply(step_g, z_g[j], out=move)
                     np.add(gamma, move, out=prop_g)
                     np.exp(prop_g, out=exp_prop_g)
                     np.multiply(prop_g, prop_g, out=sq_prop_g)

@@ -207,9 +207,7 @@ def chi2_upper_quantile(df: float, q):
 
 def poisson_cdf(mean, k):
     """P(Y <= floor(k)) for Y ~ poisson(mean); 0 below the support."""
-    k = np.asarray(k)
-    if k.dtype.kind not in "iu":  # pdtr casts integer k to double itself
-        k = np.floor(k.astype(float))
+    k = np.floor(np.asarray(k, dtype=float))
     if k.size and k.min() >= 0.0:  # NaN fails too
         out = sp.pdtr(k, mean)
     else:

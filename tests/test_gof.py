@@ -59,26 +59,6 @@ def test_pearson_rows_equal_single_calls():
     assert values.tolist() == [pearson(row, probs) for row in counts]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    k=st.integers(2, 12),
-    rows=st.integers(1, 6),
-    floats=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_pearson_vector_equals_its_row_of_the_batch_bit_for_bit(k, rows, floats, seed):
-    gen = RngStream(seed).generator
-    probs = gen.dirichlet(np.ones(k)) + 1e-6
-    probs /= probs.sum()
-    counts = gen.integers(0, 30, size=(rows, k))
-    counts[:, 0] += 1  # a positive total in every row
-    if floats:
-        counts = counts.astype(float)
-    values = pearson(counts, probs)
-    for i in range(rows):
-        assert np.float64(pearson(counts[i], probs)).tobytes() == values[i].tobytes()
-
-
 @pytest.mark.parametrize(
     "counts, probs, error",
     [

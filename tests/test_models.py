@@ -379,13 +379,47 @@ def test_exchangeable_draws_do_not_depend_on_block_size(monkeypatch):
 
     y = RngStream(30).generator.poisson(5.0, 6)
     model = PoissonExchangeable(np.ones(6))
-    # 450 sweeps: two default blocks, and burn-in ends inside a block of 7
+    # 450 sweeps, one default block; burn-in ends inside a block of 7 and
+    # inside the second block of 100
     settings = ChainSettings(retained=100, burn_in=150, thin=3)
     reference = model.run_chain(y, RngStream(31), settings)
     assert _same_chain(model.run_chain(y, RngStream(31), settings), reference)
-    for block in (1, 7, models.CHAIN_BLOCK):
-        monkeypatch.setattr(models, "CHAIN_BLOCK", block)
+    for elements in (1, 42, 600, models.CHAIN_ELEMENTS):  # blocks of 1, 7, 100, 2730
+        monkeypatch.setattr(models, "CHAIN_ELEMENTS", elements)
         assert _same_chain(model.run_chain(y, RngStream(31), settings), reference)
+
+
+def test_exchangeable_chain_memory_does_not_grow_with_the_block():
+    # the variate blocks are capped in elements, so with many counts a block
+    # holds few sweeps; a block of 256 sweeps would need 17 MB here
+    import tracemalloc
+
+    n = 5000
+    y = RngStream(32).generator.poisson(5.0, n)
+    model = PoissonExchangeable(np.ones(n))
+    settings = ChainSettings(retained=10, burn_in=190, thin=1)
+    tracemalloc.start()
+    try:
+        model.run_chain(y, RngStream(33), settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * n  # a few dozen vectors of n doubles
+
+
+def test_exchangeable_chain_does_not_advance_its_stream():
+    # the chain reads children split(rng, 0..4), pure in (seed, path), so a
+    # second call on the same stream repeats the first
+    y = RngStream(34).generator.poisson(5.0, 6)
+    model = PoissonExchangeable(np.ones(6), settings=ChainSettings(retained=20, burn_in=50))
+    rng = RngStream(35)
+    first = model.posterior_sample(y, 20, rng)
+    second = model.posterior_sample(y, 20, rng)
+    assert rng.generator.random() == RngStream(35).generator.random()
+    assert all(
+        a.alpha0 == b.alpha0 and np.array_equal(a.gamma, b.gamma) and a.sigma2 == b.sigma2
+        for a, b in zip(first, second)
+    )
 
 
 def test_exchangeable_rejects_all_zero():
