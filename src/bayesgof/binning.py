@@ -30,9 +30,9 @@ __all__ = [
 class BinScheme:
     """Ordered cut points 0 = a_0 < a_1 < ... < a_K = 1 on the unit interval.
 
-    The edges and widths are also kept as read-only arrays, built once: a
-    scheme is evaluated once per posterior draw.  They are not fields, so
-    equality, hashing and repr see the edge tuple only.
+    The interior edges and the widths are also kept as read-only arrays,
+    built once: a scheme is evaluated once per posterior draw.  They are not
+    fields, so equality, hashing and repr see the edge tuple only.
     """
 
     edges: tuple[float, ...]
@@ -45,11 +45,11 @@ class BinScheme:
             raise DomainError(f"edges must start at 0 and end at 1, got {e[0]}..{e[-1]}")
         if any(not (lo < hi) for lo, hi in zip(e, e[1:])):
             raise DomainError("edges must be strictly increasing")
-        edge_array = np.asarray(e)
-        widths = np.diff(edge_array)
-        edge_array.setflags(write=False)
+        interior = np.asarray(e[1:-1], dtype=float)
+        widths = np.diff(np.asarray(e))
+        interior.setflags(write=False)
         widths.setflags(write=False)
-        object.__setattr__(self, "_edge_array", edge_array)
+        object.__setattr__(self, "_interior", interior)
         object.__setattr__(self, "_widths", widths)
 
     @property
@@ -85,20 +85,16 @@ def mann_wald_count(n: int) -> int:
 def assign(scheme: BinScheme, u):
     """0-based bin index of u in [0, 1]; right-closed cells, 0 goes to bin 0.
 
-    Vectorized over u; raises DomainError if any value leaves [0, 1].
+    The index is the number of interior edges strictly below u, so an
+    interior edge belongs to the cell on its left and 0 (or -0.0) to bin 0.
+    Vectorized over u, with an index of the same shape; raises DomainError
+    if any value leaves [0, 1].
     """
     arr = np.asarray(u, dtype=float)
     # one min/max pass; NaN fails both comparisons
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("assign requires values in [0, 1]")
-    idx = np.searchsorted(scheme._edge_array, arr, side="left")
-    if not idx.ndim:
-        return max(int(idx), 1) - 1
-    # in place: a batch of draws x observations would otherwise leave two
-    # more temporaries of that size per call for the allocator to churn
-    np.maximum(idx, 1, out=idx)
-    idx -= 1
-    return idx
+    return np.searchsorted(scheme._interior, arr, side="left")
 
 
 def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream):

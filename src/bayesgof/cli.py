@@ -401,11 +401,11 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     ]
     row += list(s.mean_bin_counts)
     _write_csv(os.path.join(outdir, "summary.csv"), header, [row])
-    _write_csv(
-        os.path.join(outdir, "trace.csv"),
-        ["draw", "value", "dof"],
-        ([i, v, s.k - 1] for i, v in enumerate(result.values)),
-    )
+    # the fields _write_csv would give (no field can need CSV quoting)
+    dof = s.k - 1
+    with open(os.path.join(outdir, "trace.csv"), "w", newline="") as fh:
+        fh.write("draw,value,dof\n")
+        fh.writelines(f"{i},{v:.17g},{dof}\n" for i, v in enumerate(result.values.tolist()))
     _write_manifest(
         outdir, "analyze", ns, ["summary.csv", "trace.csv"],
         input_path=ns.data, started=started,
@@ -444,6 +444,7 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
     y, model, scheme = _load_fit(ns)
 
     counters = {"total": 0, "malformed": 0}
+    invalid: dict[str, int] = {}  # draws that gave no statistic, by exception name
 
     def parse_stream(lines):
         for line in lines:
@@ -468,14 +469,19 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
             min_draws=ns.min_draws,
         )
         alerted = False
+        # one preformatted line per record, with the fields _write_csv would
+        # give: ints, .17g floats (nan for an invalid draw) and true/false,
+        # none of which can need CSV quoting
+        flag = ("false", "true")
         with open(os.path.join(outdir, "trace.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "value", "valid", "exceeds", "cumulative_rate", "alert"])
+            fh.write("index,value,valid,exceeds,cumulative_rate,alert\n")
             for rec in records:
-                writer.writerow([
-                    _fmt(rec.index), _fmt(rec.value), _fmt(rec.valid),
-                    _fmt(rec.exceeds), _fmt(rec.cumulative_rate), _fmt(rec.alert),
-                ])
+                fh.write(
+                    f"{rec.index},{rec.value:.17g},{flag[rec.valid]},"
+                    f"{flag[rec.exceeds]},{rec.cumulative_rate:.17g},{flag[rec.alert]}\n"
+                )
+                if not rec.valid:
+                    invalid[rec.reason] = invalid.get(rec.reason, 0) + 1
                 alerted = alerted or rec.alert
         return alerted
 
@@ -499,10 +505,12 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
             f"malformed draw lines exceed the {MALFORMED_CAP:.0%} cap: "
             f"{counters['malformed']} of {counters['total']}"
         )
+    derived = {"draw_lines": counters["total"], "malformed_lines": counters["malformed"]}
+    if invalid:
+        derived["invalid_draws"] = invalid
     _write_manifest(
         outdir, "monitor", ns, ["trace.csv"],
-        input_path=ns.draws_file, started=started,
-        derived={"draw_lines": counters["total"], "malformed_lines": counters["malformed"]},
+        input_path=ns.draws_file, started=started, derived=derived,
     )
     return EXIT_ALERT if alerted else EXIT_OK
 

@@ -133,6 +133,21 @@ def _check_unit_interval(u: np.ndarray, what: str) -> None:
         )
 
 
+def _diagnose_randomized(y, model, theta, f_below, f_at) -> None:
+    """Raise EvaluationError naming the observations whose CDF pair leaves
+    [0, 1], or whose collapsed interval holds zero mass by the log pmf."""
+    _check_unit_interval(f_below, "CDF-below transform")
+    _check_unit_interval(f_at, "CDF-at transform")
+    collapsed = ~(f_at > f_below)
+    if np.any(collapsed):
+        zero = collapsed & (np.asarray(model.obs_logpmf(y, theta)) == -np.inf)
+        if np.any(zero):
+            raise EvaluationError(
+                "observed outcome has zero probability at this draw for observations "
+                f"{np.nonzero(zero)[0].tolist()}"
+            )
+
+
 def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedStat:
     """Pearson statistic from CDF transforms at one parameter value or a batch.
 
@@ -146,8 +161,12 @@ def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedS
     """
     y = np.asarray(data, dtype=float)
     u = np.asarray(model.obs_cdf(y, theta), dtype=float)
-    _check_unit_interval(u, "CDF transform")
-    counts = tally(scheme, u)
+    try:
+        counts = tally(scheme, u)
+    except DomainError:
+        # assign has found a value outside [0, 1]; name the observations
+        _check_unit_interval(u, "CDF transform")
+        raise
     widths = scheme.widths()
     return BinnedStat(pearson(counts, widths), counts, widths)
 
@@ -165,26 +184,20 @@ def posterior_chisq_discrete_randomized(
     f_below, f_at = model.obs_cdf_pair(y, theta)
     f_below = np.asarray(f_below, dtype=float)
     f_at = np.asarray(f_at, dtype=float)
-    # 0 <= f_below < f_at <= 1 everywhere passes every check below, so three
-    # reductions decide the common case; NaN fails them.  Tested in this
-    # order, f_at - f_below cannot meet inf - inf.
-    if not (
-        f_below.size
-        and f_below.min() >= 0.0
-        and f_at.max() <= 1.0
-        and (f_at - f_below).min() > 0.0
-    ):
-        _check_unit_interval(f_below, "CDF-below transform")
-        _check_unit_interval(f_at, "CDF-at transform")
-        collapsed = ~(f_at > f_below)
-        if np.any(collapsed):
-            zero = collapsed & (np.asarray(model.obs_logpmf(y, theta)) == -np.inf)
-            if np.any(zero):
-                raise EvaluationError(
-                    "observed outcome has zero probability at this draw for observations "
-                    f"{np.nonzero(zero)[0].tolist()}"
-                )
-    idx = assign_discrete_randomized(scheme, f_below, f_at, rng)
+    # A collapsed interval may be a zero-mass outcome, which only the log pmf
+    # tells apart, so it is diagnosed before any point is drawn.  Otherwise
+    # assign_discrete_randomized checks the ranges, and its DomainError is
+    # diagnosed afterwards.  NaN fails the test; inf - inf or an overflow
+    # would warn.
+    with np.errstate(invalid="ignore", over="ignore"):
+        spread = f_below.size and (f_at - f_below).min() > 0.0
+    if not spread:
+        _diagnose_randomized(y, model, theta, f_below, f_at)
+    try:
+        idx = assign_discrete_randomized(scheme, f_below, f_at, rng)
+    except DomainError:
+        _diagnose_randomized(y, model, theta, f_below, f_at)
+        raise
     counts = np.bincount(idx, minlength=scheme.k)
     widths = scheme.widths()
     return BinnedStat(pearson(counts, widths), counts, widths)

@@ -238,12 +238,16 @@ class PredictiveAucResult:
 
 @dataclass(frozen=True)
 class MonitorRecord:
+    """One monitored draw; reason names the exception that made an invalid
+    draw give no statistic, and is empty for a valid one."""
+
     index: int
     value: float
     valid: bool
     exceeds: bool
     cumulative_rate: float
     alert: bool
+    reason: str
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +669,12 @@ def stream_monitor(
             else:
                 value = gof.posterior_chisq_continuous(y, model, theta, scheme).value
             valid = True
+            reason = ""
         # package errors only: anything else is a fault in the evaluator
-        except (EvaluationError, DomainError, DataError):
+        except (EvaluationError, DomainError, DataError) as exc:
             value = float("nan")
             valid = False
+            reason = type(exc).__name__
         exceeds = bool(valid and value > thr)
         if valid:
             seen_valid += 1
@@ -676,4 +682,4 @@ def stream_monitor(
         rate = exceed_count / seen_valid if seen_valid else 0.0
         if seen_valid >= min_draws and rate > band:
             alerted = True
-        yield MonitorRecord(index, value, valid, exceeds, rate, alerted)
+        yield MonitorRecord(index, value, valid, exceeds, rate, alerted, reason)

@@ -67,6 +67,38 @@ def test_assign_vectorized_matches_scalar():
     assert list(vec) == [assign(s, float(x)) for x in u]
 
 
+def _assign_by_all_edges(scheme, u):
+    """Bin index searched over every edge, 0 moved to bin 0: the reference
+    the interior-edge search must agree with."""
+    idx = np.searchsorted(np.asarray(scheme.edges), np.asarray(u, dtype=float), side="left")
+    return np.maximum(idx, 1) - 1
+
+
+_schemes = st.one_of(
+    st.integers(2, 12).map(equiprobable),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=10,
+             unique=True).map(lambda cuts: BinScheme((0.0, *sorted(cuts), 1.0))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=_schemes, data=st.data())
+def test_assign_matches_the_all_edge_search(scheme, data):
+    points = st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([*scheme.edges, 0.0, -0.0, 1.0])
+    )
+    values = data.draw(st.lists(points, min_size=1, max_size=24))
+    for u in values:  # scalar
+        assert assign(scheme, u) == _assign_by_all_edges(scheme, u)
+    vector = np.array(values)
+    assert np.array_equal(assign(scheme, vector), _assign_by_all_edges(scheme, vector))
+    rows = data.draw(st.integers(1, 4))
+    batch = np.resize(vector, (rows, vector.size))
+    got = assign(scheme, batch)
+    assert got.shape == batch.shape
+    assert np.array_equal(got, _assign_by_all_edges(scheme, batch))
+
+
 def test_randomized_split_between_two_bins():
     # mass interval (0.1, 0.3] overlaps cells 1 and 2 equally
     s = equiprobable(5)

@@ -250,6 +250,8 @@ def test_monitor_clean_stream_exit_0(tmp_path, normal_csv):
                         "cumulative_rate", "alert"]
     assert len(trace) == 401
     assert trace[-1][5] == "false"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["derived"] == {"draw_lines": 400, "malformed_lines": 0}
 
 
 def test_monitor_alert_exit_3(tmp_path, normal_csv):
@@ -262,6 +264,66 @@ def test_monitor_alert_exit_3(tmp_path, normal_csv):
     assert code == 3
     trace = read_csv(out / "trace.csv")
     assert trace[-1][5] == "true"
+
+
+def _reference_csv(header, rows) -> bytes:
+    """A file as csv.writer writes it with cli._fmt fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cli._fmt(v) for v in row])
+    return buf.getvalue().encode()
+
+
+def test_monitor_trace_bytes_match_csv_writer(tmp_path, normal_csv, monkeypatch):
+    # "0 0" parses into a draw that gives no statistic; the misfit draws then
+    # latch the alert
+    from bayesgof.models import NormalModel
+
+    monkeypatch.setattr(NormalModel, "theta_from_vector",
+                        lambda self, values: tuple(float(v) for v in values))
+    original, records = harness.stream_monitor, []
+
+    def recording(*args, **kwargs):
+        for rec in original(*args, **kwargs):
+            records.append(rec)
+            yield rec
+
+    monkeypatch.setattr(harness, "stream_monitor", recording)
+    rows = posterior_rows(normal_csv, 30) + ["0 0"] * 3 + ["100.0 0.01"] * 40 + ["0 0"]
+    draws = write_draw_file(tmp_path, normal_csv, "draws.txt", rows)
+    out = tmp_path / "run"
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal", "--draws-file", draws,
+                   "--min-draws", "20", "--alert-factor", "4.0", "--outdir", out) == 3
+    assert [r.valid for r in records].count(False) == 4 and records[-1].alert
+    header = ["index", "value", "valid", "exceeds", "cumulative_rate", "alert"]
+    assert (out / "trace.csv").read_bytes() == _reference_csv(header, (
+        [r.index, r.value, r.valid, r.exceeds, r.cumulative_rate, r.alert] for r in records
+    ))
+    assert b",nan,false," in (out / "trace.csv").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["derived"] == {
+        "draw_lines": 74, "malformed_lines": 0, "invalid_draws": {"DomainError": 4},
+    }
+
+
+def test_analyze_trace_bytes_match_csv_writer(tmp_path, poisson_csv, monkeypatch):
+    original, results = harness.analyze, []
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "analyze", recording)
+    out = tmp_path / "run"
+    assert run_cli("analyze", "--data", poisson_csv, "--model", "poisson-common",
+                   "--draws", "300", "--seed", "8", "--outdir", out) == 0
+    (result,) = results
+    dof = result.summary.k - 1
+    assert (out / "trace.csv").read_bytes() == _reference_csv(
+        ["draw", "value", "dof"], ([i, v, dof] for i, v in enumerate(result.values))
+    )
 
 
 def test_monitor_tolerates_some_malformed(tmp_path, normal_csv, capsys):

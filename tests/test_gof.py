@@ -113,6 +113,28 @@ def test_continuous_gross_misfit():
     assert list(stat.counts) == [5, 0, 0, 0, 0]
 
 
+class _FixedCdf:
+    """Hands back fixed CDF values, whatever the draw."""
+
+    def __init__(self, u):
+        self.u = np.array(u, dtype=float)
+
+    def obs_cdf(self, y, theta):
+        return self.u
+
+
+@pytest.mark.parametrize("u, named", [
+    ([0.1, 1.5, 0.3, np.nan, 0.0, 1.0], [1, 3]),
+    ([[0.1, 0.2, 0.3, 0.4], [0.1, -0.2, 0.3, np.inf], [0.9, -0.0, 1.0, 0.5]], [1, 3]),
+])
+def test_continuous_out_of_range_cdf_names_its_observations(u, named):
+    model = _FixedCdf(u)
+    y = np.zeros(model.u.shape[-1])
+    with pytest.raises(EvaluationError, match=rf"CDF transform produced invalid values at "
+                                              rf"observations \[{', '.join(map(str, named))}\]$"):
+        posterior_chisq_continuous(y, model, None, equiprobable(4))
+
+
 def test_randomized_single_observation_two_cells():
     # n=1, K=2: value is 1.0 whichever cell receives the point
     model = PoissonCommonRate(offsets=[1.0])

@@ -335,6 +335,7 @@ def test_monitor_marks_invalid_draws():
     stream = [(mu[0], sigma[0]), (0.0, 0.0), (mu[1], sigma[1])]
     recs = list(stream_monitor(stream, y, model, equiprobable(5)))
     assert [r.valid for r in recs] == [True, False, True]
+    assert [r.reason for r in recs] == ["", "DomainError", ""]
     assert np.isnan(recs[1].value)
     # invalid draws are excluded from the running denominator
     assert recs[2].cumulative_rate in (0.0, 0.5, 1.0)
