@@ -91,10 +91,13 @@ def assign(scheme: BinScheme, u):
     if any value leaves [0, 1].
     """
     arr = np.asarray(u, dtype=float)
-    # one min/max pass; NaN fails both comparisons
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+    # one min/max pass; NaN fails both comparisons.  The ufunc reductions are
+    # what ndarray.min/max call, without their Python-level wrappers.
+    if arr.size and not (
+        np.minimum.reduce(arr, axis=None) >= 0.0 and np.maximum.reduce(arr, axis=None) <= 1.0
+    ):
         raise DomainError("assign requires values in [0, 1]")
-    return np.searchsorted(scheme._interior, arr, side="left")
+    return scheme._interior.searchsorted(arr, side="left")
 
 
 def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream):
@@ -111,13 +114,15 @@ def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream)
     """
     lo = np.asarray(f_below, dtype=float)
     hi = np.asarray(f_at, dtype=float)
-    if lo.size and not (lo.min() >= 0.0 and hi.max() <= 1.0):
+    if lo.size and not (
+        np.minimum.reduce(lo, axis=None) >= 0.0 and np.maximum.reduce(hi, axis=None) <= 1.0
+    ):
         raise DomainError("CDF values must lie in [0, 1]")
     width = hi - lo
     # one reduction decides the common case; NaN fails it
-    if width.size and not width.min() > 0.0:
+    if width.size and not np.minimum.reduce(width, axis=None) > 0.0:
         at_edge = (width == 0.0) & ((hi == 0.0) | (lo == 1.0))
-        if np.any(~((width > 0.0) | at_edge)):
+        if not np.logical_and.reduce((width > 0.0) | at_edge, axis=None):
             raise DomainError(
                 "zero-probability outcome: f_below must be < f_at, or equal at 0 or 1"
             )

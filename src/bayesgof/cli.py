@@ -62,6 +62,13 @@ Environment: BAYESGOF_OUTDIR sets the default output directory.
 """
 
 
+WORKERS_HELP = (
+    "replicate threads (default 1); outputs are byte-identical for any count. "
+    "The threads share the interpreter lock, so more than one gives little "
+    "or no wall-clock speed-up"
+)
+
+
 class _UsageError(Exception):
     def __init__(self, message: str, usage: str) -> None:
         super().__init__(message)
@@ -163,10 +170,16 @@ def _ensure_outdir(outdir: str) -> str:
 # dataset ingestion
 # ---------------------------------------------------------------------------
 
+def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
+    bad = exc.object[exc.start:exc.end]
+    return DataError(f"{path}: not UTF-8 text (bytes {bad.hex()}: {exc.reason})")
+
+
 def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parse a headered CSV with column y and optional positive-offset column E."""
+    """Parse a headered UTF-8 CSV with column y and optional positive-offset
+    column E; a leading byte-order mark, as spreadsheets write, is skipped."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -180,6 +193,10 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
             rows = [r for r in reader if any(cell.strip() for cell in r)]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: not a CSV table ({exc})") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     y = np.empty(len(rows))
@@ -485,11 +502,16 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
                 alerted = alerted or rec.alert
         return alerted
 
+    # bytes that are not UTF-8 become U+FFFD, so their line counts as malformed
     if ns.draws_file == "-":
-        alerted = run(sys.stdin)
+        binary = getattr(sys.stdin, "buffer", None)  # absent on an in-memory text stream
+        alerted = run(
+            sys.stdin if binary is None
+            else (line.decode("utf-8", errors="replace") for line in binary)
+        )
     else:
         try:
-            with open(ns.draws_file) as fh:
+            with open(ns.draws_file, encoding="utf-8", errors="replace") as fh:
                 alerted = run(fh)
         except OSError as exc:
             raise DataError(f"cannot read {ns.draws_file}: {exc.strerror or exc}") from exc
@@ -556,14 +578,18 @@ def _replay_value(path: str, dest: str, action: argparse.Action, value):
 
 def cmd_replay(ns: argparse.Namespace) -> int:
     try:
-        with open(ns.manifest) as fh:
+        with open(ns.manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {ns.manifest}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise _undecodable(ns.manifest, exc) from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise DataError(f"{ns.manifest}: not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{ns.manifest}: not a manifest object")
     command = manifest.get("command")
-    if command not in _COMMANDS or command == "replay":
+    if not isinstance(command, str) or command not in _COMMANDS or command == "replay":
         raise DataError(f"{ns.manifest}: unknown or missing command {command!r}")
     if manifest.get("version") != __version__:
         print(
@@ -684,7 +710,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--assert-calibrated", action="store_true",
                      help="exit 2 if any tracked series fails its KS check")
     sim.add_argument("--ks-alpha", type=float, default=0.01)
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sim.add_argument("--mean", type=float, default=4.2,
                      help="true mean for poisson-synthetic data")
     sim.add_argument("--prior-exponent", type=float, default=0.5, choices=[0.5, 1.0])
@@ -713,7 +739,7 @@ def build_parser() -> _Parser:
     pw.add_argument("--alpha", type=float, default=0.05, help="test size")
     pw.add_argument("--auc-critical", type=float, default=None,
                     help="stored null critical value; computed fresh at seed+1 if omitted")
-    pw.add_argument("--workers", type=int, default=1)
+    pw.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(pw)
 
     an = subs.add_parser(
@@ -809,10 +835,12 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
             if opt.startswith("--"):
                 options[opt] = action
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     tokens: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

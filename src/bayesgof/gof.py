@@ -105,21 +105,26 @@ def pearson(counts, probs):
         )
     if m.dtype.kind not in "iu":  # an integer dtype needs no whole-number check
         m = m.astype(float)
-    if not m.min() >= 0 or (m.dtype.kind == "f" and np.any(m != np.floor(m))):
+    # the checks call the ufunc reductions that ndarray.min/sum end in,
+    # without their Python-level wrappers
+    if not np.minimum.reduce(m, axis=None) >= 0 or (
+        m.dtype.kind == "f" and not np.logical_and.reduce(m == np.floor(m), axis=None)
+    ):
         raise DomainError("counts must be non-negative integers")
-    n = m.sum(axis=-1)
-    if not n.min() > 0:
+    n = np.add.reduce(m, axis=-1, keepdims=True)  # one total per row, as a column
+    if not np.minimum.reduce(n, axis=None) > 0:
         raise DomainError("counts must sum to a positive total")
     # written so that NaN fails both tests
-    if not abs(p.sum() - 1.0) <= 1e-9:
-        raise DomainError(f"cell probabilities must sum to 1, got {p.sum()!r}")
-    if not p.min() >= PROB_FLOOR:
+    total = np.add.reduce(p)
+    if not abs(total - 1.0) <= 1e-9:
+        raise DomainError(f"cell probabilities must sum to 1, got {total!r}")
+    if not np.minimum.reduce(p) >= PROB_FLOOR:
         raise EvaluationError(
             f"cell probability below the {PROB_FLOOR} floor in cells "
             f"{np.nonzero(p < PROB_FLOOR)[0].tolist()}"
         )
-    expected = n[..., None] * p
-    value = ((m - expected) ** 2 / expected).sum(axis=-1)
+    expected = n * p
+    value = np.add.reduce((m - expected) ** 2 / expected, axis=-1)
     return float(value) if m.ndim == 1 else value
 
 
@@ -187,11 +192,8 @@ def posterior_chisq_discrete_randomized(
     # A collapsed interval may be a zero-mass outcome, which only the log pmf
     # tells apart, so it is diagnosed before any point is drawn.  Otherwise
     # assign_discrete_randomized checks the ranges, and its DomainError is
-    # diagnosed afterwards.  NaN fails the test; inf - inf or an overflow
-    # would warn.
-    with np.errstate(invalid="ignore", over="ignore"):
-        spread = f_below.size and (f_at - f_below).min() > 0.0
-    if not spread:
+    # diagnosed afterwards.  NaN fails the comparison, which never warns.
+    if not np.logical_and.reduce(f_below < f_at, axis=None):
         _diagnose_randomized(y, model, theta, f_below, f_at)
     try:
         idx = assign_discrete_randomized(scheme, f_below, f_at, rng)
@@ -255,7 +257,7 @@ def _group_loglik(model, edges, counts: np.ndarray, vec: np.ndarray):
     except OverflowError:
         return -np.inf, None, None
     p = np.asarray(model.cell_probs(edges, theta), dtype=float)
-    if not p.min() >= 1e-300:  # NaN fails too
+    if not np.minimum.reduce(p) >= 1e-300:  # NaN fails too
         return -np.inf, None, None
     return float(np.dot(counts, np.log(p))), theta, p
 
@@ -296,9 +298,9 @@ def grouped_chisq(data, model, edges) -> FittedStat:
             score = jac.T @ ratio
             # l is rounded by about one unit per unit of |l| + sum(m / p): the
             # sum, and cell probabilities with an absolute rounding error
-            tol = SCORING_TOL * (1.0 + abs(loglik) + ratio.sum())
+            tol = SCORING_TOL * (1.0 + abs(loglik) + np.add.reduce(ratio))
             info = n * (jac.T / probs) @ jac
-            if not np.isfinite(info).all():
+            if not np.logical_and.reduce(np.isfinite(info), axis=None):
                 raise OptimizationError("grouped-fit information matrix is not finite")
             try:
                 step = np.linalg.solve(info, score)

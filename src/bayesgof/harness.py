@@ -546,7 +546,7 @@ def analyze(
         counts_total = stat.counts.sum(axis=0)
         expected_mean = y.size * sch.widths()
     else:
-        counts_total = np.zeros(k)
+        counts_total = np.zeros(k, dtype=np.int64)  # converted once, by the mean below
         values = np.empty(n_draws)
         thetas = model.posterior_sample(y, n_draws, draw_rng)
         expected_total = np.zeros(k)

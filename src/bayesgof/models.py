@@ -73,7 +73,11 @@ def _validate_normal_data(data) -> np.ndarray:
 def _parameter_vector(values, size: int, positive) -> np.ndarray:
     """values as a vector of size finite floats whose [positive] entries are > 0."""
     v = np.asarray(values, dtype=float)
-    if v.shape != (size,) or not np.isfinite(v).all() or not (v[positive] > 0.0).all():
+    if (
+        v.shape != (size,)
+        or not np.logical_and.reduce(np.isfinite(v))
+        or not np.logical_and.reduce(v[positive] > 0.0, axis=None)
+    ):
         raise DomainError(
             f"need {size} finite parameter values with a positive scale, rate, mean or sigma2"
         )
@@ -84,7 +88,7 @@ def _span(a: np.ndarray) -> tuple[float, float]:
     """Smallest and largest entry; a single value skips numpy's reductions,
     which cost more than the rest of a one-draw CDF transform's checks."""
     if a.ndim:
-        return a.min(), a.max()
+        return np.minimum.reduce(a, axis=None), np.maximum.reduce(a, axis=None)
     return float(a), float(a)
 
 
@@ -235,10 +239,12 @@ _TINY = np.finfo(float).tiny
 def _poisson_cdf_pair(y: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a mean below the smallest normal double has underflowed; a positive
     # count's log mass there is finite but meaningless
-    if not (_TINY <= means.min() and means.max() < np.inf):
-        raise EvaluationError(f"Poisson means must be normal finite doubles, got {means.min()}")
-    f_at = probkit.poisson_cdf(means, y)
-    f_below = probkit.poisson_cdf(means, y - 1)
+    low = np.minimum.reduce(means, axis=None)
+    if not (_TINY <= low and np.maximum.reduce(means, axis=None) < np.inf):
+        raise EvaluationError(f"Poisson means must be normal finite doubles, got {low}")
+    k = np.asarray(y, dtype=float)  # converted once; poisson_cdf takes floats as they are
+    f_at = probkit.poisson_cdf(means, k)
+    f_below = probkit.poisson_cdf(means, k - 1.0)
     return f_below, f_at
 
 

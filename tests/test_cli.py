@@ -361,6 +361,85 @@ def test_monitor_reads_stdin(tmp_path, normal_csv, monkeypatch):
     assert manifest["input"] == {"path": "-", "sha256": None}
 
 
+def test_monitor_undecodable_draw_lines_count_as_malformed(
+    tmp_path, normal_csv, capsys, monkeypatch
+):
+    rows = posterior_rows(normal_csv, 60)
+    data = ("\n".join(rows) + "\n").encode()
+    data += b"0.1 \xff1.0\n\xfe\xfe\n"  # two lines that are not UTF-8
+    draws = tmp_path / "draws.txt"
+    draws.write_bytes(data)
+    out = tmp_path / "file"
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--draws-file", draws, "--outdir", out) == 0
+    assert "skipped 2 malformed draw line(s) of 62" in capsys.readouterr().err
+    # the same bytes on standard input
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--outdir", tmp_path / "stdin") == 0
+    assert "skipped 2 malformed draw line(s) of 62" in capsys.readouterr().err
+    assert (tmp_path / "stdin" / "trace.csv").read_bytes() == (out / "trace.csv").read_bytes()
+
+
+def test_monitor_undecodable_lines_over_cap_exit_65(tmp_path, normal_csv):
+    rows = posterior_rows(normal_csv, 20)
+    draws = tmp_path / "draws.txt"
+    draws.write_bytes(("\n".join(rows) + "\n").encode() + b"\xff\n" * 10)
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--draws-file", draws, "--outdir", tmp_path / "run") == 65
+
+
+def test_undecodable_dataset_exit_65(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,E\n1,1.0\n2,1.5\xb5\n")
+    assert run_cli("validate", "--data", path, "--outdir", tmp_path) == 65
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
+
+
+def test_dataset_field_over_the_csv_limit_exit_65(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("y\n" + "1" * 200_000 + "\n")
+    assert run_cli("validate", "--data", path, "--outdir", tmp_path) == 65
+    assert f"{path}: not a CSV table" in capsys.readouterr().err
+
+
+def test_dataset_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,E\r\n3,1.0\r\n5,2.0\r\n")
+    assert run_cli("validate", "--data", path, "--model", "poisson-common",
+                   "--outdir", tmp_path) == 0
+    assert "2 rows, columns y,E" in capsys.readouterr().out
+    y, e = cli.read_dataset(str(path))
+    assert y.tolist() == [3.0, 5.0] and e.tolist() == [1.0, 2.0]
+
+
+def test_undecodable_config_exit_65(tmp_path, normal_csv, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"seed = 21\n# caf\xe9\n")
+    assert run_cli("analyze", "--data", normal_csv, "--model", "normal",
+                   "--config", cfgfile, "--outdir", tmp_path / "run") == 65
+    assert f"{cfgfile}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_undecodable_manifest_exit_65(tmp_path, poisson_csv, capsys):
+    first, manifest = _recorded_analyze(tmp_path, poisson_csv)
+    path = tmp_path / "manifest.json"
+    path.write_bytes(json.dumps(manifest).encode().replace(b'"analyze"', b'"an\xe4lyze"'))
+    assert run_cli("replay", path, "--outdir", tmp_path / "second") == 65
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "1", "[]", "null", '"analyze"', '{"command": ["validate"]}',
+    "[" * 100_000,  # deeper than the json module recurses
+])
+def test_replay_rejects_a_manifest_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    assert run_cli("replay", path, "--outdir", tmp_path / "run") == 65
+
+
 def test_replay_reproduces_bytes(tmp_path, poisson_csv):
     first = tmp_path / "first"
     second = tmp_path / "second"
