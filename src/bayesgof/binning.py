@@ -19,7 +19,6 @@ __all__ = [
     "BinScheme",
     "equiprobable",
     "default_bin_count",
-    "mann_wald_count",
     "assign",
     "assign_discrete_randomized",
     "tally",
@@ -73,13 +72,6 @@ def default_bin_count(n: int) -> int:
     if n < 1:
         raise DomainError(f"default_bin_count requires n >= 1, got {n}")
     return max(3, int(math.floor(n**0.4 + 0.5)))
-
-
-def mann_wald_count(n: int) -> int:
-    """Classical large-sample cell count 3.8 * (n - 1)**0.4."""
-    if n < 2:
-        raise DomainError(f"mann_wald_count requires n >= 2, got {n}")
-    return int(math.floor(3.8 * (n - 1) ** 0.4 + 0.5))
 
 
 def assign(scheme: BinScheme, u):

@@ -5,8 +5,12 @@ manifest.json holding the fully resolved configuration, the seed, the tool
 version, and a digest of any input file; `bayesgof replay manifest.json`
 re-executes the run and reproduces the output files byte for byte.
 
+A --config file or manifest becomes --flag=value tokens for the subcommand's
+own parser; a manifest key it lacks takes the flag's default.
+
 Exit codes: 0 success, 2 calibration assertion failed, 3 monitor alert,
-64 usage error, 65 data error, 70 numerical failure.
+64 usage error or unusable output directory, 65 data error (a recorded value
+the flag rejects too), 70 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -162,7 +168,11 @@ def _grouped_fit(iterations: np.ndarray) -> dict:
 
 
 def _ensure_outdir(outdir: str) -> str:
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot use output directory {outdir!r}: {reason}") from None
     return outdir
 
 
@@ -217,7 +227,7 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     return y, e
 
 
-def _build_model(ns: argparse.Namespace, y: np.ndarray, offsets: np.ndarray | None):
+def _build_model(ns: argparse.Namespace, offsets: np.ndarray | None):
     name = ns.model
     if name == "normal":
         return models.NormalModel()
@@ -371,8 +381,6 @@ def cmd_power(ns: argparse.Namespace) -> int:
         critical = ns.auc_critical
     else:
         # fresh null run one seed over, so power replicates stay independent
-        from dataclasses import replace
-
         critical = harness.null_auc_distribution(replace(cfg, seed=cfg.seed + 1)).critical
     result = harness.power_study(cfg, critical)
     rows = [
@@ -396,7 +404,7 @@ def cmd_power(ns: argparse.Namespace) -> int:
 def _load_fit(ns: argparse.Namespace):
     """Dataset, model and equiprobable cells of a dataset subcommand."""
     y, offsets = read_dataset(ns.data)
-    model = _build_model(ns, y, offsets)
+    model = _build_model(ns, offsets)
     k = ns.k if ns.k is not None else default_bin_count(y.size)
     return y, model, equiprobable(k)
 
@@ -543,37 +551,11 @@ def cmd_validate(ns: argparse.Namespace) -> int:
     y, offsets = read_dataset(ns.data)
     print(f"{ns.data}: {y.size} rows, columns y{',E' if offsets is not None else ''}")
     if ns.model is not None:
-        model = _build_model(ns, y, offsets)
+        model = _build_model(ns, offsets)
         model.validate_data(y)
         print(f"model {ns.model}: data accepted")
     _write_manifest(outdir, "validate", ns, [], input_path=ns.data, started=started)
     return EXIT_OK
-
-
-def _flag_text(value) -> str:
-    """A recorded value as the command-line text that parses back to it."""
-    if isinstance(value, list):
-        return ",".join(_flag_text(v) for v in value)
-    return _fmt(value) if isinstance(value, float) else str(value)
-
-
-def _replay_value(path: str, dest: str, action: argparse.Action, value):
-    """A manifest's config value checked and converted as its flag would be."""
-    if value is None and action.default is None:
-        return None
-    if action.nargs == 0:  # a store_true flag
-        ok = isinstance(value, bool)
-    elif action.type is None:
-        ok = isinstance(value, str)
-    else:
-        try:
-            value = action.type(_flag_text(value))
-            ok = True
-        except (ValueError, TypeError, argparse.ArgumentTypeError):
-            ok = False
-    if not ok or (action.choices is not None and value not in action.choices):
-        raise DataError(f"{path}: config key {dest!r} has an invalid value {value!r}")
-    return value
 
 
 def cmd_replay(ns: argparse.Namespace) -> int:
@@ -600,32 +582,17 @@ def cmd_replay(ns: argparse.Namespace) -> int:
     config = manifest.get("config")
     if not isinstance(config, dict):
         raise DataError(f"{ns.manifest}: missing config block")
-    # the recorded keys are the subcommand's flags: a key the manifest lacks
-    # takes the flag's default, and a key no flag knows is an error
-    sub = _subparser(build_parser(), command)
-    flags = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    unknown = sorted(set(config) - set(flags))
-    if unknown:
-        raise DataError(f"{ns.manifest}: unknown config key(s) {', '.join(unknown)}")
-    for dest, action in flags.items():
-        if dest in config:
-            config[dest] = _replay_value(ns.manifest, dest, action, config[dest])
-        elif action.required:
-            raise DataError(f"{ns.manifest}: config lacks required key {dest!r}")
-        else:
-            config[dest] = action.default
-    # a manifest records every flag, so only values away from their default
-    # count as given, as on the command line
-    for group in sub._mutually_exclusive_groups:
-        given = [a.dest for a in group._group_actions if config[a.dest] != a.default]
-        if len(given) > 1:
-            raise DataError(
-                f"{ns.manifest}: config keys {', '.join(map(repr, given))} "
-                "are mutually exclusive"
-            )
-    replay_ns = argparse.Namespace(**config)
+    parser = build_parser()
+    actions = _settable(parser, command)
+    tokens = _manifest_tokens(ns.manifest, config, actions)
     if ns.outdir is not None:
-        replay_ns.outdir = ns.outdir
+        tokens.append(f"--outdir={ns.outdir}")  # the last --outdir wins
+    try:
+        replay_ns = parser.parse_args([command, *tokens])
+    except _UsageError as exc:
+        named = set(re.findall(r"--[\w-]+", str(exc)))
+        keys = [repr(dest) for dest, a in actions.items() if named & set(a.option_strings)]
+        raise DataError(f"{ns.manifest}: config key(s) {', '.join(keys)}: {exc}") from None
     return _COMMANDS[command](replay_ns)
 
 
@@ -825,15 +792,20 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# config file merge
+# config files and manifests as parser tokens
 # ---------------------------------------------------------------------------
 
-def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
-    options = {}
-    for action in sub._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                options[opt] = action
+def _settable(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """The options of a subcommand that a config file or manifest may set,
+    by destination."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest: a for a in subs.choices[command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+
+
+def _config_tokens(path: str, actions: dict) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -849,25 +821,44 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        action = options.get(flag)
-        if action is None or flag == "--config":
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        if action.nargs == 0:
-            low = value.lower()
-            if low in ("true", "1", "yes"):
-                tokens.append(flag)
-            elif low not in ("false", "0", "no"):
-                raise ConfigError(f"{path}:{lineno}: boolean {key!r} must be true or false")
-        else:
-            tokens.extend([flag, value])
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            # one --flag=value token: a value beginning with '-' stays a value
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("true", "1", "yes"):
+            tokens.append(flag)
+        elif value.lower() not in ("false", "0", "no"):
+            raise ConfigError(f"{path}:{lineno}: boolean {key!r} must be true or false")
     return tokens
 
 
-def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    return next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices[command]
+def _manifest_tokens(path: str, config: dict, actions: dict) -> list[str]:
+    """A manifest's config block as tokens for its parser, which makes every
+    check but those JSON's types need.  Values at their flag's default are
+    left out, as on the command line, so none collides with its mutually
+    exclusive partner."""
+    unknown = sorted(set(config) - set(actions))
+    if unknown:
+        raise DataError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+    tokens: list[str] = []
+    for dest, value in config.items():
+        action = actions[dest]
+        if action.nargs == 0:  # a store_true flag
+            ok = isinstance(value, bool)
+        elif action.type is None:
+            ok = isinstance(value, str)
+        else:
+            ok = value is not None and not isinstance(value, bool)
+        if not ok and not (value is None and action.default is None):
+            raise DataError(f"{path}: config key {dest!r} has an invalid value {value!r}")
+        if value != action.default:
+            flag = action.option_strings[0]
+            text = ",".join(map(_fmt, value)) if isinstance(value, list) else _fmt(value)
+            tokens.append(flag if action.nargs == 0 else f"{flag}={text}")
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -879,9 +870,8 @@ def main(argv: list[str] | None = None) -> int:
         if config_path:
             # flags win over the file: file tokens are injected first and
             # later command-line occurrences override them
-            sub = _subparser(parser, ns.command)
-            merged = [args[0]] + _config_tokens(config_path, sub) + args[1:]
-            ns = parser.parse_args(merged)
+            tokens = _config_tokens(config_path, _settable(parser, ns.command))
+            ns = parser.parse_args([args[0], *tokens, *args[1:]])
         handler = _COMMANDS[ns.command]
         return handler(ns)
     except _UsageError as exc:

@@ -22,15 +22,10 @@ __all__ = [
     "RngStream",
     "ScalarDistribution",
     "split",
-    "normal",
     "chi_squared",
     "gamma_rate",
     "student_t",
-    "uniform",
-    "poisson",
     "cdf",
-    "quantile",
-    "survival",
     "sample",
     "normal_cdf",
     "normal_pdf",
@@ -41,7 +36,6 @@ __all__ = [
     "chi2_upper_quantile",
     "poisson_cdf",
     "poisson_survival",
-    "poisson_pmf",
     "poisson_logpmf",
 ]
 
@@ -86,10 +80,6 @@ class RngStream:
             self._gen = np.random.Generator(np.random.Philox(ss))
         return self._gen
 
-    def uniform(self, size: int | tuple[int, ...] | None = None):
-        """Uniform draws on [0, 1)."""
-        return self.generator.random(size)
-
     def open_uniform(self, size: int | tuple[int, ...] | None = None):
         """Uniform draws nudged into the open interval (0, 1)."""
         u = self.generator.random(size)
@@ -120,12 +110,6 @@ class ScalarDistribution:
     params: tuple[float, ...]
 
 
-def normal(mu: float, sigma: float) -> ScalarDistribution:
-    if not (math.isfinite(mu) and math.isfinite(sigma)) or sigma <= 0.0:
-        raise DomainError(f"normal requires finite mu and sigma > 0, got ({mu}, {sigma})")
-    return ScalarDistribution("normal", (float(mu), float(sigma)))
-
-
 def chi_squared(df: float) -> ScalarDistribution:
     if not math.isfinite(df) or df <= 0.0:
         raise DomainError(f"chi_squared requires df > 0, got {df}")
@@ -143,18 +127,6 @@ def student_t(df: float) -> ScalarDistribution:
     if not math.isfinite(df) or df <= 0.0:
         raise DomainError(f"student_t requires df > 0, got {df}")
     return ScalarDistribution("student_t", (float(df),))
-
-
-def uniform(lo: float, hi: float) -> ScalarDistribution:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise DomainError(f"uniform requires finite lo < hi, got ({lo}, {hi})")
-    return ScalarDistribution("uniform", (float(lo), float(hi)))
-
-
-def poisson(mean: float) -> ScalarDistribution:
-    if not math.isfinite(mean) or mean <= 0.0:
-        raise DomainError(f"poisson requires mean > 0, got {mean}")
-    return ScalarDistribution("poisson", (float(mean),))
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +193,6 @@ def poisson_survival(mean, k):
     return out if out.ndim else float(out)
 
 
-def poisson_pmf(mean, k):
-    out = np.exp(poisson_logpmf(mean, k))
-    return out if out.ndim else float(out)
-
-
 def poisson_logpmf(mean, k):
     """log P(Y = k): finite for any positive mass, however small."""
     k = np.asarray(k, dtype=float)
@@ -240,9 +207,6 @@ def poisson_logpmf(mean, k):
 
 def cdf(d: ScalarDistribution, x):
     """P(X <= x), vectorized over x."""
-    if d.kind == "normal":
-        mu, sigma = d.params
-        return normal_cdf((np.asarray(x, dtype=float) - mu) / sigma)
     if d.kind == "chi_squared":
         return chi2_cdf(d.params[0], x)
     if d.kind == "gamma":
@@ -253,87 +217,12 @@ def cdf(d: ScalarDistribution, x):
     if d.kind == "student_t":
         out = sp.stdtr(d.params[0], np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
-    if d.kind == "uniform":
-        lo, hi = d.params
-        out = np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
-        return out if out.ndim else float(out)
-    if d.kind == "poisson":
-        return poisson_cdf(d.params[0], x)
     raise DomainError(f"unknown distribution kind {d.kind!r}")
-
-
-def survival(d: ScalarDistribution, x):
-    """P(X > x) computed on the upper-tail path, not as 1 - cdf."""
-    if d.kind == "normal":
-        mu, sigma = d.params
-        z = (np.asarray(x, dtype=float) - mu) / sigma
-        out = 0.5 * sp.erfc(z / math.sqrt(2.0))
-        return out if out.ndim else float(out)
-    if d.kind == "chi_squared":
-        return chi2_survival(d.params[0], x)
-    if d.kind == "gamma":
-        shape, rate = d.params
-        x = np.asarray(x, dtype=float)
-        out = sp.gammaincc(shape, np.maximum(x, 0.0) * rate)
-        return out if out.ndim else float(out)
-    if d.kind == "student_t":
-        # symmetry: P(T > x) = P(T < -x)
-        out = sp.stdtr(d.params[0], -np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
-    if d.kind == "uniform":
-        lo, hi = d.params
-        out = np.clip((hi - np.asarray(x, dtype=float)) / (hi - lo), 0.0, 1.0)
-        return out if out.ndim else float(out)
-    if d.kind == "poisson":
-        return poisson_survival(d.params[0], x)
-    raise DomainError(f"unknown distribution kind {d.kind!r}")
-
-
-def quantile(d: ScalarDistribution, p):
-    """Inverse CDF; for discrete kinds, the smallest support point with CDF >= p."""
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
-        raise DomainError("quantile requires p in the open interval (0, 1)")
-    if d.kind == "normal":
-        mu, sigma = d.params
-        out = mu + sigma * sp.ndtri(p_arr)
-        return out if out.ndim else float(out)
-    if d.kind == "chi_squared":
-        return chi2_quantile(d.params[0], p)
-    if d.kind == "gamma":
-        shape, rate = d.params
-        out = sp.gammaincinv(shape, p_arr) / rate
-        return out if out.ndim else float(out)
-    if d.kind == "student_t":
-        out = sp.stdtrit(d.params[0], p_arr)
-        return out if out.ndim else float(out)
-    if d.kind == "uniform":
-        lo, hi = d.params
-        out = lo + (hi - lo) * p_arr
-        return out if out.ndim else float(out)
-    if d.kind == "poisson":
-        if p_arr.ndim:
-            return np.array([_poisson_quantile(d.params[0], q) for q in p_arr.ravel()]).reshape(p_arr.shape)
-        return _poisson_quantile(d.params[0], float(p_arr))
-    raise DomainError(f"unknown distribution kind {d.kind!r}")
-
-
-def _poisson_quantile(mean: float, p: float) -> int:
-    # normal-approximation start, then exact local search on the CDF
-    k = int(max(0.0, math.floor(mean + math.sqrt(mean) * sp.ndtri(p))))
-    while sp.pdtr(k, mean) < p:
-        k += 1
-    while k > 0 and sp.pdtr(k - 1, mean) >= p:
-        k -= 1
-    return k
 
 
 def sample(d: ScalarDistribution, rng: RngStream, size: int | None = None):
     """Draw from d using rng; scalar when size is None, else ndarray."""
     gen = rng.generator
-    if d.kind == "normal":
-        mu, sigma = d.params
-        return mu + sigma * gen.standard_normal(size)
     if d.kind == "chi_squared":
         return gen.chisquare(d.params[0], size)
     if d.kind == "gamma":
@@ -344,10 +233,4 @@ def sample(d: ScalarDistribution, rng: RngStream, size: int | None = None):
         z = gen.standard_normal(size)
         w = gen.chisquare(df, size)
         return z / np.sqrt(w / df)
-    if d.kind == "uniform":
-        lo, hi = d.params
-        return lo + (hi - lo) * gen.random(size)
-    if d.kind == "poisson":
-        out = gen.poisson(d.params[0], size)
-        return int(out) if size is None else out
     raise DomainError(f"unknown distribution kind {d.kind!r}")

@@ -29,14 +29,6 @@ def test_default_bin_count():
     assert binning.default_bin_count(200) == 8
 
 
-def test_mann_wald_count():
-    assert binning.mann_wald_count(50) == 18
-    assert binning.mann_wald_count(2) == 4
-    assert binning.mann_wald_count(201) == 32
-    with pytest.raises(DomainError):
-        binning.mann_wald_count(1)
-
-
 def test_assign_boundaries():
     # indexes are 0-based: spec-level "bin 1" is index 0
     s = equiprobable(5)
@@ -144,7 +136,7 @@ def test_randomized_collapsed_edges_take_their_point():
 
 def test_tally_rows_match_single_tallies():
     s = equiprobable(4)
-    u = RngStream(89).uniform((6, 30))
+    u = RngStream(89).generator.random((6, 30))
     rows = tally(s, u)
     assert rows.shape == (6, 4)
     for i in range(6):
@@ -164,7 +156,7 @@ def test_tally_empty():
 
 def test_tally_uniform_band():
     rng = RngStream(88)
-    counts = tally(equiprobable(5), rng.uniform(1000))
+    counts = tally(equiprobable(5), rng.generator.random(1000))
     assert counts.sum() == 1000
     # binomial 3-sigma band around 200
     assert all(abs(int(c) - 200) <= 50 for c in counts)
@@ -177,7 +169,7 @@ def test_tally_multinomial_moments():
     n = 250
     stats = []
     for _ in range(200):
-        m = tally(s, rng.uniform(n))
+        m = tally(s, rng.generator.random(n))
         stats.append(float(((m - n / 5) ** 2 / (n / 5)).sum()))
     # mean of chi2_4 draws: 4 with sd sqrt(8/200)
     assert abs(np.mean(stats) - 4.0) < 3 * np.sqrt(8.0 / 200)

@@ -559,6 +559,28 @@ def test_outdir_env_default(tmp_path, normal_csv, monkeypatch):
     assert (env_out / "summary.csv").exists()
 
 
+def test_unusable_outdir_exit_64(tmp_path, normal_csv, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run_cli("validate", "--data", normal_csv, "--outdir", afile) == 64
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("outdir = a\0b\n")
+    assert run_cli("validate", "--data", normal_csv, "--config", cfgfile) == 64
+    err = capsys.readouterr().err
+    assert f"cannot use output directory {str(afile)!r}: File exists" in err
+    assert "cannot use output directory 'a\\x00b': embedded null byte" in err
+    assert "Traceback" not in err
+
+
+def test_config_value_may_begin_with_a_dash(tmp_path, normal_csv, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("outdir = -out\n")
+    assert run_cli("validate", "--data", normal_csv, "--config", cfgfile) == 0
+    manifest = json.loads((tmp_path / "-out" / "manifest.json").read_text())
+    assert manifest["config"]["outdir"] == "-out"
+
+
 def test_same_seed_same_bytes_any_workers(tmp_path):
     runs = []
     for name, workers in (("a", "1"), ("b", "4"), ("c", "1")):
@@ -605,3 +627,46 @@ def test_replay_of_a_full_scale_manifest_runs_full_scale(tmp_path, monkeypatch):
     assert run_cli("replay", first / "manifest.json", "--outdir", second) == 0
     assert asked == [10000, 10000]
     assert (first / "qq.csv").read_bytes() == (second / "qq.csv").read_bytes()
+
+
+# one run of every command that records a manifest, with values away from
+# their defaults of every kind: lists, floats, ints, choices and a store_true
+# flag (a mean of 12.5 keeps zero counts, which prior exponent 1 rejects,
+# out of the simulated data); "{counts}" and "{rates}" name the input files
+_RECORDED_RUNS = {
+    "power": ("power", "--df", "1,3", "--methods", "auc,grouped", "--auc-critical", "0.78",
+              "--reps", "4", "--n", "30", "--draws", "20", "--seed", "4"),
+    "simulate-null": ("simulate-null", "--model", "poisson-synthetic", "--prior-exponent", "1.0",
+                      "--mean", "12.5", "--reps", "20", "--n", "30", "--assert-calibrated"),
+    "analyze": ("analyze", "--data", "{counts}", "--model", "poisson-common", "--draws", "50",
+                "--threshold", "2.5", "--k", "4", "--seed", "3"),
+    "pp-test": ("pp-test", "--data", "{counts}", "--model", "poisson-common",
+                "--pp-reps", "3", "--draws", "40", "--seed", "5"),
+    "monitor": ("monitor", "--data", "{counts}", "--model", "poisson-common",
+                "--draws-file", "{rates}", "--min-draws", "5", "--alert-factor", "2.5"),
+    "validate": ("validate", "--data", "{counts}", "--model", "poisson-common",
+                 "--prior-exponent", "1.0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RECORDED_RUNS))
+def test_replay_round_trip_of_every_recording_command(
+    tmp_path, poisson_csv, monkeypatch, command
+):
+    # output directories beginning with '-' must stay values on every route
+    monkeypatch.chdir(tmp_path)
+    rates = tmp_path / "rates.txt"
+    rates.write_text("".join(f"{4.0 + 0.05 * i!r}\n" for i in range(30)))
+    args = [a.format(counts=poisson_csv, rates=rates) for a in _RECORDED_RUNS[command]]
+    code = run_cli(*args, "--outdir=-first")
+    assert code in (0, 2, 3)
+    first = tmp_path / "-first"
+    manifest = json.loads((first / "manifest.json").read_text())
+    outputs = {name: (first / name).read_bytes() for name in manifest["outputs"]}
+    assert run_cli("replay", first / "manifest.json", "--outdir=-second") == code
+    assert run_cli("replay", first / "manifest.json") == code  # into -first again
+    for out in (tmp_path / "-second", first):
+        replayed = json.loads((out / "manifest.json").read_text())
+        assert replayed["config"] == dict(manifest["config"], outdir=out.name)
+        for name, data in outputs.items():
+            assert (out / name).read_bytes() == data, name

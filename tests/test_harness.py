@@ -51,8 +51,10 @@ def test_ks_rejects_wrong_df():
 
 
 def test_ks_critical_constants():
-    r1 = ks_statistic(np.linspace(0.01, 0.99, 400), probkit.uniform(0, 1), alpha=0.01)
-    r5 = ks_statistic(np.linspace(0.01, 0.99, 400), probkit.uniform(0, 1), alpha=0.05)
+    # the critical value depends on the sample size and alpha alone
+    v = probkit.chi2_quantile(2, np.linspace(0.01, 0.99, 400))
+    r1 = ks_statistic(v, probkit.chi_squared(2), alpha=0.01)
+    r5 = ks_statistic(v, probkit.chi_squared(2), alpha=0.05)
     assert r1.critical == pytest.approx(1.628 / 20, abs=2e-4)
     assert r5.critical == pytest.approx(1.358 / 20, abs=2e-4)
 

@@ -2,15 +2,15 @@
 
 Oracles here are deliberately independent of the implementation: Gauss
 quadrature for the normal CDF, direct density integration for chi-square,
-a Lentz continued fraction for the far upper tail, and plain bisection
-for quantiles.
+a Lentz continued fraction for the far upper tail, plain bisection for
+quantiles, and scipy.stats for the laws of the dispatch surface.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 from scipy import special as sp
 
 from bayesgof import probkit
@@ -108,29 +108,32 @@ def test_deep_tail_survival_stays_positive():
 
 
 def test_quantile_cdf_round_trip():
-    dists = [
-        probkit.normal(0.3, 2.0),
-        probkit.chi_squared(4),
-        probkit.gamma_rate(3.0, 2.0),
-        probkit.uniform(-1.0, 5.0),
+    # scipy.stats quantiles mapped back through the dispatch surface
+    laws = [
+        (probkit.chi_squared(4), stats.chi2(4)),
+        (probkit.gamma_rate(3.0, 2.0), stats.gamma(3.0, scale=0.5)),
+        (probkit.student_t(3), stats.t(3)),
     ]
-    for d in dists:
+    for d, oracle in laws:
         for p in (0.01, 0.1, 0.5, 0.9, 0.99):
-            x = probkit.quantile(d, p)
-            assert abs(probkit.cdf(d, x) - p) < 1e-8
+            assert abs(probkit.cdf(d, oracle.ppf(p)) - p) < 1e-8
 
 
 def test_survival_complements_cdf():
-    d = probkit.chi_squared(6)
     for x in (0.5, 3.0, 10.0):
-        assert abs(probkit.cdf(d, x) + probkit.survival(d, x) - 1.0) < 1e-12
+        s = probkit.chi2_survival(6, x)
+        assert abs(probkit.cdf(probkit.chi_squared(6), x) + s - 1.0) < 1e-12
+        assert abs(s - stats.chi2.sf(x, 6)) < 1e-12
+    for k in (-1, 0, 3, 12):
+        s = probkit.poisson_survival(4.2, k)
+        assert abs(probkit.poisson_cdf(4.2, k) + s - 1.0) < 1e-12
+        assert abs(s - stats.poisson.sf(k, 4.2)) < 1e-12
 
 
 def test_uniform_sample_mean():
-    rng = RngStream(101)
-    u = rng.uniform(100_000)
+    u = RngStream(101).open_uniform(100_000)
     assert abs(u.mean() - 0.5) < 0.005
-    assert u.min() >= 0.0 and u.max() <= 1.0
+    assert u.min() > 0.0 and u.max() < 1.0
 
 
 def test_chi2_sample_moments():
@@ -153,46 +156,47 @@ def test_cauchy_sample_median():
 
 
 def test_poisson_sample_total_variation():
+    # poisson_logpmf against the lgamma form, and a sample against its pmf
     mean = 4.2
-    rng = RngStream(31)
-    x = probkit.sample(probkit.poisson(mean), rng, 100_000)
+    x = RngStream(31).generator.poisson(mean, 100_000)
     kmax = int(x.max()) + 1
-    counts = np.bincount(x.astype(int), minlength=kmax)
+    counts = np.bincount(x, minlength=kmax)
     emp = counts / x.size
     ks = np.arange(kmax)
     log_pmf = ks * math.log(mean) - mean - np.array([math.lgamma(k + 1) for k in ks])
-    pmf = np.exp(log_pmf)
+    assert np.allclose(probkit.poisson_logpmf(mean, ks), log_pmf, rtol=0, atol=1e-12)
+    pmf = np.exp(probkit.poisson_logpmf(mean, ks))
     tv = 0.5 * (np.abs(emp - pmf).sum() + max(0.0, 1.0 - pmf.sum()))
     assert tv < 0.01
 
 
 def test_same_seed_same_bits():
-    a = RngStream(42).uniform(1000)
-    b = RngStream(42).uniform(1000)
+    a = RngStream(42).generator.random(1000)
+    b = RngStream(42).generator.random(1000)
     assert np.array_equal(a, b)
 
 
 def test_split_is_deterministic_and_distinct():
     root = RngStream(5)
-    c1 = split(root, 3).uniform(100)
-    c2 = split(RngStream(5), 3).uniform(100)
+    c1 = split(root, 3).generator.random(100)
+    c2 = split(RngStream(5), 3).generator.random(100)
     assert np.array_equal(c1, c2)
-    other = split(RngStream(5), 4).uniform(100)
+    other = split(RngStream(5), 4).generator.random(100)
     assert not np.array_equal(c1, other)
 
 
 def test_split_does_not_disturb_parent():
     root = RngStream(9)
-    before = RngStream(9).uniform(50)
+    before = RngStream(9).generator.random(50)
     split(root, 0)
     split(root, 1)
-    assert np.array_equal(root.uniform(50), before)
+    assert np.array_equal(root.generator.random(50), before)
 
 
 def test_child_streams_first_draws_uniform():
     # Pearson test on 20 cells over the first draw of 1000 children
     root = RngStream(1234)
-    firsts = np.array([float(split(root, i).uniform()) for i in range(1000)])
+    firsts = np.array([float(split(root, i).generator.random()) for i in range(1000)])
     counts = np.bincount(np.minimum((firsts * 20).astype(int), 19), minlength=20)
     expected = 1000 / 20
     stat = ((counts - expected) ** 2 / expected).sum()
@@ -200,8 +204,8 @@ def test_child_streams_first_draws_uniform():
 
 
 def test_nested_paths_are_independent_addresses():
-    a = split(split(RngStream(0), 1), 2).uniform(64)
-    b = RngStream(0, path=(1, 2)).uniform(64)
+    a = split(split(RngStream(0), 1), 2).generator.random(64)
+    b = RngStream(0, path=(1, 2)).generator.random(64)
     assert np.array_equal(a, b)
 
 
@@ -218,7 +222,9 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         probkit.gamma_rate(1.0, -2.0)
     with pytest.raises(DomainError):
-        probkit.quantile(probkit.normal(0, 1), 1.5)
+        probkit.student_t(float("nan"))
+    with pytest.raises(DomainError):
+        probkit.cdf(probkit.ScalarDistribution("normal", (0.0, 1.0)), 0.5)
 
 
 def test_poisson_cdf_matches_pmf_sum():
