@@ -82,6 +82,11 @@ def assign(scheme: BinScheme, u):
     Vectorized over u, with an index of the same shape; raises DomainError
     if any value leaves [0, 1].
     """
+    return scheme._interior.searchsorted(_unit_values(u), side="left")
+
+
+def _unit_values(u) -> np.ndarray:
+    """u as a float array; DomainError if any value leaves [0, 1]."""
     arr = np.asarray(u, dtype=float)
     # one min/max pass; NaN fails both comparisons.  The ufunc reductions are
     # what ndarray.min/max call, without their Python-level wrappers.
@@ -89,7 +94,7 @@ def assign(scheme: BinScheme, u):
         np.minimum.reduce(arr, axis=None) >= 0.0 and np.maximum.reduce(arr, axis=None) <= 1.0
     ):
         raise DomainError("assign requires values in [0, 1]")
-    return scheme._interior.searchsorted(arr, side="left")
+    return arr
 
 
 def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream):
@@ -125,10 +130,31 @@ def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream)
 
 def tally(scheme: BinScheme, u) -> np.ndarray:
     """Counts per cell for a batch of unit-interval values; one row of counts
-    per row of a 2-D batch."""
-    idx = np.atleast_1d(assign(scheme, u))
-    if idx.ndim == 1:
-        return np.bincount(idx, minlength=scheme.k)
-    rows, k = idx.shape[0], scheme.k
-    idx += np.arange(rows)[:, None] * k  # row r counts in cells r*k .. r*k + k - 1
-    return np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
+    per row of a 2-D batch.
+
+    A vector goes through assign.  A 2-D batch is counted edge by edge: for
+    each interior edge, the number of values in each row strictly above it.
+    A cell's count is then the count above its left edge less the count
+    above its right edge, all n values counted for the edge 0 and none for
+    the edge 1.  These are assign's counts (right-closed cells, 0 and -0.0
+    in the first) without a binary search per value, which measured slower
+    at 5 to 40 cells.
+
+    The batch is copied as observations x rows, so each edge takes one
+    comparison into a reused bool buffer and one sum that adds whole rows of
+    it, in the smallest unsigned type that holds n (no count exceeds n).
+    """
+    arr = np.asarray(u, dtype=float)
+    if arr.ndim != 2:
+        return np.bincount(np.atleast_1d(assign(scheme, arr)), minlength=scheme.k)
+    rows, n = arr.shape
+    by_obs = np.ascontiguousarray(_unit_values(arr).T)
+    above = np.empty((rows, scheme.k + 1), dtype=np.intp)
+    above[:, 0] = n
+    above[:, -1] = 0
+    above_edge = np.empty(by_obs.shape, dtype=bool)
+    count_type = np.min_scalar_type(n)
+    for j, edge in enumerate(scheme.edges[1:-1], start=1):
+        np.greater(by_obs, edge, out=above_edge)
+        above[:, j] = np.add.reduce(above_edge, axis=0, dtype=count_type)
+    return above[:, :-1] - above[:, 1:]

@@ -6,7 +6,8 @@ version, and a digest of any input file; `bayesgof replay manifest.json`
 re-executes the run and reproduces the output files byte for byte.
 
 A --config file or manifest becomes --flag=value tokens for the subcommand's
-own parser; a manifest key it lacks takes the flag's default.
+own parser; a config file may set required flags, and a manifest key it
+lacks takes the flag's default.
 
 Exit codes: 0 success, 2 calibration assertion failed, 3 monitor alert,
 64 usage error or unusable output directory, 65 data error (a recorded value
@@ -57,8 +58,9 @@ are allowed.  Poisson models require non-negative integer y and the E column.
 
 CONFIG_HELP = """\
 --config FILE reads flat key=value lines mirroring long flag names
-(hyphen or underscore, '#' comments allowed).  Precedence: command-line
-flags > config file > built-in defaults.  Boolean flags take true/false.
+(hyphen or underscore, '#' comments allowed), required flags included.
+Precedence: command-line flags > config file > built-in defaults.  Boolean
+flags take true/false.
 """
 
 EXIT_HELP = """\
@@ -180,6 +182,16 @@ def _ensure_outdir(outdir: str) -> str:
 # dataset ingestion
 # ---------------------------------------------------------------------------
 
+def _open_input(path: str, what: str = "", **kwargs):
+    """open() for reading; a path that cannot be opened, one holding a NUL
+    byte included, is a DataError naming the file."""
+    try:
+        return open(path, **kwargs)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read {what}{path}: {reason}") from None
+
+
 def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
     bad = exc.object[exc.start:exc.end]
     return DataError(f"{path}: not UTF-8 text (bytes {bad.hex()}: {exc.reason})")
@@ -189,7 +201,7 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a headered UTF-8 CSV with column y and optional positive-offset
     column E; a leading byte-order mark, as spreadsheets write, is skipped."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with _open_input(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -519,7 +531,7 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
         )
     else:
         try:
-            with open(ns.draws_file, encoding="utf-8", errors="replace") as fh:
+            with _open_input(ns.draws_file, encoding="utf-8", errors="replace") as fh:
                 alerted = run(fh)
         except OSError as exc:
             raise DataError(f"cannot read {ns.draws_file}: {exc.strerror or exc}") from exc
@@ -560,7 +572,7 @@ def cmd_validate(ns: argparse.Namespace) -> int:
 
 def cmd_replay(ns: argparse.Namespace) -> int:
     try:
-        with open(ns.manifest, encoding="utf-8") as fh:
+        with _open_input(ns.manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {ns.manifest}: {exc.strerror or exc}") from exc
@@ -795,19 +807,44 @@ def build_parser() -> _Parser:
 # config files and manifests as parser tokens
 # ---------------------------------------------------------------------------
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices
+
+
 def _settable(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
     """The options of a subcommand that a config file or manifest may set,
     by destination."""
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        a.dest: a for a in subs.choices[command]._actions
+        a.dest: a for a in _subcommands(parser)[command]._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
 
 
+def _parse_command_line(parser: _Parser, args: list[str]) -> argparse.Namespace:
+    """Parse a command line whose --config file may set any flag, required
+    ones too.  A first pass with the required flags relaxed finds the file;
+    then its tokens and the command line are parsed together, the command
+    line last, so its flags win over the file's."""
+    required = [
+        a for sub in _subcommands(parser).values() for a in sub._actions
+        if a.option_strings and a.required
+    ]
+    for action in required:
+        action.required = False
+    try:
+        ns = parser.parse_args(args)
+    finally:
+        for action in required:
+            action.required = True
+    config_path = getattr(ns, "config", None)
+    tokens = _config_tokens(config_path, _settable(parser, ns.command)) if config_path else []
+    return parser.parse_args([args[0], *tokens, *args[1:]])
+
+
 def _config_tokens(path: str, actions: dict) -> list[str]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open_input(path, "config ", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc.strerror or exc}") from exc
@@ -865,13 +902,7 @@ def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        ns = parser.parse_args(args)
-        config_path = getattr(ns, "config", None)
-        if config_path:
-            # flags win over the file: file tokens are injected first and
-            # later command-line occurrences override them
-            tokens = _config_tokens(config_path, _settable(parser, ns.command))
-            ns = parser.parse_args([args[0], *tokens, *args[1:]])
+        ns = _parse_command_line(parser, args)
         handler = _COMMANDS[ns.command]
         return handler(ns)
     except _UsageError as exc:

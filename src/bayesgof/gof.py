@@ -169,7 +169,7 @@ def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedS
     try:
         counts = tally(scheme, u)
     except DomainError:
-        # assign has found a value outside [0, 1]; name the observations
+        # tally has found a value outside [0, 1]; name the observations
         _check_unit_interval(u, "CDF transform")
         raise
     widths = scheme.widths()
@@ -362,12 +362,14 @@ def reference_auc(values, dof: int) -> float:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise DomainError("need a non-empty 1-D vector of statistic values")
-    if not np.all(np.isfinite(v)) or np.any(v < 0):
+    # one min/max pass; NaN fails both comparisons
+    if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) < np.inf):
         raise DomainError("statistic values must be finite and non-negative")
     if dof < 1:
         raise DomainError(f"dof must be >= 1, got {dof}")
-    # Pr(value > X) for X ~ chi-square(dof): the CDF at each draw, averaged
-    return float(np.mean(probkit.chi2_cdf(dof, v)))
+    # Pr(value > X) for X ~ chi-square(dof): the CDF at each draw, averaged;
+    # the sum over the count is the arithmetic of np.mean without its wrapper
+    return float(np.add.reduce(probkit.chi2_cdf(dof, v)) / v.size)
 
 
 def exceedance(values, threshold: float) -> float:

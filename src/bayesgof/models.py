@@ -59,15 +59,17 @@ __all__ = [
 # normal model, reference prior 1/sigma
 # ---------------------------------------------------------------------------
 
-def _validate_normal_data(data) -> np.ndarray:
+def _normal_sample(data) -> tuple[np.ndarray, float]:
+    """The sample as floats and its variance s^2, checked to be positive."""
     y = np.asarray(data, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise DataError("need a 1-D sample with at least two observations")
     if not np.all(np.isfinite(y)):
         raise DataError("observations must be finite")
-    if y.var(ddof=1) <= 0.0:
+    s2 = y.var(ddof=1)
+    if s2 <= 0.0:
         raise DataError("degenerate sample: all observations are equal")
-    return y
+    return y, s2
 
 
 def _parameter_vector(values, size: int, positive) -> np.ndarray:
@@ -106,11 +108,10 @@ def normal_posterior_from_uniforms(data, v_sigma: float, v_mu: float) -> tuple[f
     affine changes of the data, which is what pins down location-scale
     invariance of the downstream statistics.
     """
-    y = _validate_normal_data(data)
+    y, s2 = _normal_sample(data)
     if not (0.0 < v_sigma < 1.0 and 0.0 < v_mu < 1.0):
         raise DomainError("uniforms must lie strictly inside (0, 1)")
     n = y.size
-    s2 = y.var(ddof=1)
     sigma2 = (n - 1) * s2 / probkit.chi2_upper_quantile(n - 1, v_sigma)
     sigma = math.sqrt(sigma2)
     mu = y.mean() + sigma / math.sqrt(n) * probkit.normal_quantile(v_mu)
@@ -125,7 +126,7 @@ class NormalModel:
     theta_size = 2
 
     def validate_data(self, data) -> np.ndarray:
-        return _validate_normal_data(data)
+        return _normal_sample(data)[0]
 
     def theta_from_vector(self, values) -> tuple[float, float]:
         mu, sigma = _parameter_vector(values, self.theta_size, positive=1)
@@ -139,9 +140,13 @@ class NormalModel:
             -math.inf < mu_lo and mu_hi < math.inf and 0.0 < sigma_lo and sigma_hi < math.inf
         ):
             raise DomainError(f"normal parameters outside the space: mu={mu}, sigma={sigma}")
-        if mu.ndim:  # a stack of draws, one row each
-            mu, sigma = mu[:, None], sigma[:, None]
-        return probkit.normal_cdf((np.asarray(y, dtype=float) - mu) / sigma)
+        y = np.asarray(y, dtype=float)
+        if not mu.ndim:
+            return probkit.normal_cdf((y - mu) / sigma)
+        # a stack of draws, one row each, standardized in one buffer
+        z = np.subtract(y, mu[:, None])
+        z /= sigma[:, None]
+        return probkit.normal_cdf(z)
 
     def posterior_draw(self, data, rng: RngStream) -> tuple[float, float]:
         v = rng.open_uniform(2)
@@ -149,9 +154,8 @@ class NormalModel:
 
     def posterior_draws(self, data, size: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized draws; row i equals posterior_draw under the same stream."""
-        y = _validate_normal_data(data)
+        y, s2 = _normal_sample(data)
         n = y.size
-        s2 = y.var(ddof=1)
         v = rng.open_uniform((size, 2))
         sigma = np.sqrt((n - 1) * s2 / probkit.chi2_upper_quantile(n - 1, v[:, 0]))
         mu = y.mean() + sigma / math.sqrt(n) * probkit.normal_quantile(v[:, 1])
@@ -166,7 +170,7 @@ class NormalModel:
         return mu + sigma * rng.generator.standard_normal(n)
 
     def mle(self, data) -> tuple[float, float]:
-        y = _validate_normal_data(data)
+        y = _normal_sample(data)[0]
         return (float(y.mean()), float(math.sqrt(y.var(ddof=0))))
 
     def obs_mean_var(self, theta) -> tuple[float, float]:

@@ -143,6 +143,61 @@ def test_tally_rows_match_single_tallies():
         assert np.array_equal(rows[i], tally(s, u[i]))
 
 
+def _tally_by_search(scheme, u):
+    """Rows of counts by a search per value and one bincount over row-offset
+    indexes: the form the 2-D tally replaced, kept as its reference."""
+    idx = assign(scheme, u)
+    rows, k = idx.shape[0], scheme.k
+    idx = idx + np.arange(rows)[:, None] * k  # row r counts in cells r*k .. r*k + k - 1
+    return np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=_schemes, data=st.data())
+def test_batch_tally_matches_the_search_form(scheme, data):
+    points = st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([*scheme.edges, 0.0, -0.0, 1.0])
+    )
+    rows = data.draw(st.integers(0, 5))
+    cols = data.draw(st.integers(0, 12))
+    u = np.array(data.draw(st.lists(points, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=float).reshape(rows, cols)
+    got = tally(scheme, u)
+    want = _tally_by_search(scheme, u)
+    assert got.shape == (rows, scheme.k) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.flags.c_contiguous  # pearson sums each row as it would the search form's
+
+
+@pytest.mark.parametrize("n", [127, 128, 255, 256, 65535, 65536, 70000])
+def test_batch_tally_counts_past_each_small_integer_width(n):
+    # every value in the last cell, or in the first: a count of n above or
+    # below every edge, at the widths where a narrower sum type would wrap
+    s = equiprobable(3)
+    u = np.zeros((3, n))
+    u[0] = 1.0
+    u[2, ::2] = 0.5
+    assert np.array_equal(tally(s, u), _tally_by_search(s, u))
+    assert tally(s, u)[0].tolist() == [0, 0, n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme=_schemes, data=st.data())
+def test_batch_tally_rejects_what_the_search_form_rejects(scheme, data):
+    bad = data.draw(st.sampled_from(
+        [np.nan, -np.inf, np.inf, -1e-300, 1.0 + 2.0**-52, -0.5, 7.0]
+    ))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    u = np.resize(np.linspace(0.0, 1.0, rows * cols), (rows, cols))
+    u[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))] = bad
+    messages = []
+    for count in (tally, _tally_by_search):
+        with pytest.raises(DomainError) as info:
+            count(scheme, u)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "assign requires values in [0, 1]"
+
+
 def test_tally_hand_example():
     # u values landing in cells 1,1,2,5 of equiprobable(5), spec's 1-based terms
     s = equiprobable(5)

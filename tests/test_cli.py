@@ -543,6 +543,48 @@ def test_flags_beat_config_file(tmp_path, normal_csv):
     assert manifest["config"]["draws"] == 80
 
 
+def test_config_file_supplies_required_flags(tmp_path, normal_csv, poisson_csv):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"data = {normal_csv}\nmodel = normal\ndraws = 40\n")
+    out = tmp_path / "from_file"
+    assert run_cli("analyze", "--config", cfgfile, "--outdir", out) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["data"], config["model"], config["draws"]) == (str(normal_csv), "normal", 40)
+    # the command line still wins over the file, required flags included
+    out = tmp_path / "overridden"
+    assert run_cli("analyze", "--config", cfgfile, "--data", poisson_csv,
+                   "--model", "poisson-common", "--outdir", out) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["data"], config["model"]) == (str(poisson_csv), "poisson-common")
+
+
+def test_required_flag_missing_from_file_and_command_line_exit_64(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model = normal\n")
+    assert run_cli("analyze", "--config", cfgfile, "--outdir", tmp_path) == 64
+    assert "the following arguments are required: --data" in capsys.readouterr().err
+
+
+def test_input_path_holding_a_nul_byte_exit_65(tmp_path, normal_csv, capsys):
+    assert run_cli("validate", "--data", "a\0b", "--outdir", tmp_path) == 65
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--draws-file", "c\0d", "--outdir", tmp_path) == 65
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("data = e\0f\n")
+    assert run_cli("monitor", "--config", cfgfile, "--model", "normal", "--outdir", tmp_path) == 65
+    first = tmp_path / "first"
+    assert run_cli("validate", "--data", normal_csv, "--outdir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["data"] = "g\0h"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("replay", path, "--outdir", tmp_path / "second") == 65
+    err = capsys.readouterr().err
+    for name in ("a\0b", "c\0d", "e\0f", "g\0h"):
+        assert f"error: cannot read {name}: embedded null byte" in err
+    assert "Traceback" not in err
+
+
 def test_config_file_unknown_key_exit_64(tmp_path, normal_csv, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("sede = 21\n")

@@ -64,6 +64,31 @@ def test_fuzzed_dataset_exits_with_a_documented_code(work, content, model):
     assert _exit_code(*args) in DOCUMENTED
 
 
+_nul_path = st.builds(
+    lambda head, tail: f"{head}\0{tail}", st.text(max_size=8), st.text(max_size=8)
+).filter(lambda path: not set(path) & set("\r\n#"))
+
+
+@settings(FUZZ, max_examples=40)  # three commands per example
+@given(path=_nul_path, through_config=st.booleans())
+def test_input_path_holding_a_nul_byte_exits_65(work, path, through_config):
+    """No file is opened: a NUL byte ends the path's use at open()."""
+    tmp_path, good = work
+    cfgfile = tmp_path / "run.cfg"
+    for command, flag, rest in (
+        ("validate", "data", ()),
+        ("monitor", "data", ("--model", "poisson-common")),
+        ("monitor", "draws-file", ("--data", good, "--model", "poisson-common")),
+    ):
+        if through_config:
+            cfgfile.write_text(f"{flag} = {path}\n", encoding="utf-8", errors="surrogatepass")
+            given_path = ("--config", cfgfile)
+        else:
+            given_path = (f"--{flag}", path)
+        code = _exit_code(command, *given_path, *rest, "--outdir", tmp_path / "out")
+        assert code == cli.EXIT_DATA
+
+
 # the validate flags a config file may set; data and outdir stay on the
 # command line, so that no fuzzed path is read from or written to
 _config_key = st.sampled_from([

@@ -126,6 +126,8 @@ class _FixedCdf:
 @pytest.mark.parametrize("u, named", [
     ([0.1, 1.5, 0.3, np.nan, 0.0, 1.0], [1, 3]),
     ([[0.1, 0.2, 0.3, 0.4], [0.1, -0.2, 0.3, np.inf], [0.9, -0.0, 1.0, 0.5]], [1, 3]),
+    ([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [np.nan, 0.0, 1.0]], [0]),
+    ([[1.0, 0.0, 1.0 + 2.0**-52], [-0.0, 0.5, 0.5]], [2]),
 ])
 def test_continuous_out_of_range_cdf_names_its_observations(u, named):
     model = _FixedCdf(u)

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from bayesgof import probkit
@@ -487,6 +489,31 @@ def test_normal_obs_cdf_stacked_rows_equal_single_calls():
     sigma[3] = 0.0
     with pytest.raises(DomainError):
         model.obs_cdf(y, (mu, sigma))
+
+
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    y=st.lists(_finite, min_size=0, max_size=8),
+    draws=st.lists(
+        st.tuples(_finite, st.floats(5e-324, 1e308, allow_subnormal=True)), min_size=1, max_size=5
+    ),
+)
+def test_normal_obs_cdf_stacked_rows_equal_single_calls_at_extremes(y, draws):
+    model = NormalModel()
+    y = np.array(y, dtype=float)
+    mu, sigma = (np.array(v) for v in zip(*draws))
+    with np.errstate(over="ignore"):  # y - mu may overflow to an infinite z
+        rows = model.obs_cdf(y, (mu, sigma))
+        singles = [model.obs_cdf(y, (float(m), float(s))) for m, s in draws]
+    assert rows.shape == (len(draws), y.size)
+    for row, single in zip(rows, singles):
+        assert np.array_equal(row, single)
 
 
 @pytest.mark.parametrize("k", [2, 5, 12])

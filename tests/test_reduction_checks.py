@@ -1,7 +1,7 @@
 """The per-draw checks call numpy's ufunc reductions directly.  Each function
 must decide, raise and return exactly as its earlier method-based form
-(ndarray.min/max/sum/all, np.any, np.searchsorted), kept here as the oracle:
-the same exception type and message, the same kinds of warning, or
+(ndarray.min/max/sum/all, np.any, np.mean, np.searchsorted), kept here as the
+oracle: the same exception type and message, the same kinds of warning, or
 bit-identical results.  The randomized statistic's collapse test is checked
 against its element-wise reference in test_gof."""
 
@@ -96,6 +96,17 @@ def _old_pearson(counts, probs):
     expected = n[..., None] * p
     value = ((m - expected) ** 2 / expected).sum(axis=-1)
     return float(value) if m.ndim == 1 else value
+
+
+def _old_reference_auc(values, dof):
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise DomainError("need a non-empty 1-D vector of statistic values")
+    if not np.all(np.isfinite(v)) or np.any(v < 0):
+        raise DomainError("statistic values must be finite and non-negative")
+    if dof < 1:
+        raise DomainError(f"dof must be >= 1, got {dof}")
+    return float(np.mean(probkit.chi2_cdf(dof, v)))
 
 
 # --- outcomes, compared bit for bit -----------------------------------------
@@ -257,3 +268,15 @@ def test_pearson_matches_its_method_form(probs, data):
         _float_arrays(st.one_of(st.integers(0, 60).map(float), _any_float), shape=shape),
     ))
     assert _outcome(gof.pearson, counts, probs) == _outcome(_old_pearson, counts, probs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(
+        _float_arrays(_any_float),
+        hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(0.0, 60.0)),
+    ),
+    dof=st.sampled_from([0, 1, 2, 4, 9]),
+)
+def test_reference_auc_matches_its_method_form(values, dof):
+    assert _outcome(gof.reference_auc, values, dof) == _outcome(_old_reference_auc, values, dof)
