@@ -132,21 +132,41 @@ def tally(scheme: BinScheme, u) -> np.ndarray:
     """Counts per cell for a batch of unit-interval values; one row of counts
     per row of a 2-D batch.
 
-    A vector goes through assign.  A 2-D batch is counted edge by edge: for
-    each interior edge, the number of values in each row strictly above it.
-    A cell's count is then the count above its left edge less the count
-    above its right edge, all n values counted for the edge 0 and none for
-    the edge 1.  These are assign's counts (right-closed cells, 0 and -0.0
-    in the first) without a binary search per value, which measured slower
-    at 5 to 40 cells.
+    A vector, and a 2-D batch of more than _EDGE_LOOP_MAX_CELLS cells, go
+    through assign: a binary search per value, then one bincount over
+    row-offset indexes.  A 2-D batch of fewer cells is counted edge by edge
+    instead (_tally_by_edge), with the same counts.
+    """
+    arr = np.asarray(u, dtype=float)
+    if arr.ndim == 2 and scheme.k <= _EDGE_LOOP_MAX_CELLS:
+        return _tally_by_edge(scheme, arr)
+    idx = np.atleast_1d(assign(scheme, arr))
+    if idx.ndim == 1:
+        return np.bincount(idx, minlength=scheme.k)
+    rows, k = idx.shape[0], scheme.k
+    idx += np.arange(rows)[:, None] * k  # row r counts in cells r*k .. r*k + k - 1
+    return np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
+
+
+# The edge-by-edge count makes one pass over the batch per interior edge, so
+# its cost grows with k where the search's grows with log k.  On a 2-core
+# Xeon it ran 1.9x, 1.45x and 1.08x the search's speed at 64 cells on
+# 500 x 50, 500 x 1000 and 100 x 10 000 batches, and fell behind it at
+# about 130, 110 and 80 cells.
+_EDGE_LOOP_MAX_CELLS = 64
+
+
+def _tally_by_edge(scheme: BinScheme, arr: np.ndarray) -> np.ndarray:
+    """tally of a 2-D batch: for each interior edge, the number of values in
+    each row strictly above it.  A cell's count is the count above its left
+    edge less the count above its right edge, all n values counted for the
+    edge 0 and none for the edge 1.  These are assign's counts (right-closed
+    cells, 0 and -0.0 in the first).
 
     The batch is copied as observations x rows, so each edge takes one
     comparison into a reused bool buffer and one sum that adds whole rows of
     it, in the smallest unsigned type that holds n (no count exceeds n).
     """
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim != 2:
-        return np.bincount(np.atleast_1d(assign(scheme, arr)), minlength=scheme.k)
     rows, n = arr.shape
     by_obs = np.ascontiguousarray(_unit_values(arr).T)
     above = np.empty((rows, scheme.k + 1), dtype=np.intp)

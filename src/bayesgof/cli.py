@@ -182,14 +182,18 @@ def _ensure_outdir(outdir: str) -> str:
 # dataset ingestion
 # ---------------------------------------------------------------------------
 
-def _open_input(path: str, what: str = "", **kwargs):
+def _unreadable(path: str, exc: OSError | ValueError) -> DataError:
+    """The error for an input file that cannot be opened or read."""
+    return DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def _open_input(path: str, **kwargs):
     """open() for reading; a path that cannot be opened, one holding a NUL
     byte included, is a DataError naming the file."""
     try:
         return open(path, **kwargs)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise DataError(f"cannot read {what}{path}: {reason}") from None
+        raise _unreadable(path, exc) from None
 
 
 def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
@@ -214,7 +218,7 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
                 )
             rows = [r for r in reader if any(cell.strip() for cell in r)]
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise _unreadable(path, exc) from exc
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
     except csv.Error as exc:
@@ -534,7 +538,7 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
             with _open_input(ns.draws_file, encoding="utf-8", errors="replace") as fh:
                 alerted = run(fh)
         except OSError as exc:
-            raise DataError(f"cannot read {ns.draws_file}: {exc.strerror or exc}") from exc
+            raise _unreadable(ns.draws_file, exc) from exc
 
     if counters["malformed"]:
         print(
@@ -575,7 +579,7 @@ def cmd_replay(ns: argparse.Namespace) -> int:
         with _open_input(ns.manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
-        raise DataError(f"cannot read {ns.manifest}: {exc.strerror or exc}") from exc
+        raise _unreadable(ns.manifest, exc) from exc
     except UnicodeDecodeError as exc:
         raise _undecodable(ns.manifest, exc) from None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
@@ -822,10 +826,29 @@ def _settable(parser: argparse.ArgumentParser, command: str) -> dict[str, argpar
 
 
 def _parse_command_line(parser: _Parser, args: list[str]) -> argparse.Namespace:
-    """Parse a command line whose --config file may set any flag, required
-    ones too.  A first pass with the required flags relaxed finds the file;
-    then its tokens and the command line are parsed together, the command
-    line last, so its flags win over the file's."""
+    """Parse a command line and the --config file it names.  The file's
+    tokens and the command line are parsed together, the command line last,
+    so its flags win over the file's."""
+    try:
+        ns = parser.parse_args(args)
+    except _UsageError as exc:
+        # a required flag missing from the command line may be in the file;
+        # any other error, or no file, keeps the strict parse's message
+        try:
+            ns = _parse_without_required(parser, args)
+        except _UsageError:
+            raise exc from None
+        if not getattr(ns, "config", None):
+            raise exc from None
+    config_path = getattr(ns, "config", None)
+    if not config_path:
+        return ns
+    tokens = _config_tokens(config_path, _settable(parser, ns.command))
+    return parser.parse_args([args[0], *tokens, *args[1:]])
+
+
+def _parse_without_required(parser: _Parser, args: list[str]) -> argparse.Namespace:
+    """parse_args with every subcommand's required flags made optional."""
     required = [
         a for sub in _subcommands(parser).values() for a in sub._actions
         if a.option_strings and a.required
@@ -833,21 +856,18 @@ def _parse_command_line(parser: _Parser, args: list[str]) -> argparse.Namespace:
     for action in required:
         action.required = False
     try:
-        ns = parser.parse_args(args)
+        return parser.parse_args(args)
     finally:
         for action in required:
             action.required = True
-    config_path = getattr(ns, "config", None)
-    tokens = _config_tokens(config_path, _settable(parser, ns.command)) if config_path else []
-    return parser.parse_args([args[0], *tokens, *args[1:]])
 
 
 def _config_tokens(path: str, actions: dict) -> list[str]:
     try:
-        with _open_input(path, "config ", encoding="utf-8") as fh:
+        with _open_input(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+        raise _unreadable(path, exc) from exc
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
     tokens: list[str] = []

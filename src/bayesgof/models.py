@@ -140,13 +140,9 @@ class NormalModel:
             -math.inf < mu_lo and mu_hi < math.inf and 0.0 < sigma_lo and sigma_hi < math.inf
         ):
             raise DomainError(f"normal parameters outside the space: mu={mu}, sigma={sigma}")
-        y = np.asarray(y, dtype=float)
-        if not mu.ndim:
-            return probkit.normal_cdf((y - mu) / sigma)
-        # a stack of draws, one row each, standardized in one buffer
-        z = np.subtract(y, mu[:, None])
-        z /= sigma[:, None]
-        return probkit.normal_cdf(z)
+        if mu.ndim:  # a stack of draws, one row each
+            mu, sigma = mu[:, None], sigma[:, None]
+        return probkit.normal_cdf((np.asarray(y, dtype=float) - mu) / sigma)
 
     def posterior_draw(self, data, rng: RngStream) -> tuple[float, float]:
         v = rng.open_uniform(2)

@@ -133,25 +133,11 @@ def student_t(df: float) -> ScalarDistribution:
 # vectorized primitive curves
 # ---------------------------------------------------------------------------
 
-_NEG_SQRT2 = -math.sqrt(2.0)
-
-
 def normal_cdf(z):
-    """Standard normal CDF as 0.5 * erfc(-z / sqrt(2)); absolute error at
-    double precision.
-
-    z / -sqrt(2) rounds exactly as -z / sqrt(2) does, since IEEE division
-    rounds the quotient of the magnitudes and sets the sign apart, so one
-    division makes the argument and erfc and the halving then work in its
-    buffer.
-    """
+    """Standard normal CDF via erfc; absolute error at double precision."""
     z = np.asarray(z, dtype=float)
-    if not z.ndim:
-        return float(0.5 * sp.erfc(z / _NEG_SQRT2))
-    out = np.divide(z, _NEG_SQRT2)
-    sp.erfc(out, out=out)
-    out *= 0.5
-    return out
+    out = 0.5 * sp.erfc(-z / math.sqrt(2.0))
+    return out if out.ndim else float(out)
 
 
 def normal_pdf(z):

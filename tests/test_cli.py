@@ -565,6 +565,22 @@ def test_required_flag_missing_from_file_and_command_line_exit_64(tmp_path, caps
     assert "the following arguments are required: --data" in capsys.readouterr().err
 
 
+def test_required_flags_missing_without_a_config_file_exit_64(tmp_path, capsys):
+    assert run_cli("analyze", "--outdir", tmp_path) == 64
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --data, --model" in err
+    assert "[-h] --data DATA --model" in err
+
+
+def test_usage_error_beside_a_config_file_keeps_the_strict_usage(tmp_path, normal_csv, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"data = {normal_csv}\n")
+    assert run_cli("analyze", "--config", cfgfile, "--model", "bogus", "--outdir", tmp_path) == 64
+    err = capsys.readouterr().err
+    assert "argument --model: invalid choice: 'bogus'" in err
+    assert "[-h] --data DATA --model" in err  # the required flags shown as required
+
+
 def test_input_path_holding_a_nul_byte_exit_65(tmp_path, normal_csv, capsys):
     assert run_cli("validate", "--data", "a\0b", "--outdir", tmp_path) == 65
     assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
