@@ -10,8 +10,8 @@ own parser; a config file may set required flags, and a manifest key it
 lacks takes the flag's default.
 
 Exit codes: 0 success, 2 calibration assertion failed, 3 monitor alert,
-64 usage error or unusable output directory, 65 data error (a recorded value
-the flag rejects too), 70 numerical failure.
+64 usage error or unusable output directory or file, 65 data error (a
+recorded value the flag rejects too), 70 numerical failure.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ EXIT_NUMERIC = 70
 
 MALFORMED_CAP = 0.10
 
+STANDARD_NORMAL = (0.0, 1.0)  # true (mu, sigma) of the normal model's null data
+
 DATASET_SCHEMA = """\
 Dataset files are headered CSV with column y (observations) and, for count
 models with known exposures, column E (positive offsets).  No other columns
@@ -65,7 +67,8 @@ flags take true/false.
 
 EXIT_HELP = """\
 Exit codes: 0 ok; 2 calibration assertion failed (--assert-calibrated);
-3 monitor alert; 64 usage error; 65 data error; 70 numerical failure.
+3 monitor alert; 64 usage error or unusable output; 65 data error;
+70 numerical failure.
 Environment: BAYESGOF_OUTDIR sets the default output directory.
 """
 
@@ -105,8 +108,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _open_output(path: str):
+    """open() for writing; a file that cannot be created, a path that is a
+    directory included, is a ConfigError naming the file."""
+    try:
+        return open(path, "w", newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot write {path}: {reason}") from None
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -153,7 +166,7 @@ def _write_manifest(
     if derived:
         manifest["derived"] = derived
     path = os.path.join(outdir, "manifest.json")
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -194,6 +207,14 @@ def _open_input(path: str, **kwargs):
         return open(path, **kwargs)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _unreadable(path, exc) from None
+
+
+def _read_lines(path: str, fh):
+    """The lines of fh; an error reading them is a DataError naming path."""
+    try:
+        yield from fh
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
 
 
 def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
@@ -314,7 +335,6 @@ def cmd_simulate_null(ns: argparse.Namespace) -> int:
     outdir = _ensure_outdir(ns.outdir)
     reps = 10000 if ns.full_scale else ns.reps
     cfg = ExperimentConfig(
-        model=ns.model,
         n=ns.n,
         bins=ns.k,
         replicates=reps,
@@ -322,10 +342,15 @@ def cmd_simulate_null(ns: argparse.Namespace) -> int:
         ks_alpha=ns.ks_alpha,
         include_classical=ns.classical,
         workers=ns.workers,
-        true_mean=ns.mean,
-        prior_exponent=ns.prior_exponent,
     )
-    result = harness.null_calibration(cfg)
+    if ns.mean <= 0:
+        raise ConfigError("--mean must be positive")
+    if ns.model == "normal":
+        model, truth = models.NormalModel(), STANDARD_NORMAL
+    else:  # poisson-synthetic: one free mean per observation, all at --mean
+        model = models.PoissonSaturated(np.ones(cfg.n), ns.prior_exponent)
+        truth = ns.mean * model.offsets
+    result = harness.null_calibration(cfg, model, truth)
 
     names = [n for n in ("posterior", "plugin", "grouped") if n in result.series]
     # a series gets a reference column iff it has a chi-square reference law
@@ -393,12 +418,14 @@ def cmd_power(ns: argparse.Namespace) -> int:
         df_grid=tuple(ns.df),
         methods=tuple(ns.methods),
     )
+    model = models.NormalModel()
     if ns.auc_critical is not None:
         critical = ns.auc_critical
     else:
         # fresh null run one seed over, so power replicates stay independent
-        critical = harness.null_auc_distribution(replace(cfg, seed=cfg.seed + 1)).critical
-    result = harness.power_study(cfg, critical)
+        null_cfg = replace(cfg, seed=cfg.seed + 1)
+        critical = harness.null_auc_distribution(null_cfg, model, STANDARD_NORMAL).critical
+    result = harness.power_study(cfg, critical, model, STANDARD_NORMAL)
     rows = [
         [row.df, row.method, row.rejections, row.replicates, row.rate]
         for row in result.rows
@@ -444,7 +471,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     _write_csv(os.path.join(outdir, "summary.csv"), header, [row])
     # the fields _write_csv would give (no field can need CSV quoting)
     dof = s.k - 1
-    with open(os.path.join(outdir, "trace.csv"), "w", newline="") as fh:
+    with _open_output(os.path.join(outdir, "trace.csv")) as fh:
         fh.write("draw,value,dof\n")
         fh.writelines(f"{i},{v:.17g},{dof}\n" for i, v in enumerate(result.values.tolist()))
     _write_manifest(
@@ -503,9 +530,9 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
             yield theta
 
     def run(lines) -> bool:
-        rng = split(RngStream(ns.seed), 0) if model.is_discrete else None
+        # a continuous model never reads, so never opens, the stream
         records = harness.stream_monitor(
-            parse_stream(lines), y, model, scheme, rng,
+            parse_stream(lines), y, model, scheme, split(RngStream(ns.seed), 0),
             threshold=ns.threshold, alert_factor=ns.alert_factor,
             min_draws=ns.min_draws,
         )
@@ -514,7 +541,7 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
         # give: ints, .17g floats (nan for an invalid draw) and true/false,
         # none of which can need CSV quoting
         flag = ("false", "true")
-        with open(os.path.join(outdir, "trace.csv"), "w", newline="") as fh:
+        with _open_output(os.path.join(outdir, "trace.csv")) as fh:
             fh.write("index,value,valid,exceeds,cumulative_rate,alert\n")
             for rec in records:
                 fh.write(
@@ -534,11 +561,8 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
             else (line.decode("utf-8", errors="replace") for line in binary)
         )
     else:
-        try:
-            with _open_input(ns.draws_file, encoding="utf-8", errors="replace") as fh:
-                alerted = run(fh)
-        except OSError as exc:
-            raise _unreadable(ns.draws_file, exc) from exc
+        with _open_input(ns.draws_file, encoding="utf-8", errors="replace") as fh:
+            alerted = run(_read_lines(ns.draws_file, fh))
 
     if counters["malformed"]:
         print(

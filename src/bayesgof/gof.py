@@ -18,7 +18,7 @@ import numpy as np
 
 from . import probkit
 from .binning import BinScheme, assign_discrete_randomized, tally
-from .errors import DomainError, EvaluationError, OptimizationError
+from .errors import ConfigError, DomainError, EvaluationError, OptimizationError
 from .probkit import RngStream
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "FittedStat",
     "OutcomeBins",
     "pearson",
+    "posterior_chisq",
     "posterior_chisq_continuous",
     "posterior_chisq_discrete_randomized",
     "posterior_chisq_fixed_outcome_bins",
@@ -203,6 +204,17 @@ def posterior_chisq_discrete_randomized(
     counts = np.bincount(idx, minlength=scheme.k)
     widths = scheme.widths()
     return BinnedStat(pearson(counts, widths), counts, widths)
+
+
+def posterior_chisq(data, model, theta, scheme: BinScheme, rng=None) -> BinnedStat:
+    """Pearson statistic at a posterior draw, by the model's kind: randomized
+    allocation from rng for a discrete model, the CDF transform for a
+    continuous one, which reads no rng."""
+    if not model.is_discrete:
+        return posterior_chisq_continuous(data, model, theta, scheme)
+    if rng is None:
+        raise ConfigError("discrete models need an rng for randomized allocation")
+    return posterior_chisq_discrete_randomized(data, model, theta, scheme, rng)
 
 
 def posterior_chisq_fixed_outcome_bins(

@@ -1,5 +1,10 @@
 """Monte Carlo harness: calibration, size/power studies, data analysis, monitoring.
 
+The studies name no model.  The caller passes a model and its true
+parameter, and a null replicate's data are model.predictive_draw(truth, ...)
+as in Cook, Gelman & Rubin (2006).  The power study's alternatives are
+Student-t data; there, truth fixes the classical cells.
+
 Replicates are independent work units.  Each replicate r derives its own
 random stream as split(root, r), so results are identical for any worker
 count and unaffected by adding or removing other replicates.  Worker threads
@@ -46,13 +51,7 @@ from . import probkit, gof
 from .binning import BinScheme, equiprobable, default_bin_count
 from .errors import ConfigError, DataError, DomainError, EvaluationError
 from .gof import OutcomeBins, reference_auc, exceedance
-from .models import (
-    NormalModel,
-    PoissonSaturated,
-    generate_null_normal,
-    generate_poisson,
-    generate_t,
-)
+from .models import generate_t
 from .probkit import RngStream, ScalarDistribution, split
 
 __all__ = [
@@ -83,7 +82,6 @@ POWER_METHODS = ("auc", "single-draw", "grouped")
 class ExperimentConfig:
     """Knobs for the simulation studies; unused fields are ignored by each op."""
 
-    model: str = "normal"  # "normal" or "poisson-synthetic"
     n: int = 50
     bins: int | None = None  # None: rule-of-thumb count for n
     replicates: int = 2000
@@ -95,12 +93,8 @@ class ExperimentConfig:
     workers: int = 1
     df_grid: tuple[int, ...] = (1, 2, 3, 5, 10)
     methods: tuple[str, ...] = POWER_METHODS
-    true_mean: float = 4.2
-    prior_exponent: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.model not in ("normal", "poisson-synthetic"):
-            raise ConfigError(f"unknown model {self.model!r}")
         if self.n < 2 or self.replicates < 1 or self.draws_per_dataset < 1:
             raise ConfigError("n, replicates and draws_per_dataset must be positive")
         if self.bins is not None and self.bins < 2:
@@ -113,8 +107,6 @@ class ExperimentConfig:
             raise ConfigError(f"methods must be among {POWER_METHODS}")
         if len(self.df_grid) < 1 or any(d <= 0 for d in self.df_grid):
             raise ConfigError("df_grid must be non-empty with positive entries")
-        if self.true_mean <= 0:
-            raise ConfigError("true_mean must be positive")
 
     @property
     def k(self) -> int:
@@ -281,9 +273,9 @@ def _map_replicates(fn: Callable[[int], object], reps: int, workers: int) -> lis
         return list(pool.map(fn, range(reps)))
 
 
-def _null_edges(k: int) -> np.ndarray:
-    """Data-space cut points at the null standard-normal k-tiles."""
-    return probkit.normal_quantile(np.arange(1, k) / k)
+def _require_continuous(model, what: str) -> None:
+    if model.is_discrete:
+        raise ConfigError(f"{what} defined for continuous models only")
 
 
 def _series(
@@ -306,60 +298,44 @@ def _series(
 # null calibration
 # ---------------------------------------------------------------------------
 
-def null_calibration(config: ExperimentConfig) -> CalibrationResult:
+def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResult:
     """Sampling distribution of the statistics under a correctly specified model.
 
-    One posterior draw per replicate dataset.  The posterior-draw statistic is
-    compared to chi-square(k - 1); when include_classical is set (normal model
-    only) the raw-MLE and grouped-MLE statistics are computed on the same
-    datasets with cells fixed at the null k-tiles.
+    Replicate r's data are model.predictive_draw(truth, split(c, 0)), with
+    c = split(root, r); its posterior draw is evaluated by gof.posterior_chisq
+    and compared to chi-square(k - 1).  When include_classical is set
+    (continuous models only) the raw-MLE and grouped-MLE statistics are
+    computed on the same datasets with cells fixed at the model's k-tiles at
+    truth.
     """
     t0 = time.perf_counter()
     root = RngStream(config.seed)
     k = config.k
     scheme = equiprobable(k)
+    if config.include_classical:
+        _require_continuous(model, "classical statistics are")
+        edges = model.quantile_edges(truth, k)
+
+    def one(r: int) -> tuple[float, float, float, int]:
+        c = split(root, r)
+        y = model.predictive_draw(truth, split(c, 0), n=config.n)
+        theta = model.posterior_draw(y, split(c, 1))
+        value = gof.posterior_chisq(y, model, theta, scheme, split(c, 2)).value
+        if not config.include_classical:
+            return (value, np.nan, np.nan, 0)
+        plug = gof.plugin_chisq(y, model, edges).value
+        grouped = gof.grouped_chisq(y, model, edges)
+        return (value, plug, grouped.value, grouped.iterations)
+
+    rows = np.asarray(_map_replicates(one, config.replicates, config.workers))
+    series = {"posterior": _series("posterior", rows[:, 0], k - 1, config.ks_alpha)}
     grouped_iterations = None
-
-    if config.model == "normal":
-        model = NormalModel()
-        edges = _null_edges(k)
-
-        def one(r: int) -> tuple[float, float, float, int]:
-            c = split(root, r)
-            y = generate_null_normal(config.n, split(c, 0))
-            theta = model.posterior_draw(y, split(c, 1))
-            value = gof.posterior_chisq_continuous(y, model, theta, scheme).value
-            if not config.include_classical:
-                return (value, np.nan, np.nan, 0)
-            plug = gof.plugin_chisq(y, model, edges).value
-            grouped = gof.grouped_chisq(y, model, edges)
-            return (value, plug, grouped.value, grouped.iterations)
-
-        rows = np.asarray(_map_replicates(one, config.replicates, config.workers))
-        series = {"posterior": _series("posterior", rows[:, 0], k - 1, config.ks_alpha)}
-        if config.include_classical:
-            series["plugin"] = _series("plugin", rows[:, 1], None, config.ks_alpha)
-            series["grouped"] = _series(
-                "grouped", rows[:, 2], k - 1 - model.n_params, config.ks_alpha
-            )
-            grouped_iterations = rows[:, 3].astype(int)
-    else:
-        if config.include_classical:
-            raise ConfigError("classical statistics are defined for the normal model only")
-        offsets = np.ones(config.n)
-        model = PoissonSaturated(offsets, config.prior_exponent)
-        means = config.true_mean * offsets
-
-        def one(r: int) -> float:
-            c = split(root, r)
-            y = generate_poisson(means, split(c, 0))
-            theta = model.posterior_draw(y, split(c, 1))
-            return gof.posterior_chisq_discrete_randomized(
-                y, model, theta, scheme, split(c, 2)
-            ).value
-
-        values = np.asarray(_map_replicates(one, config.replicates, config.workers))
-        series = {"posterior": _series("posterior", values, k - 1, config.ks_alpha)}
+    if config.include_classical:
+        series["plugin"] = _series("plugin", rows[:, 1], None, config.ks_alpha)
+        series["grouped"] = _series(
+            "grouped", rows[:, 2], k - 1 - model.n_params, config.ks_alpha
+        )
+        grouped_iterations = rows[:, 3].astype(int)
 
     return CalibrationResult(
         series=series,
@@ -377,7 +353,7 @@ def null_calibration(config: ExperimentConfig) -> CalibrationResult:
 
 def _auc_for_dataset(
     y: np.ndarray,
-    model: NormalModel,
+    model,
     scheme: BinScheme,
     draws: int,
     rng: RngStream,
@@ -398,24 +374,23 @@ def _upper_critical(values: np.ndarray, alpha: float) -> float:
     return float(values[idx])
 
 
-def null_auc_distribution(config: ExperimentConfig) -> AucDistribution:
-    """Null sampling distribution of the AUC summary for the normal model,
+def null_auc_distribution(config: ExperimentConfig, model, truth) -> AucDistribution:
+    """Null sampling distribution of the AUC summary for a continuous model,
     and the empirical critical value at the configured test level.
 
-    The same draws give the null distribution of the exceedance fraction over
-    the upper-alpha chi-square(k - 1) point, with its critical value.
+    Dataset r is model.predictive_draw(truth, split(c, 0)).  The same draws
+    give the null distribution of the exceedance fraction over the
+    upper-alpha chi-square(k - 1) point, with its critical value.
     """
-    if config.model != "normal":
-        raise ConfigError("the AUC null distribution is tabulated for the normal model")
+    _require_continuous(model, "the AUC null distribution is")
     root = RngStream(config.seed)
     k = config.k
     scheme = equiprobable(k)
-    model = NormalModel()
     threshold = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
 
     def one(r: int) -> tuple[float, float]:
         c = split(root, r)
-        y = generate_null_normal(config.n, split(c, 0))
+        y = model.predictive_draw(truth, split(c, 0), n=config.n)
         auc, _, fraction = _auc_for_dataset(
             y, model, scheme, config.draws_per_dataset, split(c, 1), threshold
         )
@@ -435,13 +410,15 @@ def null_auc_distribution(config: ExperimentConfig) -> AucDistribution:
     )
 
 
-def power_study(config: ExperimentConfig, auc_critical: float) -> PowerResult:
-    """Rejection rates against heavier-tailed alternatives on the df grid.
+def power_study(config: ExperimentConfig, auc_critical: float, model, truth) -> PowerResult:
+    """Rejection rates of a continuous model against heavier-tailed Student-t
+    alternatives on the df grid.
 
     Three tests, all at the same nominal level: the AUC summary against its
     stored null critical value; the first-draw statistic against the upper
     chi-square(k - 1) point; and the grouped-MLE statistic against the upper
-    chi-square(k - 1 - s) point with cells fixed at the null k-tiles.
+    chi-square(k - 1 - s) point with cells fixed at the model's k-tiles at
+    truth.
 
     The AUC test decides from all of a dataset's draws.  The single-draw test
     is randomized given the data: it rejects with probability equal to the
@@ -452,15 +429,13 @@ def power_study(config: ExperimentConfig, auc_critical: float) -> PowerResult:
     alpha and draw count they give the exceedance-proportion test, the
     non-randomized form of the single-draw test.
     """
-    if config.model != "normal":
-        raise ConfigError("the power study is defined for the normal model")
+    _require_continuous(model, "the power study is")
     if not np.isfinite(auc_critical) or not 0.0 < auc_critical < 1.0:
         raise ConfigError(f"auc_critical must lie in (0, 1), got {auc_critical}")
     root = RngStream(config.seed)
     k = config.k
     scheme = equiprobable(k)
-    model = NormalModel()
-    edges = _null_edges(k)
+    edges = model.quantile_edges(truth, k)
     single_crit = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
     grouped_crit = probkit.chi2_quantile(k - 1 - model.n_params, 1.0 - config.alpha)
 
@@ -638,6 +613,8 @@ def stream_monitor(
     exceedance rate over valid draws.  The alert flag latches once the rate
     sits above alert_factor times the reference tail mass with at least
     min_draws valid draws seen.  Memory use is constant in stream length.
+    Each draw is evaluated by gof.posterior_chisq, so a discrete model needs
+    rng for its randomized allocation.
 
     The default factor is deliberately far above 1: on a well-specified
     model the per-dataset exceedance rate varies widely around the nominal
@@ -654,20 +631,12 @@ def stream_monitor(
     nominal = probkit.chi2_survival(scheme.k - 1, thr)
     band = alert_factor * nominal
 
-    if model.is_discrete and rng is None:
-        raise ConfigError("discrete models need an rng for randomized allocation")
-
     seen_valid = 0
     exceed_count = 0
     alerted = False
     for index, theta in enumerate(draw_stream):
         try:
-            if model.is_discrete:
-                value = gof.posterior_chisq_discrete_randomized(
-                    y, model, theta, scheme, rng
-                ).value
-            else:
-                value = gof.posterior_chisq_continuous(y, model, theta, scheme).value
+            value = gof.posterior_chisq(y, model, theta, scheme, rng).value
             valid = True
             reason = ""
         # package errors only: anything else is a fault in the evaluator

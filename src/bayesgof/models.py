@@ -10,15 +10,17 @@ harness and cli modules:
   the observed value, and ``obs_logpmf`` its log mass, which tells a zero
   mass from one too small for the rounded CDF pair to resolve;
 - ``posterior_draw`` / ``posterior_draws`` / ``posterior_sample`` sample the
-  parameter from its posterior given the data;
+  parameter from its posterior given the data; for the conjugate models
+  ``posterior_draw`` is draw 0 of a one-draw ``posterior_draws``;
 - ``predictive_draw`` replicates a dataset at a fixed parameter value;
 - ``obs_mean_var`` gives per-observation predictive moments;
 - ``theta_from_vector(values)`` builds theta from a flat vector of
   ``theta_size`` values, raising DomainError for a wrong length, a
   non-finite value or a non-positive scale, rate, mean or sigma2;
 - ``mle`` gives the raw-data maximum-likelihood estimate; for the classical
-  comparators the normal model also has ``cell_probs`` for data-space cut
-  points, ``free_params`` / ``theta_from_free`` for unconstrained
+  comparators the normal model also has ``quantile_edges`` for the
+  data-space cut points at a parameter value, ``cell_probs`` for the cells
+  between cut points, ``free_params`` / ``theta_from_free`` for unconstrained
   coordinates, and ``cell_probs_jacobian`` for the derivative of the cell
   probabilities in those coordinates.
 
@@ -49,9 +51,7 @@ __all__ = [
     "ChainSettings",
     "ChainResult",
     "normal_posterior_from_uniforms",
-    "generate_null_normal",
     "generate_t",
-    "generate_poisson",
 ]
 
 
@@ -94,8 +94,8 @@ def _span(a: np.ndarray) -> tuple[float, float]:
     return float(a), float(a)
 
 
-def normal_posterior_from_uniforms(data, v_sigma: float, v_mu: float) -> tuple[float, float]:
-    """Deterministic posterior draw from two explicit uniforms.
+def normal_posterior_from_uniforms(data, v_sigma, v_mu):
+    """Deterministic posterior draws from explicit uniforms.
 
     The scale is inverted first from its marginal posterior, then the
     location from its conditional posterior given that scale:
@@ -104,18 +104,20 @@ def normal_posterior_from_uniforms(data, v_sigma: float, v_mu: float) -> tuple[f
                   point at v_sigma,
         mu      = ybar + sigma / sqrt(n) * Phi^{-1}(v_mu).
 
-    Feeding fixed uniforms makes the construction exactly equivariant under
-    affine changes of the data, which is what pins down location-scale
-    invariance of the downstream statistics.
+    Two floats give one draw; two arrays of uniforms give arrays of draws,
+    element i from (v_sigma[i], v_mu[i]).  Feeding fixed uniforms makes the
+    construction exactly equivariant under affine changes of the data, which
+    is what pins down location-scale invariance of the downstream statistics.
     """
     y, s2 = _normal_sample(data)
-    if not (0.0 < v_sigma < 1.0 and 0.0 < v_mu < 1.0):
+    v_sigma, v_mu = np.asarray(v_sigma, dtype=float), np.asarray(v_mu, dtype=float)
+    (s_lo, s_hi), (m_lo, m_hi) = _span(v_sigma), _span(v_mu)
+    if not (0.0 < s_lo and s_hi < 1.0 and 0.0 < m_lo and m_hi < 1.0):  # NaN fails too
         raise DomainError("uniforms must lie strictly inside (0, 1)")
     n = y.size
-    sigma2 = (n - 1) * s2 / probkit.chi2_upper_quantile(n - 1, v_sigma)
-    sigma = math.sqrt(sigma2)
+    sigma = np.sqrt((n - 1) * s2 / probkit.chi2_upper_quantile(n - 1, v_sigma))
     mu = y.mean() + sigma / math.sqrt(n) * probkit.normal_quantile(v_mu)
-    return (mu, sigma)
+    return mu, sigma
 
 
 class NormalModel:
@@ -145,17 +147,13 @@ class NormalModel:
         return probkit.normal_cdf((np.asarray(y, dtype=float) - mu) / sigma)
 
     def posterior_draw(self, data, rng: RngStream) -> tuple[float, float]:
-        v = rng.open_uniform(2)
-        return normal_posterior_from_uniforms(data, v[0], v[1])
+        mu, sigma = self.posterior_draws(data, 1, rng)
+        return (float(mu[0]), float(sigma[0]))
 
     def posterior_draws(self, data, size: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized draws; row i equals posterior_draw under the same stream."""
-        y, s2 = _normal_sample(data)
-        n = y.size
+        """Stacked draws; draw 0 equals posterior_draw under the same stream."""
         v = rng.open_uniform((size, 2))
-        sigma = np.sqrt((n - 1) * s2 / probkit.chi2_upper_quantile(n - 1, v[:, 0]))
-        mu = y.mean() + sigma / math.sqrt(n) * probkit.normal_quantile(v[:, 1])
-        return mu, sigma
+        return normal_posterior_from_uniforms(data, v[:, 0], v[:, 1])
 
     def posterior_sample(self, data, n_draws: int, rng: RngStream) -> list[tuple[float, float]]:
         mu, sigma = self.posterior_draws(data, n_draws, rng)
@@ -164,6 +162,11 @@ class NormalModel:
     def predictive_draw(self, theta, rng: RngStream, n: int) -> np.ndarray:
         mu, sigma = theta
         return mu + sigma * rng.generator.standard_normal(n)
+
+    def quantile_edges(self, theta, k: int) -> np.ndarray:
+        """The k - 1 data-space cut points at the k-tiles of the model at theta."""
+        mu, sigma = theta
+        return mu + sigma * probkit.normal_quantile(np.arange(1, k) / k)
 
     def mle(self, data) -> tuple[float, float]:
         y = _normal_sample(data)[0]
@@ -278,7 +281,11 @@ class _PoissonBase:
         return _poisson_outcome_bin_probs(self.means(theta), bins)
 
     def predictive_draw(self, theta, rng: RngStream, n: int | None = None) -> np.ndarray:
-        return rng.generator.poisson(self.means(theta))
+        means = self.means(theta)
+        low, high = _span(means)
+        if not (0.0 < low and high < np.inf):  # NaN fails too
+            raise DomainError("Poisson means must be positive and finite")
+        return rng.generator.poisson(means)
 
     def obs_mean_var(self, theta):
         m = self.means(theta)
@@ -309,7 +316,7 @@ class PoissonCommonRate(_PoissonBase):
         return probkit.gamma_rate(total, float(self.offsets.sum()))
 
     def posterior_draw(self, data, rng: RngStream) -> float:
-        return float(probkit.sample(self.posterior_distribution(data), rng))
+        return float(self.posterior_draws(data, 1, rng)[0])
 
     def posterior_draws(self, data, size: int, rng: RngStream) -> np.ndarray:
         d = self.posterior_distribution(data)
@@ -363,7 +370,7 @@ class PoissonSaturated(_PoissonBase):
         return shapes
 
     def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
-        return rng.generator.gamma(self._posterior_shapes(data), 1.0)
+        return self.posterior_draws(data, 1, rng)[0]
 
     def posterior_draws(self, data, size: int, rng: RngStream) -> np.ndarray:
         shapes = self._posterior_shapes(data)
@@ -599,24 +606,11 @@ class PoissonExchangeable(_PoissonBase):
 
 
 # ---------------------------------------------------------------------------
-# data generators for the simulation harness
+# alternative data for the power study
 # ---------------------------------------------------------------------------
-
-def generate_null_normal(n: int, rng: RngStream) -> np.ndarray:
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    return rng.generator.standard_normal(n)
-
 
 def generate_t(n: int, df: float, rng: RngStream) -> np.ndarray:
     """Heavier-tailed alternative: i.i.d. Student-t draws."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     return probkit.sample(probkit.student_t(df), rng, n)
-
-
-def generate_poisson(means, rng: RngStream) -> np.ndarray:
-    m = np.asarray(means, dtype=float)
-    if np.any(m <= 0) or not np.all(np.isfinite(m)):
-        raise DomainError("Poisson means must be positive and finite")
-    return rng.generator.poisson(m)

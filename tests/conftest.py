@@ -14,6 +14,10 @@ from bayesgof.harness import (
     null_calibration,
     power_study,
 )
+from bayesgof.models import NormalModel
+
+# the true (mu, sigma) of the normal model's null data
+STANDARD_NORMAL = (0.0, 1.0)
 
 # verdict lines recorded by the acceptance tests; replayed after the run so
 # they land on the real terminal rather than in pytest's captured stdout
@@ -33,28 +37,24 @@ def null_run_2000():
 
     Returns (result, wall_seconds); the timing feeds the runtime budget check.
     """
-    cfg = ExperimentConfig(
-        model="normal", n=50, bins=5, replicates=2000, seed=8, include_classical=True
-    )
+    cfg = ExperimentConfig(n=50, bins=5, replicates=2000, seed=8, include_classical=True)
     t0 = time.perf_counter()
-    res = null_calibration(cfg)
+    res = null_calibration(cfg, NormalModel(), STANDARD_NORMAL)
     return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def stored_auc_null():
     """Null distribution of the tail-area summary, 2000 datasets x 500 draws."""
-    cfg = ExperimentConfig(
-        model="normal", n=50, bins=5, replicates=2000, seed=11, draws_per_dataset=500
-    )
-    return null_auc_distribution(cfg)
+    cfg = ExperimentConfig(n=50, bins=5, replicates=2000, seed=11, draws_per_dataset=500)
+    return null_auc_distribution(cfg, NormalModel(), STANDARD_NORMAL)
 
 
 @pytest.fixture(scope="session")
 def power_result(stored_auc_null):
     """Rejection rates against t alternatives at df 1, 2, 3, 5, 10."""
     cfg = ExperimentConfig(
-        model="normal", n=50, bins=5, replicates=1000, seed=500,
+        n=50, bins=5, replicates=1000, seed=500,
         draws_per_dataset=500, df_grid=(1, 2, 3, 5, 10),
     )
-    return power_study(cfg, stored_auc_null.critical)
+    return power_study(cfg, stored_auc_null.critical, NormalModel(), STANDARD_NORMAL)

@@ -27,7 +27,6 @@ from bayesgof.models import (
     PoissonCommonRate,
     PoissonExchangeable,
     PoissonSaturated,
-    generate_null_normal,
     normal_posterior_from_uniforms,
 )
 from bayesgof.probkit import RngStream, split
@@ -97,7 +96,7 @@ def test_criterion_04_test_sizes(stored_auc_null):
     trials = 1000
     for r in range(trials):
         c = split(root, r)
-        y = generate_null_normal(50, split(c, 0))
+        y = model.predictive_draw(conftest.STANDARD_NORMAL, split(c, 0), n=50)
         res = analyze(y, model, split(c, 1), n_draws=500, scheme=scheme)
         auc_rej += int(res.summary.auc > stored_auc_null.critical)
         single_rej += int(res.values[0] > single_crit)
@@ -162,11 +161,9 @@ def test_criterion_05_power_ordering(power_result, stored_auc_null):
 
 
 def test_criterion_06_dimension_independence():
-    cfg = ExperimentConfig(
-        model="poisson-synthetic", n=200, bins=5, replicates=1000, seed=42,
-        true_mean=4.2, prior_exponent=0.5,
-    )
-    res = null_calibration(cfg)
+    cfg = ExperimentConfig(n=200, bins=5, replicates=1000, seed=42)
+    model = PoissonSaturated(np.ones(cfg.n), prior_exponent=0.5)
+    res = null_calibration(cfg, model, 4.2 * model.offsets)
     s = res.series["posterior"]
     ks = s.ks
     ok = ks.passed

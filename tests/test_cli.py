@@ -630,6 +630,30 @@ def test_unusable_outdir_exit_64(tmp_path, normal_csv, capsys):
     assert "Traceback" not in err
 
 
+# an output path that is a directory cannot be written: a usage error naming
+# the file, never a traceback, and never reported as an input error
+def test_unwritable_analyze_output_exit_64(tmp_path, normal_csv, capsys):
+    out = tmp_path / "o6"
+    (out / "summary.csv").mkdir(parents=True)
+    assert run_cli("analyze", "--data", normal_csv, "--model", "normal", "--draws", "30",
+                   "--outdir", out) == 64
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out / 'summary.csv'}: Is a directory" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_monitor_output_exit_64(tmp_path, normal_csv, capsys):
+    out = tmp_path / "o5"
+    (out / "trace.csv").mkdir(parents=True)
+    draws = tmp_path / "d.txt"
+    draws.write_text("0.1 1.2\n")
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--draws-file", draws, "--outdir", out) == 64
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out / 'trace.csv'}: Is a directory" in err
+    assert "cannot read" not in err
+
+
 def test_config_value_may_begin_with_a_dash(tmp_path, normal_csv, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfgfile = tmp_path / "run.cfg"
@@ -658,7 +682,7 @@ def test_replay_rejects_mutually_exclusive_keys(tmp_path, monkeypatch, capsys):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
 
-    def no_study(config):
+    def no_study(config, model, truth):
         raise AssertionError("a replicate ran")
 
     monkeypatch.setattr(harness, "null_calibration", no_study)
@@ -673,9 +697,9 @@ def test_replay_of_a_full_scale_manifest_runs_full_scale(tmp_path, monkeypatch):
     asked = []
     study = harness.null_calibration
 
-    def short_study(config):
+    def short_study(config, model, truth):
         asked.append(config.replicates)
-        return study(dataclasses.replace(config, replicates=5))
+        return study(dataclasses.replace(config, replicates=5), model, truth)
 
     monkeypatch.setattr(harness, "null_calibration", short_study)
     first, second = tmp_path / "first", tmp_path / "second"

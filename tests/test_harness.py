@@ -2,6 +2,7 @@
 analysis summaries, the predictive significance test, and the stream monitor."""
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,8 +22,13 @@ from bayesgof.harness import (
     predictive_auc_test,
     stream_monitor,
 )
-from bayesgof.models import NormalModel, PoissonCommonRate, generate_t
+from bayesgof.models import NormalModel, PoissonCommonRate, PoissonSaturated, generate_t
 from bayesgof.probkit import RngStream, split
+from conftest import STANDARD_NORMAL
+
+
+def normal_null(config):
+    return null_calibration(config, NormalModel(), STANDARD_NORMAL)
 
 
 def test_ks_exact_plotting_quantiles():
@@ -61,8 +67,6 @@ def test_ks_critical_constants():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ExperimentConfig(model="weibull")
-    with pytest.raises(ConfigError):
         ExperimentConfig(replicates=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(alpha=1.0)
@@ -79,7 +83,7 @@ def test_default_bin_rule_in_config():
 
 
 def test_single_replicate_skips_ks():
-    res = null_calibration(ExperimentConfig(n=30, replicates=1, seed=4))
+    res = normal_null(ExperimentConfig(n=30, replicates=1, seed=4))
     s = res.series["posterior"]
     assert s.values.shape == (1,)
     assert s.ks is None
@@ -87,8 +91,8 @@ def test_single_replicate_skips_ks():
 
 def test_replicate_values_are_independent_of_count():
     # the first 10 replicates must not change when 15 more are appended
-    small = null_calibration(ExperimentConfig(n=30, replicates=10, seed=9))
-    large = null_calibration(ExperimentConfig(n=30, replicates=25, seed=9))
+    small = normal_null(ExperimentConfig(n=30, replicates=10, seed=9))
+    large = normal_null(ExperimentConfig(n=30, replicates=25, seed=9))
     small_counts = collections.Counter(np.round(small.series["posterior"].values, 12))
     large_counts = collections.Counter(np.round(large.series["posterior"].values, 12))
     assert all(large_counts[v] >= c for v, c in small_counts.items())
@@ -96,23 +100,37 @@ def test_replicate_values_are_independent_of_count():
 
 def test_worker_count_does_not_change_results():
     base = ExperimentConfig(n=40, replicates=60, seed=14, include_classical=True)
-    one = null_calibration(base)
-    four = null_calibration(ExperimentConfig(**{**base.__dict__, "workers": 4}))
+    one = normal_null(base)
+    four = normal_null(ExperimentConfig(**{**base.__dict__, "workers": 4}))
     for name in ("posterior", "plugin", "grouped"):
         assert np.array_equal(one.series[name].values, four.series[name].values)
 
 
 def test_classical_requires_normal_model():
-    cfg = ExperimentConfig(model="poisson-synthetic", n=30, replicates=5,
-                           include_classical=True)
+    cfg = ExperimentConfig(n=30, replicates=5, include_classical=True)
+    model = PoissonSaturated(np.ones(cfg.n))
     with pytest.raises(ConfigError):
-        null_calibration(cfg)
+        null_calibration(cfg, model, 4.2 * model.offsets)
 
 
 def test_auc_null_requires_normal_model():
-    cfg = ExperimentConfig(model="poisson-synthetic", n=30, replicates=30)
+    cfg = ExperimentConfig(n=30, replicates=30)
+    model = PoissonSaturated(np.ones(cfg.n))
     with pytest.raises(ConfigError):
-        null_auc_distribution(cfg)
+        null_auc_distribution(cfg, model, 4.2 * model.offsets)
+    with pytest.raises(ConfigError):
+        power_study(cfg, 0.786, model, 4.2 * model.offsets)
+
+
+def test_null_calibration_runs_a_model_the_cli_never_maps():
+    # the common-rate model has no simulate-null mapping; the study takes it
+    # as it takes any model, and its draws are calibrated
+    cfg = ExperimentConfig(n=60, replicates=300, seed=17)
+    model = PoissonCommonRate(np.ones(cfg.n))
+    one = null_calibration(cfg, model, 4.2)
+    two = null_calibration(dataclasses.replace(cfg, workers=2), model, 4.2)
+    assert one.series["posterior"].ks.passed
+    assert np.array_equal(one.series["posterior"].values, two.series["posterior"].values)
 
 
 def test_auc_null_centering(stored_auc_null):
@@ -140,7 +158,7 @@ def test_exceedance_critical_is_upper_alpha_point(stored_auc_null):
 def test_power_exceedance_matches_scalar_recomputation():
     cfg = ExperimentConfig(n=50, bins=5, replicates=20, seed=21, df_grid=(2, 5),
                            draws_per_dataset=50, methods=("auc", "single-draw"))
-    res = power_study(cfg, auc_critical=0.786)
+    res = power_study(cfg, 0.786, NormalModel(), STANDARD_NORMAL)
     assert sorted(res.exceedance_fractions) == [2.0, 5.0]
     model = NormalModel()
     scheme = equiprobable(5)
@@ -207,7 +225,7 @@ def test_power_gap_matches_independent_oracle(power_result):
 def test_power_rows_shape():
     cfg = ExperimentConfig(n=50, replicates=40, seed=3, df_grid=(1, 5),
                            draws_per_dataset=100)
-    res = power_study(cfg, auc_critical=0.786)
+    res = power_study(cfg, 0.786, NormalModel(), STANDARD_NORMAL)
     assert len(res.rows) == 2 * 3
     for row in res.rows:
         assert 0.0 <= row.rate <= 1.0

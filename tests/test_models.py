@@ -22,8 +22,6 @@ from bayesgof.models import (
     PoissonCommonRate,
     PoissonExchangeable,
     PoissonSaturated,
-    generate_null_normal,
-    generate_poisson,
     generate_t,
     normal_posterior_from_uniforms,
 )
@@ -106,6 +104,43 @@ def test_normal_from_uniforms_scale_equivariance(normal_data):
     mu1, s1 = normal_posterior_from_uniforms(3.0 * normal_data, v1, v2)
     assert mu1 == pytest.approx(3.0 * mu0, rel=1e-12)
     assert s1 == pytest.approx(3.0 * s0, rel=1e-12)
+
+
+def test_normal_from_uniforms_vectorized_matches_scalar(normal_data):
+    v1 = np.array([0.37, 0.11, 1e-300, 0.999])
+    v2 = np.array([0.81, 0.64, 0.5, 1e-9])
+    mu, sigma = normal_posterior_from_uniforms(normal_data, v1, v2)
+    for i in range(v1.size):
+        assert (mu[i], sigma[i]) == normal_posterior_from_uniforms(normal_data, v1[i], v2[i])
+    with pytest.raises(DomainError):
+        normal_posterior_from_uniforms(normal_data, v1, np.array([0.5, 0.5, 1.0, 0.5]))
+
+
+def test_posterior_draw_is_draw_zero_of_posterior_draws():
+    # draw 0 of a stack, at any stack size, equals one draw made directly from
+    # the same stream, and posterior_draw returns it
+    gen = np.random.default_rng(31)
+    y = gen.normal(1.0, 2.0, 25)
+    counts = gen.poisson(3.0, 25)
+    offsets = gen.uniform(0.5, 2.0, 25)
+    normal, common = NormalModel(), PoissonCommonRate(offsets)
+    saturated = PoissonSaturated(offsets, prior_exponent=0.5)
+    for seed in range(300):
+        v = RngStream(seed).open_uniform(2)
+        direct = normal_posterior_from_uniforms(y, v[0], v[1])
+        assert normal.posterior_draw(y, RngStream(seed)) == direct
+        for size in (1, 7):
+            mu, sigma = normal.posterior_draws(y, size, RngStream(seed))
+            assert (mu[0], sigma[0]) == direct
+    for seed in range(200):
+        rate = probkit.sample(common.posterior_distribution(counts), RngStream(seed))
+        means = RngStream(seed).generator.gamma(counts + 0.5, 1.0)
+        assert common.posterior_draw(counts, RngStream(seed)) == rate
+        assert np.array_equal(saturated.posterior_draw(counts, RngStream(seed)), means)
+        for size in (1, 7):
+            assert common.posterior_draws(counts, size, RngStream(seed))[0] == rate
+            stack = saturated.posterior_draws(counts, size, RngStream(seed))
+            assert np.array_equal(stack[0], means)
 
 
 def test_normal_mle_hand_value():
@@ -256,7 +291,7 @@ def test_poisson_cdf_series_oracle():
 
 
 def test_generator_moments():
-    y = generate_null_normal(100_000, RngStream(18))
+    y = NormalModel().predictive_draw((0.0, 1.0), RngStream(18), n=100_000)
     assert abs(y.mean()) < 0.01
     assert abs(y.var() - 1.0) < 0.02
     t10 = generate_t(100_000, 10, RngStream(19))
@@ -265,10 +300,17 @@ def test_generator_moments():
     assert abs(np.median(t1)) < 0.05
 
 
-def test_generate_poisson_uses_means():
+def test_poisson_predictive_draw_uses_means():
     means = np.array([2.0, 20.0, 200.0])
-    y = np.stack([generate_poisson(means, split(RngStream(21), i)) for i in range(4000)])
+    model = PoissonSaturated(np.ones(3))
+    y = np.stack([model.predictive_draw(means, split(RngStream(21), i)) for i in range(4000)])
     assert np.allclose(y.mean(axis=0), means, rtol=0.05)
+
+
+@pytest.mark.parametrize("means", [[2.0, 0.0], [2.0, -1.0], [2.0, np.nan], [np.inf, 2.0]])
+def test_poisson_predictive_draw_rejects_invalid_means(means):
+    with pytest.raises(DomainError, match="positive and finite"):
+        PoissonSaturated(np.ones(2)).predictive_draw(np.array(means), RngStream(0))
 
 
 def test_exchangeable_collapse_to_common_rate():
@@ -316,10 +358,10 @@ def test_exchangeable_interval_coverage():
     for r in range(100):
         rep = split(root, r)
         gamma = true_sg * split(rep, 0).generator.standard_normal(n)
-        y = generate_poisson(np.exp(true_a0 + gamma) * offsets, split(rep, 1))
+        model = PoissonExchangeable(offsets)
+        y = model.predictive_draw(ExchangeableDraw(true_a0, gamma, true_sg**2), split(rep, 1))
         if y.sum() < 1:
             continue
-        model = PoissonExchangeable(offsets)
         draws = model.run_chain(y, split(rep, 2), settings).draws
         a0s = np.array([d.alpha0 for d in draws])
         lo, hi = np.quantile(a0s, [0.025, 0.975])
