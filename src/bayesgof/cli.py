@@ -343,11 +343,11 @@ def cmd_simulate_null(ns: argparse.Namespace) -> int:
         include_classical=ns.classical,
         workers=ns.workers,
     )
-    if ns.mean <= 0:
-        raise ConfigError("--mean must be positive")
     if ns.model == "normal":
         model, truth = models.NormalModel(), STANDARD_NORMAL
     else:  # poisson-synthetic: one free mean per observation, all at --mean
+        if ns.mean <= 0:
+            raise ConfigError("--mean must be positive")
         model = models.PoissonSaturated(np.ones(cfg.n), ns.prior_exponent)
         truth = ns.mean * model.offsets
     result = harness.null_calibration(cfg, model, truth)

@@ -24,12 +24,10 @@ from .probkit import RngStream
 __all__ = [
     "BinnedStat",
     "FittedStat",
-    "OutcomeBins",
     "pearson",
     "posterior_chisq",
     "posterior_chisq_continuous",
     "posterior_chisq_discrete_randomized",
-    "posterior_chisq_fixed_outcome_bins",
     "plugin_chisq",
     "grouped_chisq",
     "chisq_discrepancy",
@@ -66,33 +64,6 @@ class FittedStat:
     probs: np.ndarray
     theta: tuple
     iterations: int = 0
-
-
-@dataclass(frozen=True)
-class OutcomeBins:
-    """Partition of the non-negative integers into contiguous cells.
-
-    ``uppers`` holds the inclusive upper endpoint of every cell but the last;
-    the last cell is open-ended.  uppers (1, 3, 5) means cells
-    {0-1}, {2-3}, {4-5}, {6, 7, ...}.
-    """
-
-    uppers: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        u = self.uppers
-        if len(u) < 1:
-            raise DomainError("outcome bins need at least one finite upper endpoint")
-        if u[0] < 0 or any(a >= b for a, b in zip(u, u[1:])):
-            raise DomainError("uppers must be non-negative and strictly increasing")
-
-    @property
-    def k(self) -> int:
-        return len(self.uppers) + 1
-
-    def counts(self, y: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(np.asarray(self.uppers), y, side="left")
-        return np.bincount(idx, minlength=self.k)
 
 
 def pearson(counts, probs):
@@ -215,24 +186,6 @@ def posterior_chisq(data, model, theta, scheme: BinScheme, rng=None) -> BinnedSt
     if rng is None:
         raise ConfigError("discrete models need an rng for randomized allocation")
     return posterior_chisq_discrete_randomized(data, model, theta, scheme, rng)
-
-
-def posterior_chisq_fixed_outcome_bins(
-    data, model, theta, bins: OutcomeBins
-) -> BinnedStat:
-    """Discrete-data variant with cells fixed in outcome space.
-
-    Observed counts are parameter-free; the cell probabilities are averaged
-    per-observation model probabilities at the sampled parameter value.
-    """
-    y = np.asarray(data)
-    counts = bins.counts(y)
-    probs = np.asarray(model.outcome_bin_probs(theta, bins), dtype=float)
-    if probs.ndim == 2:
-        probs = probs.mean(axis=0)
-    if not np.all(np.isfinite(probs)):
-        raise EvaluationError("outcome-bin probabilities are not finite")
-    return BinnedStat(pearson(counts, probs), counts, probs)
 
 
 def _data_space_counts(y: np.ndarray, edges) -> np.ndarray:

@@ -50,9 +50,9 @@ import numpy as np
 from . import probkit, gof
 from .binning import BinScheme, equiprobable, default_bin_count
 from .errors import ConfigError, DataError, DomainError, EvaluationError
-from .gof import OutcomeBins, reference_auc, exceedance
+from .gof import reference_auc, exceedance
 from .models import generate_t
-from .probkit import RngStream, ScalarDistribution, split
+from .probkit import RngStream, split
 
 __all__ = [
     "ExperimentConfig",
@@ -246,8 +246,9 @@ class MonitorRecord:
 # small shared pieces
 # ---------------------------------------------------------------------------
 
-def ks_statistic(values, reference: ScalarDistribution, alpha: float = 0.01) -> KsResult:
-    """One-sample Kolmogorov-Smirnov distance with its asymptotic critical value.
+def ks_statistic(values, cdf: Callable, alpha: float = 0.01) -> KsResult:
+    """One-sample Kolmogorov-Smirnov distance from the reference CDF, a
+    vectorized callable, with its asymptotic critical value.
 
     critical = c(alpha) / sqrt(N) with c = sqrt(-ln(alpha/2) / 2); the sample
     must hold at least 20 points for the asymptotic regime to be meaningful.
@@ -257,7 +258,7 @@ def ks_statistic(values, reference: ScalarDistribution, alpha: float = 0.01) -> 
         raise DomainError(f"KS needs at least 20 observations, got {v.size}")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    cdf_vals = np.asarray(probkit.cdf(reference, v), dtype=float)
+    cdf_vals = np.asarray(cdf(v), dtype=float)
     i = np.arange(1, v.size + 1)
     d_plus = np.max(i / v.size - cdf_vals)
     d_minus = np.max(cdf_vals - (i - 1) / v.size)
@@ -286,7 +287,10 @@ def _series(
     if ref_df is not None:
         ref = probkit.chi2_quantile(ref_df, pp)
         # below the KS asymptotic minimum the test is skipped, not failed
-        ks = ks_statistic(v, probkit.chi_squared(ref_df), ks_alpha) if v.size >= 20 else None
+        ks = (
+            ks_statistic(v, lambda x: probkit.chi2_cdf(ref_df, x), ks_alpha)
+            if v.size >= 20 else None
+        )
     else:
         ref = np.full(v.size, np.nan)
         ks = None
@@ -362,7 +366,7 @@ def _auc_for_dataset(
     """(auc, first-draw statistic, exceedance fraction over threshold) from a
     batch of posterior draws."""
     thetas = model.posterior_draws(y, draws, rng)
-    values = gof.posterior_chisq_continuous(y, model, thetas, scheme).value
+    values = gof.posterior_chisq(y, model, thetas, scheme).value
     fraction = np.count_nonzero(values > threshold) / values.size
     return reference_auc(values, scheme.k - 1), float(values[0]), fraction
 
@@ -491,24 +495,21 @@ def analyze(
     n_draws: int = 5000,
     scheme: BinScheme | None = None,
     threshold: float | None = None,
-    outcome_bins: OutcomeBins | None = None,
 ) -> AnalysisResult:
     """Fit diagnostics for one dataset: one statistic value per posterior draw,
     summarized by the AUC, the exceedance rate over the threshold, and mean
     cell counts.
 
     Continuous models evaluate all posterior draws in one batch.  Discrete
-    models use the randomized allocation path unless explicit outcome_bins
-    are supplied; the randomization consumes one dedicated child stream
-    across draws, so results are reproducible from (seed, path).
+    models evaluate one draw at a time by randomized allocation; the
+    randomization consumes one dedicated child stream across draws, so
+    results are reproducible from (seed, path).
     """
     y = model.validate_data(data)
     if n_draws < 1:
         raise ConfigError("n_draws must be positive")
-    if outcome_bins is not None and not model.is_discrete:
-        raise ConfigError("outcome bins apply to discrete models only")
     sch = scheme if scheme is not None else equiprobable(default_bin_count(y.size))
-    k = outcome_bins.k if outcome_bins is not None else sch.k
+    k = sch.k
     thr = threshold if threshold is not None else probkit.chi2_quantile(k - 1, 0.95)
 
     draw_rng = split(rng, 0)
@@ -516,32 +517,21 @@ def analyze(
 
     if not model.is_discrete:
         thetas = model.posterior_draws(y, n_draws, draw_rng)
-        stat = gof.posterior_chisq_continuous(y, model, thetas, sch)
+        stat = gof.posterior_chisq(y, model, thetas, sch)
         values = stat.value
         counts_total = stat.counts.sum(axis=0)
-        expected_mean = y.size * sch.widths()
     else:
         counts_total = np.zeros(k, dtype=np.int64)  # converted once, by the mean below
         values = np.empty(n_draws)
         thetas = model.posterior_sample(y, n_draws, draw_rng)
-        expected_total = np.zeros(k)
-        scheme_expected = y.size * sch.widths()
         for i, theta in enumerate(thetas):
-            if outcome_bins is not None:
-                stat = gof.posterior_chisq_fixed_outcome_bins(y, model, theta, outcome_bins)
-                expected_total += y.size * stat.probs
-            else:
-                stat = gof.posterior_chisq_discrete_randomized(
-                    y, model, theta, sch, assign_rng
-                )
-                expected_total += scheme_expected
+            stat = gof.posterior_chisq(y, model, theta, sch, assign_rng)
             values[i] = stat.value
             counts_total += stat.counts
-        expected_mean = expected_total / n_draws
 
     mean_counts = counts_total / n_draws
     # cells this thin degrade the chi-square approximation; kept, but flagged
-    small = tuple(int(i) for i in np.nonzero(expected_mean < 1.0)[0])
+    small = tuple(int(i) for i in np.nonzero(y.size * sch.widths() < 1.0)[0])
     summary = GofSummary(
         auc=reference_auc(values, k - 1),
         exceedance_rate=exceedance(values, thr),

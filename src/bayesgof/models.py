@@ -9,16 +9,17 @@ harness and cli modules:
 - ``obs_cdf_pair(y, theta)`` (discrete) gives each outcome's CDF below and at
   the observed value, and ``obs_logpmf`` its log mass, which tells a zero
   mass from one too small for the rounded CDF pair to resolve;
-- ``posterior_draw`` / ``posterior_draws`` / ``posterior_sample`` sample the
-  parameter from its posterior given the data; for the conjugate models
-  ``posterior_draw`` is draw 0 of a one-draw ``posterior_draws``;
+- ``posterior_draw`` and ``posterior_sample`` sample the parameter from its
+  posterior given the data; the conjugate models also have
+  ``posterior_draws``, one call for a stack of draws, whose draw 0 is
+  ``posterior_draw``; the exchangeable model samples by ``run_chain``;
 - ``predictive_draw`` replicates a dataset at a fixed parameter value;
 - ``obs_mean_var`` gives per-observation predictive moments;
 - ``theta_from_vector(values)`` builds theta from a flat vector of
   ``theta_size`` values, raising DomainError for a wrong length, a
   non-finite value or a non-positive scale, rate, mean or sigma2;
-- ``mle`` gives the raw-data maximum-likelihood estimate; for the classical
-  comparators the normal model also has ``quantile_edges`` for the
+- for the classical comparators the normal model also has ``mle`` for the
+  raw-data maximum-likelihood estimate, ``quantile_edges`` for the
   data-space cut points at a parameter value, ``cell_probs`` for the cells
   between cut points, ``free_params`` / ``theta_from_free`` for unconstrained
   coordinates, and ``cell_probs_jacobian`` for the derivative of the cell
@@ -26,8 +27,8 @@ harness and cli modules:
 
 theta is opaque to callers: a (mu, sigma) pair for the normal model, a scalar
 rate for the pooled Poisson model, a vector of means for the saturated model,
-and an (alpha0, gamma, sigma2) draw for the exchangeable model, flattened as
-(alpha0, gamma_1, ..., gamma_n, sigma2).
+and the n + 2 vector (alpha0, gamma_1, ..., gamma_n, sigma2) for the
+exchangeable model, whose chain stacks its draws as rows of that layout.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 
 from . import probkit
 from .errors import DataError, DomainError, EvaluationError
-from .gof import OutcomeBins
 from .probkit import RngStream, split
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "PoissonCommonRate",
     "PoissonSaturated",
     "PoissonExchangeable",
-    "ExchangeableDraw",
     "ChainSettings",
     "ChainResult",
     "normal_posterior_from_uniforms",
@@ -251,13 +250,6 @@ def _poisson_cdf_pair(y: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.
     return f_below, f_at
 
 
-def _poisson_outcome_bin_probs(means: np.ndarray, bins: OutcomeBins) -> np.ndarray:
-    uppers = np.asarray(bins.uppers, dtype=float)
-    cum = probkit.poisson_cdf(means[:, None], uppers[None, :])
-    top = probkit.poisson_survival(means, uppers[-1])
-    return np.column_stack([cum[:, :1], np.diff(cum, axis=1), top])
-
-
 class _PoissonBase:
     is_discrete = True
 
@@ -277,9 +269,6 @@ class _PoissonBase:
     def obs_logpmf(self, y, theta):
         return probkit.poisson_logpmf(self.means(theta), np.asarray(y))
 
-    def outcome_bin_probs(self, theta, bins: OutcomeBins) -> np.ndarray:
-        return _poisson_outcome_bin_probs(self.means(theta), bins)
-
     def predictive_draw(self, theta, rng: RngStream, n: int | None = None) -> np.ndarray:
         means = self.means(theta)
         low, high = _span(means)
@@ -296,7 +285,7 @@ class PoissonCommonRate(_PoissonBase):
     """One shared rate: y_i ~ poisson(lam * E_i), flat prior on log(lam).
 
     The flat prior on the log-rate is 1/lam on the rate itself, so the
-    posterior is gamma_rate(sum(y), sum(E)) exactly.
+    posterior is gamma with shape sum(y) and rate sum(E) exactly.
     """
 
     n_params = 1
@@ -308,26 +297,17 @@ class PoissonCommonRate(_PoissonBase):
     def means(self, theta) -> np.ndarray:
         return float(theta) * self.offsets
 
-    def posterior_distribution(self, data) -> probkit.ScalarDistribution:
-        y = self.validate_data(data)
-        total = int(y.sum())
-        if total < 1:
-            raise DataError("all counts are zero: the rate posterior is improper")
-        return probkit.gamma_rate(total, float(self.offsets.sum()))
-
     def posterior_draw(self, data, rng: RngStream) -> float:
         return float(self.posterior_draws(data, 1, rng)[0])
 
     def posterior_draws(self, data, size: int, rng: RngStream) -> np.ndarray:
-        d = self.posterior_distribution(data)
-        return probkit.sample(d, rng, size)
+        total = int(self.validate_data(data).sum())
+        if total < 1:
+            raise DataError("all counts are zero: the rate posterior is improper")
+        return rng.generator.gamma(float(total), 1.0 / self.offsets.sum(), size)
 
     def posterior_sample(self, data, n_draws: int, rng: RngStream) -> list[float]:
         return [float(v) for v in self.posterior_draws(data, n_draws, rng)]
-
-    def mle(self, data) -> float:
-        y = self.validate_data(data)
-        return float(y.sum() / self.offsets.sum())
 
 
 class PoissonSaturated(_PoissonBase):
@@ -379,9 +359,6 @@ class PoissonSaturated(_PoissonBase):
     def posterior_sample(self, data, n_draws: int, rng: RngStream) -> list[np.ndarray]:
         return list(self.posterior_draws(data, n_draws, rng))
 
-    def mle(self, data) -> np.ndarray:
-        return self.validate_data(data).astype(float)
-
 
 # ---------------------------------------------------------------------------
 # exchangeable log-rates via Metropolis-within-Gibbs
@@ -391,13 +368,6 @@ class PoissonSaturated(_PoissonBase):
 # sweeps (at least one) of n counts, and its two float and one bool (block, n)
 # arrays take about 17 * CHAIN_ELEMENTS bytes, 272 KB, whatever n is
 CHAIN_ELEMENTS = 1 << 14
-
-
-@dataclass(frozen=True)
-class ExchangeableDraw:
-    alpha0: float
-    gamma: np.ndarray
-    sigma2: float
 
 
 @dataclass(frozen=True)
@@ -421,7 +391,7 @@ class ChainSettings:
 
 @dataclass
 class ChainResult:
-    draws: list[ExchangeableDraw]
+    draws: np.ndarray  # retained x (n + 2), rows in theta_from_vector's layout
     accept_alpha0: float
     accept_gamma: float
     step_alpha0: float
@@ -478,20 +448,11 @@ class PoissonExchangeable(_PoissonBase):
     def theta_size(self) -> int:
         return self.n_obs + 2
 
-    def theta_from_vector(self, values) -> ExchangeableDraw:
-        v = _parameter_vector(values, self.theta_size, positive=-1)
-        return ExchangeableDraw(float(v[0]), v[1:-1].copy(), float(v[-1]))
+    def theta_from_vector(self, values) -> np.ndarray:
+        return _parameter_vector(values, self.theta_size, positive=-1)
 
-    def means(self, theta: ExchangeableDraw) -> np.ndarray:
-        return np.exp(theta.alpha0 + theta.gamma) * self.offsets
-
-    def mle(self, data) -> ExchangeableDraw:
-        # boundary fit with the random effects collapsed to zero
-        y = self.validate_data(data)
-        if y.sum() < 1:
-            raise DataError("all counts are zero: log-rate MLE is unbounded below")
-        a0 = math.log(float(y.sum() / self.offsets.sum()))
-        return ExchangeableDraw(a0, np.zeros(self.n_obs), 0.0)
+    def means(self, theta) -> np.ndarray:
+        return np.exp(theta[0] + theta[1:-1]) * self.offsets
 
     def run_chain(
         self, data, rng: RngStream, settings: ChainSettings | None = None
@@ -526,7 +487,8 @@ class PoissonExchangeable(_PoissonBase):
         prop_g, exp_prop_g, sq_prop_g = prop
         exp_a = math.exp(alpha0)
         rate_e = exp_a * e
-        draws: list[ExchangeableDraw] = []
+        draws = np.empty((cfg.retained, m + 2))
+        kept = 0
         acc_a = 0
         acc_g = np.zeros(m, dtype=np.int64)
         # each sweep's gamma acceptances, summed once per block
@@ -581,7 +543,9 @@ class PoissonExchangeable(_PoissonBase):
                     else:
                         acc_a += a_accepted
                         if (t - cfg.burn_in) % cfg.thin == cfg.thin - 1:
-                            draws.append(ExchangeableDraw(alpha0, gamma.copy(), float(sigma2)))
+                            row = draws[kept]
+                            row[0], row[1:-1], row[-1] = alpha0, gamma, sigma2
+                            kept += 1
                 acc_g += accepted[max(cfg.burn_in - start, 0):size].sum(axis=0)
 
         kept_iters = total - cfg.burn_in
@@ -594,14 +558,10 @@ class PoissonExchangeable(_PoissonBase):
             iterations=total,
         )
 
-    def posterior_sample(
-        self, data, n_draws: int, rng: RngStream, settings: ChainSettings | None = None
-    ) -> list[ExchangeableDraw]:
-        cfg = settings if settings is not None else self.settings
-        cfg = replace(cfg, retained=n_draws)
-        return self.run_chain(data, rng, cfg).draws
+    def posterior_sample(self, data, n_draws: int, rng: RngStream) -> np.ndarray:
+        return self.run_chain(data, rng, replace(self.settings, retained=n_draws)).draws
 
-    def posterior_draw(self, data, rng: RngStream) -> ExchangeableDraw:
+    def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
         return self.posterior_sample(data, 1, rng)[-1]
 
 
@@ -613,4 +573,8 @@ def generate_t(n: int, df: float, rng: RngStream) -> np.ndarray:
     """Heavier-tailed alternative: i.i.d. Student-t draws."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    return probkit.sample(probkit.student_t(df), rng, n)
+    if not math.isfinite(df) or df <= 0.0:
+        raise DomainError(f"need df > 0, got {df}")
+    gen = rng.generator
+    z = gen.standard_normal(n)  # the normals come first in the stream
+    return z / np.sqrt(gen.chisquare(df, n) / df)

@@ -1,7 +1,7 @@
-"""Probability kit: scalar distributions and splittable random streams.
+"""Probability kit: distribution functions and splittable random streams.
 
 Distribution functions are thin, vectorized wrappers over scipy.special
-primitives (regularized incomplete gamma, erfc, Student-t integral), chosen
+primitives (regularized incomplete gamma, erfc), chosen
 so that upper tails are computed directly instead of as 1 - cdf.  Random
 streams are counter-based (Philox) and keyed by (seed, path), so any stream
 can be split into child streams that are independent by construction and
@@ -20,13 +20,7 @@ from .errors import DomainError
 
 __all__ = [
     "RngStream",
-    "ScalarDistribution",
     "split",
-    "chi_squared",
-    "gamma_rate",
-    "student_t",
-    "cdf",
-    "sample",
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
@@ -35,7 +29,6 @@ __all__ = [
     "chi2_quantile",
     "chi2_upper_quantile",
     "poisson_cdf",
-    "poisson_survival",
     "poisson_logpmf",
 ]
 
@@ -99,37 +92,6 @@ def split(rng: RngStream, child_id: int) -> RngStream:
 
 
 # ---------------------------------------------------------------------------
-# scalar distributions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalarDistribution:
-    """A validated scalar distribution value, dispatched on ``kind``."""
-
-    kind: str
-    params: tuple[float, ...]
-
-
-def chi_squared(df: float) -> ScalarDistribution:
-    if not math.isfinite(df) or df <= 0.0:
-        raise DomainError(f"chi_squared requires df > 0, got {df}")
-    return ScalarDistribution("chi_squared", (float(df),))
-
-
-def gamma_rate(shape: float, rate: float) -> ScalarDistribution:
-    """Gamma distribution parameterized by shape and rate (1/scale)."""
-    if not (math.isfinite(shape) and math.isfinite(rate)) or shape <= 0.0 or rate <= 0.0:
-        raise DomainError(f"gamma_rate requires shape > 0 and rate > 0, got ({shape}, {rate})")
-    return ScalarDistribution("gamma", (float(shape), float(rate)))
-
-
-def student_t(df: float) -> ScalarDistribution:
-    if not math.isfinite(df) or df <= 0.0:
-        raise DomainError(f"student_t requires df > 0, got {df}")
-    return ScalarDistribution("student_t", (float(df),))
-
-
-# ---------------------------------------------------------------------------
 # vectorized primitive curves
 # ---------------------------------------------------------------------------
 
@@ -187,12 +149,6 @@ def poisson_cdf(mean, k):
     return out if out.ndim else float(out)
 
 
-def poisson_survival(mean, k):
-    k = np.floor(np.asarray(k, dtype=float))
-    out = np.where(k < 0.0, 1.0, sp.pdtrc(np.maximum(k, 0.0), mean))
-    return out if out.ndim else float(out)
-
-
 def poisson_logpmf(mean, k):
     """log P(Y = k): finite for any positive mass, however small."""
     k = np.asarray(k, dtype=float)
@@ -200,37 +156,3 @@ def poisson_logpmf(mean, k):
     out = np.where(k < 0.0, -np.inf, sp.xlogy(k, mean) - mean - sp.gammaln(k + 1.0))
     return out if out.ndim else float(out)
 
-
-# ---------------------------------------------------------------------------
-# dispatch surface
-# ---------------------------------------------------------------------------
-
-def cdf(d: ScalarDistribution, x):
-    """P(X <= x), vectorized over x."""
-    if d.kind == "chi_squared":
-        return chi2_cdf(d.params[0], x)
-    if d.kind == "gamma":
-        shape, rate = d.params
-        x = np.asarray(x, dtype=float)
-        out = sp.gammainc(shape, np.maximum(x, 0.0) * rate)
-        return out if out.ndim else float(out)
-    if d.kind == "student_t":
-        out = sp.stdtr(d.params[0], np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
-    raise DomainError(f"unknown distribution kind {d.kind!r}")
-
-
-def sample(d: ScalarDistribution, rng: RngStream, size: int | None = None):
-    """Draw from d using rng; scalar when size is None, else ndarray."""
-    gen = rng.generator
-    if d.kind == "chi_squared":
-        return gen.chisquare(d.params[0], size)
-    if d.kind == "gamma":
-        shape, rate = d.params
-        return gen.gamma(shape, 1.0 / rate, size)
-    if d.kind == "student_t":
-        (df,) = d.params
-        z = gen.standard_normal(size)
-        w = gen.chisquare(df, size)
-        return z / np.sqrt(w / df)
-    raise DomainError(f"unknown distribution kind {d.kind!r}")

@@ -140,6 +140,22 @@ def test_assert_calibrated_pass_exit_0(tmp_path):
     assert code == 0
 
 
+def test_mean_is_checked_for_the_poisson_synthetic_model_only(tmp_path, capsys):
+    common = ("simulate-null", "--n", "20", "--reps", "20", "--seed", "5")
+    # the normal model never reads --mean, so any value leaves its output as is
+    assert run_cli(*common, "--model", "normal", "--outdir", tmp_path / "a") == 0
+    assert run_cli(*common, "--model", "normal", "--mean", "-1",
+                   "--outdir", tmp_path / "b") == 0
+    for name in ("qq.csv", "summary.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    capsys.readouterr()
+    assert run_cli(*common, "--model", "poisson-synthetic", "--mean", "-1",
+                   "--outdir", tmp_path / "c") == 64
+    assert "--mean must be positive" in capsys.readouterr().err
+    assert run_cli(*common, "--model", "poisson-synthetic", "--mean", "nan",
+                   "--outdir", tmp_path / "d") == 65
+
+
 def test_power_outputs(tmp_path):
     out = tmp_path / "run"
     assert run_cli("power", "--df", "1,5", "--reps", "10", "--draws", "50",
@@ -252,6 +268,25 @@ def test_monitor_clean_stream_exit_0(tmp_path, normal_csv):
     assert trace[-1][5] == "false"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["derived"] == {"draw_lines": 400, "malformed_lines": 0}
+
+
+def test_monitor_reads_the_exchangeable_chain_rows(tmp_path, poisson_csv):
+    # each row of the chain's draws is a monitor draw line as it stands
+    from bayesgof.models import ChainSettings, PoissonExchangeable
+
+    y = np.loadtxt(poisson_csv, delimiter=",", skiprows=1)[:, 0].astype(int)
+    model = PoissonExchangeable(np.ones(y.size))
+    draws = model.run_chain(y, RngStream(9), ChainSettings(retained=60, burn_in=40, thin=1)).draws
+    assert draws.shape == (60, y.size + 2)
+    for row in draws:
+        assert np.array_equal(model.theta_from_vector(row), row)
+    path = write_draw_file(tmp_path, poisson_csv, "chain.txt",
+                           [" ".join(repr(float(v)) for v in row) for row in draws])
+    out = tmp_path / "run"
+    assert run_cli("monitor", "--data", poisson_csv, "--model", "poisson-exchangeable",
+                   "--draws-file", path, "--outdir", out) == 0
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    assert derived == {"draw_lines": 60, "malformed_lines": 0}
 
 
 def test_monitor_alert_exit_3(tmp_path, normal_csv):

@@ -1,5 +1,5 @@
 """Statistic-level checks: hand-computable Pearson values, exact-fit zeros,
-calibration of the fixed-outcome-bin path, and the tail-area summaries."""
+the classical comparators, and the tail-area summaries."""
 
 import os
 import subprocess
@@ -15,7 +15,6 @@ from bayesgof import gof, probkit
 from bayesgof.binning import assign, assign_discrete_randomized, equiprobable
 from bayesgof.errors import DomainError, EvaluationError, OptimizationError
 from bayesgof.gof import (
-    OutcomeBins,
     chisq_discrepancy,
     exceedance,
     grouped_chisq,
@@ -23,7 +22,6 @@ from bayesgof.gof import (
     plugin_chisq,
     posterior_chisq_continuous,
     posterior_chisq_discrete_randomized,
-    posterior_chisq_fixed_outcome_bins,
     reference_auc,
 )
 from bayesgof.models import NormalModel, PoissonCommonRate
@@ -197,36 +195,6 @@ def test_randomized_true_zero_mass_rejected():
         )
 
 
-def test_fixed_outcome_bin_probs_partition():
-    model = PoissonCommonRate(offsets=np.ones(4))
-    bins = OutcomeBins((1, 3, 5))
-    probs = np.asarray(model.outcome_bin_probs(3.0, bins))
-    assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-10)
-
-
-def test_fixed_outcome_bins_exact_expectation():
-    # mean log(2) puts exactly half the mass on {0}; counts (5,5) fit exactly
-    model = PoissonCommonRate(offsets=np.ones(10))
-    data = np.array([0] * 5 + [1] * 5)
-    stat = posterior_chisq_fixed_outcome_bins(data, model, np.log(2.0), OutcomeBins((0,)))
-    assert stat.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fixed_outcome_bins_calibration_poisson3():
-    # conjugate posterior draw per replicate; reference is chi-square(3)
-    bins = OutcomeBins((1, 3, 5))
-    n = 200
-    root = RngStream(52)
-    values = []
-    for r in range(1000):
-        rep = split(root, r)
-        y = split(rep, 0).generator.poisson(3.0, n)
-        model = PoissonCommonRate(offsets=np.ones(n))
-        theta = model.posterior_draw(y, split(rep, 1))
-        values.append(posterior_chisq_fixed_outcome_bins(y, model, theta, bins).value)
-    assert abs(np.mean(values) - 3.0) < 0.4
-
-
 def test_plugin_counts_and_probs():
     model = NormalModel()
     rng = RngStream(15)
@@ -373,7 +341,7 @@ def test_auc_at_chi2_median():
 
 def test_auc_null_centering():
     rng = RngStream(40)
-    v = probkit.sample(probkit.chi_squared(4), rng, 100_000)
+    v = rng.generator.chisquare(4, 100_000)
     assert abs(reference_auc(v, 4) - 0.5) < 0.01
 
 
@@ -381,8 +349,8 @@ def test_auc_matches_direct_tail_simulation():
     # the closed form is the average of Pr(value > X), X an independent
     # chi-square(4) variate; compare with brute-force indicator pairs
     rng = RngStream(41)
-    v = probkit.sample(probkit.chi_squared(4), rng, 2000)
-    x = probkit.sample(probkit.chi_squared(4), rng, 2000)
+    v = rng.generator.chisquare(4, 2000)
+    x = rng.generator.chisquare(4, 2000)
     brute = float(np.mean(v > x))
     se = np.sqrt(0.25 / 2000)
     assert abs(reference_auc(v, 4) - brute) < 3 * se
@@ -392,7 +360,7 @@ def test_exceedance_examples():
     assert exceedance([10.0, 8.0], 9.49) == pytest.approx(0.5)
     assert exceedance([9.49], 9.49) == 0.0
     rng = RngStream(43)
-    v = probkit.sample(probkit.chi_squared(4), rng, 10_000)
+    v = rng.generator.chisquare(4, 10_000)
     assert abs(exceedance(v, probkit.chi2_quantile(4, 0.95)) - 0.05) < 0.007
 
 

@@ -31,27 +31,31 @@ def normal_null(config):
     return null_calibration(config, NormalModel(), STANDARD_NORMAL)
 
 
+def chi2_cdf(df):
+    return lambda x: probkit.chi2_cdf(df, x)
+
+
 def test_ks_exact_plotting_quantiles():
     n = 100
     sample = probkit.chi2_quantile(4, (np.arange(1, n + 1) - 0.5) / n)
-    res = ks_statistic(sample, probkit.chi_squared(4))
+    res = ks_statistic(sample, chi2_cdf(4))
     assert res.statistic == pytest.approx(0.5 / n, abs=1e-12)
 
 
 def test_ks_needs_twenty_points():
     with pytest.raises(DomainError):
-        ks_statistic(np.ones(19), probkit.chi_squared(4))
+        ks_statistic(np.ones(19), chi2_cdf(4))
 
 
 def test_ks_accepts_matching_law():
     for seed in (0, 1, 2, 3, 4):
-        draws = probkit.sample(probkit.chi_squared(4), RngStream(seed), 2000)
-        assert ks_statistic(draws, probkit.chi_squared(4), alpha=0.01).passed
+        draws = RngStream(seed).generator.chisquare(4, 2000)
+        assert ks_statistic(draws, chi2_cdf(4), alpha=0.01).passed
 
 
 def test_ks_rejects_wrong_df():
-    draws = probkit.sample(probkit.chi_squared(2), RngStream(77), 2000)
-    res = ks_statistic(draws, probkit.chi_squared(4), alpha=0.01)
+    draws = RngStream(77).generator.chisquare(2, 2000)
+    res = ks_statistic(draws, chi2_cdf(4), alpha=0.01)
     assert not res.passed
     assert res.statistic > 0.15
 
@@ -59,8 +63,8 @@ def test_ks_rejects_wrong_df():
 def test_ks_critical_constants():
     # the critical value depends on the sample size and alpha alone
     v = probkit.chi2_quantile(2, np.linspace(0.01, 0.99, 400))
-    r1 = ks_statistic(v, probkit.chi_squared(2), alpha=0.01)
-    r5 = ks_statistic(v, probkit.chi_squared(2), alpha=0.05)
+    r1 = ks_statistic(v, chi2_cdf(2), alpha=0.01)
+    r5 = ks_statistic(v, chi2_cdf(2), alpha=0.05)
     assert r1.critical == pytest.approx(1.628 / 20, abs=2e-4)
     assert r5.critical == pytest.approx(1.358 / 20, abs=2e-4)
 
@@ -262,36 +266,17 @@ def test_analyze_nominal_centering():
 
 
 def test_analyze_flags_small_cells():
-    # with a common rate near 8, the {0} cell expects ~40 * exp(-8) < 1 counts
-    n = 40
-    y = RngStream(50).generator.poisson(8.0, n)
-    model = PoissonCommonRate(offsets=np.ones(n))
-    from bayesgof.gof import OutcomeBins
-
-    res = analyze(y, model, RngStream(36), n_draws=50, outcome_bins=OutcomeBins((0, 6, 9)))
-    assert 0 in res.summary.small_cells
-    with pytest.raises(ConfigError):
-        analyze(RngStream(51).generator.normal(0, 1, n), NormalModel(), RngStream(36),
-                n_draws=50, outcome_bins=OutcomeBins((0, 6, 9)))
-
-
-def test_analyze_outcome_bins_evaluates_cell_probabilities_once_per_draw():
-    from bayesgof.gof import OutcomeBins
-
-    n = 20
-    y = RngStream(52).generator.poisson(5.0, n)
-    model = PoissonCommonRate(offsets=np.ones(n))
-    evaluate = model.outcome_bin_probs
-    calls = 0
-
-    def counted(theta, bins):
-        nonlocal calls
-        calls += 1
-        return evaluate(theta, bins)
-
-    model.outcome_bin_probs = counted
-    analyze(y, model, RngStream(53), n_draws=100, outcome_bins=OutcomeBins((2, 4, 6)))
-    assert calls == 100
+    # ten equiprobable cells for eight observations: each expects 0.8 counts,
+    # so every cell is flagged, on the batch and the per-draw path alike
+    n = 8
+    scheme = equiprobable(10)
+    counts = RngStream(50).generator.poisson(8.0, n)
+    normal = RngStream(51).generator.normal(0.0, 1.0, n)
+    for y, model in ((counts, PoissonCommonRate(offsets=np.ones(n))), (normal, NormalModel())):
+        res = analyze(y, model, RngStream(36), n_draws=50, scheme=scheme)
+        assert res.summary.small_cells == tuple(range(10))
+    res = analyze(normal, NormalModel(), RngStream(36), n_draws=50, scheme=equiprobable(4))
+    assert res.summary.small_cells == ()
 
 
 def test_pp_test_p_value_granularity():
