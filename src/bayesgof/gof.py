@@ -178,14 +178,23 @@ def posterior_chisq_discrete_randomized(
 
 
 def posterior_chisq(data, model, theta, scheme: BinScheme, rng=None) -> BinnedStat:
-    """Pearson statistic at a posterior draw, by the model's kind: randomized
-    allocation from rng for a discrete model, the CDF transform for a
-    continuous one, which reads no rng."""
+    """Pearson statistic at a posterior draw, or at each row of a stack of
+    draws, by the model's kind: the CDF transform for a continuous model,
+    which reads no rng; randomized allocation from rng for a discrete model,
+    a stack's rows in order from the one rng.  A stack gives D values and
+    D x K counts."""
     if not model.is_discrete:
         return posterior_chisq_continuous(data, model, theta, scheme)
     if rng is None:
         raise ConfigError("discrete models need an rng for randomized allocation")
-    return posterior_chisq_discrete_randomized(data, model, theta, scheme, rng)
+    if np.ndim(theta) != 2:
+        return posterior_chisq_discrete_randomized(data, model, theta, scheme, rng)
+    values = np.empty(len(theta))
+    counts = np.empty((len(theta), scheme.k), dtype=np.int64)
+    for i, row in enumerate(theta):
+        stat = posterior_chisq_discrete_randomized(data, model, row, scheme, rng)
+        values[i], counts[i] = stat.value, stat.counts
+    return BinnedStat(values, counts, scheme.widths())
 
 
 def _data_space_counts(y: np.ndarray, edges) -> np.ndarray:

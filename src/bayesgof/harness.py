@@ -500,10 +500,10 @@ def analyze(
     summarized by the AUC, the exceedance rate over the threshold, and mean
     cell counts.
 
-    Continuous models evaluate all posterior draws in one batch.  Discrete
-    models evaluate one draw at a time by randomized allocation; the
-    randomization consumes one dedicated child stream across draws, so
-    results are reproducible from (seed, path).
+    The draws are model.posterior_sample's stack, scored by one
+    gof.posterior_chisq call for every model; a discrete model's randomized
+    allocation reads one dedicated child stream across the draws, so results
+    are reproducible from (seed, path).
     """
     y = model.validate_data(data)
     if n_draws < 1:
@@ -512,24 +512,10 @@ def analyze(
     k = sch.k
     thr = threshold if threshold is not None else probkit.chi2_quantile(k - 1, 0.95)
 
-    draw_rng = split(rng, 0)
-    assign_rng = split(rng, 1)
-
-    if not model.is_discrete:
-        thetas = model.posterior_draws(y, n_draws, draw_rng)
-        stat = gof.posterior_chisq(y, model, thetas, sch)
-        values = stat.value
-        counts_total = stat.counts.sum(axis=0)
-    else:
-        counts_total = np.zeros(k, dtype=np.int64)  # converted once, by the mean below
-        values = np.empty(n_draws)
-        thetas = model.posterior_sample(y, n_draws, draw_rng)
-        for i, theta in enumerate(thetas):
-            stat = gof.posterior_chisq(y, model, theta, sch, assign_rng)
-            values[i] = stat.value
-            counts_total += stat.counts
-
-    mean_counts = counts_total / n_draws
+    thetas = model.posterior_sample(y, n_draws, split(rng, 0))
+    stat = gof.posterior_chisq(y, model, thetas, sch, split(rng, 1))
+    values = stat.value
+    mean_counts = stat.counts.sum(axis=0) / n_draws
     # cells this thin degrade the chi-square approximation; kept, but flagged
     small = tuple(int(i) for i in np.nonzero(y.size * sch.widths() < 1.0)[0])
     summary = GofSummary(
@@ -613,11 +599,13 @@ def stream_monitor(
     grossly miscoded evaluator overshoots it within a few hundred draws.
     """
     y = model.validate_data(data)
-    if alert_factor <= 1.0:
-        raise ConfigError("alert_factor must exceed 1")
+    if not (alert_factor > 1.0 and math.isfinite(alert_factor)):  # NaN fails too
+        raise ConfigError(f"alert_factor must be a finite number above 1, got {alert_factor}")
     if min_draws < 1:
         raise ConfigError("min_draws must be positive")
     thr = threshold if threshold is not None else probkit.chi2_quantile(scheme.k - 1, 0.95)
+    if not math.isfinite(thr):
+        raise ConfigError(f"threshold must be finite, got {thr}")
     nominal = probkit.chi2_survival(scheme.k - 1, thr)
     band = alert_factor * nominal
 

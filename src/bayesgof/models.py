@@ -4,15 +4,15 @@ Every model exposes the same behavioral surface consumed by the gof,
 harness and cli modules:
 
 - ``obs_cdf(y, theta)`` (continuous) evaluates each observation's own CDF at
-  the observed value; given the stacked draws of ``posterior_draws`` it
-  returns draws x observations, row i equal to the call at draw i alone;
+  the observed value; given a stack of draws it returns draws x
+  observations, row i equal to the call at draw i alone;
 - ``obs_cdf_pair(y, theta)`` (discrete) gives each outcome's CDF below and at
   the observed value, and ``obs_logpmf`` its log mass, which tells a zero
   mass from one too small for the rounded CDF pair to resolve;
-- ``posterior_draw`` and ``posterior_sample`` sample the parameter from its
-  posterior given the data; the conjugate models also have
-  ``posterior_draws``, one call for a stack of draws, whose draw 0 is
-  ``posterior_draw``; the exchangeable model samples by ``run_chain``;
+- ``posterior_sample(data, size, rng)`` returns a stack of size draws from
+  the posterior given the data, and ``posterior_draw`` one draw; the
+  conjugate models make both by ``posterior_draws``, whose draw 0 is
+  ``posterior_draw``, and the exchangeable model by ``run_chain``;
 - ``predictive_draw`` replicates a dataset at a fixed parameter value;
 - ``obs_mean_var`` gives per-observation predictive moments;
 - ``theta_from_vector(values)`` builds theta from a flat vector of
@@ -25,10 +25,12 @@ harness and cli modules:
   coordinates, and ``cell_probs_jacobian`` for the derivative of the cell
   probabilities in those coordinates.
 
-theta is opaque to callers: a (mu, sigma) pair for the normal model, a scalar
-rate for the pooled Poisson model, a vector of means for the saturated model,
-and the n + 2 vector (alpha0, gamma_1, ..., gamma_n, sigma2) for the
-exchangeable model, whose chain stacks its draws as rows of that layout.
+theta is a float vector of ``theta_size`` values in ``theta_from_vector``'s
+layout: (mu, sigma) for the normal model, (rate,) for the pooled Poisson
+model, the n means for the saturated model and (alpha0, gamma_1, ...,
+gamma_n, sigma2) for the exchangeable model.  A stack of D draws is a
+(D, theta_size) array whose row i is draw i; a (mu, sigma) pair, as ``mle``
+gives it, reads as a normal theta.
 """
 
 from __future__ import annotations
@@ -85,12 +87,13 @@ def _parameter_vector(values, size: int, positive) -> np.ndarray:
     return v
 
 
-def _span(a: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest entry; a single value skips numpy's reductions,
-    which cost more than the rest of a one-draw CDF transform's checks."""
-    if a.ndim:
-        return np.minimum.reduce(a, axis=None), np.maximum.reduce(a, axis=None)
-    return float(a), float(a)
+def _column_span(t: np.ndarray) -> tuple[list, list]:
+    """Each column's smallest and largest entry as floats; a single draw skips
+    numpy's reductions, which cost more than the rest of its CDF transform."""
+    if t.ndim == 1:
+        row = t.tolist()
+        return row, row
+    return np.minimum.reduce(t, axis=0).tolist(), np.maximum.reduce(t, axis=0).tolist()
 
 
 def normal_posterior_from_uniforms(data, v_sigma, v_mu):
@@ -110,8 +113,8 @@ def normal_posterior_from_uniforms(data, v_sigma, v_mu):
     """
     y, s2 = _normal_sample(data)
     v_sigma, v_mu = np.asarray(v_sigma, dtype=float), np.asarray(v_mu, dtype=float)
-    (s_lo, s_hi), (m_lo, m_hi) = _span(v_sigma), _span(v_mu)
-    if not (0.0 < s_lo and s_hi < 1.0 and 0.0 < m_lo and m_hi < 1.0):  # NaN fails too
+    lo, hi = np.minimum(v_sigma, v_mu), np.maximum(v_sigma, v_mu)  # NaN propagates
+    if not (0.0 < np.minimum.reduce(lo, axis=None) and np.maximum.reduce(hi, axis=None) < 1.0):
         raise DomainError("uniforms must lie strictly inside (0, 1)")
     n = y.size
     sigma = np.sqrt((n - 1) * s2 / probkit.chi2_upper_quantile(n - 1, v_sigma))
@@ -129,34 +132,31 @@ class NormalModel:
     def validate_data(self, data) -> np.ndarray:
         return _normal_sample(data)[0]
 
-    def theta_from_vector(self, values) -> tuple[float, float]:
-        mu, sigma = _parameter_vector(values, self.theta_size, positive=1)
-        return (float(mu), float(sigma))
+    def theta_from_vector(self, values) -> np.ndarray:
+        return _parameter_vector(values, self.theta_size, positive=1)
 
     def obs_cdf(self, y, theta):
-        mu, sigma = (np.asarray(v, dtype=float) for v in theta)
-        (mu_lo, mu_hi), (sigma_lo, sigma_hi) = _span(mu), _span(sigma)
+        t = np.asarray(theta, dtype=float)
+        if t.shape[-1:] != (2,) or t.ndim > 2:
+            raise DomainError(f"need (mu, sigma) or rows of them, got shape {t.shape}")
+        (mu_lo, sigma_lo), (mu_hi, sigma_hi) = _column_span(t)
         # NaN fails every comparison
-        if mu.shape != sigma.shape or mu.ndim > 1 or not (
-            -math.inf < mu_lo and mu_hi < math.inf and 0.0 < sigma_lo and sigma_hi < math.inf
-        ):
-            raise DomainError(f"normal parameters outside the space: mu={mu}, sigma={sigma}")
-        if mu.ndim:  # a stack of draws, one row each
-            mu, sigma = mu[:, None], sigma[:, None]
-        return probkit.normal_cdf((np.asarray(y, dtype=float) - mu) / sigma)
+        if not (-math.inf < mu_lo and mu_hi < math.inf and 0.0 < sigma_lo and sigma_hi < math.inf):
+            raise DomainError(f"normal parameters (mu, sigma) outside the space: {t}")
+        # columns mu and sigma: n values for a draw, D x n for a stack of D
+        return probkit.normal_cdf((np.asarray(y, dtype=float) - t[..., :1]) / t[..., 1:])
 
-    def posterior_draw(self, data, rng: RngStream) -> tuple[float, float]:
-        mu, sigma = self.posterior_draws(data, 1, rng)
-        return (float(mu[0]), float(sigma[0]))
+    def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
+        return self.posterior_draws(data, 1, rng)[0]
 
-    def posterior_draws(self, data, size: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked draws; draw 0 equals posterior_draw under the same stream."""
+    def posterior_draws(self, data, size: int, rng: RngStream) -> np.ndarray:
+        """size x 2 stacked draws (mu, sigma), each column contiguous for
+        obs_cdf's checks; draw 0 equals posterior_draw under the same stream."""
         v = rng.open_uniform((size, 2))
-        return normal_posterior_from_uniforms(data, v[:, 0], v[:, 1])
+        return np.array(normal_posterior_from_uniforms(data, v[:, 0], v[:, 1])).T
 
-    def posterior_sample(self, data, n_draws: int, rng: RngStream) -> list[tuple[float, float]]:
-        mu, sigma = self.posterior_draws(data, n_draws, rng)
-        return list(zip(mu.tolist(), sigma.tolist()))
+    def posterior_sample(self, data, n_draws: int, rng: RngStream) -> np.ndarray:
+        return self.posterior_draws(data, n_draws, rng)
 
     def predictive_draw(self, theta, rng: RngStream, n: int) -> np.ndarray:
         mu, sigma = theta
@@ -222,6 +222,10 @@ def _validate_offsets(offsets) -> np.ndarray:
         raise DataError("offsets must be a non-empty 1-D vector")
     if not np.all(np.isfinite(e)) or np.any(e <= 0.0):
         raise DataError("offsets must be finite and positive")
+    with np.errstate(over="ignore"):
+        total = e.sum()
+    if not np.isfinite(total):  # the rate posterior and the chain start divide by it
+        raise DataError(f"offsets must have a finite sum, got {total}")
     return e
 
 
@@ -269,9 +273,15 @@ class _PoissonBase:
     def obs_logpmf(self, y, theta):
         return probkit.poisson_logpmf(self.means(theta), np.asarray(y))
 
+    def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
+        return self.posterior_draws(data, 1, rng)[0]
+
+    def posterior_sample(self, data, n_draws: int, rng: RngStream) -> np.ndarray:
+        return self.posterior_draws(data, n_draws, rng)
+
     def predictive_draw(self, theta, rng: RngStream, n: int | None = None) -> np.ndarray:
         means = self.means(theta)
-        low, high = _span(means)
+        low, high = np.minimum.reduce(means, axis=None), np.maximum.reduce(means, axis=None)
         if not (0.0 < low and high < np.inf):  # NaN fails too
             raise DomainError("Poisson means must be positive and finite")
         return rng.generator.poisson(means)
@@ -291,23 +301,18 @@ class PoissonCommonRate(_PoissonBase):
     n_params = 1
     theta_size = 1
 
-    def theta_from_vector(self, values) -> float:
-        return float(_parameter_vector(values, self.theta_size, positive=0)[0])
+    def theta_from_vector(self, values) -> np.ndarray:
+        return _parameter_vector(values, self.theta_size, positive=0)
 
     def means(self, theta) -> np.ndarray:
-        return float(theta) * self.offsets
-
-    def posterior_draw(self, data, rng: RngStream) -> float:
-        return float(self.posterior_draws(data, 1, rng)[0])
+        """n means for a draw, D x n for a stack of D."""
+        return np.asarray(theta, dtype=float)[..., :1] * self.offsets
 
     def posterior_draws(self, data, size: int, rng: RngStream) -> np.ndarray:
         total = int(self.validate_data(data).sum())
         if total < 1:
             raise DataError("all counts are zero: the rate posterior is improper")
-        return rng.generator.gamma(float(total), 1.0 / self.offsets.sum(), size)
-
-    def posterior_sample(self, data, n_draws: int, rng: RngStream) -> list[float]:
-        return [float(v) for v in self.posterior_draws(data, n_draws, rng)]
+        return rng.generator.gamma(float(total), 1.0 / self.offsets.sum(), (size, 1))
 
 
 class PoissonSaturated(_PoissonBase):
@@ -349,15 +354,9 @@ class PoissonSaturated(_PoissonBase):
             )
         return shapes
 
-    def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
-        return self.posterior_draws(data, 1, rng)[0]
-
     def posterior_draws(self, data, size: int, rng: RngStream) -> np.ndarray:
         shapes = self._posterior_shapes(data)
         return rng.generator.gamma(shapes[None, :], 1.0, size=(size, shapes.size))
-
-    def posterior_sample(self, data, n_draws: int, rng: RngStream) -> list[np.ndarray]:
-        return list(self.posterior_draws(data, n_draws, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,9 @@ class PoissonExchangeable(_PoissonBase):
         return _parameter_vector(values, self.theta_size, positive=-1)
 
     def means(self, theta) -> np.ndarray:
-        return np.exp(theta[0] + theta[1:-1]) * self.offsets
+        """n means for a draw, D x n for a stack of D."""
+        t = np.asarray(theta, dtype=float)
+        return np.exp(t[..., :1] + t[..., 1:-1]) * self.offsets
 
     def run_chain(
         self, data, rng: RngStream, settings: ChainSettings | None = None

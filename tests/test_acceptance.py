@@ -312,7 +312,7 @@ def test_criterion_11_monitor_fault_injection():
     for r in range(100):
         c = split(root, r)
         y = split(c, 0).generator.normal(0.0, 1.0, 50)
-        mu, sigma = model.posterior_draws(y, 1000, split(c, 1))
+        mu, sigma = model.posterior_draws(y, 1000, split(c, 1)).T
         clean = stream_monitor(zip(mu, sigma), y, model, scheme)
         false_alarms += int(any(rec.alert for rec in clean))
         # the fault: a CDF evaluator whose scale is coded twice too large

@@ -83,6 +83,15 @@ def test_nonpositive_offset_exit_65(tmp_path):
     assert run_cli("validate", "--data", path, "--outdir", tmp_path) == 65
 
 
+@pytest.mark.parametrize("model", ["poisson-common", "poisson-exchangeable"])
+def test_offsets_whose_sum_overflows_exit_65(tmp_path, model, capsys):
+    # each offset is finite, their sum is not
+    path = tmp_path / "huge.csv"
+    path.write_text("y,E\n3,1e308\n4,1e308\n")
+    assert run_cli("analyze", "--data", path, "--model", model, "--outdir", tmp_path / "run") == 65
+    assert "finite sum" in capsys.readouterr().err
+
+
 def test_validate_reports_shape(tmp_path, poisson_csv, capsys):
     assert run_cli("validate", "--data", poisson_csv, "--model", "poisson-common",
                    "--outdir", tmp_path) == 0
@@ -250,7 +259,7 @@ def posterior_rows(normal_csv, n_draws, seed=7):
     from bayesgof.models import NormalModel
 
     y = np.loadtxt(normal_csv, skiprows=1)
-    mu, sigma = NormalModel().posterior_draws(y, n_draws, RngStream(seed))
+    mu, sigma = NormalModel().posterior_draws(y, n_draws, RngStream(seed)).T
     return [f"{float(m)!r} {float(s)!r}" for m, s in zip(mu, sigma)]
 
 
@@ -299,6 +308,17 @@ def test_monitor_alert_exit_3(tmp_path, normal_csv):
     assert code == 3
     trace = read_csv(out / "trace.csv")
     assert trace[-1][5] == "true"
+
+
+@pytest.mark.parametrize("setting", [
+    "--alert-factor=nan", "--alert-factor=inf", "--threshold=nan", "--threshold=inf",
+    "--threshold=-inf",
+])
+def test_monitor_non_finite_alert_setting_exit_64(tmp_path, normal_csv, setting):
+    # every draw exceeds, so an alert that could fire would exit 3
+    draws = write_draw_file(tmp_path, normal_csv, "bad.txt", ["3.0 0.2"] * 400)
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal", "--draws-file", draws,
+                   setting, "--outdir", tmp_path / "run") == 64
 
 
 def _reference_csv(header, rows) -> bytes:

@@ -5,7 +5,7 @@ must end the command with a documented exit code, never a traceback."""
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bayesgof import cli
@@ -71,6 +71,7 @@ _nul_path = st.builds(
 
 @settings(FUZZ, max_examples=40)  # three commands per example
 @given(path=_nul_path, through_config=st.booleans())
+@example(path="-\0", through_config=False)
 def test_input_path_holding_a_nul_byte_exits_65(work, path, through_config):
     """No file is opened: a NUL byte ends the path's use at open()."""
     tmp_path, good = work
@@ -84,7 +85,9 @@ def test_input_path_holding_a_nul_byte_exits_65(work, path, through_config):
             cfgfile.write_text(f"{flag} = {path}\n", encoding="utf-8", errors="surrogatepass")
             given_path = ("--config", cfgfile)
         else:
-            given_path = (f"--{flag}", path)
+            # joined to its flag, so that a path beginning with "-" is
+            # not read by argparse as an option of its own
+            given_path = (f"--{flag}={path}",)
         code = _exit_code(command, *given_path, *rest, "--outdir", tmp_path / "out")
         assert code == cli.EXIT_DATA
 

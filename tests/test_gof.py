@@ -24,7 +24,13 @@ from bayesgof.gof import (
     posterior_chisq_discrete_randomized,
     reference_auc,
 )
-from bayesgof.models import NormalModel, PoissonCommonRate
+from bayesgof.models import (
+    ChainSettings,
+    NormalModel,
+    PoissonCommonRate,
+    PoissonExchangeable,
+    PoissonSaturated,
+)
 from bayesgof.probkit import RngStream, split
 
 
@@ -85,14 +91,34 @@ def test_pearson_rows_reject_what_single_calls_reject(counts, probs, error):
 def test_batched_continuous_equals_single_draw_calls(k, draws, n, seed):
     model = NormalModel()
     y = RngStream(seed).generator.normal(0.3, 1.7, n)
-    mu, sigma = model.posterior_draws(y, draws, split(RngStream(seed), 1))
+    mu, sigma = model.posterior_draws(y, draws, split(RngStream(seed), 1)).T
     scheme = equiprobable(k)
-    batch = posterior_chisq_continuous(y, model, (mu, sigma), scheme)
+    batch = posterior_chisq_continuous(y, model, np.column_stack((mu, sigma)), scheme)
     assert batch.counts.shape == (draws, k)
     for i in range(draws):
         one = posterior_chisq_continuous(y, model, (mu[i], sigma[i]), scheme)
         assert batch.value[i] == one.value
         assert np.array_equal(batch.counts[i], one.counts)
+
+
+_OFFSETS = np.linspace(0.5, 2.0, 12)
+
+
+@pytest.mark.parametrize("model", [
+    PoissonCommonRate(_OFFSETS),
+    PoissonSaturated(_OFFSETS),
+    PoissonExchangeable(_OFFSETS, settings=ChainSettings(burn_in=50)),
+])
+def test_discrete_stack_equals_row_by_row_calls(model):
+    # a stack's rows are allocated in order from the one stream
+    y = RngStream(60).generator.poisson(4.0, _OFFSETS.size)
+    thetas = model.posterior_sample(y, 9, RngStream(61))
+    scheme = equiprobable(4)
+    stack = gof.posterior_chisq(y, model, thetas, scheme, RngStream(62))
+    rng = RngStream(62)
+    rows = [gof.posterior_chisq(y, model, theta, scheme, rng) for theta in thetas]
+    assert np.array_equal(stack.value, [row.value for row in rows])
+    assert np.array_equal(stack.counts, [row.counts for row in rows])
 
 
 def test_continuous_exact_fit():
@@ -139,7 +165,7 @@ def test_randomized_single_observation_two_cells():
     # n=1, K=2: value is 1.0 whichever cell receives the point
     model = PoissonCommonRate(offsets=[1.0])
     stat = posterior_chisq_discrete_randomized(
-        np.array([2]), model, 2.0, equiprobable(2), RngStream(4)
+        np.array([2]), model, [2.0], equiprobable(2), RngStream(4)
     )
     assert stat.value == pytest.approx(1.0)
 
@@ -149,7 +175,7 @@ def test_randomized_impossible_outcome_rejected():
     tiny = 1e-310
     with pytest.raises(EvaluationError):
         posterior_chisq_discrete_randomized(
-            np.array([40, 40]), model, tiny, equiprobable(5), RngStream(0)
+            np.array([40, 40]), model, [tiny], equiprobable(5), RngStream(0)
         )
 
 
@@ -158,12 +184,12 @@ def test_randomized_outlier_lands_in_top_cell():
     # is about 1e-206; the outlier is binned at 1, in the top cell
     model = PoissonCommonRate(offsets=[25.0, 25.0, 25.0])
     stat = posterior_chisq_discrete_randomized(
-        np.array([300, 0, 0]), model, 1.0, equiprobable(5), RngStream(6)
+        np.array([300, 0, 0]), model, [1.0], equiprobable(5), RngStream(6)
     )
     assert stat.counts[4] >= 1
     lone = PoissonCommonRate(offsets=[25.0])
     stat = posterior_chisq_discrete_randomized(
-        np.array([300]), lone, 1.0, equiprobable(5), RngStream(6)
+        np.array([300]), lone, [1.0], equiprobable(5), RngStream(6)
     )
     assert list(stat.counts) == [0, 0, 0, 0, 1]
     assert stat.value == pytest.approx(4.0)
@@ -173,7 +199,7 @@ def test_randomized_zero_count_at_huge_mean_lands_in_bottom_cell():
     # exp(-1e4) underflows, so both CDF values are 0.0
     model = PoissonCommonRate(offsets=[1e4])
     stat = posterior_chisq_discrete_randomized(
-        np.array([0]), model, 1.0, equiprobable(5), RngStream(7)
+        np.array([0]), model, [1.0], equiprobable(5), RngStream(7)
     )
     assert list(stat.counts) == [1, 0, 0, 0, 0]
 
@@ -308,13 +334,13 @@ def test_scipy_optimize_not_imported_by_cli():
 def test_discrepancy_zero_at_exact_mean():
     model = PoissonCommonRate(offsets=np.ones(6))
     y = np.full(6, 3.0)
-    assert chisq_discrepancy(y, model, 3.0) == 0.0
+    assert chisq_discrepancy(y, model, [3.0]) == 0.0
 
 
 def test_discrepancy_one_sd_residual():
     model = PoissonCommonRate(offsets=np.ones(4))
     y = np.array([4.0, 4.0, 4.0, 6.0])
-    assert chisq_discrepancy(y, model, 4.0) == pytest.approx(1.0)
+    assert chisq_discrepancy(y, model, [4.0]) == pytest.approx(1.0)
 
 
 def test_discrepancy_mean_near_n():
@@ -324,7 +350,7 @@ def test_discrepancy_mean_near_n():
     y = gen.poisson(4.2, size=(10_000, n)).astype(float)
     vals = ((y - 4.2) ** 2 / 4.2).sum(axis=1)
     assert abs(vals.mean() - n) / n < 0.02
-    one = chisq_discrepancy(y[0], model, 4.2)
+    one = chisq_discrepancy(y[0], model, [4.2])
     assert one == pytest.approx(((y[0] - 4.2) ** 2 / 4.2).sum())
 
 

@@ -22,7 +22,14 @@ from bayesgof.harness import (
     predictive_auc_test,
     stream_monitor,
 )
-from bayesgof.models import NormalModel, PoissonCommonRate, PoissonSaturated, generate_t
+from bayesgof.models import (
+    ChainSettings,
+    NormalModel,
+    PoissonCommonRate,
+    PoissonExchangeable,
+    PoissonSaturated,
+    generate_t,
+)
 from bayesgof.probkit import RngStream, split
 from conftest import STANDARD_NORMAL
 
@@ -131,8 +138,8 @@ def test_null_calibration_runs_a_model_the_cli_never_maps():
     # as it takes any model, and its draws are calibrated
     cfg = ExperimentConfig(n=60, replicates=300, seed=17)
     model = PoissonCommonRate(np.ones(cfg.n))
-    one = null_calibration(cfg, model, 4.2)
-    two = null_calibration(dataclasses.replace(cfg, workers=2), model, 4.2)
+    one = null_calibration(cfg, model, [4.2])
+    two = null_calibration(dataclasses.replace(cfg, workers=2), model, [4.2])
     assert one.series["posterior"].ks.passed
     assert np.array_equal(one.series["posterior"].values, two.series["posterior"].values)
 
@@ -174,7 +181,7 @@ def test_power_exceedance_matches_scalar_recomputation():
         for r in range(cfg.replicates):
             c = split(base, r)
             y = generate_t(cfg.n, df, split(c, 0))
-            mu, sigma = model.posterior_draws(y, cfg.draws_per_dataset, split(c, 1))
+            mu, sigma = model.posterior_draws(y, cfg.draws_per_dataset, split(c, 1)).T
             values = [posterior_chisq_continuous(y, model, theta, scheme).value
                       for theta in zip(mu, sigma)]
             fractions.append(np.mean(np.asarray(values) > threshold))
@@ -248,6 +255,21 @@ def test_analyze_summary_consistency():
     assert sum(s.mean_bin_counts) == pytest.approx(50.0)
     assert s.threshold == pytest.approx(probkit.chi2_quantile(4, 0.95))
     assert s.small_cells == ()
+
+
+def test_analyze_one_draw_gives_one_value_for_every_model():
+    offsets = np.linspace(0.5, 2.0, 12)
+    counts = RngStream(52).generator.poisson(4.0, offsets.size)
+    normal = RngStream(53).generator.normal(0.0, 1.0, 12)
+    for y, model in (
+        (normal, NormalModel()),
+        (counts, PoissonCommonRate(offsets)),
+        (counts, PoissonSaturated(offsets)),
+        (counts, PoissonExchangeable(offsets, settings=ChainSettings(burn_in=50))),
+    ):
+        res = analyze(y, model, RngStream(54), n_draws=1)
+        assert res.values.shape == (1,) and res.summary.n_draws == 1
+        assert sum(res.summary.mean_bin_counts) == pytest.approx(12.0)
 
 
 def test_analyze_nominal_centering():
@@ -326,7 +348,7 @@ def test_monitor_empty_stream():
 def test_monitor_null_rate_settles():
     y = RngStream(43).generator.normal(0, 1, 50)
     model = NormalModel()
-    mu, sigma = model.posterior_draws(y, 1500, RngStream(44))
+    mu, sigma = model.posterior_draws(y, 1500, RngStream(44)).T
     recs = list(stream_monitor(zip(mu, sigma), y, model, equiprobable(5)))
     assert len(recs) == 1500
     assert abs(recs[-1].cumulative_rate - 0.05) <= 0.03
@@ -336,7 +358,7 @@ def test_monitor_null_rate_settles():
 def test_monitor_marks_invalid_draws():
     y = RngStream(45).generator.normal(0, 1, 50)
     model = NormalModel()
-    mu, sigma = model.posterior_draws(y, 10, RngStream(46))
+    mu, sigma = model.posterior_draws(y, 10, RngStream(46)).T
     stream = [(mu[0], sigma[0]), (0.0, 0.0), (mu[1], sigma[1])]
     recs = list(stream_monitor(stream, y, model, equiprobable(5)))
     assert [r.valid for r in recs] == [True, False, True]
@@ -361,7 +383,7 @@ def test_monitor_alert_latches():
     y = RngStream(47).generator.normal(0, 1, 50)
     model = NormalModel()
     bad = [(50.0, 0.1)] * 200
-    mu, sigma = model.posterior_draws(y, 2000, RngStream(48))
+    mu, sigma = model.posterior_draws(y, 2000, RngStream(48)).T
     stream = bad + list(zip(mu, sigma))
     recs = list(stream_monitor(stream, y, model, equiprobable(5),
                                alert_factor=3.0, min_draws=10))

@@ -63,7 +63,7 @@ def normal_data():
 
 def test_normal_posterior_mean_recovers_ybar(normal_data):
     model = NormalModel()
-    mu, sigma = model.posterior_draws(normal_data, 100_000, RngStream(2))
+    mu, sigma = model.posterior_draws(normal_data, 100_000, RngStream(2)).T
     tol = 3.0 * mu.std() / math.sqrt(mu.size)
     assert abs(mu.mean() - normal_data.mean()) < tol
 
@@ -73,14 +73,14 @@ def test_normal_sigma2_mean_identity(normal_data):
     n = normal_data.size
     s2 = normal_data.var(ddof=1)
     want = (n - 1) * s2 / (n - 3)
-    _, sigma = NormalModel().posterior_draws(normal_data, 200_000, RngStream(3))
+    _, sigma = NormalModel().posterior_draws(normal_data, 200_000, RngStream(3)).T
     got = (sigma**2).mean()
     tol = 3.0 * (sigma**2).std() / math.sqrt(sigma.size)
     assert abs(got - want) < tol
 
 
 def test_normal_posterior_matches_metropolis_oracle(normal_data):
-    mu_c, sigma_c = NormalModel().posterior_draws(normal_data, 100_000, RngStream(5))
+    mu_c, sigma_c = NormalModel().posterior_draws(normal_data, 100_000, RngStream(5)).T
     mu_m, sig2_m = rwm_normal_posterior(normal_data, 60_000, 5_000, seed=17)
     # effective size of the chain is far below its length; budget 1/20th
     se_mu = mu_m.std() / math.sqrt(mu_m.size / 20)
@@ -127,19 +127,28 @@ def test_posterior_draw_is_draw_zero_of_posterior_draws():
     for seed in range(300):
         v = RngStream(seed).open_uniform(2)
         direct = normal_posterior_from_uniforms(y, v[0], v[1])
-        assert normal.posterior_draw(y, RngStream(seed)) == direct
+        assert np.array_equal(normal.posterior_draw(y, RngStream(seed)), direct)
         for size in (1, 7):
-            mu, sigma = normal.posterior_draws(y, size, RngStream(seed))
+            mu, sigma = normal.posterior_draws(y, size, RngStream(seed)).T
             assert (mu[0], sigma[0]) == direct
     for seed in range(200):
         rate = RngStream(seed).generator.gamma(counts.sum(), 1.0 / offsets.sum())
         means = RngStream(seed).generator.gamma(counts + 0.5, 1.0)
-        assert common.posterior_draw(counts, RngStream(seed)) == rate
+        assert np.array_equal(common.posterior_draw(counts, RngStream(seed)), [rate])
         assert np.array_equal(saturated.posterior_draw(counts, RngStream(seed)), means)
         for size in (1, 7):
-            assert common.posterior_draws(counts, size, RngStream(seed))[0] == rate
+            assert np.array_equal(common.posterior_draws(counts, size, RngStream(seed))[0], [rate])
             stack = saturated.posterior_draws(counts, size, RngStream(seed))
             assert np.array_equal(stack[0], means)
+    # every model's posterior_sample is a (size, theta_size) float stack whose
+    # rows are thetas in theta_from_vector's layout
+    exchangeable = PoissonExchangeable(offsets, settings=ChainSettings(burn_in=50))
+    for model, data in ((normal, y), (common, counts), (saturated, counts), (exchangeable, counts)):
+        for size in (1, 7):
+            stack = model.posterior_sample(data, size, RngStream(32))
+            assert stack.shape == (size, model.theta_size) and stack.dtype == float
+            for row in stack:
+                assert np.array_equal(model.theta_from_vector(row), row)
 
 
 def test_normal_mle_hand_value():
@@ -214,7 +223,7 @@ def test_common_rate_matches_gamma_ks():
 
     model = PoissonCommonRate(offsets=[1.0])
     draws = model.posterior_draws(np.array([5]), 5000, RngStream(13))
-    res = ks_statistic(draws, stats.gamma(5.0).cdf, alpha=0.01)
+    res = ks_statistic(draws[:, 0], stats.gamma(5.0).cdf, alpha=0.01)
     assert res.passed
 
 
@@ -269,7 +278,7 @@ def test_counts_validated():
 
 def test_poisson_cdf_pair_examples():
     model = PoissonCommonRate(offsets=[1.0])
-    below, at = model.obs_cdf_pair(np.array([0]), 1.0)
+    below, at = model.obs_cdf_pair(np.array([0]), [1.0])
     assert below[0] == 0.0
     assert at[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
@@ -277,14 +286,14 @@ def test_poisson_cdf_pair_examples():
 def test_poisson_cdf_pair_pmf_identity():
     model = PoissonCommonRate(offsets=np.ones(5))
     y = np.array([0, 1, 3, 7, 2])
-    below, at = model.obs_cdf_pair(y, 4.2)
+    below, at = model.obs_cdf_pair(y, [4.2])
     pmf = stats.poisson.pmf(y, 4.2)
     assert np.allclose(at - below, pmf, atol=1e-12)
 
 
 def test_poisson_cdf_series_oracle():
     model = PoissonCommonRate(offsets=[1.0])
-    _, at = model.obs_cdf_pair(np.array([2]), 4.2)
+    _, at = model.obs_cdf_pair(np.array([2]), [4.2])
     series = sum(math.exp(-4.2) * 4.2**j / math.factorial(j) for j in range(3))
     assert abs(at[0] - series) < 1e-9
 
@@ -484,7 +493,7 @@ def test_posterior_predictive_round_trip():
     good = 0
     for r in range(100):
         rep = split(root, r)
-        y = model.predictive_draw(3.5, split(rep, 0))
+        y = model.predictive_draw([3.5], split(rep, 0))
         draws = model.posterior_draws(y, 2000, split(rep, 1))
         good += int(abs(draws.mean() - 3.5) <= 3.0 * draws.std())
     assert good >= 95
@@ -525,14 +534,14 @@ def test_theta_from_vector_rejects_bad_vectors(model, values, positive):
 def test_normal_obs_cdf_stacked_rows_equal_single_calls():
     model = NormalModel()
     y = RngStream(70).generator.normal(0.0, 1.0, 20)
-    mu, sigma = model.posterior_draws(y, 8, RngStream(71))
-    rows = model.obs_cdf(y, (mu, sigma))
+    mu, sigma = model.posterior_draws(y, 8, RngStream(71)).T
+    rows = model.obs_cdf(y, np.column_stack((mu, sigma)))
     assert rows.shape == (8, 20)
     for i in range(8):
         assert np.array_equal(rows[i], model.obs_cdf(y, (mu[i], sigma[i])))
     sigma[3] = 0.0
     with pytest.raises(DomainError):
-        model.obs_cdf(y, (mu, sigma))
+        model.obs_cdf(y, np.column_stack((mu, sigma)))
 
 
 _finite = st.one_of(
@@ -553,7 +562,7 @@ def test_normal_obs_cdf_stacked_rows_equal_single_calls_at_extremes(y, draws):
     y = np.array(y, dtype=float)
     mu, sigma = (np.array(v) for v in zip(*draws))
     with np.errstate(over="ignore"):  # y - mu may overflow to an infinite z
-        rows = model.obs_cdf(y, (mu, sigma))
+        rows = model.obs_cdf(y, np.column_stack((mu, sigma)))
         singles = [model.obs_cdf(y, (float(m), float(s))) for m, s in draws]
     assert rows.shape == (len(draws), y.size)
     for row, single in zip(rows, singles):

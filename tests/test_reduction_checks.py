@@ -183,9 +183,9 @@ def test_common_rate_cdf_pair_matches_its_method_form(n, theta, data):
         _float_arrays(_any_float, shape=shape),
     ))
     model = models.PoissonCommonRate(offsets)
-    new = _outcome(model.obs_cdf_pair, y, theta)
+    new = _outcome(model.obs_cdf_pair, y, [theta])
     with mock.patch.object(models, "_poisson_cdf_pair", _old_poisson_cdf_pair):
-        assert new == _outcome(model.obs_cdf_pair, y, theta)
+        assert new == _outcome(model.obs_cdf_pair, y, [theta])
 
 
 _MODELS = [
