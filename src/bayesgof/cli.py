@@ -1,9 +1,13 @@
 """Command-line front end: data ingestion, configuration, dispatch, results.
 
-Subcommands map one-to-one onto harness entry points.  Every run writes a
-manifest.json holding the fully resolved configuration, the seed, the tool
-version, and a digest of any input file; `bayesgof replay manifest.json`
-re-executes the run and reproduces the output files byte for byte.
+Subcommands map one-to-one onto harness entry points.  A handler computes
+its result and writes its own output files; one run lifecycle around every
+handler, replay's included, makes --outdir, times the run and, after the last
+output, writes manifest.json: the fully resolved configuration, the seed, the
+tool version, the output names and a digest of the one input file (the
+dataset, or the draw stream for monitor).  A run that fails leaves no
+manifest.  `bayesgof replay manifest.json` re-executes the run and reproduces
+the output files byte for byte.
 
 A --config file or manifest becomes --flag=value tokens for the subcommand's
 own parser; a config file may set required flags, and a manifest key it
@@ -118,12 +122,14 @@ def _open_output(path: str):
         raise ConfigError(f"cannot write {path}: {reason}") from None
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with _open_output(path) as fh:
+def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
+    """Write outdir/name; returns name, for the manifest's outputs."""
+    with _open_output(os.path.join(outdir, name)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    return name
 
 
 def _digest(path: str) -> str:
@@ -135,20 +141,15 @@ def _digest(path: str) -> str:
 
 
 def _write_manifest(
-    outdir: str,
-    command: str,
-    ns: argparse.Namespace,
-    outputs: list[str],
-    *,
-    input_path: str | None = None,
-    started: float = 0.0,
-    derived: dict | None = None,
-) -> str:
+    outdir: str, ns: argparse.Namespace, outputs: list[str], started: float, derived: dict
+) -> None:
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(ns).items()
         if k not in ("command", "func", "config")
     }
+    # the one input hashed: the draw stream for monitor, else the dataset
+    input_path = ns.draws_file if ns.command == "monitor" else getattr(ns, "data", None)
     entry = None
     if input_path is not None:
         entry = {"path": input_path}
@@ -156,7 +157,7 @@ def _write_manifest(
     manifest = {
         "tool": "bayesgof",
         "version": __version__,
-        "command": command,
+        "command": ns.command,
         "config": config,
         "input": entry,
         "outputs": outputs,
@@ -165,11 +166,9 @@ def _write_manifest(
     }
     if derived:
         manifest["derived"] = derived
-    path = os.path.join(outdir, "manifest.json")
-    with _open_output(path) as fh:
+    with _open_output(os.path.join(outdir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _grouped_fit(iterations: np.ndarray) -> dict:
@@ -330,19 +329,31 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate_null(ns: argparse.Namespace) -> int:
+# a handler's (exit code, output file names, manifest "derived" block)
+_Outcome = tuple[int, list[str], dict]
+
+
+def _run(ns: argparse.Namespace) -> int:
+    """The one run lifecycle: make the output directory, run the handler and,
+    once its outputs are written, write manifest.json.  A handler that raises
+    leaves no manifest."""
     started = time.perf_counter()
     outdir = _ensure_outdir(ns.outdir)
-    reps = 10000 if ns.full_scale else ns.reps
-    cfg = ExperimentConfig(
-        n=ns.n,
-        bins=ns.k,
-        replicates=reps,
-        seed=ns.seed,
-        ks_alpha=ns.ks_alpha,
-        include_classical=ns.classical,
-        workers=ns.workers,
+    code, outputs, derived = _COMMANDS[ns.command](ns, outdir)
+    _write_manifest(outdir, ns, outputs, started, derived)
+    return code
+
+
+def _study_config(ns: argparse.Namespace, **fields) -> ExperimentConfig:
+    """ExperimentConfig of a study from _add_study_flags' flags and fields."""
+    return ExperimentConfig(
+        n=ns.n, bins=ns.k, replicates=10000 if ns.full_scale else ns.reps,
+        seed=ns.seed, workers=ns.workers, **fields,
     )
+
+
+def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
+    cfg = _study_config(ns, ks_alpha=ns.ks_alpha, include_classical=ns.classical)
     if ns.model == "normal":
         model, truth = models.NormalModel(), STANDARD_NORMAL
     else:  # poisson-synthetic: one free mean per observation, all at --mean
@@ -371,7 +382,7 @@ def cmd_simulate_null(ns: argparse.Namespace) -> int:
             if has_ref[name]:
                 row.append(series.ref_quantiles[i])
         rows.append(row)
-    _write_csv(os.path.join(outdir, "qq.csv"), header, rows)
+    outputs = [_write_csv(outdir, "qq.csv", header, rows)]
 
     summary_header = [
         "series", "replicates", "n", "k", "mean", "variance",
@@ -386,37 +397,22 @@ def cmd_simulate_null(ns: argparse.Namespace) -> int:
             ks.statistic if ks else None, ks.critical if ks else None,
             ks.alpha if ks else None, ks.passed if ks else None,
         ])
-    _write_csv(os.path.join(outdir, "summary.csv"), summary_header, summary_rows)
+    outputs.append(_write_csv(outdir, "summary.csv", summary_header, summary_rows))
     derived = {"runtime_s": result.runtime_s}
     if result.grouped_iterations is not None:
         derived["grouped_fit"] = _grouped_fit(result.grouped_iterations)
-    _write_manifest(
-        outdir, "simulate-null", ns, ["qq.csv", "summary.csv"],
-        started=started, derived=derived,
-    )
 
-    if ns.assert_calibrated:
-        failed = [n for n in names if result.series[n].ks and not result.series[n].ks.passed]
-        if failed:
-            print(f"calibration failed: {', '.join(failed)}", file=sys.stderr)
-            return EXIT_CALIBRATION
-    return EXIT_OK
+    failed = [n for n in names if result.series[n].ks and not result.series[n].ks.passed]
+    if ns.assert_calibrated and failed:
+        print(f"calibration failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_CALIBRATION, outputs, derived
+    return EXIT_OK, outputs, derived
 
 
-def cmd_power(ns: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    outdir = _ensure_outdir(ns.outdir)
-    reps = 10000 if ns.full_scale else ns.reps
-    cfg = ExperimentConfig(
-        n=ns.n,
-        bins=ns.k,
-        replicates=reps,
-        seed=ns.seed,
-        draws_per_dataset=ns.draws,
-        alpha=ns.alpha,
-        workers=ns.workers,
-        df_grid=tuple(ns.df),
-        methods=tuple(ns.methods),
+def cmd_power(ns: argparse.Namespace, outdir: str) -> _Outcome:
+    cfg = _study_config(
+        ns, draws_per_dataset=ns.draws, alpha=ns.alpha,
+        df_grid=tuple(ns.df), methods=tuple(ns.methods),
     )
     model = models.NormalModel()
     if ns.auc_critical is not None:
@@ -430,18 +426,13 @@ def cmd_power(ns: argparse.Namespace) -> int:
         [row.df, row.method, row.rejections, row.replicates, row.rate]
         for row in result.rows
     ]
-    _write_csv(
-        os.path.join(outdir, "power.csv"),
-        ["df", "method", "rejections", "replicates", "rate"],
-        rows,
-    )
+    outputs = [
+        _write_csv(outdir, "power.csv", ["df", "method", "rejections", "replicates", "rate"], rows)
+    ]
     derived = {"auc_critical": critical}
     if result.grouped_iterations is not None:
         derived["grouped_fit"] = _grouped_fit(result.grouped_iterations)
-    _write_manifest(
-        outdir, "power", ns, ["power.csv"], started=started, derived=derived,
-    )
-    return EXIT_OK
+    return EXIT_OK, outputs, derived
 
 
 def _load_fit(ns: argparse.Namespace):
@@ -452,9 +443,7 @@ def _load_fit(ns: argparse.Namespace):
     return y, model, equiprobable(k)
 
 
-def cmd_analyze(ns: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    outdir = _ensure_outdir(ns.outdir)
+def cmd_analyze(ns: argparse.Namespace, outdir: str) -> _Outcome:
     y, model, scheme = _load_fit(ns)
     result = harness.analyze(
         y, model, RngStream(ns.seed),
@@ -468,47 +457,35 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         ";".join(str(i + 1) for i in s.small_cells),
     ]
     row += list(s.mean_bin_counts)
-    _write_csv(os.path.join(outdir, "summary.csv"), header, [row])
+    _write_csv(outdir, "summary.csv", header, [row])
     # the fields _write_csv would give (no field can need CSV quoting)
     dof = s.k - 1
     with _open_output(os.path.join(outdir, "trace.csv")) as fh:
         fh.write("draw,value,dof\n")
         fh.writelines(f"{i},{v:.17g},{dof}\n" for i, v in enumerate(result.values.tolist()))
-    _write_manifest(
-        outdir, "analyze", ns, ["summary.csv", "trace.csv"],
-        input_path=ns.data, started=started,
-    )
-    return EXIT_OK
+    return EXIT_OK, ["summary.csv", "trace.csv"], {}
 
 
-def cmd_pp_test(ns: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    outdir = _ensure_outdir(ns.outdir)
+def cmd_pp_test(ns: argparse.Namespace, outdir: str) -> _Outcome:
     y, model, scheme = _load_fit(ns)
     result = harness.predictive_auc_test(
         y, model, RngStream(ns.seed),
         pp_reps=ns.pp_reps, n_draws=ns.draws, scheme=scheme,
     )
-    _write_csv(
-        os.path.join(outdir, "summary.csv"),
-        ["auc_observed", "pp_reps", "p_value"],
-        [[result.auc_observed, ns.pp_reps, result.p_value]],
-    )
-    _write_csv(
-        os.path.join(outdir, "predictive.csv"),
-        ["replicate", "auc"],
-        ([i, a] for i, a in enumerate(result.predictive_aucs)),
-    )
-    _write_manifest(
-        outdir, "pp-test", ns, ["summary.csv", "predictive.csv"],
-        input_path=ns.data, started=started,
-    )
-    return EXIT_OK
+    outputs = [
+        _write_csv(
+            outdir, "summary.csv", ["auc_observed", "pp_reps", "p_value"],
+            [[result.auc_observed, ns.pp_reps, result.p_value]],
+        ),
+        _write_csv(
+            outdir, "predictive.csv", ["replicate", "auc"],
+            ([i, a] for i, a in enumerate(result.predictive_aucs)),
+        ),
+    ]
+    return EXIT_OK, outputs, {}
 
 
-def cmd_monitor(ns: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    outdir = _ensure_outdir(ns.outdir)
+def cmd_monitor(ns: argparse.Namespace, outdir: str) -> _Outcome:
     y, model, scheme = _load_fit(ns)
 
     counters = {"total": 0, "malformed": 0}
@@ -530,7 +507,9 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
             yield theta
 
     def run(lines) -> bool:
-        # a continuous model never reads, so never opens, the stream
+        # stream_monitor checks the settings and the data here, before
+        # trace.csv is opened; a continuous model never reads, so never
+        # opens, the stream
         records = harness.stream_monitor(
             parse_stream(lines), y, model, scheme, split(RngStream(ns.seed), 0),
             threshold=ns.threshold, alert_factor=ns.alert_factor,
@@ -578,24 +557,17 @@ def cmd_monitor(ns: argparse.Namespace) -> int:
     derived = {"draw_lines": counters["total"], "malformed_lines": counters["malformed"]}
     if invalid:
         derived["invalid_draws"] = invalid
-    _write_manifest(
-        outdir, "monitor", ns, ["trace.csv"],
-        input_path=ns.draws_file, started=started, derived=derived,
-    )
-    return EXIT_ALERT if alerted else EXIT_OK
+    return EXIT_ALERT if alerted else EXIT_OK, ["trace.csv"], derived
 
 
-def cmd_validate(ns: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    outdir = _ensure_outdir(ns.outdir)
+def cmd_validate(ns: argparse.Namespace, outdir: str) -> _Outcome:
     y, offsets = read_dataset(ns.data)
     print(f"{ns.data}: {y.size} rows, columns y{',E' if offsets is not None else ''}")
     if ns.model is not None:
         model = _build_model(ns, offsets)
         model.validate_data(y)
         print(f"model {ns.model}: data accepted")
-    _write_manifest(outdir, "validate", ns, [], input_path=ns.data, started=started)
-    return EXIT_OK
+    return EXIT_OK, [], {}
 
 
 def cmd_replay(ns: argparse.Namespace) -> int:
@@ -611,7 +583,7 @@ def cmd_replay(ns: argparse.Namespace) -> int:
     if not isinstance(manifest, dict):
         raise DataError(f"{ns.manifest}: not a manifest object")
     command = manifest.get("command")
-    if not isinstance(command, str) or command not in _COMMANDS or command == "replay":
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise DataError(f"{ns.manifest}: unknown or missing command {command!r}")
     if manifest.get("version") != __version__:
         print(
@@ -633,7 +605,7 @@ def cmd_replay(ns: argparse.Namespace) -> int:
         named = set(re.findall(r"--[\w-]+", str(exc)))
         keys = [repr(dest) for dest, a in actions.items() if named & set(a.option_strings)]
         raise DataError(f"{ns.manifest}: config key(s) {', '.join(keys)}: {exc}") from None
-    return _COMMANDS[command](replay_ns)
+    return _run(replay_ns)
 
 
 _COMMANDS = {
@@ -643,7 +615,6 @@ _COMMANDS = {
     "pp-test": cmd_pp_test,
     "monitor": cmd_monitor,
     "validate": cmd_validate,
-    "replay": cmd_replay,
 }
 
 
@@ -682,6 +653,16 @@ def _add_dataset_flags(sub: argparse.ArgumentParser, choices: list[str]) -> None
                      help="bin count (default: rule-of-thumb from n)")
 
 
+def _add_study_flags(sub: argparse.ArgumentParser, reps_default: int, reps_help: str) -> None:
+    sub.add_argument("--n", type=int, default=50, help="observations per dataset")
+    sub.add_argument("--k", type=int, default=None, help="bin count (default: rule from n)")
+    scale = sub.add_mutually_exclusive_group()
+    scale.add_argument("--reps", type=int, default=reps_default, help=reps_help)
+    scale.add_argument("--full-scale", action="store_true",
+                       help=f"{reps_help}: 10000 instead of the desk-scale {reps_default}")
+    sub.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+
+
 _DATA_MODELS = ["normal", "poisson-common", "poisson-saturated", "poisson-exchangeable"]
 
 
@@ -706,18 +687,12 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sim.add_argument("--model", choices=["normal", "poisson-synthetic"], default="normal")
-    sim.add_argument("--n", type=int, default=50, help="observations per dataset")
-    sim.add_argument("--k", type=int, default=None, help="bin count (default: rule from n)")
-    scale = sim.add_mutually_exclusive_group()
-    scale.add_argument("--reps", type=int, default=2000, help="replicate datasets")
-    scale.add_argument("--full-scale", action="store_true",
-                       help="10000 replicates instead of the desk-scale default")
+    _add_study_flags(sim, 2000, "replicate datasets")
     sim.add_argument("--classical", action="store_true",
                      help="also tabulate the plugin and grouped-MLE statistics")
     sim.add_argument("--assert-calibrated", action="store_true",
                      help="exit 2 if any tracked series fails its KS check")
     sim.add_argument("--ks-alpha", type=float, default=0.01)
-    sim.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sim.add_argument("--mean", type=float, default=4.2,
                      help="true mean for poisson-synthetic data")
     sim.add_argument("--prior-exponent", type=float, default=0.5, choices=[0.5, 1.0])
@@ -735,18 +710,12 @@ def build_parser() -> _Parser:
                     help="comma list, ranges allowed: 1,2,3 or 1..10")
     pw.add_argument("--methods", type=_parse_methods, default=harness.POWER_METHODS,
                     help=f"comma list among {','.join(harness.POWER_METHODS)}")
-    scale = pw.add_mutually_exclusive_group()
-    scale.add_argument("--reps", type=int, default=1000, help="replicates per df")
-    scale.add_argument("--full-scale", action="store_true",
-                       help="10000 replicates per df")
-    pw.add_argument("--n", type=int, default=50)
-    pw.add_argument("--k", type=int, default=None)
+    _add_study_flags(pw, 1000, "replicates per df")
     pw.add_argument("--draws", type=int, default=500,
                     help="posterior draws per dataset for the averaged test")
     pw.add_argument("--alpha", type=float, default=0.05, help="test size")
     pw.add_argument("--auc-critical", type=float, default=None,
                     help="stored null critical value; computed fresh at seed+1 if omitted")
-    pw.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(pw)
 
     an = subs.add_parser(
@@ -947,8 +916,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = _parse_command_line(parser, args)
-        handler = _COMMANDS[ns.command]
-        return handler(ns)
+        return cmd_replay(ns) if ns.command == "replay" else _run(ns)
     except _UsageError as exc:
         print(exc.usage, end="", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -508,6 +508,8 @@ def analyze(
     y = model.validate_data(data)
     if n_draws < 1:
         raise ConfigError("n_draws must be positive")
+    if threshold is not None and not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
     sch = scheme if scheme is not None else equiprobable(default_bin_count(y.size))
     k = sch.k
     thr = threshold if threshold is not None else probkit.chi2_quantile(k - 1, 0.95)
@@ -585,12 +587,14 @@ def stream_monitor(
 ) -> Iterator[MonitorRecord]:
     """Walk a stream of parameter draws and track tail exceedances online.
 
-    Each draw yields one record with the statistic value and the running
-    exceedance rate over valid draws.  The alert flag latches once the rate
-    sits above alert_factor times the reference tail mass with at least
-    min_draws valid draws seen.  Memory use is constant in stream length.
-    Each draw is evaluated by gof.posterior_chisq, so a discrete model needs
-    rng for its randomized allocation.
+    The data and every setting are checked on the call itself, before any
+    draw is read, and the call returns an iterator of records.  Each draw
+    yields one record with the statistic value and the running exceedance
+    rate over valid draws.  The alert flag latches once the rate sits above
+    alert_factor times the reference tail mass with at least min_draws valid
+    draws seen.  Memory use is constant in stream length.  Each draw is
+    evaluated by gof.posterior_chisq, so a discrete model needs rng for its
+    randomized allocation.
 
     The default factor is deliberately far above 1: on a well-specified
     model the per-dataset exceedance rate varies widely around the nominal
@@ -609,24 +613,27 @@ def stream_monitor(
     nominal = probkit.chi2_survival(scheme.k - 1, thr)
     band = alert_factor * nominal
 
-    seen_valid = 0
-    exceed_count = 0
-    alerted = False
-    for index, theta in enumerate(draw_stream):
-        try:
-            value = gof.posterior_chisq(y, model, theta, scheme, rng).value
-            valid = True
-            reason = ""
-        # package errors only: anything else is a fault in the evaluator
-        except (EvaluationError, DomainError, DataError) as exc:
-            value = float("nan")
-            valid = False
-            reason = type(exc).__name__
-        exceeds = bool(valid and value > thr)
-        if valid:
-            seen_valid += 1
-            exceed_count += int(exceeds)
-        rate = exceed_count / seen_valid if seen_valid else 0.0
-        if seen_valid >= min_draws and rate > band:
-            alerted = True
-        yield MonitorRecord(index, value, valid, exceeds, rate, alerted, reason)
+    def records() -> Iterator[MonitorRecord]:
+        seen_valid = 0
+        exceed_count = 0
+        alerted = False
+        for index, theta in enumerate(draw_stream):
+            try:
+                value = gof.posterior_chisq(y, model, theta, scheme, rng).value
+                valid = True
+                reason = ""
+            # package errors only: anything else is a fault in the evaluator
+            except (EvaluationError, DomainError, DataError) as exc:
+                value = float("nan")
+                valid = False
+                reason = type(exc).__name__
+            exceeds = bool(valid and value > thr)
+            if valid:
+                seen_valid += 1
+                exceed_count += int(exceeds)
+            rate = exceed_count / seen_valid if seen_valid else 0.0
+            if seen_valid >= min_draws and rate > band:
+                alerted = True
+            yield MonitorRecord(index, value, valid, exceeds, rate, alerted, reason)
+
+    return records()

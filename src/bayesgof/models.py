@@ -18,12 +18,13 @@ harness and cli modules:
 - ``theta_from_vector(values)`` builds theta from a flat vector of
   ``theta_size`` values, raising DomainError for a wrong length, a
   non-finite value or a non-positive scale, rate, mean or sigma2;
-- for the classical comparators the normal model also has ``mle`` for the
-  raw-data maximum-likelihood estimate, ``quantile_edges`` for the
-  data-space cut points at a parameter value, ``cell_probs`` for the cells
-  between cut points, ``free_params`` / ``theta_from_free`` for unconstrained
-  coordinates, and ``cell_probs_jacobian`` for the derivative of the cell
-  probabilities in those coordinates.
+- for the classical comparators the normal model also has ``n_params`` for
+  the number of fitted parameters, ``mle`` for the raw-data maximum-likelihood
+  estimate, ``quantile_edges`` for the data-space cut points at a parameter
+  value, ``cell_probs`` for the cells between cut points, ``free_params`` /
+  ``theta_from_free`` for unconstrained coordinates, and
+  ``cell_probs_jacobian`` for the derivative of the cell probabilities in
+  those coordinates.
 
 theta is a float vector of ``theta_size`` values in ``theta_from_vector``'s
 layout: (mu, sigma) for the normal model, (rate,) for the pooled Poisson
@@ -298,7 +299,6 @@ class PoissonCommonRate(_PoissonBase):
     posterior is gamma with shape sum(y) and rate sum(E) exactly.
     """
 
-    n_params = 1
     theta_size = 1
 
     def theta_from_vector(self, values) -> np.ndarray:
@@ -328,10 +328,6 @@ class PoissonSaturated(_PoissonBase):
         if prior_exponent not in (0.5, 1.0):
             raise DomainError(f"prior_exponent must be 0.5 or 1.0, got {prior_exponent}")
         self.prior_exponent = float(prior_exponent)
-
-    @property
-    def n_params(self) -> int:
-        return self.n_obs
 
     @property
     def theta_size(self) -> int:
@@ -437,11 +433,6 @@ class PoissonExchangeable(_PoissonBase):
         self.sigma2_rate = float(sigma2_rate)
         self.sigma2_fixed = sigma2_fixed
         self.settings = settings
-
-    @property
-    def n_params(self) -> int:
-        # alpha0 plus one random effect per observation (sigma2 is a hyperparameter)
-        return 1 + self.n_obs
 
     @property
     def theta_size(self) -> int:

@@ -321,6 +321,41 @@ def test_monitor_non_finite_alert_setting_exit_64(tmp_path, normal_csv, setting)
                    setting, "--outdir", tmp_path / "run") == 64
 
 
+@pytest.mark.parametrize("data, model, flags, code", [
+    (None, "normal", ["--alert-factor", "0.5"], 64),
+    (None, "normal", ["--min-draws", "0"], 64),
+    (None, "normal", ["--threshold", "inf"], 64),
+    ("y\n" + "2.5\n" * 20, "normal", [], 65),  # all values equal
+    ("y,E\n1.5,1.0\n2,1.0\n3,1.0\n", "poisson-common", [], 65),  # non-integer counts
+], ids=["alert-factor", "min-draws", "threshold", "equal-values", "non-integer-counts"])
+def test_rejected_monitor_run_writes_nothing(tmp_path, normal_csv, data, model, flags, code):
+    # the settings and the data are checked before trace.csv is opened
+    if data is not None:
+        (tmp_path / "data.csv").write_text(data)
+    draws = write_draw_file(tmp_path, normal_csv, "draws.txt", posterior_rows(normal_csv, 30))
+    args = ["monitor", "--data", tmp_path / "data.csv" if data else normal_csv,
+            "--model", model, "--draws-file", draws, *flags]
+    fresh = tmp_path / "fresh"
+    assert run_cli(*args, "--outdir", fresh) == code
+    assert list(fresh.iterdir()) == []
+    earlier = tmp_path / "earlier"
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--draws-file", draws, "--outdir", earlier) == 0
+    kept = {p.name: p.read_bytes() for p in earlier.iterdir()}
+    assert sorted(kept) == ["manifest.json", "trace.csv"]
+    assert run_cli(*args, "--outdir", earlier) == code
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == kept
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_analyze_non_finite_threshold_exit_64(tmp_path, normal_csv, threshold, capsys):
+    out = tmp_path / "run"
+    assert run_cli("analyze", "--data", normal_csv, "--model", "normal",
+                   f"--threshold={threshold}", "--outdir", out) == 64
+    assert "threshold must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # no summary.csv, trace.csv or manifest.json
+
+
 def _reference_csv(header, rows) -> bytes:
     """A file as csv.writer writes it with cli._fmt fields."""
     buf = io.StringIO()
@@ -786,6 +821,23 @@ _RECORDED_RUNS = {
 }
 
 
+# the flag naming the one input file a manifest hashes; the studies read none
+_INPUT_FLAG = {"analyze": "--data", "pp-test": "--data", "validate": "--data",
+               "monitor": "--draws-file"}
+
+
+def _checked_manifest(out, command, input_path) -> dict:
+    """out/manifest.json, checked against its run: the command, the outputs
+    (every other file in out) and the one input."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert sorted(manifest["outputs"]) == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json"
+    )
+    assert (manifest["input"] and manifest["input"]["path"]) == input_path
+    return manifest
+
+
 @pytest.mark.parametrize("command", sorted(_RECORDED_RUNS))
 def test_replay_round_trip_of_every_recording_command(
     tmp_path, poisson_csv, monkeypatch, command
@@ -798,12 +850,15 @@ def test_replay_round_trip_of_every_recording_command(
     code = run_cli(*args, "--outdir=-first")
     assert code in (0, 2, 3)
     first = tmp_path / "-first"
-    manifest = json.loads((first / "manifest.json").read_text())
+    flag = _INPUT_FLAG.get(command)
+    input_path = args[args.index(flag) + 1] if flag else None
+    manifest = _checked_manifest(first, command, input_path)
     outputs = {name: (first / name).read_bytes() for name in manifest["outputs"]}
     assert run_cli("replay", first / "manifest.json", "--outdir=-second") == code
     assert run_cli("replay", first / "manifest.json") == code  # into -first again
     for out in (tmp_path / "-second", first):
-        replayed = json.loads((out / "manifest.json").read_text())
+        replayed = _checked_manifest(out, command, input_path)
         assert replayed["config"] == dict(manifest["config"], outdir=out.name)
+        assert replayed["outputs"] == manifest["outputs"]
         for name, data in outputs.items():
             assert (out / name).read_bytes() == data, name

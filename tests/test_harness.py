@@ -396,6 +396,6 @@ def test_monitor_alert_latches():
 def test_monitor_config_errors():
     y = RngStream(49).generator.normal(0, 1, 30)
     with pytest.raises(ConfigError):
-        list(stream_monitor([], y, NormalModel(), equiprobable(5), alert_factor=1.0))
+        stream_monitor([], y, NormalModel(), equiprobable(5), alert_factor=1.0)
     with pytest.raises(ConfigError):
-        list(stream_monitor([], y, NormalModel(), equiprobable(5), min_draws=0))
+        stream_monitor([], y, NormalModel(), equiprobable(5), min_draws=0)
