@@ -12,7 +12,10 @@ cell layouts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, mul, truediv
 
 import numpy as np
 
@@ -197,12 +200,14 @@ def posterior_chisq(data, model, theta, scheme: BinScheme, rng=None) -> BinnedSt
     return BinnedStat(values, counts, scheme.widths())
 
 
-def _data_space_counts(y: np.ndarray, edges) -> np.ndarray:
+def _data_space_counts(y: np.ndarray, edges) -> tuple[np.ndarray, list[float]]:
+    """The counts of y in the cells between the edges, and the edges as floats."""
     cuts = np.asarray(edges, dtype=float)
-    if cuts.ndim != 1 or cuts.size < 1 or np.any(np.diff(cuts) <= 0):
+    floats = cuts.tolist()
+    if cuts.ndim != 1 or cuts.size < 1 or any(b <= a for a, b in zip(floats, floats[1:])):
         raise DomainError("data-space edges must be strictly increasing interior cut points")
     idx = np.searchsorted(cuts, y, side="left")
-    return np.bincount(idx, minlength=cuts.size + 1)
+    return np.bincount(idx, minlength=cuts.size + 1), floats
 
 
 def plugin_chisq(data, model, edges) -> FittedStat:
@@ -215,25 +220,61 @@ def plugin_chisq(data, model, edges) -> FittedStat:
     """
     y = np.asarray(data, dtype=float)
     theta = model.mle(y)
-    counts = _data_space_counts(y, edges)
-    probs = np.asarray(model.cell_probs(edges, theta), dtype=float)
+    counts, cuts = _data_space_counts(y, edges)
+    probs = np.asarray(model.cell_probs(cuts, theta), dtype=float)
     if np.any(probs < PROB_FLOOR):
         raise EvaluationError("fitted cell probability below floor at the MLE")
-    return FittedStat(pearson(counts, probs), counts, probs, tuple(np.atleast_1d(theta)))
+    return FittedStat(pearson(counts, probs), counts, probs, tuple(theta))
 
 
-def _group_loglik(model, edges, counts: np.ndarray, vec: np.ndarray):
+def _group_loglik(model, edges: list, counts: list, vec: list):
     """(log-likelihood, theta, cell probabilities) of the grouped counts at
-    free parameters vec; the log-likelihood is -inf where a cell probability
-    underflows or theta leaves the representable range."""
+    free parameters vec, all as floats; the log-likelihood is -inf where
+    theta leaves the representable range (an overflow, or a scale that
+    underflows to 0 and is divided by) or a cell probability is NaN or
+    below 1e-300."""
     try:
         theta = model.theta_from_free(vec)
-    except OverflowError:
-        return -np.inf, None, None
-    p = np.asarray(model.cell_probs(edges, theta), dtype=float)
-    if not np.minimum.reduce(p) >= 1e-300:  # NaN fails too
-        return -np.inf, None, None
-    return float(np.dot(counts, np.log(p))), theta, p
+        p = model.cell_probs(edges, theta)
+    except (OverflowError, ZeroDivisionError):
+        return -math.inf, None, None
+    # min() would miss a NaN that is not the first item
+    if not all(q >= 1e-300 for q in p):
+        return -math.inf, None, None
+    return sum(map(mul, counts, map(math.log, p))), theta, p
+
+
+def _cholesky_solve(lower: list, b: list) -> list:
+    """x with A x = b, for the symmetric s x s matrix A given by the rows of
+    its lower triangle (row i holds i + 1 entries), by a Cholesky
+    factorization A = L L' in plain loops.  OptimizationError unless A is
+    positive definite, which a singular matrix is not."""
+    factor: list[list[float]] = []  # the rows of L
+    x: list[float] = []  # first the solution z of L z = b, row by row
+    for i, row in enumerate(lower):
+        li: list[float] = []
+        for j, lj in enumerate(factor):
+            v = row[j]
+            for k in range(j):
+                v -= li[k] * lj[k]
+            li.append(v / lj[j])
+        pivot, v = row[i], b[i]
+        for l_k, x_k in zip(li, x):
+            pivot -= l_k * l_k
+            v -= l_k * x_k
+        if not pivot > 0.0:  # NaN fails too
+            raise OptimizationError("grouped-fit information matrix is not positive definite")
+        diagonal = math.sqrt(pivot)
+        li.append(diagonal)
+        factor.append(li)
+        x.append(v / diagonal)
+    # then, last row first, the solution of L' x = z in place
+    for i in range(len(x) - 1, -1, -1):
+        v = x[i]
+        for j in range(i + 1, len(x)):
+            v -= factor[j][i] * x[j]
+        x[i] = v / factor[i][i]
+    return x
 
 
 def grouped_chisq(data, model, edges) -> FittedStat:
@@ -250,65 +291,69 @@ def grouped_chisq(data, model, edges) -> FittedStat:
     well-fitting cells.  FittedStat.iterations counts the steps.  Reference
     law: chi-square(K - 1 - s).
 
+    The steps run on Python floats, with no array inside the loop: the
+    counts and edges are converted once, the model's cell_probs and
+    cell_probs_jacobian return lists, the score and the lower triangle of I
+    are sums over the cells of products of J's columns, and the step solves
+    I by a Cholesky factorization in plain loops, for any number s of free
+    parameters.  A trial step at which theta overflows, sigma underflows to
+    0, or a cell probability is NaN or below 1e-300, has l = -inf and is
+    halved.
+
     EvaluationError: l is not finite at the start, or a fitted cell
     probability lies below the floor.  OptimizationError: the information
-    is singular, not finite or not positive definite, no halving of a step
-    keeps l, or the fit takes more than SCORING_MAX_ITER steps.
+    is not finite or not positive definite (a singular one included), no
+    halving of a step keeps l, or the fit takes more than SCORING_MAX_ITER
+    steps.
     """
     y = np.asarray(data, dtype=float)
-    counts = _data_space_counts(y, edges)
-    n = counts.sum()
-    vec = np.asarray(model.free_params(model.mle(y)), dtype=float)
-    loglik, theta, probs = _group_loglik(model, edges, counts, vec)
-    if loglik == -np.inf:
+    counts_array, cuts = _data_space_counts(y, edges)
+    counts = counts_array.tolist()
+    n = sum(counts)
+    vec = model.free_params(model.mle(y))
+    loglik, theta, probs = _group_loglik(model, cuts, counts, vec)
+    if loglik == -math.inf:
         raise EvaluationError("grouped likelihood is not finite at the raw MLE start")
-    # a trial step may push theta to where the cell probabilities over- or
-    # underflow; such a trial has l = -inf and is halved, so numpy's warnings
-    # about it would only be noise
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for iterations in range(1, SCORING_MAX_ITER + 1):
-            jac = np.asarray(model.cell_probs_jacobian(edges, theta), dtype=float)
-            ratio = counts / probs
-            score = jac.T @ ratio
-            # l is rounded by about one unit per unit of |l| + sum(m / p): the
-            # sum, and cell probabilities with an absolute rounding error
-            tol = SCORING_TOL * (1.0 + abs(loglik) + np.add.reduce(ratio))
-            info = n * (jac.T / probs) @ jac
-            if not np.logical_and.reduce(np.isfinite(info), axis=None):
-                raise OptimizationError("grouped-fit information matrix is not finite")
-            try:
-                step = np.linalg.solve(info, score)
-            except np.linalg.LinAlgError:
-                raise OptimizationError("grouped-fit information matrix is singular") from None
-            decrement = float(score @ step)
-            if not decrement >= 0.0:  # NaN fails too
-                raise OptimizationError(
-                    "grouped-fit information matrix is not positive definite"
-                )
-            for _ in range(SCORING_MAX_HALVINGS):
-                trial = _group_loglik(model, edges, counts, vec + step)
-                if trial[0] >= loglik:
-                    break
-                step = 0.5 * step
-            else:
-                raise OptimizationError(
-                    "no halving of the scoring step keeps the grouped likelihood"
-                )
-            vec = vec + step
-            loglik, theta, probs = trial
-            # scoring converges linearly, so the step that meets the
-            # tolerance is still worth taking
-            if decrement < tol:
+    for iterations in range(1, SCORING_MAX_ITER + 1):
+        # the columns of J, one per free parameter
+        columns = list(zip(*model.cell_probs_jacobian(cuts, theta)))
+        ratio = list(map(truediv, counts, probs))
+        score = [sum(map(mul, col, ratio)) for col in columns]
+        info = []
+        for a, col in enumerate(columns):
+            weighted = list(map(truediv, col, probs))
+            info.append([n * sum(map(mul, weighted, columns[b])) for b in range(a + 1)])
+        if not all(map(math.isfinite, chain.from_iterable(info))):
+            raise OptimizationError("grouped-fit information matrix is not finite")
+        # l is rounded by about one unit per unit of |l| + sum(m / p): the
+        # sum, and cell probabilities with an absolute rounding error
+        tol = SCORING_TOL * (1.0 + abs(loglik) + sum(ratio))
+        step = _cholesky_solve(info, score)
+        decrement = sum(map(mul, score, step))
+        for _ in range(SCORING_MAX_HALVINGS):
+            trial_vec = list(map(add, vec, step))
+            trial = _group_loglik(model, cuts, counts, trial_vec)
+            if trial[0] >= loglik:
                 break
+            step = [0.5 * d for d in step]
         else:
             raise OptimizationError(
-                f"grouped MLE did not converge in {SCORING_MAX_ITER} scoring steps"
+                "no halving of the scoring step keeps the grouped likelihood"
             )
-    if np.any(probs < PROB_FLOOR):
+        vec = trial_vec
+        loglik, theta, probs = trial
+        # scoring converges linearly, so the step that meets the
+        # tolerance is still worth taking
+        if decrement < tol:
+            break
+    else:
+        raise OptimizationError(
+            f"grouped MLE did not converge in {SCORING_MAX_ITER} scoring steps"
+        )
+    if not all(q >= PROB_FLOOR for q in probs):
         raise EvaluationError("grouped-fit cell probability below floor")
-    return FittedStat(
-        pearson(counts, probs), counts, probs, tuple(np.atleast_1d(theta)), iterations
-    )
+    p = np.asarray(probs)
+    return FittedStat(pearson(counts_array, p), counts_array, p, tuple(theta), iterations)
 
 
 def chisq_discrepancy(y_rep, model, theta) -> float:

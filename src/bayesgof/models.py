@@ -24,7 +24,10 @@ harness and cli modules:
   value, ``cell_probs`` for the cells between cut points, ``free_params`` /
   ``theta_from_free`` for unconstrained coordinates, and
   ``cell_probs_jacobian`` for the derivative of the cell probabilities in
-  those coordinates.
+  those coordinates.  These run inside the grouped fit's scoring loop on
+  Python floats: ``cell_probs`` and ``cell_probs_jacobian`` take the cut
+  points as floats and return lists, K floats and K rows of s floats, and
+  ``free_params`` returns a list.
 
 theta is a float vector of ``theta_size`` values in ``theta_from_vector``'s
 layout: (mu, sigma) for the normal model, (rate,) for the pooled Poisson
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import sub
 
 import numpy as np
 
@@ -61,17 +65,25 @@ __all__ = [
 # normal model, reference prior 1/sigma
 # ---------------------------------------------------------------------------
 
-def _normal_sample(data) -> tuple[np.ndarray, float]:
-    """The sample as floats and its variance s^2, checked to be positive."""
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _normal_sample(data) -> tuple[np.ndarray, float, float]:
+    """The sample as floats, its mean and its sum of squared deviations, the
+    variance checked to be positive.  The reductions are the ufunc calls that
+    ndarray.mean and ndarray.var end in, so the values are theirs bit for bit."""
     y = np.asarray(data, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise DataError("need a 1-D sample with at least two observations")
     if not np.all(np.isfinite(y)):
         raise DataError("observations must be finite")
-    s2 = y.var(ddof=1)
-    if s2 <= 0.0:
+    mean = np.add.reduce(y) / y.size
+    d = y - mean
+    ss = np.add.reduce(d * d)
+    if ss / (y.size - 1) <= 0.0:
         raise DataError("degenerate sample: all observations are equal")
-    return y, s2
+    return y, mean, ss
 
 
 def _parameter_vector(values, size: int, positive) -> np.ndarray:
@@ -112,14 +124,15 @@ def normal_posterior_from_uniforms(data, v_sigma, v_mu):
     construction exactly equivariant under affine changes of the data, which
     is what pins down location-scale invariance of the downstream statistics.
     """
-    y, s2 = _normal_sample(data)
+    y, mean, ss = _normal_sample(data)
     v_sigma, v_mu = np.asarray(v_sigma, dtype=float), np.asarray(v_mu, dtype=float)
     lo, hi = np.minimum(v_sigma, v_mu), np.maximum(v_sigma, v_mu)  # NaN propagates
     if not (0.0 < np.minimum.reduce(lo, axis=None) and np.maximum.reduce(hi, axis=None) < 1.0):
         raise DomainError("uniforms must lie strictly inside (0, 1)")
     n = y.size
+    s2 = ss / (n - 1)
     sigma = np.sqrt((n - 1) * s2 / probkit.chi2_upper_quantile(n - 1, v_sigma))
-    mu = y.mean() + sigma / math.sqrt(n) * probkit.normal_quantile(v_mu)
+    mu = mean + sigma / math.sqrt(n) * probkit.normal_quantile(v_mu)
     return mu, sigma
 
 
@@ -169,48 +182,60 @@ class NormalModel:
         return mu + sigma * probkit.normal_quantile(np.arange(1, k) / k)
 
     def mle(self, data) -> tuple[float, float]:
-        y = _normal_sample(data)[0]
-        return (float(y.mean()), float(math.sqrt(y.var(ddof=0))))
+        y, mean, ss = _normal_sample(data)
+        return (float(mean), math.sqrt(ss / y.size))
 
     def obs_mean_var(self, theta) -> tuple[float, float]:
         mu, sigma = theta
         return mu, sigma * sigma
 
-    def cell_probs(self, edges, theta) -> np.ndarray:
-        """Cell probabilities between increasing cut points, each taken on
-        the side of 0 where it keeps full relative precision: a cell below 0
-        as Phi(z_hi) - Phi(z_lo), a cell above 0 as Phi(-z_lo) - Phi(-z_hi),
-        and the cell that holds 0 as 1 - Phi(z_lo) - Phi(-z_hi).  All three
-        are differences of the smaller tail Phi(-|z|) at each edge."""
+    def cell_probs(self, edges, theta) -> list[float]:
+        """The K cell probabilities between K - 1 increasing cut points, as
+        floats, each taken on the side of 0 where it keeps full relative
+        precision: a cell below 0 as Phi(z_hi) - Phi(z_lo), a cell above 0
+        as Phi(-z_lo) - Phi(-z_hi), and the cell that holds 0 as
+        1 - Phi(z_lo) - Phi(-z_hi).  All three are differences of the
+        smaller tail Phi(-|z|) at each edge."""
         mu, sigma = theta
-        z = (np.asarray(edges, dtype=float) - mu) / sigma
-        small = np.zeros(z.size + 2)  # 0 at the infinite outer edges
-        small[1:-1] = probkit.normal_cdf(-np.abs(z))
-        p = small[1:] - small[:-1]
-        m = int(np.count_nonzero(z <= 0.0))  # cells 0..m-1 lie below 0
-        p[m + 1:] = small[m + 1:-1] - small[m + 2:]
-        p[m] = 1.0 - small[m] - small[m + 1]
-        return p
+        small = [0.0]  # the smaller tail at each edge, 0 at the infinite outer edges
+        m = 0  # cells 0..m-1 lie below 0
+        for e in edges:
+            z = (e - mu) / sigma
+            if z <= 0.0:
+                m += 1
+            small.append(0.5 * math.erfc(abs(z) / _SQRT2))
+        small.append(0.0)
+        return [
+            *map(sub, small[1:m + 1], small[:m]),
+            1.0 - small[m] - small[m + 1],
+            *map(sub, small[m + 1:-1], small[m + 2:]),
+        ]
 
-    def cell_probs_jacobian(self, edges, theta) -> np.ndarray:
-        """K x 2 derivative of cell_probs with respect to free_params
-        (mu, log sigma): -diff(phi(z)) / sigma and -diff(z phi(z)), the
-        differences taken between each cell's upper and lower edge, where
-        phi and z phi vanish at the infinite outer edges."""
+    def cell_probs_jacobian(self, edges, theta) -> list[tuple[float, float]]:
+        """K rows of the derivative of cell_probs with respect to
+        free_params (mu, log sigma): -diff(phi(z)) / sigma and
+        -diff(z phi(z)), the differences taken between each cell's upper and
+        lower edge, where phi and z phi vanish at the infinite outer edges."""
         mu, sigma = theta
-        z = (np.asarray(edges, dtype=float) - mu) / sigma
-        phi = probkit.normal_pdf(z)
-        at_edges = np.zeros((z.size + 2, 2))
-        at_edges[1:-1, 0] = phi / sigma
-        at_edges[1:-1, 1] = z * phi
-        return -np.diff(at_edges, axis=0)
+        rows = []
+        low_mu = low_log_sigma = 0.0  # phi / sigma and z phi at the lower edge
+        for e in edges:
+            z = (e - mu) / sigma
+            phi = math.exp(-0.5 * z * z) / _SQRT_2PI
+            up_mu = phi / sigma
+            up_log_sigma = z * phi
+            rows.append((low_mu - up_mu, low_log_sigma - up_log_sigma))
+            low_mu = up_mu
+            low_log_sigma = up_log_sigma
+        rows.append((low_mu, low_log_sigma))
+        return rows
 
-    def free_params(self, theta) -> np.ndarray:
+    def free_params(self, theta) -> list[float]:
         mu, sigma = theta
-        return np.array([mu, math.log(sigma)])
+        return [float(mu), math.log(sigma)]
 
     def theta_from_free(self, vec) -> tuple[float, float]:
-        return (float(vec[0]), float(math.exp(vec[1])))
+        return (float(vec[0]), math.exp(vec[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ __all__ = [
     "RngStream",
     "split",
     "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
     "chi2_cdf",
     "chi2_survival",
@@ -100,12 +99,6 @@ def normal_cdf(z):
     z = np.asarray(z, dtype=float)
     out = 0.5 * sp.erfc(-z / math.sqrt(2.0))
     return out if out.ndim else float(out)
-
-
-def normal_pdf(z):
-    """Standard normal density."""
-    z = np.asarray(z, dtype=float)
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def normal_quantile(p):

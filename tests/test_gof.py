@@ -275,7 +275,7 @@ def test_grouped_score_vanishes_at_optimum():
     model = NormalModel()
     for edges, y in _grouped_datasets(10):
         grp = grouped_chisq(y, model, edges)
-        jac = model.cell_probs_jacobian(edges, grp.theta)
+        jac = np.asarray(model.cell_probs_jacobian(edges, grp.theta))
         score = jac.T @ (grp.counts / grp.probs)
         assert np.abs(score).max() <= 1e-6 * y.size
         assert 1 <= grp.iterations <= gof.SCORING_MAX_ITER
@@ -290,7 +290,7 @@ def test_grouped_matches_tight_nelder_mead_reference():
         counts = grp.counts
 
         def neg_loglik(vec):
-            p = model.cell_probs(edges, model.theta_from_free(vec))
+            p = np.asarray(model.cell_probs(edges, model.theta_from_free(vec)))
             return np.inf if np.any(p < 1e-300) else -float(counts @ np.log(p))
 
         ref = optimize.minimize(
@@ -322,6 +322,118 @@ def test_grouped_one_or_two_cell_data_raise_documented_errors(k):
         assert np.count_nonzero(np.bincount(np.searchsorted(edges, y))) <= 2
         with pytest.raises((EvaluationError, OptimizationError)):
             grouped_chisq(y, model, edges)
+
+
+class _BadFirstTrial(NormalModel):
+    """NormalModel spoiled at the fit's first trial step, the second point
+    at which the fit evaluates the grouped likelihood: theta_from_free gives
+    sigma = 0, or raises OverflowError, or cell_probs gives NaN in one cell.
+    It records every free-parameter vector the fit evaluates."""
+
+    def __init__(self, fault, nan_cell=0):
+        self.fault, self.nan_cell, self.vecs = fault, nan_cell, []
+
+    def _first_trial(self):
+        return len(self.vecs) == 2
+
+    def theta_from_free(self, vec):
+        self.vecs.append(list(vec))
+        if self._first_trial() and self.fault == "sigma zero":
+            return (vec[0], 0.0)
+        if self._first_trial() and self.fault == "overflow":
+            raise OverflowError("math range error")
+        return super().theta_from_free(vec)
+
+    def cell_probs(self, edges, theta):
+        p = super().cell_probs(edges, theta)
+        if self._first_trial() and self.fault == "nan":
+            p[self.nan_cell] = float("nan")
+        return p
+
+
+def _spread_sample():
+    return split(RngStream(97), 0).generator.normal(0.3, 1.4, 50)
+
+
+@pytest.mark.parametrize("fault, nan_cell", [
+    ("sigma zero", 0), ("overflow", 0), ("nan", 0), ("nan", 3),
+])
+def test_grouped_halves_a_trial_whose_likelihood_is_not_finite(fault, nan_cell):
+    edges = probkit.normal_quantile(np.arange(1, 5) / 5)
+    y = _spread_sample()
+    model = _BadFirstTrial(fault, nan_cell)
+    grp = grouped_chisq(y, model, edges)
+    ref = grouped_chisq(y, NormalModel(), edges)
+    # the start, the spoiled trial, then the same step halved
+    start, spoiled, halved = (np.array(v) for v in model.vecs[:3])
+    np.testing.assert_allclose(halved - start, 0.5 * (spoiled - start), rtol=1e-12)
+    assert grp.iterations >= ref.iterations
+    assert abs(grp.value - ref.value) <= 1e-6
+    np.testing.assert_allclose(grp.theta, ref.theta, rtol=1e-6)
+
+
+@pytest.mark.parametrize("nan_cell", [0, 3])
+def test_grouped_start_with_a_nan_cell_is_not_finite(nan_cell):
+    class NanAtStart(NormalModel):
+        def cell_probs(self, edges, theta):
+            p = super().cell_probs(edges, theta)
+            p[nan_cell] = float("nan")
+            return p
+
+    edges = probkit.normal_quantile(np.arange(1, 5) / 5)
+    with pytest.raises(EvaluationError, match="raw MLE start"):
+        grouped_chisq(_spread_sample(), NanAtStart(), edges)
+
+
+def test_group_loglik_is_minus_inf_where_sigma_over_or_underflows():
+    model = NormalModel()
+    cuts = probkit.normal_quantile(np.arange(1, 5) / 5).tolist()
+    counts = [10, 10, 10, 10, 10]
+    assert gof._group_loglik(model, cuts, counts, [0.0, 0.0])[0] > -np.inf
+    # exp(-800) is 0.0, and exp(800) raises OverflowError
+    assert model.theta_from_free([0.0, -800.0])[1] == 0.0
+    for log_sigma in (-800.0, 800.0):
+        assert gof._group_loglik(model, cuts, counts, [0.0, log_sigma])[0] == -np.inf
+
+
+class _SingularInformation(NormalModel):
+    """NormalModel whose Jacobian has a zero log-sigma column, so that the
+    information J' diag(n / p) J is singular."""
+
+    def cell_probs_jacobian(self, edges, theta):
+        return [(d_mu, 0.0) for d_mu, _ in super().cell_probs_jacobian(edges, theta)]
+
+
+def test_grouped_raises_on_an_information_not_positive_definite():
+    edges = probkit.normal_quantile(np.arange(1, 5) / 5)
+    with pytest.raises(OptimizationError, match="not positive definite"):
+        grouped_chisq(_spread_sample(), _SingularInformation(), edges)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_cholesky_solve_matches_numpy(s):
+    gen = np.random.default_rng(40 + s)
+    for _ in range(50):
+        a = gen.standard_normal((s, s))
+        spd = a @ a.T + 0.1 * np.eye(s)
+        b = gen.standard_normal(s)
+        lower = [spd[i, : i + 1].tolist() for i in range(s)]
+        x = np.array(gof._cholesky_solve(lower, b.tolist()))
+        ref = np.linalg.solve(spd, b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lower", [
+    [[1.0], [1.0, 1.0]],  # singular: rank one
+    [[0.0], [0.0, 1.0]],  # singular: a zero pivot first
+    [[1.0], [2.0, 1.0]],  # indefinite: eigenvalues 3 and -1
+    [[4.0], [0.0, -1.0]],  # indefinite, diagonal
+    [[1.0], [0.0, 1.0], [0.0, 0.0, 0.0]],  # singular in the last row
+    [[float("nan")], [0.0, 1.0]],
+])
+def test_cholesky_solve_rejects_matrices_not_positive_definite(lower):
+    with pytest.raises(OptimizationError, match="not positive definite"):
+        gof._cholesky_solve(lower, [1.0] * len(lower))
 
 
 def test_scipy_optimize_not_imported_by_cli():

@@ -180,6 +180,23 @@ def test_normal_mle_is_local_maximum(normal_data):
         assert loglik(mu + dm, sigma * math.exp(ds)) <= best + 1e-9
 
 
+def test_normal_moments_are_numpy_mean_and_var_bit_for_bit():
+    # mle and the posterior draws reduce the sample once; their values are
+    # those of the ndarray.mean and ndarray.var formulation, bit for bit
+    gen = np.random.default_rng(12)
+    for n in (2, 3, 7, 50, 1000):
+        for _ in range(20):
+            y = gen.normal(3.0, 2.0, n) * 10.0 ** gen.integers(-5, 6)
+            assert NormalModel().mle(y) == (y.mean(), math.sqrt(y.var()))
+            v = gen.random((2, 5))
+            mu, sigma = normal_posterior_from_uniforms(y, v[0], v[1])
+            ref_sigma = np.sqrt(
+                (n - 1) * y.var(ddof=1) / probkit.chi2_upper_quantile(n - 1, v[0])
+            )
+            ref_mu = y.mean() + ref_sigma / math.sqrt(n) * probkit.normal_quantile(v[1])
+            assert np.array_equal(sigma, ref_sigma) and np.array_equal(mu, ref_mu)
+
+
 def test_normal_degenerate_data_rejected():
     with pytest.raises(DataError):
         NormalModel().mle(np.full(10, 2.2))
@@ -575,7 +592,7 @@ def test_normal_cell_probs_jacobian_matches_central_differences(k, mu, sigma):
     model = NormalModel()
     edges = probkit.normal_quantile(np.arange(1, k) / k)
     free = model.free_params((mu, sigma))
-    jac = model.cell_probs_jacobian(edges, (mu, sigma))
+    jac = np.asarray(model.cell_probs_jacobian(edges, (mu, sigma)))
     assert jac.shape == (k, 2)
     h = 1e-6
     for j in range(2):
@@ -583,8 +600,8 @@ def test_normal_cell_probs_jacobian_matches_central_differences(k, mu, sigma):
         up[j] += h
         down[j] -= h
         fd = (
-            model.cell_probs(edges, model.theta_from_free(up))
-            - model.cell_probs(edges, model.theta_from_free(down))
+            np.asarray(model.cell_probs(edges, model.theta_from_free(up)))
+            - np.asarray(model.cell_probs(edges, model.theta_from_free(down)))
         ) / (2.0 * h)
         np.testing.assert_allclose(jac[:, j], fd, rtol=1e-6, atol=1e-9)
 
@@ -602,7 +619,7 @@ _NULL_EDGES_5 = probkit.normal_quantile(np.arange(1, 5) / 5)
 def test_normal_cell_probs_keep_relative_precision_in_both_tails(mu, sigma):
     from scipy.stats import norm
 
-    p = NormalModel().cell_probs(_NULL_EDGES_5, (mu, sigma))
+    p = np.asarray(NormalModel().cell_probs(_NULL_EDGES_5, (mu, sigma)))
     z = (_NULL_EDGES_5 - mu) / sigma
     lo, hi = np.concatenate(([-np.inf], z)), np.concatenate((z, [np.inf]))
     # each cell on the side of 0 where scipy's tails are exact
