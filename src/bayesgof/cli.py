@@ -5,9 +5,12 @@ its result and writes its own output files; one run lifecycle around every
 handler, replay's included, makes --outdir, times the run and, after the last
 output, writes manifest.json: the fully resolved configuration, the seed, the
 tool version, the output names and a digest of the one input file (the
-dataset, or the draw stream for monitor).  A run that fails leaves no
-manifest.  `bayesgof replay manifest.json` re-executes the run and reproduces
-the output files byte for byte.
+dataset, or the draw stream for monitor).  The handler writes into a fresh
+temporary directory inside --outdir, and its files are renamed into place,
+the manifest last, only once it has returned: a run that fails moves no file
+into --outdir, so an earlier run's outputs and manifest stay as they were.
+`bayesgof replay manifest.json` re-executes the run and reproduces the
+output files byte for byte.
 
 A --config file or manifest becomes --flag=value tokens for the subcommand's
 own parser; a config file may set required flags, and a manifest key it
@@ -22,11 +25,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -181,13 +187,30 @@ def _grouped_fit(iterations: np.ndarray) -> dict:
     }
 
 
-def _ensure_outdir(outdir: str) -> str:
+def _staging_dir(outdir: str) -> str:
+    """A fresh temporary directory inside outdir, which is made if need be;
+    an unusable outdir is a ConfigError naming it."""
     try:
         os.makedirs(outdir, exist_ok=True)
+        return tempfile.mkdtemp(prefix=".bayesgof-run-", dir=outdir)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot use output directory {outdir!r}: {reason}") from None
-    return outdir
+
+
+def _publish(staging: str, outdir: str, names: list[str]) -> None:
+    """Rename each named file of staging into outdir, in order.  A target
+    that is a directory is a ConfigError naming it, raised before any file
+    is moved."""
+    targets = [os.path.join(outdir, name) for name in names]
+    for target in targets:
+        if os.path.isdir(target):
+            raise ConfigError(f"cannot write {target}: {os.strerror(errno.EISDIR)}")
+    for name, target in zip(names, targets):
+        try:
+            os.replace(os.path.join(staging, name), target)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +357,19 @@ _Outcome = tuple[int, list[str], dict]
 
 
 def _run(ns: argparse.Namespace) -> int:
-    """The one run lifecycle: make the output directory, run the handler and,
-    once its outputs are written, write manifest.json.  A handler that raises
-    leaves no manifest."""
+    """The one run lifecycle: make the output directory, run the handler in a
+    staging directory inside it, write manifest.json there and, once both
+    are done, whatever the exit code, rename the outputs into place, the
+    manifest last.  A handler that raises moves no file into the output
+    directory; the staging directory is removed either way."""
     started = time.perf_counter()
-    outdir = _ensure_outdir(ns.outdir)
-    code, outputs, derived = _COMMANDS[ns.command](ns, outdir)
-    _write_manifest(outdir, ns, outputs, started, derived)
+    staging = _staging_dir(ns.outdir)
+    try:
+        code, outputs, derived = _COMMANDS[ns.command](ns, staging)
+        _write_manifest(staging, ns, outputs, started, derived)
+        _publish(staging, ns.outdir, [*outputs, "manifest.json"])
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return code
 
 
@@ -594,7 +623,7 @@ def cmd_replay(ns: argparse.Namespace) -> int:
     config = manifest.get("config")
     if not isinstance(config, dict):
         raise DataError(f"{ns.manifest}: missing config block")
-    parser = build_parser()
+    parser = _parser()
     actions = _settable(parser, command)
     tokens = _manifest_tokens(ns.manifest, config, actions)
     if ns.outdir is not None:
@@ -622,11 +651,15 @@ _COMMANDS = {
 # parser construction
 # ---------------------------------------------------------------------------
 
+def _default_outdir() -> str:
+    return os.environ.get("BAYESGOF_OUTDIR", ".")
+
+
 def _add_common(sub: argparse.ArgumentParser, *, seed_default: int = 0) -> None:
     sub.add_argument("--seed", type=int, default=seed_default, help="root random seed")
     sub.add_argument(
         "--outdir",
-        default=os.environ.get("BAYESGOF_OUTDIR", "."),
+        default=_default_outdir(),
         help="output directory (default: $BAYESGOF_OUTDIR or '.')",
     )
     sub.add_argument("--config", default=None, help="key=value config file")
@@ -800,6 +833,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER: _Parser | None = None
+
+
+def _parser() -> _Parser:
+    """The process's one parser, built on first use.  Parsing leaves it as it
+    was; only the --outdir defaults are set again on each call, from
+    BAYESGOF_OUTDIR as it is then, as a fresh parser would read it."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    outdir = _default_outdir()
+    for command, sub in _subcommands(_PARSER).items():
+        if command != "replay":  # replay's --outdir defaults to the recorded one
+            sub.set_defaults(outdir=outdir)
+    return _PARSER
+
+
 # ---------------------------------------------------------------------------
 # config files and manifests as parser tokens
 # ---------------------------------------------------------------------------
@@ -913,9 +963,8 @@ def _manifest_tokens(path: str, config: dict, actions: dict) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        ns = _parse_command_line(parser, args)
+        ns = _parse_command_line(_parser(), args)
         return cmd_replay(ns) if ns.command == "replay" else _run(ns)
     except _UsageError as exc:
         print(exc.usage, end="", file=sys.stderr)

@@ -27,6 +27,7 @@ from .probkit import RngStream
 __all__ = [
     "BinnedStat",
     "FittedStat",
+    "RawStart",
     "pearson",
     "posterior_chisq",
     "posterior_chisq_continuous",
@@ -59,45 +60,87 @@ class BinnedStat:
 
 
 @dataclass(frozen=True)
+class RawStart:
+    """What both classical fits begin from: the data-space cell counts, the
+    cut points as floats, theta = the raw-data MLE and the cell
+    probabilities at theta as floats."""
+
+    counts: np.ndarray
+    cuts: list
+    theta: tuple
+    probs: list
+
+
+@dataclass(frozen=True)
 class FittedStat:
-    """A classical statistic together with the parameter value it used."""
+    """A classical statistic together with the parameter value it used; the
+    plugin statistic also keeps the RawStart it was evaluated at."""
 
     value: float
     counts: np.ndarray
     probs: np.ndarray
     theta: tuple
     iterations: int = 0
+    start: RawStart | None = None
 
 
 def pearson(counts, probs):
     """Sum of (observed - expected)^2 / expected over cells: a float for a
-    vector of counts, one value per row for a 2-D array of counts."""
+    vector of counts, one value per row for a 2-D array of counts.
+
+    A vector of an integer dtype, as np.bincount, tally and the data-space
+    counts give it, is scored on Python numbers: each term is
+    (m - n p)^2 / (n p) in the same IEEE operations, and one np.add.reduce
+    sums the K terms in numpy's order, so the value is the array path's bit
+    for bit.  Its total n is exact, where an int64 total would wrap above
+    2^63.  Float counts and 2-D batches are scored as arrays.  Both paths
+    make the same checks, with the same messages and warnings.
+    """
     m = np.asarray(counts)
     p = np.asarray(probs, dtype=float)
     if m.ndim not in (1, 2) or p.ndim != 1 or m.shape[-1] != p.size or m.size < 2:
         raise DomainError(
             "counts must be a vector, or rows of vectors, matching probs of length >= 2"
         )
-    if m.dtype.kind not in "iu":  # an integer dtype needs no whole-number check
-        m = m.astype(float)
-    # the checks call the ufunc reductions that ndarray.min/sum end in,
-    # without their Python-level wrappers
-    if not np.minimum.reduce(m, axis=None) >= 0 or (
-        m.dtype.kind == "f" and not np.logical_and.reduce(m == np.floor(m), axis=None)
-    ):
+    vector = m.ndim == 1 and m.dtype.kind in "iu"
+    if vector:  # an integer dtype needs no whole-number check
+        m = m.tolist()
+        whole = min(m) >= 0
+    else:
+        if m.dtype.kind not in "iu":
+            m = m.astype(float)
+        # the checks call the ufunc reductions that ndarray.min/sum end in,
+        # without their Python-level wrappers
+        whole = np.minimum.reduce(m, axis=None) >= 0 and (
+            m.dtype.kind != "f" or np.logical_and.reduce(m == np.floor(m), axis=None)
+        )
+    if not whole:
         raise DomainError("counts must be non-negative integers")
-    n = np.add.reduce(m, axis=-1, keepdims=True)  # one total per row, as a column
-    if not np.minimum.reduce(n, axis=None) > 0:
+    if vector:
+        n = lowest_total = sum(m)
+    else:
+        n = np.add.reduce(m, axis=-1, keepdims=True)  # one total per row, as a column
+        lowest_total = np.minimum.reduce(n, axis=None)
+    if not lowest_total > 0:
         raise DomainError("counts must sum to a positive total")
     # written so that NaN fails both tests
     total = np.add.reduce(p)
     if not abs(total - 1.0) <= 1e-9:
         raise DomainError(f"cell probabilities must sum to 1, got {total!r}")
-    if not np.minimum.reduce(p) >= PROB_FLOOR:
+    q = p.tolist()
+    # the sum is finite, so no probability is NaN
+    if not min(q) >= PROB_FLOOR:
         raise EvaluationError(
             f"cell probability below the {PROB_FLOOR} floor in cells "
             f"{np.nonzero(p < PROB_FLOOR)[0].tolist()}"
         )
+    if vector:
+        terms = []
+        for m_j, p_j in zip(m, q):
+            e_j = n * p_j
+            d_j = m_j - e_j
+            terms.append(d_j * d_j / e_j)
+        return float(np.add.reduce(terms))
     expected = n * p
     value = np.add.reduce((m - expected) ** 2 / expected, axis=-1)
     return float(value) if m.ndim == 1 else value
@@ -210,32 +253,48 @@ def _data_space_counts(y: np.ndarray, edges) -> tuple[np.ndarray, list[float]]:
     return np.bincount(idx, minlength=cuts.size + 1), floats
 
 
+def _raw_start(data, model, edges) -> RawStart:
+    """The raw-MLE start of the classical fits on data with cells between
+    the edges.  It checks no floor on the cell probabilities: each fit
+    applies its own."""
+    y = np.asarray(data, dtype=float)
+    theta = tuple(model.mle(y))
+    counts, cuts = _data_space_counts(y, edges)
+    return RawStart(counts, cuts, theta, model.cell_probs(cuts, theta))
+
+
 def plugin_chisq(data, model, edges) -> FittedStat:
     """Pearson statistic with cells fixed in data space and cell
     probabilities evaluated at the raw-data maximum-likelihood estimate.
 
     Its null law is not chi-square: it sits stochastically between
     chi-square(K - 1 - s) and chi-square(K - 1), s the number of fitted
-    parameters.
+    parameters.  EvaluationError: a cell probability at the MLE lies below
+    the PROB_FLOOR.  FittedStat.start holds the RawStart it used, which
+    grouped_chisq takes so as not to build it again.
     """
-    y = np.asarray(data, dtype=float)
-    theta = model.mle(y)
-    counts, cuts = _data_space_counts(y, edges)
-    probs = np.asarray(model.cell_probs(cuts, theta), dtype=float)
-    if np.any(probs < PROB_FLOOR):
+    start = _raw_start(data, model, edges)
+    if any(q < PROB_FLOOR for q in start.probs):
         raise EvaluationError("fitted cell probability below floor at the MLE")
-    return FittedStat(pearson(counts, probs), counts, probs, tuple(theta))
+    probs = np.asarray(start.probs, dtype=float)
+    return FittedStat(
+        pearson(start.counts, probs), start.counts, probs, start.theta, start=start
+    )
 
 
-def _group_loglik(model, edges: list, counts: list, vec: list):
+def _group_loglik(model, edges: list, counts: list, vec: list, start: RawStart | None = None):
     """(log-likelihood, theta, cell probabilities) of the grouped counts at
     free parameters vec, all as floats; the log-likelihood is -inf where
     theta leaves the representable range (an overflow, or a scale that
     underflows to 0 and is divided by) or a cell probability is NaN or
-    below 1e-300."""
+    below 1e-300.  The probabilities of a RawStart are taken as they are
+    when theta is the start's theta."""
     try:
         theta = model.theta_from_free(vec)
-        p = model.cell_probs(edges, theta)
+        if start is not None and theta == start.theta:
+            p = start.probs
+        else:
+            p = model.cell_probs(edges, theta)
     except (OverflowError, ZeroDivisionError):
         return -math.inf, None, None
     # min() would miss a NaN that is not the first item
@@ -277,7 +336,7 @@ def _cholesky_solve(lower: list, b: list) -> list:
     return x
 
 
-def grouped_chisq(data, model, edges) -> FittedStat:
+def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedStat:
     """Pearson statistic at the grouped-data maximum-likelihood estimate.
 
     The parameter maximizes the multinomial log-likelihood
@@ -290,6 +349,12 @@ def grouped_chisq(data, model, edges) -> FittedStat:
     scale on which l is rounded: about 3e-12 for 50 observations in 5
     well-fitting cells.  FittedStat.iterations counts the steps.  Reference
     law: chi-square(K - 1 - s).
+
+    start is the RawStart of the data and edges, built here when it is
+    None; a caller that has the plugin fit passes its FittedStat.start, so
+    that the MLE and the counts are not computed twice.  The start's cell
+    probabilities need only lie at or above 1e-300, not at PROB_FLOOR as
+    for the plugin statistic.
 
     The steps run on Python floats, with no array inside the loop: the
     counts and edges are converted once, the model's cell_probs and
@@ -306,12 +371,13 @@ def grouped_chisq(data, model, edges) -> FittedStat:
     halving of a step keeps l, or the fit takes more than SCORING_MAX_ITER
     steps.
     """
-    y = np.asarray(data, dtype=float)
-    counts_array, cuts = _data_space_counts(y, edges)
-    counts = counts_array.tolist()
+    if start is None:
+        start = _raw_start(data, model, edges)
+    cuts = start.cuts
+    counts = start.counts.tolist()
     n = sum(counts)
-    vec = model.free_params(model.mle(y))
-    loglik, theta, probs = _group_loglik(model, cuts, counts, vec)
+    vec = model.free_params(start.theta)
+    loglik, theta, probs = _group_loglik(model, cuts, counts, vec, start)
     if loglik == -math.inf:
         raise EvaluationError("grouped likelihood is not finite at the raw MLE start")
     for iterations in range(1, SCORING_MAX_ITER + 1):
@@ -353,7 +419,7 @@ def grouped_chisq(data, model, edges) -> FittedStat:
     if not all(q >= PROB_FLOOR for q in probs):
         raise EvaluationError("grouped-fit cell probability below floor")
     p = np.asarray(probs)
-    return FittedStat(pearson(counts_array, p), counts_array, p, tuple(theta), iterations)
+    return FittedStat(pearson(start.counts, p), start.counts, p, tuple(theta), iterations)
 
 
 def chisq_discrepancy(y_rep, model, theta) -> float:

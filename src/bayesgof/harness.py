@@ -310,7 +310,8 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
     and compared to chi-square(k - 1).  When include_classical is set
     (continuous models only) the raw-MLE and grouped-MLE statistics are
     computed on the same datasets with cells fixed at the model's k-tiles at
-    truth.
+    truth.  The grouped fit starts from the plugin fit's RawStart, so each
+    replicate computes its raw MLE and its data-space counts once.
     """
     t0 = time.perf_counter()
     root = RngStream(config.seed)
@@ -327,9 +328,9 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
         value = gof.posterior_chisq(y, model, theta, scheme, split(c, 2)).value
         if not config.include_classical:
             return (value, np.nan, np.nan, 0)
-        plug = gof.plugin_chisq(y, model, edges).value
-        grouped = gof.grouped_chisq(y, model, edges)
-        return (value, plug, grouped.value, grouped.iterations)
+        plug = gof.plugin_chisq(y, model, edges)
+        grouped = gof.grouped_chisq(y, model, edges, plug.start)
+        return (value, plug.value, grouped.value, grouped.iterations)
 
     rows = np.asarray(_map_replicates(one, config.replicates, config.workers))
     series = {"posterior": _series("posterior", rows[:, 0], k - 1, config.ks_alpha)}

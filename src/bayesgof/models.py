@@ -76,7 +76,7 @@ def _normal_sample(data) -> tuple[np.ndarray, float, float]:
     y = np.asarray(data, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise DataError("need a 1-D sample with at least two observations")
-    if not np.all(np.isfinite(y)):
+    if not np.logical_and.reduce(np.isfinite(y)):
         raise DataError("observations must be finite")
     mean = np.add.reduce(y) / y.size
     d = y - mean

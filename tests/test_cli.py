@@ -439,6 +439,23 @@ def test_monitor_malformed_over_cap_exit_65(tmp_path, normal_csv):
     assert code == 65
 
 
+def test_failed_run_leaves_the_earlier_run_byte_identical(tmp_path, normal_csv):
+    # the handler writes into a staging directory, so a run that fails after
+    # writing trace.csv moves nothing into the output directory
+    out = tmp_path / "o"
+    clean = write_draw_file(tmp_path, normal_csv, "clean.txt", posterior_rows(normal_csv, 300))
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--draws-file", clean, "--outdir", out) == 0
+    kept = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(kept) == ["manifest.json", "trace.csv"]
+    assert kept["trace.csv"].count(b"\n") == 301
+    junk = write_draw_file(tmp_path, normal_csv, "junk.txt",
+                           posterior_rows(normal_csv, 50, seed=8) + ["junk"] * 20)
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--draws-file", junk, "--outdir", out) == 65
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+
+
 def test_monitor_reads_stdin(tmp_path, normal_csv, monkeypatch):
     out = tmp_path / "run"
     text = "\n".join(posterior_rows(normal_csv, 50)) + "\n"
@@ -671,6 +688,44 @@ def test_usage_error_beside_a_config_file_keeps_the_strict_usage(tmp_path, norma
     assert "[-h] --data DATA --model" in err  # the required flags shown as required
 
 
+def _required_flags(parser):
+    return {
+        (command, a.dest): a.required
+        for command, sub in cli._subcommands(parser).items() for a in sub._actions
+    }
+
+
+def test_the_shared_parser_parses_each_call_as_a_fresh_one(tmp_path, normal_csv, capsys):
+    # main parses with one parser per process; a config file that sets a
+    # required flag makes it relax the required flags for one parse, so they
+    # must come back, and each parse must match a fresh parser's
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"data = {normal_csv}\nmodel = normal\ndraws = 40\n")
+    first = tmp_path / "first"
+    calls = [
+        ["analyze", "--config", str(cfgfile), "--outdir", str(first)],
+        ["analyze", "--model", "bogus", "--outdir", str(tmp_path)],
+        ["replay", str(first / "manifest.json"), "--outdir", str(tmp_path / "second")],
+    ]
+    fresh = _required_flags(cli.build_parser())
+    assert [run_cli(*args) for args in calls] == [0, 64, 0]
+    assert "argument --model: invalid choice: 'bogus'" in capsys.readouterr().err
+    shared = cli._parser()
+    assert shared is cli._parser()
+    assert _required_flags(shared) == fresh
+    assert {a for a, required in fresh.items() if required} == {
+        ("analyze", "data"), ("analyze", "model"), ("pp-test", "data"), ("pp-test", "model"),
+        ("monitor", "data"), ("monitor", "model"), ("validate", "data"),
+        ("replay", "manifest"),
+    }
+    for args in (calls[0], calls[2]):
+        assert cli._parse_command_line(shared, args) == cli._parse_command_line(
+            cli.build_parser(), args
+        )
+    second = tmp_path / "second"
+    assert (first / "summary.csv").read_bytes() == (second / "summary.csv").read_bytes()
+
+
 def test_input_path_holding_a_nul_byte_exit_65(tmp_path, normal_csv, capsys):
     assert run_cli("validate", "--data", "a\0b", "--outdir", tmp_path) == 65
     assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
@@ -730,6 +785,19 @@ def test_unwritable_analyze_output_exit_64(tmp_path, normal_csv, capsys):
     err = capsys.readouterr().err
     assert f"error: cannot write {out / 'summary.csv'}: Is a directory" in err
     assert "Traceback" not in err
+
+
+def test_unwritable_later_output_moves_no_earlier_one(tmp_path, normal_csv, capsys):
+    # summary.csv is published before trace.csv, so a trace.csv that cannot
+    # be written must be found before summary.csv is moved
+    out = tmp_path / "o7"
+    (out / "trace.csv").mkdir(parents=True)
+    (out / "summary.csv").write_text("an earlier summary\n")
+    assert run_cli("analyze", "--data", normal_csv, "--model", "normal", "--draws", "30",
+                   "--outdir", out) == 64
+    assert f"error: cannot write {out / 'trace.csv'}: Is a directory" in capsys.readouterr().err
+    assert (out / "summary.csv").read_text() == "an earlier summary\n"
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "trace.csv"]
 
 
 def test_unwritable_monitor_output_exit_64(tmp_path, normal_csv, capsys):

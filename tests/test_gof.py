@@ -396,6 +396,71 @@ def test_group_loglik_is_minus_inf_where_sigma_over_or_underflows():
         assert gof._group_loglik(model, cuts, counts, [0.0, log_sigma])[0] == -np.inf
 
 
+def _fit_bits(fit):
+    return (
+        np.float64(fit.value).tobytes(), np.array(fit.theta).tobytes(), fit.probs.tobytes(),
+        fit.iterations, fit.counts.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("k", [5, 12])
+def test_grouped_from_the_plugin_start_equals_the_fit_from_scratch(k):
+    model = NormalModel()
+    root = RngStream(131 + k)
+    moved = 0  # starts whose theta the free-coordinate round trip changes
+    for r in range(200):
+        gen = split(root, r).generator
+        # half at unit scale, half over six decades, where exp(log(sigma))
+        # often differs from sigma in the last bit
+        scale = 1.0 if r % 2 else 10.0 ** gen.uniform(-3.0, 3.0)
+        edges = model.quantile_edges((0.5 * scale, scale), k)
+        y = 0.5 * scale + scale * gen.standard_normal(50)
+        plug = plugin_chisq(y, model, edges)
+        assert plug.start.theta == plug.theta and plug.start.counts is plug.counts
+        handed = grouped_chisq(y, model, edges, plug.start)
+        assert _fit_bits(handed) == _fit_bits(grouped_chisq(y, model, edges))
+        # the fit's first probabilities are those at the theta it starts from
+        cuts, counts = plug.start.cuts, plug.counts.tolist()
+        _, theta, probs = gof._group_loglik(
+            model, cuts, counts, model.free_params(plug.theta), plug.start
+        )
+        assert probs == model.cell_probs(cuts, theta)
+        moved += theta != plug.theta
+    assert 0 < moved < 100
+
+
+class _FarStart(NormalModel):
+    """NormalModel whose raw MLE is moved 8 sigma up, so that the bottom
+    cell's probability at the start lies far below PROB_FLOOR; it records
+    each start."""
+
+    def __init__(self):
+        self.starts = []
+
+    def mle(self, data):
+        mu, sigma = super().mle(data)
+        self.starts.append((mu + 8.0 * sigma, sigma))
+        return self.starts[-1]
+
+
+def test_power_grouped_fit_starts_below_the_plugin_floor():
+    from bayesgof.harness import ExperimentConfig, power_study
+
+    cfg = ExperimentConfig(n=50, bins=5, replicates=20, seed=3, draws_per_dataset=20,
+                           df_grid=(1, 3, 10))
+    model = _FarStart()
+    far = power_study(cfg, 0.8, model, (0.0, 1.0))
+    ref = power_study(cfg, 0.8, NormalModel(), (0.0, 1.0))
+    edges = NormalModel().quantile_edges((0.0, 1.0), 5).tolist()
+    lowest = [min(NormalModel().cell_probs(edges, theta)) for theta in model.starts]
+    assert len(lowest) == 60 and 1e-300 <= min(lowest) and max(lowest) < gof.PROB_FLOOR
+    assert far.rows == ref.rows
+    assert far.grouped_iterations.sum() > ref.grouped_iterations.sum()
+    # the plugin statistic at such a start is refused
+    with pytest.raises(EvaluationError, match="below floor at the MLE"):
+        plugin_chisq(_spread_sample(), _FarStart(), edges)
+
+
 class _SingularInformation(NormalModel):
     """NormalModel whose Jacobian has a zero log-sigma column, so that the
     information J' diag(n / p) J is singular."""

@@ -17,7 +17,7 @@ from scipy import special as sp
 
 from bayesgof import binning, gof, models, probkit
 from bayesgof.binning import BinScheme, equiprobable
-from bayesgof.errors import DomainError, EvaluationError
+from bayesgof.errors import DataError, DomainError, EvaluationError
 from bayesgof.probkit import RngStream
 
 # --- the earlier forms, as they were before the ufunc reductions -------------
@@ -96,6 +96,20 @@ def _old_pearson(counts, probs):
     expected = n[..., None] * p
     value = ((m - expected) ** 2 / expected).sum(axis=-1)
     return float(value) if m.ndim == 1 else value
+
+
+def _old_normal_sample(data):
+    y = np.asarray(data, dtype=float)
+    if y.ndim != 1 or y.size < 2:
+        raise DataError("need a 1-D sample with at least two observations")
+    if not np.all(np.isfinite(y)):
+        raise DataError("observations must be finite")
+    mean = np.add.reduce(y) / y.size
+    d = y - mean
+    ss = np.add.reduce(d * d)
+    if ss / (y.size - 1) <= 0.0:
+        raise DataError("degenerate sample: all observations are equal")
+    return y, mean, ss
 
 
 def _old_reference_auc(values, dof):
@@ -280,3 +294,37 @@ def test_pearson_matches_its_method_form(probs, data):
 )
 def test_reference_auc_matches_its_method_form(values, dof):
     assert _outcome(gof.reference_auc, values, dof) == _outcome(_old_reference_auc, values, dof)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 300),
+    rows=st.integers(1, 4),
+    dtype=st.sampled_from([np.int8, np.uint16, np.int64, np.intp]),
+    equal=st.booleans(),
+    data=st.data(),
+)
+def test_pearson_vector_equals_its_row_of_the_batch(k, rows, dtype, equal, data):
+    # an integer vector is scored on Python numbers, a batch as arrays
+    counts = data.draw(hnp.arrays(dtype, (rows, k), elements=st.integers(0, 120)))
+    counts[:, 0] += 1  # a positive total in every row
+    if equal:
+        probs = equiprobable(k).widths()
+    else:
+        w = data.draw(hnp.arrays(np.float64, k, elements=st.floats(0.01, 1.0)))
+        probs = w / np.add.reduce(w)
+    batch = gof.pearson(counts, probs)
+    for row, value in zip(counts, batch):
+        assert np.float64(gof.pearson(row, probs)).tobytes() == value.tobytes()
+        assert _outcome(gof.pearson, row, probs) == _outcome(_old_pearson, row, probs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+    _float_arrays(_any_float),
+    _float_arrays(st.sampled_from([np.nan, np.inf, -np.inf, 1.0, 2.5]), shape=st.integers(0, 6)),
+    st.lists(_any_float, min_size=0, max_size=6),
+))
+def test_normal_sample_matches_its_method_form(data):
+    # NaN and +-inf among the observations, and 0-d and 2-D inputs
+    assert _outcome(models._normal_sample, data) == _outcome(_old_normal_sample, data)
