@@ -27,6 +27,7 @@ import argparse
 import csv
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -36,6 +37,7 @@ import tempfile
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
@@ -244,28 +246,33 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
     return DataError(f"{path}: not UTF-8 text (bytes {bad.hex()}: {exc.reason})")
 
 
+def _read_text(path: str, **open_kwargs) -> str:
+    """The text of an input file, opened with open_kwargs; a file that cannot
+    be opened, read or decoded is a DataError naming it."""
+    try:
+        with open(path, **open_kwargs) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
+        raise _undecodable(path, exc) from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise _unreadable(path, exc) from None
+
+
 def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a headered UTF-8 CSV with column y and optional positive-offset
     column E; a leading byte-order mark, as spreadsheets write, is skipped."""
+    text = _read_text(path, encoding="utf-8-sig", newline="")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with _open_input(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            cols = [c.strip().lower() for c in header]
-            if cols not in (["y"], ["y", "e"]):
-                raise DataError(
-                    f"{path}: header must be 'y' or 'y,E', got {','.join(header)}"
-                )
-            rows = [r for r in reader if any(cell.strip() for cell in r)]
-    except OSError as exc:
-        raise _unreadable(path, exc) from exc
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
+        header = next(reader, None)
+        rows = [r for r in reader if any(cell.strip() for cell in r)]
     except csv.Error as exc:
         raise DataError(f"{path}: not a CSV table ({exc})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    cols = [c.strip().lower() for c in header]
+    if cols not in (["y"], ["y", "e"]):
+        raise DataError(f"{path}: header must be 'y' or 'y,E', got {','.join(header)}")
     if not rows:
         raise DataError(f"{path}: no data rows")
     y = np.empty(len(rows))
@@ -363,6 +370,8 @@ def _run(ns: argparse.Namespace) -> int:
     manifest last.  A handler that raises moves no file into the output
     directory; the staging directory is removed either way."""
     started = time.perf_counter()
+    if ns.outdir is None:  # recorded in the manifest as resolved here
+        ns.outdir = os.environ.get("BAYESGOF_OUTDIR", ".")
     staging = _staging_dir(ns.outdir)
     try:
         code, outputs, derived = _COMMANDS[ns.command](ns, staging)
@@ -396,11 +405,10 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
     # a series gets a reference column iff it has a chi-square reference law
     # (the plugin statistic has none); the KS entry may still be skipped for
     # runs too small for the asymptotic test
-    has_ref = {n: bool(np.any(np.isfinite(result.series[n].ref_quantiles))) for n in names}
     header = ["rank"]
     for name in names:
         header.append(name)
-        if has_ref[name]:
+        if result.series[name].ref_quantiles is not None:
             header.append(f"{name}_ref")
     rows = []
     for i in range(result.replicates):
@@ -408,7 +416,7 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
         for name in names:
             series = result.series[name]
             row.append(series.values[i])
-            if has_ref[name]:
+            if series.ref_quantiles is not None:
                 row.append(series.ref_quantiles[i])
         rows.append(row)
     outputs = [_write_csv(outdir, "qq.csv", header, rows)]
@@ -466,6 +474,8 @@ def cmd_power(ns: argparse.Namespace, outdir: str) -> _Outcome:
 
 def _load_fit(ns: argparse.Namespace):
     """Dataset, model and equiprobable cells of a dataset subcommand."""
+    if ns.k is not None and ns.k < 2:
+        raise ConfigError(f"--k must be at least 2, got {ns.k}")
     y, offsets = read_dataset(ns.data)
     model = _build_model(ns, offsets)
     k = ns.k if ns.k is not None else default_bin_count(y.size)
@@ -600,13 +610,9 @@ def cmd_validate(ns: argparse.Namespace, outdir: str) -> _Outcome:
 
 
 def cmd_replay(ns: argparse.Namespace) -> int:
+    text = _read_text(ns.manifest, encoding="utf-8")
     try:
-        with _open_input(ns.manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise _unreadable(ns.manifest, exc) from exc
-    except UnicodeDecodeError as exc:
-        raise _undecodable(ns.manifest, exc) from None
+        manifest = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise DataError(f"{ns.manifest}: not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
@@ -651,17 +657,9 @@ _COMMANDS = {
 # parser construction
 # ---------------------------------------------------------------------------
 
-def _default_outdir() -> str:
-    return os.environ.get("BAYESGOF_OUTDIR", ".")
-
-
 def _add_common(sub: argparse.ArgumentParser, *, seed_default: int = 0) -> None:
     sub.add_argument("--seed", type=int, default=seed_default, help="root random seed")
-    sub.add_argument(
-        "--outdir",
-        default=_default_outdir(),
-        help="output directory (default: $BAYESGOF_OUTDIR or '.')",
-    )
+    sub.add_argument("--outdir", help="output directory (default: $BAYESGOF_OUTDIR or '.')")
     sub.add_argument("--config", default=None, help="key=value config file")
 
 
@@ -833,21 +831,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-_PARSER: _Parser | None = None
-
-
+@cache
 def _parser() -> _Parser:
-    """The process's one parser, built on first use.  Parsing leaves it as it
-    was; only the --outdir defaults are set again on each call, from
-    BAYESGOF_OUTDIR as it is then, as a fresh parser would read it."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    outdir = _default_outdir()
-    for command, sub in _subcommands(_PARSER).items():
-        if command != "replay":  # replay's --outdir defaults to the recorded one
-            sub.set_defaults(outdir=outdir)
-    return _PARSER
+    """The process's one parser, built on first use; parsing leaves it as it
+    was."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -906,15 +894,9 @@ def _parse_without_required(parser: _Parser, args: list[str]) -> argparse.Namesp
 
 
 def _config_tokens(path: str, actions: dict) -> list[str]:
-    try:
-        with _open_input(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise _unreadable(path, exc) from exc
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
     tokens: list[str] = []
-    for lineno, raw in enumerate(lines, start=1):
+    # universal newlines have made every line end "\n"
+    for lineno, raw in enumerate(_read_text(path, encoding="utf-8").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

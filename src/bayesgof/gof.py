@@ -34,7 +34,6 @@ __all__ = [
     "posterior_chisq_discrete_randomized",
     "plugin_chisq",
     "grouped_chisq",
-    "chisq_discrepancy",
     "reference_auc",
     "exceedance",
 ]
@@ -51,12 +50,10 @@ SCORING_MAX_HALVINGS = 60
 @dataclass(frozen=True)
 class BinnedStat:
     """A float and K counts at one parameter value; D values and D x K counts
-    for a batch of D draws.  probs holds the K cell probabilities the
-    statistic used."""
+    for a batch of D draws."""
 
     value: float | np.ndarray
     counts: np.ndarray
-    probs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -190,8 +187,7 @@ def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedS
         # tally has found a value outside [0, 1]; name the observations
         _check_unit_interval(u, "CDF transform")
         raise
-    widths = scheme.widths()
-    return BinnedStat(pearson(counts, widths), counts, widths)
+    return BinnedStat(pearson(counts, scheme.widths()), counts)
 
 
 def posterior_chisq_discrete_randomized(
@@ -219,8 +215,7 @@ def posterior_chisq_discrete_randomized(
         _diagnose_randomized(y, model, theta, f_below, f_at)
         raise
     counts = np.bincount(idx, minlength=scheme.k)
-    widths = scheme.widths()
-    return BinnedStat(pearson(counts, widths), counts, widths)
+    return BinnedStat(pearson(counts, scheme.widths()), counts)
 
 
 def posterior_chisq(data, model, theta, scheme: BinScheme, rng=None) -> BinnedStat:
@@ -240,7 +235,7 @@ def posterior_chisq(data, model, theta, scheme: BinScheme, rng=None) -> BinnedSt
     for i, row in enumerate(theta):
         stat = posterior_chisq_discrete_randomized(data, model, row, scheme, rng)
         values[i], counts[i] = stat.value, stat.counts
-    return BinnedStat(values, counts, scheme.widths())
+    return BinnedStat(values, counts)
 
 
 def _data_space_counts(y: np.ndarray, edges) -> tuple[np.ndarray, list[float]]:
@@ -420,21 +415,6 @@ def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedSt
         raise EvaluationError("grouped-fit cell probability below floor")
     p = np.asarray(probs)
     return FittedStat(pearson(start.counts, p), start.counts, p, tuple(theta), iterations)
-
-
-def chisq_discrepancy(y_rep, model, theta) -> float:
-    """Variance-scaled squared-residual discrepancy for a replicate dataset.
-
-    Useful as a posterior-predictive comparator; unlike the binned statistics
-    it has no chi-square reference law under parameter uncertainty.
-    """
-    y = np.asarray(y_rep, dtype=float)
-    mean, var = model.obs_mean_var(theta)
-    mean = np.broadcast_to(np.asarray(mean, dtype=float), y.shape)
-    var = np.broadcast_to(np.asarray(var, dtype=float), y.shape)
-    if np.any(var <= 0) or not np.all(np.isfinite(var)):
-        raise EvaluationError("observation variances must be positive and finite")
-    return float(np.sum((y - mean) ** 2 / var))
 
 
 def reference_auc(values, dof: int) -> float:

@@ -128,11 +128,13 @@ class KsResult:
 
 @dataclass(frozen=True)
 class CalibrationSeries:
-    """Sorted replicate values with reference quantiles and summaries."""
+    """Sorted replicate values with summaries, and the quantiles of the
+    chi-square reference law at their plotting positions; ref_quantiles is
+    None for a series with no reference law."""
 
     name: str
     values: np.ndarray
-    ref_quantiles: np.ndarray
+    ref_quantiles: np.ndarray | None
     mean: float
     variance: float
     ks: KsResult | None
@@ -283,19 +285,28 @@ def _series(
     name: str, values: np.ndarray, ref_df: int | None, ks_alpha: float
 ) -> CalibrationSeries:
     v = np.sort(np.asarray(values, dtype=float))
-    pp = (np.arange(1, v.size + 1) - 0.5) / v.size
+    ref = ks = None
     if ref_df is not None:
+        pp = (np.arange(1, v.size + 1) - 0.5) / v.size
         ref = probkit.chi2_quantile(ref_df, pp)
         # below the KS asymptotic minimum the test is skipped, not failed
-        ks = (
-            ks_statistic(v, lambda x: probkit.chi2_cdf(ref_df, x), ks_alpha)
-            if v.size >= 20 else None
-        )
-    else:
-        ref = np.full(v.size, np.nan)
-        ks = None
+        if v.size >= 20:
+            ks = ks_statistic(v, lambda x: probkit.chi2_cdf(ref_df, x), ks_alpha)
     var = float(v.var(ddof=1)) if v.size > 1 else 0.0
-    return CalibrationSeries(name, v, np.asarray(ref), float(v.mean()), var, ks)
+    return CalibrationSeries(name, v, ref, float(v.mean()), var, ks)
+
+
+def _grouped_dof(k: int, model) -> int:
+    """The degrees of freedom k - 1 - s of the grouped-MLE statistic of a
+    model with s fitted parameters; ConfigError unless at least 1."""
+    dof = k - 1 - model.n_params
+    if dof < 1:
+        raise ConfigError(
+            f"the grouped-MLE statistic has k - 1 - s = {dof} degrees of freedom "
+            f"with k = {k} cells and s = {model.n_params} fitted parameters; "
+            f"it needs k >= {model.n_params + 2}"
+        )
+    return dof
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +323,8 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
     computed on the same datasets with cells fixed at the model's k-tiles at
     truth.  The grouped fit starts from the plugin fit's RawStart, so each
     replicate computes its raw MLE and its data-space counts once.
+    ConfigError, before any replicate runs: the classical statistics are
+    asked for a discrete model, or for k - 1 - s < 1 degrees of freedom.
     """
     t0 = time.perf_counter()
     root = RngStream(config.seed)
@@ -319,6 +332,7 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
     scheme = equiprobable(k)
     if config.include_classical:
         _require_continuous(model, "classical statistics are")
+        grouped_dof = _grouped_dof(k, model)
         edges = model.quantile_edges(truth, k)
 
     def one(r: int) -> tuple[float, float, float, int]:
@@ -337,9 +351,7 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
     grouped_iterations = None
     if config.include_classical:
         series["plugin"] = _series("plugin", rows[:, 1], None, config.ks_alpha)
-        series["grouped"] = _series(
-            "grouped", rows[:, 2], k - 1 - model.n_params, config.ks_alpha
-        )
+        series["grouped"] = _series("grouped", rows[:, 2], grouped_dof, config.ks_alpha)
         grouped_iterations = rows[:, 3].astype(int)
 
     return CalibrationResult(
@@ -433,6 +445,9 @@ def power_study(config: ExperimentConfig, auc_critical: float, model, truth) -> 
     AucDistribution.exceedance_critical from a null run at the same n, k,
     alpha and draw count they give the exceedance-proportion test, the
     non-randomized form of the single-draw test.
+
+    ConfigError, before any replicate runs: the model is discrete, or the
+    grouped method is asked for with k - 1 - s < 1 degrees of freedom.
     """
     _require_continuous(model, "the power study is")
     if not np.isfinite(auc_critical) or not 0.0 < auc_critical < 1.0:
@@ -442,9 +457,9 @@ def power_study(config: ExperimentConfig, auc_critical: float, model, truth) -> 
     scheme = equiprobable(k)
     edges = model.quantile_edges(truth, k)
     single_crit = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
-    grouped_crit = probkit.chi2_quantile(k - 1 - model.n_params, 1.0 - config.alpha)
-
     grouped = "grouped" in config.methods
+    if grouped:
+        grouped_crit = probkit.chi2_quantile(_grouped_dof(k, model), 1.0 - config.alpha)
     rows: list[PowerRow] = []
     fractions_by_df: dict[float, np.ndarray] = {}
     iterations_by_df: list[np.ndarray] = []

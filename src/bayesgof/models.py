@@ -14,7 +14,6 @@ harness and cli modules:
   conjugate models make both by ``posterior_draws``, whose draw 0 is
   ``posterior_draw``, and the exchangeable model by ``run_chain``;
 - ``predictive_draw`` replicates a dataset at a fixed parameter value;
-- ``obs_mean_var`` gives per-observation predictive moments;
 - ``theta_from_vector(values)`` builds theta from a flat vector of
   ``theta_size`` values, raising DomainError for a wrong length, a
   non-finite value or a non-positive scale, rate, mean or sigma2;
@@ -46,7 +45,7 @@ from operator import sub
 import numpy as np
 
 from . import probkit
-from .errors import DataError, DomainError, EvaluationError
+from .errors import ConfigError, DataError, DomainError, EvaluationError
 from .probkit import RngStream, split
 
 __all__ = [
@@ -185,10 +184,6 @@ class NormalModel:
         y, mean, ss = _normal_sample(data)
         return (float(mean), math.sqrt(ss / y.size))
 
-    def obs_mean_var(self, theta) -> tuple[float, float]:
-        mu, sigma = theta
-        return mu, sigma * sigma
-
     def cell_probs(self, edges, theta) -> list[float]:
         """The K cell probabilities between K - 1 increasing cut points, as
         floats, each taken on the side of 0 where it keeps full relative
@@ -312,10 +307,6 @@ class _PoissonBase:
             raise DomainError("Poisson means must be positive and finite")
         return rng.generator.poisson(means)
 
-    def obs_mean_var(self, theta):
-        m = self.means(theta)
-        return m, m
-
 
 class PoissonCommonRate(_PoissonBase):
     """One shared rate: y_i ~ poisson(lam * E_i), flat prior on log(lam).
@@ -384,6 +375,10 @@ class PoissonSaturated(_PoissonBase):
 # exchangeable log-rates via Metropolis-within-Gibbs
 # ---------------------------------------------------------------------------
 
+# the inverse-gamma(shape, rate) prior on the exchangeable model's sigma2
+_SIGMA2_SHAPE = 0.001
+_SIGMA2_RATE = 0.001
+
 # gamma variates drawn at once: a block of the chain holds CHAIN_ELEMENTS // n
 # sweeps (at least one) of n counts, and its two float and one bool (block, n)
 # arrays take about 17 * CHAIN_ELEMENTS bytes, 272 KB, whatever n is
@@ -402,11 +397,12 @@ class ChainSettings:
 
     def __post_init__(self) -> None:
         if self.retained < 1 or self.burn_in < 0 or self.thin < 1:
-            raise DomainError("chain settings must be positive (burn_in may be 0)")
+            raise ConfigError("chain settings must be positive (burn_in may be 0)")
+        # NaN fails both comparisons
         if not 0.0 < self.target_accept < 1.0:
-            raise DomainError("target_accept must lie in (0, 1)")
-        if self.initial_step <= 0.0:
-            raise DomainError("initial_step must be positive")
+            raise ConfigError("target_accept must lie in (0, 1)")
+        if not 0.0 < self.initial_step < math.inf:
+            raise ConfigError("initial_step must be positive and finite")
 
 
 @dataclass
@@ -444,18 +440,13 @@ class PoissonExchangeable(_PoissonBase):
     def __init__(
         self,
         offsets,
-        sigma2_shape: float = 0.001,
-        sigma2_rate: float = 0.001,
         sigma2_fixed: float | None = None,
         settings: ChainSettings = ChainSettings(),
     ) -> None:
         super().__init__(offsets)
-        if sigma2_shape <= 0.0 or sigma2_rate <= 0.0:
-            raise DomainError("inverse-gamma hyperparameters must be positive")
-        if sigma2_fixed is not None and sigma2_fixed <= 0.0:
-            raise DomainError("a fixed sigma2 must be positive")
-        self.sigma2_shape = float(sigma2_shape)
-        self.sigma2_rate = float(sigma2_rate)
+        # NaN fails the comparison
+        if sigma2_fixed is not None and not 0.0 < sigma2_fixed < math.inf:
+            raise ConfigError("a fixed sigma2 must be positive and finite")
         self.sigma2_fixed = sigma2_fixed
         self.settings = settings
 
@@ -490,7 +481,7 @@ class PoissonExchangeable(_PoissonBase):
         step_g = np.full(m, cfg.initial_step)
         total = cfg.burn_in + cfg.retained * cfg.thin
         y_sum = float(y.sum())
-        sigma2_shape = self.sigma2_shape + m / 2.0
+        posterior_shape = _SIGMA2_SHAPE + m / 2.0  # of the sigma2 refresh
         # one child stream per variate family, so the draws do not depend on
         # how the sweeps are cut into blocks
         gen_za, gen_ua, gen_zg, gen_ug, gen_s2 = (split(rng, i).generator for i in range(5))
@@ -521,7 +512,7 @@ class PoissonExchangeable(_PoissonBase):
                 z_g = gen_zg.standard_normal((size, m))
                 log_u_g = np.log(np.maximum(gen_ug.random((size, m)), 1e-300))
                 if self.sigma2_fixed is None:
-                    v_s2 = gen_s2.gamma(sigma2_shape, 1.0, size).tolist()
+                    v_s2 = gen_s2.gamma(posterior_shape, 1.0, size).tolist()
 
                 for j in range(size):
                     t = start + j
@@ -550,7 +541,7 @@ class PoissonExchangeable(_PoissonBase):
 
                     # sigma2: conjugate inverse-gamma refresh
                     if self.sigma2_fixed is None:
-                        rate = self.sigma2_rate + float(np.dot(gamma, gamma)) / 2.0
+                        rate = _SIGMA2_RATE + float(np.dot(gamma, gamma)) / 2.0
                         sigma2 = rate / v_s2[j]
 
                     if t < cfg.burn_in:

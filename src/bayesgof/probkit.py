@@ -72,13 +72,9 @@ class RngStream:
             self._gen = np.random.Generator(np.random.Philox(ss))
         return self._gen
 
-    def open_uniform(self, size: int | tuple[int, ...] | None = None):
-        """Uniform draws nudged into the open interval (0, 1)."""
-        u = self.generator.random(size)
-        tiny = np.nextafter(0.0, 1.0)
-        if size is None:
-            return u if u > 0.0 else tiny
-        return np.maximum(u, tiny)
+    def open_uniform(self, size: int | tuple[int, ...]) -> np.ndarray:
+        """An array of uniform draws nudged into the open interval (0, 1)."""
+        return np.maximum(self.generator.random(size), np.nextafter(0.0, 1.0))
 
 
 def split(rng: RngStream, child_id: int) -> RngStream:

@@ -356,6 +356,36 @@ def test_analyze_non_finite_threshold_exit_64(tmp_path, normal_csv, threshold, c
     assert list(out.iterdir()) == []  # no summary.csv, trace.csv or manifest.json
 
 
+_EXCHANGEABLE = ("analyze", "--model", "poisson-exchangeable", "--draws", "20")
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate-null", "--classical", "--n", "20", "--reps", "40", "--assert-calibrated"),
+    ("power", "--n", "20", "--df", "1", "--reps", "5", "--draws", "20"),
+    (*_EXCHANGEABLE, "--sigma2-fixed", "nan"),
+    (*_EXCHANGEABLE, "--sigma2-fixed", "0"),
+    (*_EXCHANGEABLE, "--chain-step", "nan"),
+    (*_EXCHANGEABLE, "--chain-step", "inf"),
+    (*_EXCHANGEABLE, "--chain-step", "0"),
+    (*_EXCHANGEABLE, "--chain-thin", "0"),
+    (*_EXCHANGEABLE, "--chain-burn-in", "-1"),
+    (*_EXCHANGEABLE, "--chain-target-accept", "1.5"),
+    ("analyze", "--model", "poisson-common", "--k", "1"),
+    ("pp-test", "--model", "poisson-common", "--k", "1"),
+    ("monitor", "--model", "poisson-common", "--k", "1"),
+], ids=lambda args: " ".join(args).replace(" ".join(_EXCHANGEABLE), "exchangeable"))
+def test_bad_setting_exit_64_and_writes_nothing(tmp_path, poisson_csv, args, capsys):
+    # a grouped statistic with no degrees of freedom (n 20 gives 3 cells for
+    # 2 fitted parameters), a non-finite or out-of-range chain setting, and
+    # fewer than 2 cells are usage errors, found before any output is written
+    if args[0] not in ("simulate-null", "power"):
+        args = (*args, "--data", poisson_csv)
+    out = tmp_path / "run"
+    assert run_cli(*args, "--outdir", out) == 64
+    assert "error: " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def _reference_csv(header, rows) -> bytes:
     """A file as csv.writer writes it with cli._fmt fields."""
     buf = io.StringIO()

@@ -15,7 +15,6 @@ from bayesgof import gof, probkit
 from bayesgof.binning import assign, assign_discrete_randomized, equiprobable
 from bayesgof.errors import DomainError, EvaluationError, OptimizationError
 from bayesgof.gof import (
-    chisq_discrepancy,
     exceedance,
     grouped_chisq,
     pearson,
@@ -508,29 +507,6 @@ def test_scipy_optimize_not_imported_by_cli():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_discrepancy_zero_at_exact_mean():
-    model = PoissonCommonRate(offsets=np.ones(6))
-    y = np.full(6, 3.0)
-    assert chisq_discrepancy(y, model, [3.0]) == 0.0
-
-
-def test_discrepancy_one_sd_residual():
-    model = PoissonCommonRate(offsets=np.ones(4))
-    y = np.array([4.0, 4.0, 4.0, 6.0])
-    assert chisq_discrepancy(y, model, [4.0]) == pytest.approx(1.0)
-
-
-def test_discrepancy_mean_near_n():
-    n = 30
-    model = PoissonCommonRate(offsets=np.ones(n))
-    gen = RngStream(99).generator
-    y = gen.poisson(4.2, size=(10_000, n)).astype(float)
-    vals = ((y - 4.2) ** 2 / 4.2).sum(axis=1)
-    assert abs(vals.mean() - n) / n < 0.02
-    one = chisq_discrepancy(y[0], model, [4.2])
-    assert one == pytest.approx(((y[0] - 4.2) ** 2 / 4.2).sum())
-
-
 def test_auc_all_zero_values():
     assert reference_auc(np.zeros(10), 4) == 0.0
 
@@ -627,7 +603,7 @@ def _reference_discrete_randomized(y, model, theta, scheme, rng):
             )
     idx = _reference_assign_randomized(scheme, f_below, f_at, rng)
     counts = np.bincount(idx, minlength=scheme.k)
-    return gof.BinnedStat(pearson(counts, scheme.widths()), counts, scheme.widths())
+    return gof.BinnedStat(pearson(counts, scheme.widths()), counts)
 
 
 class _TableModel:

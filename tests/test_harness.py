@@ -124,6 +124,47 @@ def test_classical_requires_normal_model():
         null_calibration(cfg, model, 4.2 * model.offsets)
 
 
+class _CountingNormal(NormalModel):
+    """The normal model, counting the datasets drawn from it."""
+
+    datasets = 0
+
+    def predictive_draw(self, theta, rng, n):
+        self.datasets += 1
+        return super().predictive_draw(theta, rng, n)
+
+
+@pytest.mark.parametrize("n, bins", [(20, None), (50, 3), (50, 2)])
+def test_classical_null_without_grouped_degrees_of_freedom_is_refused(n, bins):
+    # n 20 gives the rule-of-thumb 3 cells: 3 - 1 - 2 fitted parameters
+    # leaves the grouped statistic no reference law
+    cfg = ExperimentConfig(n=n, bins=bins, replicates=40, include_classical=True)
+    model = _CountingNormal()
+    with pytest.raises(ConfigError, match=rf"k = {cfg.k} cells and s = 2 fitted parameters"):
+        null_calibration(cfg, model, STANDARD_NORMAL)
+    assert model.datasets == 0
+    # without the classical fits the posterior series alone is studied
+    null_calibration(dataclasses.replace(cfg, include_classical=False), model, STANDARD_NORMAL)
+    assert model.datasets == 40
+
+
+def test_grouped_power_without_degrees_of_freedom_is_refused(monkeypatch):
+    def no_replicate(n, df, rng):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr("bayesgof.harness.generate_t", no_replicate)
+    cfg = ExperimentConfig(n=20, replicates=5, draws_per_dataset=20, df_grid=(1,))
+    with pytest.raises(ConfigError, match=r"k = 3 cells and s = 2 fitted parameters"):
+        power_study(cfg, 0.786, NormalModel(), STANDARD_NORMAL)
+    # the other methods need no grouped fit
+    monkeypatch.undo()
+    res = power_study(
+        dataclasses.replace(cfg, methods=("auc", "single-draw")), 0.786, NormalModel(),
+        STANDARD_NORMAL,
+    )
+    assert [row.method for row in res.rows] == ["auc", "single-draw"]
+
+
 def test_auc_null_requires_normal_model():
     cfg = ExperimentConfig(n=30, replicates=30)
     model = PoissonSaturated(np.ones(cfg.n))
