@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .probkit import RngStream
 
 __all__ = [
+    "PROB_FLOOR",
     "BinScheme",
+    "check_cell_probs",
     "equiprobable",
     "default_bin_count",
     "assign",
@@ -25,13 +27,37 @@ __all__ = [
 ]
 
 
+# the least probability a cell of a Pearson statistic may have
+PROB_FLOOR = 1e-12
+
+
+def check_cell_probs(p: np.ndarray) -> list[float]:
+    """The cell probabilities of a float vector p as Python floats.
+    DomainError unless they sum to 1 within 1e-9; EvaluationError, naming
+    the cells, if one lies below PROB_FLOOR."""
+    total = np.add.reduce(p)
+    # written so that NaN fails
+    if not abs(total - 1.0) <= 1e-9:
+        raise DomainError(f"cell probabilities must sum to 1, got {total!r}")
+    q = p.tolist()
+    # the sum is finite, so no probability is NaN
+    if not min(q) >= PROB_FLOOR:
+        raise EvaluationError(
+            f"cell probability below the {PROB_FLOOR} floor in cells "
+            f"{np.nonzero(p < PROB_FLOOR)[0].tolist()}"
+        )
+    return q
+
+
 @dataclass(frozen=True)
 class BinScheme:
     """Ordered cut points 0 = a_0 < a_1 < ... < a_K = 1 on the unit interval.
 
     The interior edges and the widths are also kept as read-only arrays,
-    built once: a scheme is evaluated once per posterior draw.  They are not
-    fields, so equality, hashing and repr see the edge tuple only.
+    built once: a scheme is evaluated once per posterior draw.  So is the
+    outcome of check_cell_probs on the widths, which a scheme need not pass:
+    cell_probs gives it.  None of these are fields, so equality, hashing
+    and repr see the edge tuple only.
     """
 
     edges: tuple[float, ...]
@@ -45,11 +71,16 @@ class BinScheme:
         if any(not (lo < hi) for lo, hi in zip(e, e[1:])):
             raise DomainError("edges must be strictly increasing")
         interior = np.asarray(e[1:-1], dtype=float)
-        widths = np.diff(np.asarray(e))
+        widths = np.asarray(np.diff(np.asarray(e)), dtype=float)
         interior.setflags(write=False)
         widths.setflags(write=False)
+        try:
+            probs = check_cell_probs(widths)
+        except (DomainError, EvaluationError):
+            probs = None  # cell_probs raises the error on every call
         object.__setattr__(self, "_interior", interior)
         object.__setattr__(self, "_widths", widths)
+        object.__setattr__(self, "_probs", probs)
 
     @property
     def k(self) -> int:
@@ -58,6 +89,13 @@ class BinScheme:
     def widths(self) -> np.ndarray:
         """Cell probabilities implied by the edges (read-only, shared)."""
         return self._widths
+
+    def cell_probs(self) -> list[float]:
+        """What check_cell_probs(self.widths()) returns or raises; widths
+        that pass were checked once, when the scheme was built."""
+        if self._probs is None:
+            return check_cell_probs(self._widths)
+        return self._probs
 
 
 def equiprobable(k: int) -> BinScheme:
@@ -133,15 +171,17 @@ def tally(scheme: BinScheme, u) -> np.ndarray:
     per row of a 2-D batch.
 
     A vector, and a 2-D batch of more than _EDGE_LOOP_MAX_CELLS cells, go
-    through assign: a binary search per value, then one bincount over
-    row-offset indexes.  A 2-D batch of fewer cells is counted edge by edge
-    instead (_tally_by_edge), with the same counts.
+    through assign: a binary search per value, then one bincount, over
+    row-offset indexes for a batch.  A 2-D batch of fewer cells is counted
+    edge by edge instead (_tally_by_edge), with the same counts.
     """
     arr = np.asarray(u, dtype=float)
+    if arr.ndim == 1:
+        return np.bincount(assign(scheme, arr), minlength=scheme.k)
     if arr.ndim == 2 and scheme.k <= _EDGE_LOOP_MAX_CELLS:
         return _tally_by_edge(scheme, arr)
     idx = np.atleast_1d(assign(scheme, arr))
-    if idx.ndim == 1:
+    if idx.ndim == 1:  # a single value
         return np.bincount(idx, minlength=scheme.k)
     rows, k = idx.shape[0], scheme.k
     idx += np.arange(rows)[:, None] * k  # row r counts in cells r*k .. r*k + k - 1

@@ -452,6 +452,7 @@ def cmd_power(ns: argparse.Namespace, outdir: str) -> _Outcome:
         df_grid=tuple(ns.df), methods=tuple(ns.methods),
     )
     model = models.NormalModel()
+    harness.check_power_study(cfg, model)
     if ns.auc_critical is not None:
         critical = ns.auc_critical
     else:

@@ -20,7 +20,7 @@ from operator import add, mul, truediv
 import numpy as np
 
 from . import probkit
-from .binning import BinScheme, assign_discrete_randomized, tally
+from .binning import PROB_FLOOR, BinScheme, assign_discrete_randomized, check_cell_probs, tally
 from .errors import ConfigError, DomainError, EvaluationError, OptimizationError
 from .probkit import RngStream
 
@@ -38,7 +38,6 @@ __all__ = [
     "exceedance",
 ]
 
-PROB_FLOOR = 1e-12
 # grouped-MLE Fisher scoring: stop below this Newton decrement relative to the
 # rounding scale of the log-likelihood (steps stall near 1e-17 of it), give up
 # after this many steps, and halve a step at most this many times
@@ -85,6 +84,12 @@ def pearson(counts, probs):
     """Sum of (observed - expected)^2 / expected over cells: a float for a
     vector of counts, one value per row for a 2-D array of counts.
 
+    probs is a vector of cell probabilities, checked on each call by
+    binning.check_cell_probs, or a BinScheme, whose widths are the cell
+    probabilities and were checked once, when it was built.
+    pearson(counts, scheme) returns and raises exactly what
+    pearson(counts, scheme.widths()) does.
+
     A vector of an integer dtype, as np.bincount, tally and the data-space
     counts give it, is scored on Python numbers: each term is
     (m - n p)^2 / (n p) in the same IEEE operations, and one np.add.reduce
@@ -94,7 +99,8 @@ def pearson(counts, probs):
     make the same checks, with the same messages and warnings.
     """
     m = np.asarray(counts)
-    p = np.asarray(probs, dtype=float)
+    fixed = isinstance(probs, BinScheme)
+    p = probs.widths() if fixed else np.asarray(probs, dtype=float)
     if m.ndim not in (1, 2) or p.ndim != 1 or m.shape[-1] != p.size or m.size < 2:
         raise DomainError(
             "counts must be a vector, or rows of vectors, matching probs of length >= 2"
@@ -120,17 +126,7 @@ def pearson(counts, probs):
         lowest_total = np.minimum.reduce(n, axis=None)
     if not lowest_total > 0:
         raise DomainError("counts must sum to a positive total")
-    # written so that NaN fails both tests
-    total = np.add.reduce(p)
-    if not abs(total - 1.0) <= 1e-9:
-        raise DomainError(f"cell probabilities must sum to 1, got {total!r}")
-    q = p.tolist()
-    # the sum is finite, so no probability is NaN
-    if not min(q) >= PROB_FLOOR:
-        raise EvaluationError(
-            f"cell probability below the {PROB_FLOOR} floor in cells "
-            f"{np.nonzero(p < PROB_FLOOR)[0].tolist()}"
-        )
+    q = probs.cell_probs() if fixed else check_cell_probs(p)
     if vector:
         terms = []
         for m_j, p_j in zip(m, q):
@@ -187,7 +183,7 @@ def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedS
         # tally has found a value outside [0, 1]; name the observations
         _check_unit_interval(u, "CDF transform")
         raise
-    return BinnedStat(pearson(counts, scheme.widths()), counts)
+    return BinnedStat(pearson(counts, scheme), counts)
 
 
 def posterior_chisq_discrete_randomized(
@@ -215,7 +211,7 @@ def posterior_chisq_discrete_randomized(
         _diagnose_randomized(y, model, theta, f_below, f_at)
         raise
     counts = np.bincount(idx, minlength=scheme.k)
-    return BinnedStat(pearson(counts, scheme.widths()), counts)
+    return BinnedStat(pearson(counts, scheme), counts)
 
 
 def posterior_chisq(data, model, theta, scheme: BinScheme, rng=None) -> BinnedStat:

@@ -69,6 +69,7 @@ __all__ = [
     "ks_statistic",
     "null_calibration",
     "null_auc_distribution",
+    "check_power_study",
     "power_study",
     "analyze",
     "predictive_auc_test",
@@ -427,6 +428,16 @@ def null_auc_distribution(config: ExperimentConfig, model, truth) -> AucDistribu
     )
 
 
+def check_power_study(config: ExperimentConfig, model) -> None:
+    """ConfigError if power_study refuses the config and model: the model is
+    discrete, or the grouped method is asked for with k - 1 - s < 1 degrees
+    of freedom.  A caller that runs the AUC null study for the critical
+    value checks here first, so a refused study pays for no null run."""
+    _require_continuous(model, "the power study is")
+    if "grouped" in config.methods:
+        _grouped_dof(config.k, model)
+
+
 def power_study(config: ExperimentConfig, auc_critical: float, model, truth) -> PowerResult:
     """Rejection rates of a continuous model against heavier-tailed Student-t
     alternatives on the df grid.
@@ -446,10 +457,10 @@ def power_study(config: ExperimentConfig, auc_critical: float, model, truth) -> 
     alpha and draw count they give the exceedance-proportion test, the
     non-randomized form of the single-draw test.
 
-    ConfigError, before any replicate runs: the model is discrete, or the
-    grouped method is asked for with k - 1 - s < 1 degrees of freedom.
+    ConfigError, before any replicate runs: check_power_study refuses the
+    config and model, or auc_critical lies outside (0, 1).
     """
-    _require_continuous(model, "the power study is")
+    check_power_study(config, model)
     if not np.isfinite(auc_critical) or not 0.0 < auc_critical < 1.0:
         raise ConfigError(f"auc_critical must lie in (0, 1), got {auc_critical}")
     root = RngStream(config.seed)

@@ -91,7 +91,8 @@ def _parameter_vector(values, size: int, positive) -> np.ndarray:
     if (
         v.shape != (size,)
         or not np.logical_and.reduce(np.isfinite(v))
-        or not np.logical_and.reduce(v[positive] > 0.0, axis=None)
+        # NaN has failed the finiteness test
+        or not np.minimum.reduce(v[positive], axis=None) > 0.0
     ):
         raise DomainError(
             f"need {size} finite parameter values with a positive scale, rate, mean or sigma2"
@@ -156,8 +157,11 @@ class NormalModel:
         # NaN fails every comparison
         if not (-math.inf < mu_lo and mu_hi < math.inf and 0.0 < sigma_lo and sigma_hi < math.inf):
             raise DomainError(f"normal parameters (mu, sigma) outside the space: {t}")
-        # columns mu and sigma: n values for a draw, D x n for a stack of D
-        return probkit.normal_cdf((np.asarray(y, dtype=float) - t[..., :1]) / t[..., 1:])
+        y = np.asarray(y, dtype=float)
+        if t.ndim == 1:  # one draw: n values from its two floats
+            return probkit.normal_cdf((y - mu_lo) / sigma_lo)
+        # columns mu and sigma: D x n values for a stack of D
+        return probkit.normal_cdf((y - t[:, :1]) / t[:, 1:])
 
     def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
         return self.posterior_draws(data, 1, rng)[0]

@@ -90,10 +90,15 @@ def split(rng: RngStream, child_id: int) -> RngStream:
 # vectorized primitive curves
 # ---------------------------------------------------------------------------
 
+# dividing by -sqrt(2) rounds as -z / sqrt(2) does, in one pass over z, not
+# two; the CDF is the same bit for bit
+_NEG_SQRT2 = -math.sqrt(2.0)
+
+
 def normal_cdf(z):
     """Standard normal CDF via erfc; absolute error at double precision."""
     z = np.asarray(z, dtype=float)
-    out = 0.5 * sp.erfc(-z / math.sqrt(2.0))
+    out = 0.5 * sp.erfc(z / _NEG_SQRT2)
     return out if out.ndim else float(out)
 
 

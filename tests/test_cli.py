@@ -193,6 +193,18 @@ def test_power_df_range_parsing(tmp_path):
     assert "grouped_fit" not in json.loads((out / "manifest.json").read_text())["derived"]
 
 
+def test_power_refuses_its_settings_before_the_null_run(tmp_path, monkeypatch, capsys):
+    # at n 20 the grouped method has k 3 cells and k - 1 - s = 0 degrees of
+    # freedom, so the AUC null study must not run
+    def no_null_run(*args):
+        raise AssertionError("the AUC null study ran")
+
+    monkeypatch.setattr(harness, "null_auc_distribution", no_null_run)
+    assert run_cli("power", "--n", "20", "--df", "1", "--reps", "5",
+                   "--outdir", tmp_path / "run") == 64
+    assert "degrees of freedom" in capsys.readouterr().err
+
+
 def test_power_on_data_without_a_grouped_mle_exit_70(tmp_path, monkeypatch, capsys):
     # 40 observations in the bottom cell and 10 in the top one: the grouped
     # likelihood rises without bound as sigma grows

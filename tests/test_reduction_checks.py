@@ -2,14 +2,19 @@
 must decide, raise and return exactly as its earlier method-based form
 (ndarray.min/max/sum/all, np.any, np.mean, np.searchsorted), kept here as the
 oracle: the same exception type and message, the same kinds of warning, or
-bit-identical results.  The randomized statistic's collapse test is checked
-against its element-wise reference in test_gof."""
+bit-identical results.  So must pearson of a BinScheme, whose cell
+probabilities were checked when it was built, against pearson of its widths.
+The randomized statistic's collapse test is checked against its element-wise
+reference in test_gof."""
 
 import dataclasses
+import math
+import struct
 import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -47,6 +52,17 @@ def _old_parameter_vector(values, size, positive):
             f"need {size} finite parameter values with a positive scale, rate, mean or sigma2"
         )
     return v
+
+
+def _old_normal_cdf(z):
+    z = np.asarray(z, dtype=float)
+    out = 0.5 * sp.erfc(-z / math.sqrt(2.0))
+    return out if out.ndim else float(out)
+
+
+def _old_normal_obs_cdf(y, theta):
+    t = np.asarray(theta, dtype=float)
+    return probkit.normal_cdf((np.asarray(y, dtype=float) - t[..., :1]) / t[..., 1:])
 
 
 def _old_assign(scheme, u):
@@ -328,3 +344,108 @@ def test_pearson_vector_equals_its_row_of_the_batch(k, rows, dtype, equal, data)
 def test_normal_sample_matches_its_method_form(data):
     # NaN and +-inf among the observations, and 0-d and 2-D inputs
     assert _outcome(models._normal_sample, data) == _outcome(_old_normal_sample, data)
+
+
+# values where erfc is neither 0 nor 2, a NaN of either sign, one with a
+# payload, and subnormals of either sign
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0ABC))[0]
+_cdf_float = st.one_of(_any_float, st.floats(-40.0, 40.0), st.sampled_from(
+    [math.copysign(math.nan, -1.0), _NAN_PAYLOAD, -_NAN_PAYLOAD, -5e-324, 1e-310, -1e-310]
+))
+
+
+@settings(max_examples=400, deadline=None)
+@given(z=_float_arrays(_cdf_float), scalar=st.booleans())
+def test_normal_cdf_matches_its_negate_first_form(z, scalar):
+    if scalar and z.ndim == 0:
+        z = float(z)
+    assert _outcome(probkit.normal_cdf, z) == _outcome(_old_normal_cdf, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    y=st.one_of(
+        _float_arrays(_any_float, shape=st.integers(0, 6)), st.lists(_any_float, max_size=4)
+    ),
+    mu=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308])
+    ),
+    sigma=st.one_of(st.floats(5e-324, 1e308), st.sampled_from([5e-324, 1e-300, 1e308])),
+)
+def test_normal_obs_cdf_of_one_draw_matches_its_slice_form(y, mu, sigma):
+    # one draw is standardized with its two floats, not two 1-element slices
+    new = _outcome(models.NormalModel().obs_cdf, y, (mu, sigma))
+    assert new == _outcome(_old_normal_obs_cdf, y, (mu, sigma))
+
+
+_pearson_schemes = st.one_of(
+    st.integers(2, 8).map(equiprobable),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=6,
+             unique=True).map(lambda cuts: BinScheme((0.0, *sorted(cuts), 1.0))),
+    # a cell narrower than PROB_FLOOR, inside or at either end
+    st.tuples(st.floats(1e-3, 0.99), st.sampled_from([1e-15, 1e-13, 9e-13])).map(
+        lambda cut: BinScheme((0.0, cut[0], cut[0] + cut[1], 1.0))
+    ),
+    st.sampled_from([
+        BinScheme((0.0, 5e-324, 0.5, 1.0)),
+        BinScheme((0.0, 0.5, np.nextafter(1.0, 0.0), 1.0)),
+    ]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scheme=_pearson_schemes, data=st.data())
+def test_pearson_of_a_scheme_matches_pearson_of_its_widths(scheme, data):
+    k = scheme.k
+    shape = data.draw(st.one_of(
+        st.sampled_from([(k,), (1, k), (3, k), (0, k), (k + 1,)]),
+        _shapes,
+    ))
+    counts = data.draw(st.one_of(
+        hnp.arrays(np.int64, shape, elements=st.integers(-2, 60)),
+        hnp.arrays(np.uint16, shape, elements=st.integers(0, 60)),
+        _float_arrays(st.one_of(st.integers(0, 60).map(float), _any_float), shape=shape),
+    ))
+    assert _outcome(gof.pearson, counts, scheme) == _outcome(gof.pearson, counts, scheme.widths())
+
+
+def test_a_scheme_with_a_cell_below_the_floor_builds_and_assigns_but_gives_no_statistic():
+    scheme = BinScheme((0.0, 0.5, 0.5 + 1e-13, 1.0))
+    assert scheme.widths()[1] < gof.PROB_FLOOR
+    assert binning.assign(scheme, [0.25, 0.5 + 5e-14, 0.75]).tolist() == [0, 1, 2]
+    counts = np.array([3, 0, 2])
+    for c in (counts, counts.astype(float), np.array([counts, counts])):
+        outcome = _outcome(gof.pearson, c, scheme)
+        assert outcome == _outcome(gof.pearson, c, scheme.widths())
+        assert outcome[0][:2] == ("raised", EvaluationError)
+        assert outcome[0][2].endswith("floor in cells [1]")
+
+
+_THETA_LAYOUTS = [
+    # model, a valid vector, the entries that must be positive
+    (models.NormalModel(), [0.5, 2.0], [1]),
+    (models.PoissonSaturated([1.0, 2.0, 3.0]), [1.0, 2.5, 4.0], [0, 1, 2]),
+    (models.PoissonExchangeable([1.0, 2.0]), [0.1, -0.2, 0.3, 0.5], [3]),
+]
+
+
+@pytest.mark.parametrize("model, values, positive", _THETA_LAYOUTS)
+def test_theta_from_vector_rejects_what_it_rejected_before(model, values, positive):
+    accepted = [values]
+    refused = [values[:-1], values + [1.0], [], [values]]
+    for j in positive:
+        for v in (5e-324, 1e300):
+            accepted.append(values[:j] + [v] + values[j + 1:])
+        for v in (math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324, -1.0):
+            refused.append(values[:j] + [v] + values[j + 1:])
+    if 0 not in positive:  # a free entry may be negative, never non-finite
+        accepted.append([-3.0] + values[1:])
+        refused += [[v] + values[1:] for v in (math.nan, math.inf, -math.inf)]
+    for vector in accepted + refused:
+        new = _outcome(model.theta_from_vector, vector)
+        with mock.patch.object(models, "_parameter_vector", _old_parameter_vector):
+            assert new == _outcome(model.theta_from_vector, vector)
+        assert new[0][:2] == (
+            ("returned", (np.ndarray, "<f8", (len(values),), np.asarray(vector).tobytes()))
+            if vector in accepted else ("raised", DomainError)
+        )
