@@ -35,7 +35,6 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 from functools import cache
 
@@ -51,7 +50,7 @@ from .errors import (
     OptimizationError,
 )
 from .harness import ExperimentConfig
-from .probkit import RngStream, split
+from .probkit import MAX_SEED, RngStream, split
 
 EXIT_OK = 0
 EXIT_CALIBRATION = 2
@@ -140,7 +139,12 @@ def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
     return name
 
 
-def _digest(path: str) -> str:
+def _digest(path: str) -> str | None:
+    """The sha256 of a regular file; None for standard input ('-') and for
+    a pipe, FIFO or device, whose bytes the run has read and cannot read
+    again."""
+    if path == "-" or not os.path.isfile(path):
+        return None
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -154,14 +158,13 @@ def _write_manifest(
     config = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(ns).items()
-        if k not in ("command", "func", "config")
+        if k not in ("command", "config")
     }
     # the one input hashed: the draw stream for monitor, else the dataset
     input_path = ns.draws_file if ns.command == "monitor" else getattr(ns, "data", None)
     entry = None
     if input_path is not None:
-        entry = {"path": input_path}
-        entry["sha256"] = None if input_path == "-" else _digest(input_path)
+        entry = {"path": input_path, "sha256": _digest(input_path)}
     manifest = {
         "tool": "bayesgof",
         "version": __version__,
@@ -224,11 +227,17 @@ def _unreadable(path: str, exc: OSError | ValueError) -> DataError:
     return DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
-def _open_input(path: str, **kwargs):
-    """open() for reading; a path that cannot be opened, one holding a NUL
-    byte included, is a DataError naming the file."""
+def _open_input(path: str):
+    """A draw stream as text: the file at path, or standard input for '-',
+    both decoded alike, as UTF-8 with any line ending, and with bytes that
+    are not UTF-8 replaced by U+FFFD.  A path that cannot be opened, one
+    holding a NUL byte included, is a DataError naming the file."""
+    if path == "-":
+        if sys.stdin is None:  # the process was started with it closed
+            raise DataError("cannot read -: standard input is closed")
+        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="replace")
     try:
-        return open(path, **kwargs)
+        return open(path, encoding="utf-8", errors="replace")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _unreadable(path, exc) from None
 
@@ -345,6 +354,16 @@ def _parse_df_list(text: str) -> tuple[float, ...]:
     return tuple(float(d) for d in out)
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < MAX_SEED:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _parse_methods(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     bad = [m for m in methods if m not in harness.POWER_METHODS]
@@ -405,21 +424,15 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
     # a series gets a reference column iff it has a chi-square reference law
     # (the plugin statistic has none); the KS entry may still be skipped for
     # runs too small for the asymptotic test
-    header = ["rank"]
+    header, columns = ["rank"], [range(1, result.replicates + 1)]
     for name in names:
+        series = result.series[name]
         header.append(name)
-        if result.series[name].ref_quantiles is not None:
+        columns.append(series.values)
+        if series.ref_quantiles is not None:
             header.append(f"{name}_ref")
-    rows = []
-    for i in range(result.replicates):
-        row: list = [i + 1]
-        for name in names:
-            series = result.series[name]
-            row.append(series.values[i])
-            if series.ref_quantiles is not None:
-                row.append(series.ref_quantiles[i])
-        rows.append(row)
-    outputs = [_write_csv(outdir, "qq.csv", header, rows)]
+            columns.append(series.ref_quantiles)
+    outputs = [_write_csv(outdir, "qq.csv", header, zip(*columns))]
 
     summary_header = [
         "series", "replicates", "n", "k", "mean", "variance",
@@ -451,15 +464,7 @@ def cmd_power(ns: argparse.Namespace, outdir: str) -> _Outcome:
         ns, draws_per_dataset=ns.draws, alpha=ns.alpha,
         df_grid=tuple(ns.df), methods=tuple(ns.methods),
     )
-    model = models.NormalModel()
-    harness.check_power_study(cfg, model)
-    if ns.auc_critical is not None:
-        critical = ns.auc_critical
-    else:
-        # fresh null run one seed over, so power replicates stay independent
-        null_cfg = replace(cfg, seed=cfg.seed + 1)
-        critical = harness.null_auc_distribution(null_cfg, model, STANDARD_NORMAL).critical
-    result = harness.power_study(cfg, critical, model, STANDARD_NORMAL)
+    result = harness.power_study(cfg, ns.auc_critical, models.NormalModel(), STANDARD_NORMAL)
     rows = [
         [row.df, row.method, row.rejections, row.replicates, row.rate]
         for row in result.rows
@@ -467,7 +472,7 @@ def cmd_power(ns: argparse.Namespace, outdir: str) -> _Outcome:
     outputs = [
         _write_csv(outdir, "power.csv", ["df", "method", "rejections", "replicates", "rate"], rows)
     ]
-    derived = {"auc_critical": critical}
+    derived = {"auc_critical": result.auc_critical}
     if result.grouped_iterations is not None:
         derived["grouped_fit"] = _grouped_fit(result.grouped_iterations)
     return EXIT_OK, outputs, derived
@@ -546,16 +551,17 @@ def cmd_monitor(ns: argparse.Namespace, outdir: str) -> _Outcome:
                 continue
             yield theta
 
-    def run(lines) -> bool:
+    alerted = False
+    with _open_input(ns.draws_file) as lines:
         # stream_monitor checks the settings and the data here, before
         # trace.csv is opened; a continuous model never reads, so never
-        # opens, the stream
+        # opens, the random stream
         records = harness.stream_monitor(
-            parse_stream(lines), y, model, scheme, split(RngStream(ns.seed), 0),
+            parse_stream(_read_lines(ns.draws_file, lines)), y, model, scheme,
+            split(RngStream(ns.seed), 0),
             threshold=ns.threshold, alert_factor=ns.alert_factor,
             min_draws=ns.min_draws,
         )
-        alerted = False
         # one preformatted line per record, with the fields _write_csv would
         # give: ints, .17g floats (nan for an invalid draw) and true/false,
         # none of which can need CSV quoting
@@ -570,18 +576,6 @@ def cmd_monitor(ns: argparse.Namespace, outdir: str) -> _Outcome:
                 if not rec.valid:
                     invalid[rec.reason] = invalid.get(rec.reason, 0) + 1
                 alerted = alerted or rec.alert
-        return alerted
-
-    # bytes that are not UTF-8 become U+FFFD, so their line counts as malformed
-    if ns.draws_file == "-":
-        binary = getattr(sys.stdin, "buffer", None)  # absent on an in-memory text stream
-        alerted = run(
-            sys.stdin if binary is None
-            else (line.decode("utf-8", errors="replace") for line in binary)
-        )
-    else:
-        with _open_input(ns.draws_file, encoding="utf-8", errors="replace") as fh:
-            alerted = run(_read_lines(ns.draws_file, fh))
 
     if counters["malformed"]:
         print(
@@ -658,8 +652,9 @@ _COMMANDS = {
 # parser construction
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, *, seed_default: int = 0) -> None:
-    sub.add_argument("--seed", type=int, default=seed_default, help="root random seed")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=_parse_seed, default=0,
+                     help="root random seed, in [0, 2**64)")
     sub.add_argument("--outdir", help="output directory (default: $BAYESGOF_OUTDIR or '.')")
     sub.add_argument("--config", default=None, help="key=value config file")
 

@@ -15,7 +15,9 @@ Stream layout (fixed, documented so runs can be reproduced precisely):
                                split(c,1), discrete randomization split(c,2),
                                where c = split(root, r)
   power studies                per alternative d: base = split(root, d),
-                               then per replicate as above
+                               then per replicate as above; with no stored
+                               AUC critical value, first the AUC null run at
+                               root seed + 1, laid out as a size study
   analyze                      posterior split(rng,0), randomization split(rng,1);
                                the exchangeable model's chain reads children
                                0-4 of the posterior stream p = split(rng,0):
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -69,7 +71,6 @@ __all__ = [
     "ks_statistic",
     "null_calibration",
     "null_auc_distribution",
-    "check_power_study",
     "power_study",
     "analyze",
     "predictive_auc_test",
@@ -428,25 +429,18 @@ def null_auc_distribution(config: ExperimentConfig, model, truth) -> AucDistribu
     )
 
 
-def check_power_study(config: ExperimentConfig, model) -> None:
-    """ConfigError if power_study refuses the config and model: the model is
-    discrete, or the grouped method is asked for with k - 1 - s < 1 degrees
-    of freedom.  A caller that runs the AUC null study for the critical
-    value checks here first, so a refused study pays for no null run."""
-    _require_continuous(model, "the power study is")
-    if "grouped" in config.methods:
-        _grouped_dof(config.k, model)
-
-
-def power_study(config: ExperimentConfig, auc_critical: float, model, truth) -> PowerResult:
+def power_study(
+    config: ExperimentConfig, auc_critical: float | None, model, truth
+) -> PowerResult:
     """Rejection rates of a continuous model against heavier-tailed Student-t
     alternatives on the df grid.
 
     Three tests, all at the same nominal level: the AUC summary against its
-    stored null critical value; the first-draw statistic against the upper
+    null critical value; the first-draw statistic against the upper
     chi-square(k - 1) point; and the grouped-MLE statistic against the upper
     chi-square(k - 1 - s) point with cells fixed at the model's k-tiles at
-    truth.
+    truth.  With auc_critical None the AUC's critical value comes from
+    null_auc_distribution at seed + 1, whose datasets are not the study's.
 
     The AUC test decides from all of a dataset's draws.  The single-draw test
     is randomized given the data: it rejects with probability equal to the
@@ -457,20 +451,26 @@ def power_study(config: ExperimentConfig, auc_critical: float, model, truth) -> 
     alpha and draw count they give the exceedance-proportion test, the
     non-randomized form of the single-draw test.
 
-    ConfigError, before any replicate runs: check_power_study refuses the
-    config and model, or auc_critical lies outside (0, 1).
+    ConfigError, before any replicate runs, null ones included: the model is
+    discrete, the grouped method has k - 1 - s < 1 degrees of freedom, or
+    auc_critical lies outside (0, 1), or is None with seed + 1 out of range.
     """
-    check_power_study(config, model)
-    if not np.isfinite(auc_critical) or not 0.0 < auc_critical < 1.0:
-        raise ConfigError(f"auc_critical must lie in (0, 1), got {auc_critical}")
+    _require_continuous(model, "the power study is")
+    grouped = "grouped" in config.methods
+    if grouped:
+        grouped_crit = probkit.chi2_quantile(_grouped_dof(config.k, model), 1.0 - config.alpha)
     root = RngStream(config.seed)
+    if auc_critical is None:
+        if config.seed + 1 >= probkit.MAX_SEED:
+            raise ConfigError("the AUC null run's seed, seed + 1, must be below 2**64")
+        null_config = replace(config, seed=config.seed + 1)
+        auc_critical = null_auc_distribution(null_config, model, truth).critical
+    elif not np.isfinite(auc_critical) or not 0.0 < auc_critical < 1.0:
+        raise ConfigError(f"auc_critical must lie in (0, 1), got {auc_critical}")
     k = config.k
     scheme = equiprobable(k)
     edges = model.quantile_edges(truth, k)
     single_crit = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
-    grouped = "grouped" in config.methods
-    if grouped:
-        grouped_crit = probkit.chi2_quantile(_grouped_dof(k, model), 1.0 - config.alpha)
     rows: list[PowerRow] = []
     fractions_by_df: dict[float, np.ndarray] = {}
     iterations_by_df: list[np.ndarray] = []

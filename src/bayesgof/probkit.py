@@ -19,6 +19,7 @@ from scipy import special as sp
 from .errors import DomainError
 
 __all__ = [
+    "MAX_SEED",
     "RngStream",
     "split",
     "normal_cdf",
@@ -31,7 +32,7 @@ __all__ = [
     "poisson_logpmf",
 ]
 
-_MAX_SEED = 2**64
+MAX_SEED = 2**64  # root seeds lie in [0, MAX_SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ class RngStream:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
             raise DomainError("seed must be an integer")
-        if not 0 <= self.seed < _MAX_SEED:
+        if not 0 <= self.seed < MAX_SEED:
             raise DomainError(f"seed must be in [0, 2**64), got {self.seed}")
         if any(c < 0 for c in self.path):
             raise DomainError("stream path entries must be non-negative")

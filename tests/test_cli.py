@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -203,6 +204,51 @@ def test_power_refuses_its_settings_before_the_null_run(tmp_path, monkeypatch, c
     assert run_cli("power", "--n", "20", "--df", "1", "--reps", "5",
                    "--outdir", tmp_path / "run") == 64
     assert "degrees of freedom" in capsys.readouterr().err
+
+
+def test_power_without_a_critical_value_matches_the_recorded_one(tmp_path):
+    # the null run at seed + 1 gives the critical value the manifest records;
+    # passing that value back gives the same study byte for byte
+    common = ("power", "--df", "1,5", "--reps", "6", "--draws", "40", "--n", "30", "--seed", "9")
+    fresh, stored = tmp_path / "fresh", tmp_path / "stored"
+    assert run_cli(*common, "--outdir", fresh) == 0
+    critical = json.loads((fresh / "manifest.json").read_text())["derived"]["auc_critical"]
+    assert run_cli(*common, "--auc-critical", repr(critical), "--outdir", stored) == 0
+    assert (fresh / "power.csv").read_bytes() == (stored / "power.csv").read_bytes()
+    derived = json.loads((stored / "manifest.json").read_text())["derived"]
+    assert derived["auc_critical"] == critical
+
+
+def test_power_null_seed_out_of_range_exit_64(tmp_path, monkeypatch, capsys):
+    # the null run would take seed + 1 = 2**64: refused before any replicate
+    def no_run(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "null_auc_distribution", no_run)
+    monkeypatch.setattr(harness, "generate_t", no_run)
+    top = str(2**64 - 1)
+    common = ("power", "--df", "1", "--reps", "3", "--draws", "20", "--n", "30", "--seed", top)
+    out = tmp_path / "run"
+    assert run_cli(*common, "--outdir", out) == 64
+    assert "seed + 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    # a stored critical value needs no null run
+    monkeypatch.undo()
+    assert run_cli(*common, "--auc-critical", "0.7", "--outdir", out) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "command", ["simulate-null", "power", "analyze", "pp-test", "monitor", "validate"]
+)
+def test_out_of_range_seed_exit_64(tmp_path, poisson_csv, command, seed, capsys):
+    args = [command]
+    if command not in ("simulate-null", "power"):
+        args += ["--data", poisson_csv, "--model", "poisson-common"]
+    out = tmp_path / "run"
+    assert run_cli(*args, "--seed", seed, "--outdir", out) == 64
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_power_on_data_without_a_grouped_mle_exit_70(tmp_path, monkeypatch, capsys):
@@ -501,13 +547,71 @@ def test_failed_run_leaves_the_earlier_run_byte_identical(tmp_path, normal_csv):
 def test_monitor_reads_stdin(tmp_path, normal_csv, monkeypatch):
     out = tmp_path / "run"
     text = "\n".join(posterior_rows(normal_csv, 50)) + "\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    # a process's standard input always has a byte buffer beneath its text
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
     code = run_cli("monitor", "--data", normal_csv, "--model", "normal",
                    "--outdir", out)
     assert code == 0
     assert len(read_csv(out / "trace.csv")) == 51
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["input"] == {"path": "-", "sha256": None}
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_monitor_reads_stdin_as_it_reads_a_file(tmp_path, normal_csv, monkeypatch, ending):
+    # two lines that are not UTF-8 count as malformed on either path
+    rows = [row.encode() for row in posterior_rows(normal_csv, 60)]
+    data = ending.join([*rows, b"0.1 \xff1.0", b"\xfe\xfe", b""])
+    draws = tmp_path / "draws.txt"
+    draws.write_bytes(data)
+    common = ("monitor", "--data", normal_csv, "--model", "normal")
+    assert run_cli(*common, "--draws-file", draws, "--outdir", tmp_path / "file") == 0
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert run_cli(*common, "--draws-file", "-", "--outdir", tmp_path / "stdin") == 0
+    trace = (tmp_path / "file" / "trace.csv").read_bytes()
+    assert trace.count(b"\n") == 61
+    assert (tmp_path / "stdin" / "trace.csv").read_bytes() == trace
+
+
+def test_monitor_on_a_closed_stdin_exit_65(tmp_path, normal_csv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", None)
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--outdir", tmp_path / "run") == 65
+    assert "standard input is closed" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+def test_monitor_reads_a_fifo_once(tmp_path, normal_csv):
+    fifo = tmp_path / "draws.fifo"
+    os.mkfifo(fifo)
+    data = ("\n".join(posterior_rows(normal_csv, 50)) + "\n").encode()
+    done = threading.Event()
+
+    def writer():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+        # a run that opens the FIFO again waits for a writer that never
+        # comes; open it without writing, so that such a run ends and fails
+        while not done.wait(5):
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader has the FIFO open
+                pass
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    out = tmp_path / "run"
+    try:
+        code = run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                       "--draws-file", fifo, "--outdir", out)
+    finally:
+        done.set()
+        thread.join(10)  # a writer still waiting for its reader is left behind
+    assert code == 0
+    assert read_csv(out / "trace.csv")[-1][0] == "49"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input"] == {"path": str(fifo), "sha256": None}
 
 
 def test_monitor_undecodable_draw_lines_count_as_malformed(
@@ -633,6 +737,8 @@ def test_replay_rejects_unknown_key(tmp_path, poisson_csv, capsys):
     ("model", "gamma"),  # outside the flag's choices
     ("data", 7),  # a string flag
     ("seed", None),
+    ("seed", -1),  # out of range
+    ("seed", 2**64),
 ])
 def test_replay_rejects_mistyped_value(tmp_path, poisson_csv, capsys, key, value):
     _, manifest = _recorded_analyze(tmp_path, poisson_csv)

@@ -165,6 +165,21 @@ def test_grouped_power_without_degrees_of_freedom_is_refused(monkeypatch):
     assert [row.method for row in res.rows] == ["auc", "single-draw"]
 
 
+def test_power_study_without_a_critical_value_runs_the_null_at_seed_plus_one():
+    cfg = ExperimentConfig(n=30, replicates=8, seed=6, draws_per_dataset=40, df_grid=(1, 5))
+    null = null_auc_distribution(
+        dataclasses.replace(cfg, seed=7), NormalModel(), STANDARD_NORMAL
+    )
+    explicit = power_study(cfg, null.critical, NormalModel(), STANDARD_NORMAL)
+    implied = power_study(cfg, None, NormalModel(), STANDARD_NORMAL)
+    assert implied.auc_critical == explicit.auc_critical == null.critical
+    assert implied.rows == explicit.rows
+    assert np.array_equal(implied.grouped_iterations, explicit.grouped_iterations)
+    assert implied.exceedance_fractions.keys() == explicit.exceedance_fractions.keys()
+    for df, fractions in explicit.exceedance_fractions.items():
+        assert np.array_equal(implied.exceedance_fractions[df], fractions)
+
+
 def test_auc_null_requires_normal_model():
     cfg = ExperimentConfig(n=30, replicates=30)
     model = PoissonSaturated(np.ones(cfg.n))
