@@ -86,8 +86,9 @@ Environment: BAYESGOF_OUTDIR sets the default output directory.
 
 WORKERS_HELP = (
     "replicate threads (default 1); outputs are byte-identical for any count. "
-    "The threads share the interpreter lock, so more than one gives little "
-    "or no wall-clock speed-up"
+    "At most one thread runs per replicate and per usable CPU. The threads "
+    "share the interpreter lock, so more than one gives little or no "
+    "wall-clock speed-up"
 )
 
 

@@ -8,7 +8,8 @@ Student-t data; there, truth fixes the classical cells.
 Replicates are independent work units.  Each replicate r derives its own
 random stream as split(root, r), so results are identical for any worker
 count and unaffected by adding or removing other replicates.  Worker threads
-only ever assemble results by replicate index.
+only ever assemble results by replicate index.  _Replicate is the one
+implementation of the table's study rows; each study reduces its records.
 
 Stream layout (fixed, documented so runs can be reproduced precisely):
   calibration / size studies   replicate r: data split(c,0), posterior
@@ -28,24 +29,20 @@ Stream layout (fixed, documented so runs can be reproduced precisely):
   predictive recalibration     observed split(rng,0), predictive parameters
                                split(rng,1), replicate m: split(rng, 2 + m)
 
-The AUC null and power studies also record, per dataset, the exceedance
-fraction: the share of its posterior draws whose statistic lies above the
-upper-alpha chi-square(k - 1) point.  The null run tabulates that fraction
-and its empirical critical value (AucDistribution.exceedance_values and
-exceedance_critical); the power study keeps each alternative's fractions
-(PowerResult.exceedance_fractions).  Their mean is the power of the
-single-draw test, and the share above exceedance_critical is the power of
-the exceedance-proportion test.  Both read the draws the AUC already
-evaluates, so they add no random-stream use.
+The AUC null and power studies also record each dataset's exceedance
+fraction, the share of its posterior draws above the upper-alpha
+chi-square(k - 1) point (AucDistribution, PowerResult).  It reads the draws
+the AUC already evaluates, so it adds no random-stream use.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -271,13 +268,6 @@ def ks_statistic(values, cdf: Callable, alpha: float = 0.01) -> KsResult:
     return KsResult(d, critical, alpha, int(v.size), d < critical)
 
 
-def _map_replicates(fn: Callable[[int], object], reps: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(reps)))
-
-
 def _require_continuous(model, what: str) -> None:
     if model.is_discrete:
         raise ConfigError(f"{what} defined for continuous models only")
@@ -312,7 +302,86 @@ def _grouped_dof(k: int, model) -> int:
 
 
 # ---------------------------------------------------------------------------
-# null calibration
+# the replicate engine
+# ---------------------------------------------------------------------------
+
+class _Record(NamedTuple):
+    """One replicate's values, nan (iterations 0) where its study skips them."""
+
+    statistic: float  # at the first posterior draw
+    auc: float
+    fraction: float  # of the draws above the spec's threshold
+    plugin: float
+    grouped: float
+    iterations: int  # Fisher-scoring steps of the grouped fit
+
+
+@dataclass(frozen=True)
+class _Replicate:
+    """One replicate from its stream c: data from split(c, 0) at truth, or
+    Student-t data when df is set; the posterior from split(c, 1); a discrete
+    model's randomization from split(c, 2).  draws None scores one
+    model.posterior_draw; else a stack of draws gives the AUC and the
+    fraction above threshold.  With edges the grouped fit runs on those
+    classical cells, from the plugin fit's start when plugin is set."""
+
+    model: object
+    truth: object
+    n: int
+    scheme: BinScheme
+    draws: int | None = None
+    threshold: float = math.nan
+    df: float | None = None
+    edges: np.ndarray | None = None
+    plugin: bool = False
+
+    def __call__(self, c: RngStream) -> _Record:
+        model, scheme = self.model, self.scheme
+        if self.df is None:
+            y = model.predictive_draw(self.truth, split(c, 0), n=self.n)
+        else:
+            y = generate_t(self.n, self.df, split(c, 0))
+        auc = fraction = plugin = grouped = math.nan
+        iterations = 0
+        if self.draws is None:
+            theta = model.posterior_draw(y, split(c, 1))
+            statistic = gof.posterior_chisq(y, model, theta, scheme, split(c, 2)).value
+        else:
+            thetas = model.posterior_draws(y, self.draws, split(c, 1))
+            values = gof.posterior_chisq(y, model, thetas, scheme, split(c, 2)).value
+            statistic, auc = float(values[0]), reference_auc(values, scheme.k - 1)
+            fraction = np.count_nonzero(values > self.threshold) / values.size
+        if self.edges is not None:
+            start = None
+            if self.plugin:
+                plug = gof.plugin_chisq(y, model, self.edges)
+                plugin, start = plug.value, plug.start
+            fit = gof.grouped_chisq(y, model, self.edges, start)
+            grouped, iterations = fit.value, fit.iterations
+        return _Record(statistic, auc, fraction, plugin, grouped, iterations)
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _run(spec: _Replicate, root: RngStream, reps: int, workers: int) -> _Record:
+    """spec at the streams split(root, r) for r < reps, each field an array
+    in replicate order.  The replicates run inline at one worker and on
+    min(workers, reps, usable CPUs) threads above that."""
+    streams = (split(root, r) for r in range(reps))
+    threads = min(workers, reps, _usable_cpus())
+    if threads <= 1:
+        records = list(map(spec, streams))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            records = list(pool.map(spec, streams))
+    return _Record(*map(np.array, zip(*records)))
+
+
+# ---------------------------------------------------------------------------
+# the studies: null calibration, the AUC null distribution and power
 # ---------------------------------------------------------------------------
 
 def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResult:
@@ -331,59 +400,21 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
     t0 = time.perf_counter()
     root = RngStream(config.seed)
     k = config.k
-    scheme = equiprobable(k)
+    edges = None
     if config.include_classical:
         _require_continuous(model, "classical statistics are")
         grouped_dof = _grouped_dof(k, model)
         edges = model.quantile_edges(truth, k)
-
-    def one(r: int) -> tuple[float, float, float, int]:
-        c = split(root, r)
-        y = model.predictive_draw(truth, split(c, 0), n=config.n)
-        theta = model.posterior_draw(y, split(c, 1))
-        value = gof.posterior_chisq(y, model, theta, scheme, split(c, 2)).value
-        if not config.include_classical:
-            return (value, np.nan, np.nan, 0)
-        plug = gof.plugin_chisq(y, model, edges)
-        grouped = gof.grouped_chisq(y, model, edges, plug.start)
-        return (value, plug.value, grouped.value, grouped.iterations)
-
-    rows = np.asarray(_map_replicates(one, config.replicates, config.workers))
-    series = {"posterior": _series("posterior", rows[:, 0], k - 1, config.ks_alpha)}
+    spec = _Replicate(model, truth, config.n, equiprobable(k), edges=edges, plugin=True)
+    out = _run(spec, root, config.replicates, config.workers)
+    series = {"posterior": _series("posterior", out.statistic, k - 1, config.ks_alpha)}
     grouped_iterations = None
     if config.include_classical:
-        series["plugin"] = _series("plugin", rows[:, 1], None, config.ks_alpha)
-        series["grouped"] = _series("grouped", rows[:, 2], grouped_dof, config.ks_alpha)
-        grouped_iterations = rows[:, 3].astype(int)
-
-    return CalibrationResult(
-        series=series,
-        n=config.n,
-        k=k,
-        replicates=config.replicates,
-        runtime_s=time.perf_counter() - t0,
-        grouped_iterations=grouped_iterations,
-    )
-
-
-# ---------------------------------------------------------------------------
-# reference-exceedance AUC: null distribution and power
-# ---------------------------------------------------------------------------
-
-def _auc_for_dataset(
-    y: np.ndarray,
-    model,
-    scheme: BinScheme,
-    draws: int,
-    rng: RngStream,
-    threshold: float,
-) -> tuple[float, float, float]:
-    """(auc, first-draw statistic, exceedance fraction over threshold) from a
-    batch of posterior draws."""
-    thetas = model.posterior_draws(y, draws, rng)
-    values = gof.posterior_chisq(y, model, thetas, scheme).value
-    fraction = np.count_nonzero(values > threshold) / values.size
-    return reference_auc(values, scheme.k - 1), float(values[0]), fraction
+        series["plugin"] = _series("plugin", out.plugin, None, config.ks_alpha)
+        series["grouped"] = _series("grouped", out.grouped, grouped_dof, config.ks_alpha)
+        grouped_iterations = out.iterations
+    runtime_s = time.perf_counter() - t0
+    return CalibrationResult(series, config.n, k, config.replicates, runtime_s, grouped_iterations)
 
 
 def _upper_critical(values: np.ndarray, alpha: float) -> float:
@@ -404,28 +435,13 @@ def null_auc_distribution(config: ExperimentConfig, model, truth) -> AucDistribu
     _require_continuous(model, "the AUC null distribution is")
     root = RngStream(config.seed)
     k = config.k
-    scheme = equiprobable(k)
     threshold = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
-
-    def one(r: int) -> tuple[float, float]:
-        c = split(root, r)
-        y = model.predictive_draw(truth, split(c, 0), n=config.n)
-        auc, _, fraction = _auc_for_dataset(
-            y, model, scheme, config.draws_per_dataset, split(c, 1), threshold
-        )
-        return auc, fraction
-
-    rows = np.asarray(_map_replicates(one, config.replicates, config.workers))
-    values = np.sort(rows[:, 0])
-    fractions = np.sort(rows[:, 1])
+    spec = _Replicate(model, truth, config.n, equiprobable(k), config.draws_per_dataset, threshold)
+    out = _run(spec, root, config.replicates, config.workers)
+    values, fractions = np.sort(out.auc), np.sort(out.fraction)
     return AucDistribution(
-        values=values,
-        critical=_upper_critical(values, config.alpha),
-        alpha=config.alpha,
-        replicates=config.replicates,
-        draws_per_dataset=config.draws_per_dataset,
-        exceedance_values=fractions,
-        exceedance_critical=_upper_critical(fractions, config.alpha),
+        values, _upper_critical(values, config.alpha), config.alpha, config.replicates,
+        config.draws_per_dataset, fractions, _upper_critical(fractions, config.alpha),
     )
 
 
@@ -457,6 +473,7 @@ def power_study(
     """
     _require_continuous(model, "the power study is")
     grouped = "grouped" in config.methods
+    grouped_crit = None
     if grouped:
         grouped_crit = probkit.chi2_quantile(_grouped_dof(config.k, model), 1.0 - config.alpha)
     root = RngStream(config.seed)
@@ -468,45 +485,27 @@ def power_study(
     elif not np.isfinite(auc_critical) or not 0.0 < auc_critical < 1.0:
         raise ConfigError(f"auc_critical must lie in (0, 1), got {auc_critical}")
     k = config.k
-    scheme = equiprobable(k)
-    edges = model.quantile_edges(truth, k)
     single_crit = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
-    rows: list[PowerRow] = []
-    fractions_by_df: dict[float, np.ndarray] = {}
-    iterations_by_df: list[np.ndarray] = []
-    for d_index, df in enumerate(config.df_grid):
-        base = split(root, d_index)
-
-        def one(r: int) -> tuple[bool, bool, bool, float, int]:
-            c = split(base, r)
-            y = generate_t(config.n, df, split(c, 0))
-            auc, first, fraction = _auc_for_dataset(
-                y, model, scheme, config.draws_per_dataset, split(c, 1), single_crit
-            )
-            rej_auc = auc > auc_critical
-            rej_single = first > single_crit
-            rej_grouped, iterations = False, 0
-            if grouped:
-                fit = gof.grouped_chisq(y, model, edges)
-                rej_grouped, iterations = fit.value > grouped_crit, fit.iterations
-            return (rej_auc, rej_single, rej_grouped, fraction, iterations)
-
-        out = np.asarray(_map_replicates(one, config.replicates, config.workers))
-        flags, fractions = out[:, :3].astype(bool), out[:, 3]
-        iterations_by_df.append(out[:, 4].astype(int))
-        for j, method in enumerate(POWER_METHODS):
-            if method not in config.methods:
-                continue
-            rej = int(flags[:, j].sum())
-            rows.append(
-                PowerRow(float(df), method, rej, config.replicates, rej / config.replicates)
-            )
-        fractions_by_df[float(df)] = fractions
+    spec = _Replicate(
+        model, None, config.n, equiprobable(k), config.draws_per_dataset, single_crit,
+        edges=model.quantile_edges(truth, k) if grouped else None,
+    )
+    reps = config.replicates
+    outs = [_run(replace(spec, df=df), split(root, d), reps, config.workers)
+            for d, df in enumerate(config.df_grid)]
+    critical = {"auc": auc_critical, "single-draw": single_crit, "grouped": grouped_crit}
+    rows = []
+    for df, out in zip(config.df_grid, outs):
+        values = {"auc": out.auc, "single-draw": out.statistic, "grouped": out.grouped}
+        for method in POWER_METHODS:
+            if method in config.methods:
+                rej = int(np.count_nonzero(values[method] > critical[method]))
+                rows.append(PowerRow(float(df), method, rej, reps, rej / reps))
     return PowerResult(
         tuple(rows),
         float(auc_critical),
-        fractions_by_df,
-        np.concatenate(iterations_by_df) if grouped else None,
+        {float(df): out.fraction for df, out in zip(config.df_grid, outs)},
+        np.concatenate([out.iterations for out in outs]) if grouped else None,
     )
 
 

@@ -3,15 +3,21 @@ analysis summaries, the predictive significance test, and the stream monitor."""
 
 import collections
 import dataclasses
+import os
+import pickle
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from bayesgof import probkit
+from bayesgof import harness, probkit
 from bayesgof.binning import equiprobable
 from bayesgof.errors import ConfigError, DomainError
-from bayesgof.gof import posterior_chisq_continuous
+from bayesgof.gof import (
+    posterior_chisq_continuous,
+    posterior_chisq_discrete_randomized,
+    reference_auc,
+)
 from bayesgof.harness import (
     ExperimentConfig,
     analyze,
@@ -115,6 +121,109 @@ def test_worker_count_does_not_change_results():
     four = normal_null(ExperimentConfig(**{**base.__dict__, "workers": 4}))
     for name in ("posterior", "plugin", "grouped"):
         assert np.array_equal(one.series[name].values, four.series[name].values)
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records the pool size it is asked
+    for and runs the map inline, starting no thread."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("cpus, reps, pool", [(4, 6, [4]), (64, 6, [6]), (1, 6, [])])
+def test_replicate_threads_are_capped(monkeypatch, cpus, reps, pool):
+    # a million workers get min(workers, replicates, usable CPUs) threads,
+    # none at all when that is 1
+    sizes = []
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers))
+    cfg = ExperimentConfig(n=30, replicates=reps, seed=4, include_classical=True, bins=5)
+    many = normal_null(dataclasses.replace(cfg, workers=10**6))
+    assert sizes == pool
+    one = normal_null(cfg)
+    for name in ("posterior", "plugin", "grouped"):
+        assert np.array_equal(many.series[name].values, one.series[name].values)
+    assert np.array_equal(many.grouped_iterations, one.grouped_iterations)
+    # the power study runs the engine once per df, each capped alike
+    sizes.clear()
+    cfg = ExperimentConfig(n=30, replicates=reps, seed=4, draws_per_dataset=20,
+                           df_grid=(1, 5), bins=5)
+    many = power_study(dataclasses.replace(cfg, workers=10**6), 0.786, NormalModel(),
+                       STANDARD_NORMAL)
+    assert sizes == 2 * pool
+    one = power_study(cfg, 0.786, NormalModel(), STANDARD_NORMAL)
+    assert many.rows == one.rows
+    for df, fractions in one.exceedance_fractions.items():
+        assert np.array_equal(many.exceedance_fractions[df], fractions)
+
+
+def test_usable_cpus_bounds_the_threads():
+    assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
+
+
+def test_replicate_spec_pickles():
+    model = NormalModel()
+    spec = harness._Replicate(model, STANDARD_NORMAL, 30, equiprobable(5), draws=20,
+                              threshold=probkit.chi2_quantile(4, 0.95),
+                              edges=model.quantile_edges(STANDARD_NORMAL, 5), plugin=True)
+    record = spec(split(RngStream(5), 0))
+    assert not any(np.isnan(record))
+    assert pickle.loads(pickle.dumps(spec))(split(RngStream(5), 0)) == record
+
+
+def test_null_calibration_stream_layout_on_counts():
+    # replicate r, rebuilt from the stream table: data split(c, 0), posterior
+    # split(c, 1), randomized allocation split(c, 2), with c = split(root, r)
+    cfg = ExperimentConfig(n=30, bins=4, replicates=12, seed=23)
+    model = PoissonCommonRate(np.ones(cfg.n))
+    res = null_calibration(cfg, model, [4.2])
+    scheme = equiprobable(4)
+
+    def rebuilt(randomization_child):
+        values = []
+        for r in range(cfg.replicates):
+            c = split(RngStream(23), r)
+            y = model.predictive_draw([4.2], split(c, 0), n=cfg.n)
+            theta = model.posterior_draws(y, 1, split(c, 1))[0]
+            stream = split(c, randomization_child)
+            values.append(posterior_chisq_discrete_randomized(y, model, theta, scheme, stream).value)
+        return np.sort(values)
+
+    assert np.array_equal(res.series["posterior"].values, rebuilt(2))
+    # the randomization is read: another child gives other values
+    assert not np.array_equal(res.series["posterior"].values, rebuilt(3))
+
+
+def test_auc_null_stream_layout():
+    # dataset r from split(c, 0), its draws from split(c, 1), each draw
+    # scored alone
+    cfg = ExperimentConfig(n=40, bins=5, replicates=10, seed=31, draws_per_dataset=30)
+    model = NormalModel()
+    res = null_auc_distribution(cfg, model, STANDARD_NORMAL)
+    scheme = equiprobable(5)
+    threshold = probkit.chi2_quantile(4, 0.95)
+    aucs, fractions = [], []
+    for r in range(cfg.replicates):
+        c = split(RngStream(31), r)
+        y = model.predictive_draw(STANDARD_NORMAL, split(c, 0), n=cfg.n)
+        mu, sigma = model.posterior_draws(y, cfg.draws_per_dataset, split(c, 1)).T
+        values = np.array([posterior_chisq_continuous(y, model, theta, scheme).value
+                           for theta in zip(mu, sigma)])
+        aucs.append(reference_auc(values, 4))
+        fractions.append(np.count_nonzero(values > threshold) / values.size)
+    assert np.array_equal(res.values, np.sort(aucs))
+    assert np.array_equal(res.exceedance_values, np.sort(fractions))
 
 
 def test_classical_requires_normal_model():
