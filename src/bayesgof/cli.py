@@ -415,8 +415,8 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
     if ns.model == "normal":
         model, truth = models.NormalModel(), STANDARD_NORMAL
     else:  # poisson-synthetic: one free mean per observation, all at --mean
-        if ns.mean <= 0:
-            raise ConfigError("--mean must be positive")
+        if not 0.0 < ns.mean < np.inf:  # NaN fails too
+            raise ConfigError(f"--mean must be positive and finite, got {ns.mean}")
         model = models.PoissonSaturated(np.ones(cfg.n), ns.prior_exponent)
         truth = ns.mean * model.offsets
     result = harness.null_calibration(cfg, model, truth)

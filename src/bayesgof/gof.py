@@ -172,7 +172,7 @@ def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedS
     widths.  Reference law: chi-square with scheme.k - 1 degrees of freedom
     when theta is a posterior draw.
 
-    theta may also be the stacked draws of the model's posterior_draws; row i
+    theta may also be a stack of draws from the model's posterior_sample; row i
     of the result then equals the call at draw i alone.
     """
     y = np.asarray(data, dtype=float)

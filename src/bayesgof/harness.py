@@ -321,9 +321,9 @@ class _Replicate:
     """One replicate from its stream c: data from split(c, 0) at truth, or
     Student-t data when df is set; the posterior from split(c, 1); a discrete
     model's randomization from split(c, 2).  draws None scores one
-    model.posterior_draw; else a stack of draws gives the AUC and the
-    fraction above threshold.  With edges the grouped fit runs on those
-    classical cells, from the plugin fit's start when plugin is set."""
+    model.posterior_draw, else model.posterior_sample's stack gives the AUC
+    and the fraction above threshold.  With edges the grouped fit runs on
+    those classical cells, from the plugin fit's start when plugin is set."""
 
     model: object
     truth: object
@@ -347,7 +347,7 @@ class _Replicate:
             theta = model.posterior_draw(y, split(c, 1))
             statistic = gof.posterior_chisq(y, model, theta, scheme, split(c, 2)).value
         else:
-            thetas = model.posterior_draws(y, self.draws, split(c, 1))
+            thetas = model.posterior_sample(y, self.draws, split(c, 1))
             values = gof.posterior_chisq(y, model, thetas, scheme, split(c, 2)).value
             statistic, auc = float(values[0]), reference_auc(values, scheme.k - 1)
             fraction = np.count_nonzero(values > self.threshold) / values.size

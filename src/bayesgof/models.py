@@ -9,10 +9,11 @@ harness and cli modules:
 - ``obs_cdf_pair(y, theta)`` (discrete) gives each outcome's CDF below and at
   the observed value, and ``obs_logpmf`` its log mass, which tells a zero
   mass from one too small for the rounded CDF pair to resolve;
-- ``posterior_sample(data, size, rng)`` returns a stack of size draws from
-  the posterior given the data, and ``posterior_draw`` one draw; the
-  conjugate models make both by ``posterior_draws``, whose draw 0 is
-  ``posterior_draw``, and the exchangeable model by ``run_chain``;
+- ``posterior_sample(data, size, rng)`` returns a stack of size posterior
+  draws given the data and ``posterior_draw(data, rng)`` one draw, row 0 of
+  a one-draw stack: the harness's two sampling entries.  The conjugate
+  models stack their own ``posterior_draws``, the exchangeable model its
+  ``run_chain``;
 - ``predictive_draw`` replicates a dataset at a fixed parameter value;
 - ``theta_from_vector(values)`` builds theta from a flat vector of
   ``theta_size`` values, raising DomainError for a wrong length, a
@@ -164,11 +165,11 @@ class NormalModel:
         return probkit.normal_cdf((y - t[:, :1]) / t[:, 1:])
 
     def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
-        return self.posterior_draws(data, 1, rng)[0]
+        return self.posterior_sample(data, 1, rng)[0]
 
     def posterior_draws(self, data, size: int, rng: RngStream) -> np.ndarray:
         """size x 2 stacked draws (mu, sigma), each column contiguous for
-        obs_cdf's checks; draw 0 equals posterior_draw under the same stream."""
+        obs_cdf's checks."""
         v = rng.open_uniform((size, 2))
         return np.array(normal_posterior_from_uniforms(data, v[:, 0], v[:, 1])).T
 
@@ -261,10 +262,15 @@ def _validate_counts(data, n: int) -> np.ndarray:
     yf = y.astype(float)
     if not np.all(np.isfinite(yf)) or np.any(yf < 0) or np.any(yf != np.floor(yf)):
         raise DataError("counts must be non-negative integers")
+    if np.any(yf > 2.0**53):  # above 2**53 a float, and so a CSV value, skips integers
+        bad = np.nonzero(yf > 2.0**53)[0].tolist()
+        raise DataError(f"counts above 2**53 are not held exactly, at observations {bad}")
     return yf.astype(np.int64)
 
 
 _TINY = np.finfo(float).tiny
+# the largest mean numpy's Poisson sampler takes
+_POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 
 def _poisson_cdf_pair(y: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +305,7 @@ class _PoissonBase:
         return probkit.poisson_logpmf(self.means(theta), np.asarray(y))
 
     def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
-        return self.posterior_draws(data, 1, rng)[0]
+        return self.posterior_sample(data, 1, rng)[0]
 
     def posterior_sample(self, data, n_draws: int, rng: RngStream) -> np.ndarray:
         return self.posterior_draws(data, n_draws, rng)
@@ -307,8 +313,11 @@ class _PoissonBase:
     def predictive_draw(self, theta, rng: RngStream, n: int | None = None) -> np.ndarray:
         means = self.means(theta)
         low, high = np.minimum.reduce(means, axis=None), np.maximum.reduce(means, axis=None)
-        if not (0.0 < low and high < np.inf):  # NaN fails too
-            raise DomainError("Poisson means must be positive and finite")
+        if not (0.0 < low and high <= _POISSON_MEAN_MAX):  # NaN fails too
+            raise DomainError(
+                "Poisson means must be positive and finite, and at most the sampler's "
+                f"limit {_POISSON_MEAN_MAX:.4g}; got {low:.4g} to {high:.4g}"
+            )
         return rng.generator.poisson(means)
 
 
@@ -329,7 +338,7 @@ class PoissonCommonRate(_PoissonBase):
         return np.asarray(theta, dtype=float)[..., :1] * self.offsets
 
     def posterior_draws(self, data, size: int, rng: RngStream) -> np.ndarray:
-        total = int(self.validate_data(data).sum())
+        total = sum(self.validate_data(data).tolist())  # Python ints do not wrap
         if total < 1:
             raise DataError("all counts are zero: the rate posterior is improper")
         return rng.generator.gamma(float(total), 1.0 / self.offsets.sum(), (size, 1))
@@ -572,9 +581,6 @@ class PoissonExchangeable(_PoissonBase):
 
     def posterior_sample(self, data, n_draws: int, rng: RngStream) -> np.ndarray:
         return self.run_chain(data, rng, replace(self.settings, retained=n_draws)).draws
-
-    def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
-        return self.posterior_sample(data, 1, rng)[-1]
 
 
 # ---------------------------------------------------------------------------

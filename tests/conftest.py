@@ -1,13 +1,18 @@
-"""Shared fixtures for the expensive Monte Carlo runs.
+"""Shared fixtures for the expensive Monte Carlo runs, and the model table.
 
 The 2000-replicate null run and the stored null AUC distribution are reused
 across several test modules, so they are computed once per session.
+MODEL_CASES holds every model the CLI builds for a dataset; the protocol
+suite and the theta-layout checks run on it.
 """
 
 import time
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
+from bayesgof import cli
 from bayesgof.harness import (
     ExperimentConfig,
     null_auc_distribution,
@@ -18,6 +23,42 @@ from bayesgof.models import NormalModel
 
 # the true (mu, sigma) of the normal model's null data
 STANDARD_NORMAL = (0.0, 1.0)
+
+
+class ModelCase(NamedTuple):
+    """A model as the CLI builds it, a dataset it accepts, a valid theta in
+    its theta_from_vector layout, and the indexes of that theta's positive
+    entries (a scale, rate, mean or sigma2); its other entries are free."""
+
+    name: str
+    model: object
+    data: np.ndarray
+    values: list[float]
+    positive: list[int]
+
+
+def _model_cases() -> list[ModelCase]:
+    offsets = np.array([0.5, 1.0, 2.0, 3.0])
+    counts = np.array([3, 0, 6, 2])
+    layouts = {
+        "normal": (np.array([0.3, -1.2, 2.1, 0.8]), [0.5, 2.0], [1]),
+        "poisson-common": (counts, [1.5], [0]),
+        "poisson-saturated": (counts, [1.0, 2.5, 4.0, 0.7], [0, 1, 2, 3]),
+        "poisson-exchangeable": (counts, [0.1, -0.2, 0.0, 0.3, -0.4, 0.5], [5]),
+    }
+    parser = cli.build_parser()
+    cases = []
+    for name in cli._DATA_MODELS:
+        # every flag at its default but a short chain for the exchangeable model
+        ns = parser.parse_args(
+            ["analyze", "--data", "unread.csv", "--model", name, "--chain-burn-in", "50"]
+        )
+        data, values, positive = layouts[name]
+        cases.append(ModelCase(name, cli._build_model(ns, offsets), data, values, positive))
+    return cases
+
+
+MODEL_CASES = _model_cases()
 
 # verdict lines recorded by the acceptance tests; replayed after the run so
 # they land on the real terminal rather than in pytest's captured stdout

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -159,11 +160,30 @@ def test_mean_is_checked_for_the_poisson_synthetic_model_only(tmp_path, capsys):
     for name in ("qq.csv", "summary.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     capsys.readouterr()
-    assert run_cli(*common, "--model", "poisson-synthetic", "--mean", "-1",
-                   "--outdir", tmp_path / "c") == 64
-    assert "--mean must be positive" in capsys.readouterr().err
-    assert run_cli(*common, "--model", "poisson-synthetic", "--mean", "nan",
+    for mean in ("-1", "nan", "inf"):
+        assert run_cli(*common, "--model", "poisson-synthetic", "--mean", mean,
+                       "--outdir", tmp_path / "c") == 64
+        assert "--mean must be positive and finite" in capsys.readouterr().err
+    # numpy's Poisson sampler refuses means above about 9.2e18 with a ValueError
+    assert run_cli(*common, "--model", "poisson-synthetic", "--mean", "1e300",
                    "--outdir", tmp_path / "d") == 65
+    assert "at most the sampler's limit 9.223e+18; got 1e+300" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["poisson-common", "poisson-saturated", "poisson-exchangeable"])
+@pytest.mark.parametrize("counts, bad", [
+    (("1e19", "2", "3", "4"), [0]),  # beyond int64
+    (("5e18", "5e18", "3", "4"), [0, 1]),  # a total beyond int64
+])
+def test_counts_above_2_to_the_53_exit_65_naming_them(tmp_path, capsys, model, counts, bad):
+    data = tmp_path / "big.csv"
+    data.write_text("y,E\n" + "".join(f"{c},1.0\n" for c in counts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("analyze", "--data", data, "--model", model, "--draws", "20",
+                       "--chain-burn-in", "10", "--outdir", tmp_path / "out") == 65
+    err = capsys.readouterr().err
+    assert f"counts above 2**53 are not held exactly, at observations {bad}" in err
 
 
 def test_power_outputs(tmp_path):

@@ -23,13 +23,7 @@ from bayesgof.gof import (
     posterior_chisq_discrete_randomized,
     reference_auc,
 )
-from bayesgof.models import (
-    ChainSettings,
-    NormalModel,
-    PoissonCommonRate,
-    PoissonExchangeable,
-    PoissonSaturated,
-)
+from bayesgof.models import NormalModel, PoissonCommonRate
 from bayesgof.probkit import RngStream, split
 
 
@@ -98,26 +92,6 @@ def test_batched_continuous_equals_single_draw_calls(k, draws, n, seed):
         one = posterior_chisq_continuous(y, model, (mu[i], sigma[i]), scheme)
         assert batch.value[i] == one.value
         assert np.array_equal(batch.counts[i], one.counts)
-
-
-_OFFSETS = np.linspace(0.5, 2.0, 12)
-
-
-@pytest.mark.parametrize("model", [
-    PoissonCommonRate(_OFFSETS),
-    PoissonSaturated(_OFFSETS),
-    PoissonExchangeable(_OFFSETS, settings=ChainSettings(burn_in=50)),
-])
-def test_discrete_stack_equals_row_by_row_calls(model):
-    # a stack's rows are allocated in order from the one stream
-    y = RngStream(60).generator.poisson(4.0, _OFFSETS.size)
-    thetas = model.posterior_sample(y, 9, RngStream(61))
-    scheme = equiprobable(4)
-    stack = gof.posterior_chisq(y, model, thetas, scheme, RngStream(62))
-    rng = RngStream(62)
-    rows = [gof.posterior_chisq(y, model, theta, scheme, rng) for theta in thetas]
-    assert np.array_equal(stack.value, [row.value for row in rows])
-    assert np.array_equal(stack.counts, [row.counts for row in rows])
 
 
 def test_continuous_exact_fit():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from bayesgof import probkit
+from bayesgof import models, probkit
 from bayesgof.errors import DataError, DomainError
 from bayesgof.models import (
     ChainSettings,
@@ -140,15 +140,6 @@ def test_posterior_draw_is_draw_zero_of_posterior_draws():
             assert np.array_equal(common.posterior_draws(counts, size, RngStream(seed))[0], [rate])
             stack = saturated.posterior_draws(counts, size, RngStream(seed))
             assert np.array_equal(stack[0], means)
-    # every model's posterior_sample is a (size, theta_size) float stack whose
-    # rows are thetas in theta_from_vector's layout
-    exchangeable = PoissonExchangeable(offsets, settings=ChainSettings(burn_in=50))
-    for model, data in ((normal, y), (common, counts), (saturated, counts), (exchangeable, counts)):
-        for size in (1, 7):
-            stack = model.posterior_sample(data, size, RngStream(32))
-            assert stack.shape == (size, model.theta_size) and stack.dtype == float
-            for row in stack:
-                assert np.array_equal(model.theta_from_vector(row), row)
 
 
 def test_normal_mle_hand_value():
@@ -338,10 +329,28 @@ def test_poisson_predictive_draw_uses_means():
     assert np.allclose(y.mean(axis=0), means, rtol=0.05)
 
 
-@pytest.mark.parametrize("means", [[2.0, 0.0], [2.0, -1.0], [2.0, np.nan], [np.inf, 2.0]])
+@pytest.mark.parametrize("means", [
+    [2.0, 0.0], [2.0, -1.0], [2.0, np.nan], [np.inf, 2.0], [2.0, 1e300],
+    [2.0, np.nextafter(models._POISSON_MEAN_MAX, np.inf)],  # just past the sampler's limit
+])
 def test_poisson_predictive_draw_rejects_invalid_means(means):
     with pytest.raises(DomainError, match="positive and finite"):
         PoissonSaturated(np.ones(2)).predictive_draw(np.array(means), RngStream(0))
+
+
+def test_poisson_predictive_draw_takes_means_up_to_the_sampler_limit():
+    means = np.array([2.0, models._POISSON_MEAN_MAX])
+    y = PoissonSaturated(np.ones(2)).predictive_draw(means, RngStream(0))
+    assert y[1] > 9e18
+
+
+def test_counts_up_to_2_to_the_53_are_read_and_the_common_rate_total_does_not_wrap():
+    model = PoissonCommonRate(np.ones(1100))
+    with pytest.raises(DataError, match=r"above 2\*\*53 are not held exactly, at observations \[1\]"):
+        model.validate_data([2**53] + [2**53 + 2] + [0] * 1098)
+    # 1100 counts of 2**53 sum past the int64 range
+    draws = model.posterior_draws(np.full(1100, 2**53), 4, RngStream(0))
+    np.testing.assert_allclose(draws, 2.0**53, rtol=1e-8)
 
 
 def test_exchangeable_collapse_to_common_rate():
@@ -546,19 +555,6 @@ def test_theta_from_vector_rejects_bad_vectors(model, values, positive):
         model.theta_from_vector(values + [1.0])
     with pytest.raises(DomainError):
         model.theta_from_vector(values[:-1])
-
-
-def test_normal_obs_cdf_stacked_rows_equal_single_calls():
-    model = NormalModel()
-    y = RngStream(70).generator.normal(0.0, 1.0, 20)
-    mu, sigma = model.posterior_draws(y, 8, RngStream(71)).T
-    rows = model.obs_cdf(y, np.column_stack((mu, sigma)))
-    assert rows.shape == (8, 20)
-    for i in range(8):
-        assert np.array_equal(rows[i], model.obs_cdf(y, (mu[i], sigma[i])))
-    sigma[3] = 0.0
-    with pytest.raises(DomainError):
-        model.obs_cdf(y, np.column_stack((mu, sigma)))
 
 
 _finite = st.one_of(

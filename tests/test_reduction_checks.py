@@ -25,6 +25,8 @@ from bayesgof.binning import BinScheme, equiprobable
 from bayesgof.errors import DataError, DomainError, EvaluationError
 from bayesgof.probkit import RngStream
 
+from conftest import MODEL_CASES
+
 # --- the earlier forms, as they were before the ufunc reductions -------------
 
 
@@ -218,17 +220,9 @@ def test_common_rate_cdf_pair_matches_its_method_form(n, theta, data):
         assert new == _outcome(model.obs_cdf_pair, y, [theta])
 
 
-_MODELS = [
-    models.NormalModel(),
-    models.PoissonCommonRate([1.0, 2.0]),
-    models.PoissonSaturated([1.0, 2.0, 3.0]),
-    models.PoissonExchangeable([1.0, 2.0]),
-]
-
-
 @settings(max_examples=300, deadline=None)
 @given(
-    model=st.sampled_from(_MODELS),
+    model=st.sampled_from([case.model for case in MODEL_CASES]),
     values=st.one_of(
         st.lists(_any_float, min_size=0, max_size=6),
         _float_arrays(_any_float),
@@ -421,15 +415,9 @@ def test_a_scheme_with_a_cell_below_the_floor_builds_and_assigns_but_gives_no_st
         assert outcome[0][2].endswith("floor in cells [1]")
 
 
-_THETA_LAYOUTS = [
-    # model, a valid vector, the entries that must be positive
-    (models.NormalModel(), [0.5, 2.0], [1]),
-    (models.PoissonSaturated([1.0, 2.0, 3.0]), [1.0, 2.5, 4.0], [0, 1, 2]),
-    (models.PoissonExchangeable([1.0, 2.0]), [0.1, -0.2, 0.3, 0.5], [3]),
-]
-
-
-@pytest.mark.parametrize("model, values, positive", _THETA_LAYOUTS)
+@pytest.mark.parametrize(
+    "model, values, positive", [(case.model, case.values, case.positive) for case in MODEL_CASES]
+)
 def test_theta_from_vector_rejects_what_it_rejected_before(model, values, positive):
     accepted = [values]
     refused = [values[:-1], values + [1.0], [], [values]]
