@@ -86,9 +86,9 @@ Environment: BAYESGOF_OUTDIR sets the default output directory.
 
 WORKERS_HELP = (
     "replicate threads (default 1); outputs are byte-identical for any count. "
-    "At most one thread runs per replicate and per usable CPU. The threads "
-    "share the interpreter lock, so more than one gives little or no "
-    "wall-clock speed-up"
+    "The replicates are cut into min(workers, replicates, usable CPUs) "
+    "contiguous blocks, one per thread. The threads share the interpreter "
+    "lock, so more than one speeds up only the work done inside numpy"
 )
 
 
@@ -417,6 +417,11 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
     else:  # poisson-synthetic: one free mean per observation, all at --mean
         if not 0.0 < ns.mean < np.inf:  # NaN fails too
             raise ConfigError(f"--mean must be positive and finite, got {ns.mean}")
+        if ns.mean > 2.0**52:  # 2**26 standard deviations below 2**53
+            raise ConfigError(
+                f"--mean must be at most 2**52, so that its Poisson counts stay below "
+                f"2**53 and are held exactly; got {ns.mean}"
+            )
         model = models.PoissonSaturated(np.ones(cfg.n), ns.prior_exponent)
         truth = ns.mean * model.offsets
     result = harness.null_calibration(cfg, model, truth)
@@ -722,7 +727,7 @@ def build_parser() -> _Parser:
                      help="exit 2 if any tracked series fails its KS check")
     sim.add_argument("--ks-alpha", type=float, default=0.01)
     sim.add_argument("--mean", type=float, default=4.2,
-                     help="true mean for poisson-synthetic data")
+                     help="true mean for poisson-synthetic data, in (0, 2**52]")
     sim.add_argument("--prior-exponent", type=float, default=0.5, choices=[0.5, 1.0])
     _add_common(sim)
 

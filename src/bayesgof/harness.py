@@ -7,8 +7,9 @@ Student-t data; there, truth fixes the classical cells.
 
 Replicates are independent work units.  Each replicate r derives its own
 random stream as split(root, r), so results are identical for any worker
-count and unaffected by adding or removing other replicates.  Worker threads
-only ever assemble results by replicate index.  _Replicate is the one
+count and unaffected by adding or removing other replicates.  Each worker
+thread runs one contiguous block of replicates (_Block), and the blocks'
+records are joined in replicate order.  _Replicate is the one
 implementation of the table's study rows; each study reduces its records.
 
 Stream layout (fixed, documented so runs can be reproduced precisely):
@@ -366,17 +367,34 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+@dataclass(frozen=True)
+class _Block:
+    """The replicates start <= r < stop of one study.  Called, it gives
+    spec's records at the streams split(root, r) in replicate order; being
+    module-level and frozen, it pickles."""
+
+    spec: _Replicate
+    root: RngStream
+    start: int
+    stop: int
+
+    def __call__(self) -> list[_Record]:
+        return [self.spec(split(self.root, r)) for r in range(self.start, self.stop)]
+
+
 def _run(spec: _Replicate, root: RngStream, reps: int, workers: int) -> _Record:
     """spec at the streams split(root, r) for r < reps, each field an array
-    in replicate order.  The replicates run inline at one worker and on
-    min(workers, reps, usable CPUs) threads above that."""
-    streams = (split(root, r) for r in range(reps))
+    in replicate order.  range(reps) is cut into threads = min(workers, reps,
+    usable CPUs) contiguous blocks whose sizes differ by at most one; the one
+    block runs inline, more run one per thread."""
     threads = min(workers, reps, _usable_cpus())
-    if threads <= 1:
-        records = list(map(spec, streams))
+    bounds = [b * reps // threads for b in range(threads + 1)]
+    blocks = [_Block(spec, root, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    if threads == 1:
+        records = blocks[0]()
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(spec, streams))
+            records = [rec for block in pool.map(_Block.__call__, blocks) for rec in block]
     return _Record(*map(np.array, zip(*records)))
 
 

@@ -263,8 +263,11 @@ def _validate_counts(data, n: int) -> np.ndarray:
     if not np.all(np.isfinite(yf)) or np.any(yf < 0) or np.any(yf != np.floor(yf)):
         raise DataError("counts must be non-negative integers")
     if np.any(yf > 2.0**53):  # above 2**53 a float, and so a CSV value, skips integers
-        bad = np.nonzero(yf > 2.0**53)[0].tolist()
-        raise DataError(f"counts above 2**53 are not held exactly, at observations {bad}")
+        bad = np.flatnonzero(yf > 2.0**53)
+        more = f" and {bad.size - 10} more, {bad.size} in all" if bad.size > 10 else ""
+        raise DataError(
+            f"counts above 2**53 are not held exactly, at observations {bad[:10].tolist()}{more}"
+        )
     return yf.astype(np.int64)
 
 

@@ -164,10 +164,15 @@ def test_mean_is_checked_for_the_poisson_synthetic_model_only(tmp_path, capsys):
         assert run_cli(*common, "--model", "poisson-synthetic", "--mean", mean,
                        "--outdir", tmp_path / "c") == 64
         assert "--mean must be positive and finite" in capsys.readouterr().err
-    # numpy's Poisson sampler refuses means above about 9.2e18 with a ValueError
-    assert run_cli(*common, "--model", "poisson-synthetic", "--mean", "1e300",
-                   "--outdir", tmp_path / "d") == 65
-    assert "at most the sampler's limit 9.223e+18; got 1e+300" in capsys.readouterr().err
+    # above 2**52 the Poisson counts could pass 2**53: the flag is named, not
+    # the observations of a synthetic replicate
+    for mean in ("4503599627370497", "1e17", "1e300"):
+        assert run_cli(*common, "--model", "poisson-synthetic", "--mean", mean,
+                       "--outdir", tmp_path / "d") == 64
+        err = capsys.readouterr().err
+        assert "--mean must be at most 2**52" in err and "observations" not in err
+    assert run_cli(*common, "--model", "poisson-synthetic", "--mean", "4503599627370496",
+                   "--outdir", tmp_path / "e") == 0
 
 
 @pytest.mark.parametrize("model", ["poisson-common", "poisson-saturated", "poisson-exchangeable"])

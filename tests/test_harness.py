@@ -125,10 +125,12 @@ def test_worker_count_does_not_change_results():
 
 class _RecordingPool:
     """Stands in for ThreadPoolExecutor: records the pool size it is asked
-    for and runs the map inline, starting no thread."""
+    for and the (start, stop) bounds of the blocks it maps, and runs the map
+    inline, starting no thread."""
 
-    def __init__(self, sizes, max_workers):
+    def __init__(self, sizes, max_workers, bounds):
         sizes.append(max_workers)
+        self.bounds = bounds
 
     def __enter__(self):
         return self
@@ -137,7 +139,9 @@ class _RecordingPool:
         return False
 
     def map(self, fn, iterable):
-        return map(fn, iterable)
+        blocks = list(iterable)
+        self.bounds.append([(b.start, b.stop) for b in blocks])
+        return map(fn, blocks)
 
 
 @pytest.mark.parametrize("cpus, reps, pool", [(4, 6, [4]), (64, 6, [6]), (1, 6, [])])
@@ -147,7 +151,7 @@ def test_replicate_threads_are_capped(monkeypatch, cpus, reps, pool):
     sizes = []
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(harness, "ThreadPoolExecutor",
-                        lambda max_workers: _RecordingPool(sizes, max_workers))
+                        lambda max_workers: _RecordingPool(sizes, max_workers, []))
     cfg = ExperimentConfig(n=30, replicates=reps, seed=4, include_classical=True, bins=5)
     many = normal_null(dataclasses.replace(cfg, workers=10**6))
     assert sizes == pool
@@ -168,6 +172,29 @@ def test_replicate_threads_are_capped(monkeypatch, cpus, reps, pool):
         assert np.array_equal(many.exceedance_fractions[df], fractions)
 
 
+@pytest.mark.parametrize("workers, threads", [(2, 2), (3, 3), (10**6, 7)])
+def test_each_thread_runs_one_contiguous_block(monkeypatch, workers, threads):
+    # 7 replicates on `threads` threads: one block per thread, in replicate
+    # order, covering range(7), sizes within one of each other
+    sizes, bounds = [], []
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers, bounds))
+    cfg = ExperimentConfig(n=30, replicates=7, seed=4, include_classical=True, bins=5)
+    many = normal_null(dataclasses.replace(cfg, workers=workers))
+    assert sizes == [threads] and len(bounds) == 1
+    (blocks,) = bounds
+    assert len(blocks) == threads
+    assert blocks[0][0] == 0 and blocks[-1][1] == 7
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    lengths = [stop - start for start, stop in blocks]
+    assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1
+    one = normal_null(cfg)
+    for name in ("posterior", "plugin", "grouped"):
+        assert np.array_equal(many.series[name].values, one.series[name].values)
+    assert np.array_equal(many.grouped_iterations, one.grouped_iterations)
+
+
 def test_usable_cpus_bounds_the_threads():
     assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
 
@@ -180,6 +207,11 @@ def test_replicate_spec_pickles():
     record = spec(split(RngStream(5), 0))
     assert not any(np.isnan(record))
     assert pickle.loads(pickle.dumps(spec))(split(RngStream(5), 0)) == record
+    # a block of replicates pickles too and gives the records run inline
+    root = RngStream(5)
+    block = harness._Block(spec, root, 2, 5)
+    inline = [spec(split(root, r)) for r in range(2, 5)]
+    assert pickle.loads(pickle.dumps(block))() == inline
 
 
 def test_null_calibration_stream_layout_on_counts():

@@ -344,6 +344,14 @@ def test_poisson_predictive_draw_takes_means_up_to_the_sampler_limit():
     assert y[1] > 9e18
 
 
+def test_counts_above_2_to_the_53_message_names_ten_observations_and_the_total():
+    model = PoissonSaturated(np.ones(50))
+    with pytest.raises(DataError) as err:
+        model.validate_data([0] * 5 + [2**60] * 45)
+    assert str(err.value) == ("counts above 2**53 are not held exactly, at observations "
+                              f"{list(range(5, 15))} and 35 more, 45 in all")
+
+
 def test_counts_up_to_2_to_the_53_are_read_and_the_common_rate_total_does_not_wrap():
     model = PoissonCommonRate(np.ones(1100))
     with pytest.raises(DataError, match=r"above 2\*\*53 are not held exactly, at observations \[1\]"):
