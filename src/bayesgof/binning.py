@@ -167,8 +167,8 @@ def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream)
 
 
 def tally(scheme: BinScheme, u) -> np.ndarray:
-    """Counts per cell for a batch of unit-interval values; one row of counts
-    per row of a 2-D batch.
+    """Counts per cell for a vector of unit-interval values, or one row of
+    counts per row of a 2-D batch; DomainError for any other rank.
 
     A vector, and a 2-D batch of more than _EDGE_LOOP_MAX_CELLS cells, go
     through assign: a binary search per value, then one bincount, over
@@ -178,11 +178,11 @@ def tally(scheme: BinScheme, u) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
     if arr.ndim == 1:
         return np.bincount(assign(scheme, arr), minlength=scheme.k)
-    if arr.ndim == 2 and scheme.k <= _EDGE_LOOP_MAX_CELLS:
+    if arr.ndim != 2:
+        raise DomainError(f"tally takes a vector or a 2-D batch, got shape {arr.shape}")
+    if scheme.k <= _EDGE_LOOP_MAX_CELLS:
         return _tally_by_edge(scheme, arr)
-    idx = np.atleast_1d(assign(scheme, arr))
-    if idx.ndim == 1:  # a single value
-        return np.bincount(idx, minlength=scheme.k)
+    idx = assign(scheme, arr)
     rows, k = idx.shape[0], scheme.k
     idx += np.arange(rows)[:, None] * k  # row r counts in cells r*k .. r*k + k - 1
     return np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)

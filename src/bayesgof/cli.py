@@ -35,6 +35,7 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import cache
 
@@ -120,14 +121,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
 def _open_output(path: str):
-    """open() for writing; a file that cannot be created, a path that is a
-    directory included, is a ConfigError naming the file."""
+    """open() for writing, as a context manager.  An OSError while the file
+    is created, written or closed, as for a path that is a directory or on a
+    full disk, is a ConfigError naming the file.  The bodies do no other I/O
+    that raises one (a draw stream's read errors are DataErrors), and any
+    other exception passes through unchanged."""
     try:
-        return open(path, "w", newline="")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"cannot write {path}: {reason}") from None
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
@@ -500,17 +505,17 @@ def cmd_analyze(ns: argparse.Namespace, outdir: str) -> _Outcome:
         y, model, RngStream(ns.seed),
         n_draws=ns.draws, scheme=scheme, threshold=ns.threshold,
     )
-    s = result.summary
+    k = scheme.k
     header = ["model", "auc", "exceedance", "threshold", "n_draws", "k", "small_cells"]
-    header += [f"mean_count_bin{i + 1}" for i in range(s.k)]
+    header += [f"mean_count_bin{i + 1}" for i in range(k)]
     row: list = [
-        ns.model, s.auc, s.exceedance_rate, s.threshold, s.n_draws, s.k,
-        ";".join(str(i + 1) for i in s.small_cells),
+        ns.model, result.auc, result.exceedance_rate, result.threshold, result.values.size, k,
+        ";".join(str(i + 1) for i in result.small_cells),
     ]
-    row += list(s.mean_bin_counts)
+    row += list(result.mean_bin_counts)
     _write_csv(outdir, "summary.csv", header, [row])
     # the fields _write_csv would give (no field can need CSV quoting)
-    dof = s.k - 1
+    dof = k - 1
     with _open_output(os.path.join(outdir, "trace.csv")) as fh:
         fh.write("draw,value,dof\n")
         fh.writelines(f"{i},{v:.17g},{dof}\n" for i, v in enumerate(result.values.tolist()))

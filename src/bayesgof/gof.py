@@ -438,6 +438,6 @@ def exceedance(values, threshold: float) -> float:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise DomainError("need a non-empty 1-D vector of statistic values")
-    if not np.isfinite(threshold):
+    if not math.isfinite(threshold):
         raise DomainError("threshold must be finite")
-    return float(np.mean(v > threshold))
+    return float(np.count_nonzero(v > threshold) / v.size)

@@ -32,8 +32,9 @@ Stream layout (fixed, documented so runs can be reproduced precisely):
 
 The AUC null and power studies also record each dataset's exceedance
 fraction, the share of its posterior draws above the upper-alpha
-chi-square(k - 1) point (AucDistribution, PowerResult).  It reads the draws
-the AUC already evaluates, so it adds no random-stream use.
+chi-square(k - 1) point (AucDistribution, PowerResult).  It is
+gof.exceedance of the draws the AUC already evaluates, as in analyze, so it
+adds no random-stream use.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
     "AucDistribution",
     "PowerRow",
     "PowerResult",
-    "GofSummary",
     "AnalysisResult",
     "PredictiveAucResult",
     "MonitorRecord",
@@ -132,7 +132,6 @@ class CalibrationSeries:
     chi-square reference law at their plotting positions; ref_quantiles is
     None for a series with no reference law."""
 
-    name: str
     values: np.ndarray
     ref_quantiles: np.ndarray | None
     mean: float
@@ -207,20 +206,16 @@ class PowerResult:
 
 
 @dataclass(frozen=True)
-class GofSummary:
+class AnalysisResult:
+    """One dataset's per-draw statistic trace, in draw order, with its AUC,
+    exceedance rate, mean cell counts and 0-based cells expecting below 1."""
+
+    values: np.ndarray
     auc: float
     exceedance_rate: float
     threshold: float
-    n_draws: int
-    k: int
     mean_bin_counts: tuple[float, ...]
     small_cells: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    summary: GofSummary
-    values: np.ndarray  # per-draw statistic trace, in draw order
 
 
 @dataclass(frozen=True)
@@ -274,9 +269,7 @@ def _require_continuous(model, what: str) -> None:
         raise ConfigError(f"{what} defined for continuous models only")
 
 
-def _series(
-    name: str, values: np.ndarray, ref_df: int | None, ks_alpha: float
-) -> CalibrationSeries:
+def _series(values: np.ndarray, ref_df: int | None, ks_alpha: float) -> CalibrationSeries:
     v = np.sort(np.asarray(values, dtype=float))
     ref = ks = None
     if ref_df is not None:
@@ -286,7 +279,7 @@ def _series(
         if v.size >= 20:
             ks = ks_statistic(v, lambda x: probkit.chi2_cdf(ref_df, x), ks_alpha)
     var = float(v.var(ddof=1)) if v.size > 1 else 0.0
-    return CalibrationSeries(name, v, ref, float(v.mean()), var, ks)
+    return CalibrationSeries(v, ref, float(v.mean()), var, ks)
 
 
 def _grouped_dof(k: int, model) -> int:
@@ -351,7 +344,7 @@ class _Replicate:
             thetas = model.posterior_sample(y, self.draws, split(c, 1))
             values = gof.posterior_chisq(y, model, thetas, scheme, split(c, 2)).value
             statistic, auc = float(values[0]), reference_auc(values, scheme.k - 1)
-            fraction = np.count_nonzero(values > self.threshold) / values.size
+            fraction = exceedance(values, self.threshold)
         if self.edges is not None:
             start = None
             if self.plugin:
@@ -425,11 +418,11 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
         edges = model.quantile_edges(truth, k)
     spec = _Replicate(model, truth, config.n, equiprobable(k), edges=edges, plugin=True)
     out = _run(spec, root, config.replicates, config.workers)
-    series = {"posterior": _series("posterior", out.statistic, k - 1, config.ks_alpha)}
+    series = {"posterior": _series(out.statistic, k - 1, config.ks_alpha)}
     grouped_iterations = None
     if config.include_classical:
-        series["plugin"] = _series("plugin", out.plugin, None, config.ks_alpha)
-        series["grouped"] = _series("grouped", out.grouped, grouped_dof, config.ks_alpha)
+        series["plugin"] = _series(out.plugin, None, config.ks_alpha)
+        series["grouped"] = _series(out.grouped, grouped_dof, config.ks_alpha)
         grouped_iterations = out.iterations
     runtime_s = time.perf_counter() - t0
     return CalibrationResult(series, config.n, k, config.replicates, runtime_s, grouped_iterations)
@@ -443,14 +436,14 @@ def _upper_critical(values: np.ndarray, alpha: float) -> float:
 
 
 def null_auc_distribution(config: ExperimentConfig, model, truth) -> AucDistribution:
-    """Null sampling distribution of the AUC summary for a continuous model,
-    and the empirical critical value at the configured test level.
+    """Null sampling distribution of the AUC summary, and the empirical
+    critical value at the configured test level.
 
-    Dataset r is model.predictive_draw(truth, split(c, 0)).  The same draws
-    give the null distribution of the exceedance fraction over the
-    upper-alpha chi-square(k - 1) point, with its critical value.
+    Dataset r is model.predictive_draw(truth, split(c, 0)); a discrete
+    model's randomized allocation reads split(c, 2).  The same draws give
+    the null distribution of the exceedance fraction over the upper-alpha
+    chi-square(k - 1) point, with its critical value.
     """
-    _require_continuous(model, "the AUC null distribution is")
     root = RngStream(config.seed)
     k = config.k
     threshold = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
@@ -542,7 +535,7 @@ def analyze(
 ) -> AnalysisResult:
     """Fit diagnostics for one dataset: one statistic value per posterior draw,
     summarized by the AUC, the exceedance rate over the threshold, and mean
-    cell counts.
+    cell counts, in one AnalysisResult.
 
     The draws are model.posterior_sample's stack, scored by one
     gof.posterior_chisq call for every model; a discrete model's randomized
@@ -564,16 +557,11 @@ def analyze(
     mean_counts = stat.counts.sum(axis=0) / n_draws
     # cells this thin degrade the chi-square approximation; kept, but flagged
     small = tuple(int(i) for i in np.nonzero(y.size * sch.widths() < 1.0)[0])
-    summary = GofSummary(
-        auc=reference_auc(values, k - 1),
-        exceedance_rate=exceedance(values, thr),
-        threshold=float(thr),
-        n_draws=n_draws,
-        k=k,
-        mean_bin_counts=tuple(float(c) for c in mean_counts),
-        small_cells=small,
+    return AnalysisResult(
+        values=values, auc=reference_auc(values, k - 1),
+        exceedance_rate=exceedance(values, thr), threshold=float(thr),
+        mean_bin_counts=tuple(float(c) for c in mean_counts), small_cells=small,
     )
-    return AnalysisResult(summary, values)
 
 
 def predictive_auc_test(
@@ -596,16 +584,14 @@ def predictive_auc_test(
         raise ConfigError("pp_reps must be positive")
     sch = scheme if scheme is not None else equiprobable(default_bin_count(y.size))
 
-    observed = analyze(y, model, split(rng, 0), n_draws=n_draws, scheme=sch).summary.auc
+    observed = analyze(y, model, split(rng, 0), n_draws=n_draws, scheme=sch).auc
     thetas = model.posterior_sample(y, pp_reps, split(rng, 1))
     aucs = np.empty(pp_reps)
     for m_idx, theta in enumerate(thetas):
         c = split(rng, 2 + m_idx)
         y_pp = model.predictive_draw(theta, split(c, 0), n=y.size)
         try:
-            aucs[m_idx] = analyze(
-                y_pp, model, split(c, 1), n_draws=n_draws, scheme=sch
-            ).summary.auc
+            aucs[m_idx] = analyze(y_pp, model, split(c, 1), n_draws=n_draws, scheme=sch).auc
         except DataError as exc:
             raise EvaluationError(
                 f"predictive replicate {m_idx} violates model data requirements: {exc}"

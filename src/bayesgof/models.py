@@ -12,8 +12,9 @@ harness and cli modules:
 - ``posterior_sample(data, size, rng)`` returns a stack of size posterior
   draws given the data and ``posterior_draw(data, rng)`` one draw, row 0 of
   a one-draw stack: the harness's two sampling entries.  The conjugate
-  models stack their own ``posterior_draws``, the exchangeable model its
-  ``run_chain``;
+  models stack their own ``posterior_draws(data, size, rng)``, the
+  exchangeable model its ``run_chain(data, size, rng)``, which takes its
+  burn-in, thinning and step adaptation from the model's ``ChainSettings``;
 - ``predictive_draw`` replicates a dataset at a fixed parameter value;
 - ``theta_from_vector(values)`` builds theta from a flat vector of
   ``theta_size`` values, raising DomainError for a wrong length, a
@@ -40,7 +41,7 @@ gives it, reads as a normal theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import sub
 
 import numpy as np
@@ -157,7 +158,13 @@ class NormalModel:
         (mu_lo, sigma_lo), (mu_hi, sigma_hi) = _column_span(t)
         # NaN fails every comparison
         if not (-math.inf < mu_lo and mu_hi < math.inf and 0.0 < sigma_lo and sigma_hi < math.inf):
-            raise DomainError(f"normal parameters (mu, sigma) outside the space: {t}")
+            rows = t.reshape(-1, 2)
+            bad = np.flatnonzero(~(np.isfinite(rows).all(axis=1) & (rows[:, 1] > 0.0)))
+            shown = ", ".join(f"{i}: {tuple(rows[i].tolist())}" for i in bad[:10].tolist())
+            more = f" and {bad.size - 10} more, {bad.size} in all" if bad.size > 10 else ""
+            raise DomainError(
+                f"normal parameters (mu, sigma) outside the space at draws {shown}{more}"
+            )
         y = np.asarray(y, dtype=float)
         if t.ndim == 1:  # one draw: n values from its two floats
             return probkit.normal_cdf((y - mu_lo) / sigma_lo)
@@ -403,16 +410,15 @@ CHAIN_ELEMENTS = 1 << 14
 
 @dataclass(frozen=True)
 class ChainSettings:
-    """MCMC run lengths and adaptation targets for the exchangeable model."""
+    """MCMC burn-in, thinning and step adaptation for the exchangeable model."""
 
-    retained: int = 5000
     burn_in: int = 2000
     thin: int = 4
     target_accept: float = 0.44
     initial_step: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.retained < 1 or self.burn_in < 0 or self.thin < 1:
+        if self.burn_in < 0 or self.thin < 1:
             raise ConfigError("chain settings must be positive (burn_in may be 0)")
         # NaN fails both comparisons
         if not 0.0 < self.target_accept < 1.0:
@@ -423,7 +429,7 @@ class ChainSettings:
 
 @dataclass
 class ChainResult:
-    draws: np.ndarray  # retained x (n + 2), rows in theta_from_vector's layout
+    draws: np.ndarray  # size x (n + 2), rows in theta_from_vector's layout
     accept_alpha0: float
     accept_gamma: float
     step_alpha0: float
@@ -478,13 +484,14 @@ class PoissonExchangeable(_PoissonBase):
         t = np.asarray(theta, dtype=float)
         return np.exp(t[..., :1] + t[..., 1:-1]) * self.offsets
 
-    def run_chain(
-        self, data, rng: RngStream, settings: ChainSettings | None = None
-    ) -> ChainResult:
+    def run_chain(self, data, size: int, rng: RngStream) -> ChainResult:
+        """size draws, kept one every thin sweeps after self.settings' burn-in."""
+        if size < 1:
+            raise ConfigError(f"the chain needs at least one retained draw, got {size}")
         y = self.validate_data(data).astype(float)
         if y.sum() < 1:
             raise DataError("all counts are zero: cannot initialize the chain")
-        cfg = settings if settings is not None else self.settings
+        cfg = self.settings
         m = self.n_obs
         e = self.offsets
 
@@ -495,7 +502,7 @@ class PoissonExchangeable(_PoissonBase):
 
         step_a = cfg.initial_step
         step_g = np.full(m, cfg.initial_step)
-        total = cfg.burn_in + cfg.retained * cfg.thin
+        total = cfg.burn_in + size * cfg.thin
         y_sum = float(y.sum())
         posterior_shape = _SIGMA2_SHAPE + m / 2.0  # of the sigma2 refresh
         # one child stream per variate family, so the draws do not depend on
@@ -511,7 +518,7 @@ class PoissonExchangeable(_PoissonBase):
         prop_g, exp_prop_g, sq_prop_g = prop
         exp_a = math.exp(alpha0)
         rate_e = exp_a * e
-        draws = np.empty((cfg.retained, m + 2))
+        draws = np.empty((size, m + 2))
         kept = 0
         acc_a = 0
         acc_g = np.zeros(m, dtype=np.int64)
@@ -522,15 +529,15 @@ class PoissonExchangeable(_PoissonBase):
 
         with np.errstate(over="ignore"):
             for start in range(0, total, block):
-                size = min(block, total - start)
-                z_a = gen_za.standard_normal(size).tolist()
-                log_u_a = np.log(np.maximum(gen_ua.random(size), 1e-300)).tolist()
-                z_g = gen_zg.standard_normal((size, m))
-                log_u_g = np.log(np.maximum(gen_ug.random((size, m)), 1e-300))
+                sweeps = min(block, total - start)
+                z_a = gen_za.standard_normal(sweeps).tolist()
+                log_u_a = np.log(np.maximum(gen_ua.random(sweeps), 1e-300)).tolist()
+                z_g = gen_zg.standard_normal((sweeps, m))
+                log_u_g = np.log(np.maximum(gen_ug.random((sweeps, m)), 1e-300))
                 if self.sigma2_fixed is None:
-                    v_s2 = gen_s2.gamma(posterior_shape, 1.0, size).tolist()
+                    v_s2 = gen_s2.gamma(posterior_shape, 1.0, sweeps).tolist()
 
-                for j in range(size):
+                for j in range(sweeps):
                     t = start + j
                     # alpha0: random walk on the shared log-rate
                     prop_a = alpha0 + step_a * z_a[j]
@@ -570,7 +577,7 @@ class PoissonExchangeable(_PoissonBase):
                             row = draws[kept]
                             row[0], row[1:-1], row[-1] = alpha0, gamma, sigma2
                             kept += 1
-                acc_g += accepted[max(cfg.burn_in - start, 0):size].sum(axis=0)
+                acc_g += accepted[max(cfg.burn_in - start, 0):sweeps].sum(axis=0)
 
         kept_iters = total - cfg.burn_in
         return ChainResult(
@@ -583,7 +590,7 @@ class PoissonExchangeable(_PoissonBase):
         )
 
     def posterior_sample(self, data, n_draws: int, rng: RngStream) -> np.ndarray:
-        return self.run_chain(data, rng, replace(self.settings, retained=n_draws)).draws
+        return self.run_chain(data, n_draws, rng).draws
 
 
 # ---------------------------------------------------------------------------

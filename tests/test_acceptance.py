@@ -98,7 +98,7 @@ def test_criterion_04_test_sizes(stored_auc_null):
         c = split(root, r)
         y = model.predictive_draw(conftest.STANDARD_NORMAL, split(c, 0), n=50)
         res = analyze(y, model, split(c, 1), n_draws=500, scheme=scheme)
-        auc_rej += int(res.summary.auc > stored_auc_null.critical)
+        auc_rej += int(res.auc > stored_auc_null.critical)
         single_rej += int(res.values[0] > single_crit)
     auc_rate = auc_rej / trials
     single_rate = single_rej / trials
@@ -251,9 +251,9 @@ def test_criterion_09_prior_sensitivity_direction():
     offsets = np.ones(50)
     scheme = equiprobable(5)
     a_shrink = analyze(y, PoissonSaturated(offsets, 1.0), RngStream(0),
-                       n_draws=1000, scheme=scheme).summary.auc
+                       n_draws=1000, scheme=scheme).auc
     a_half = analyze(y, PoissonSaturated(offsets, 0.5), RngStream(100),
-                     n_draws=1000, scheme=scheme).summary.auc
+                     n_draws=1000, scheme=scheme).auc
     gap = a_shrink - a_half
     ok = gap >= 0.05
     report(9, outcome(ok),
@@ -284,11 +284,11 @@ def test_criterion_10_conditional_table_reproduction():
     scheme = equiprobable(5)
 
     r1 = analyze(y, PoissonCommonRate(offsets), RngStream(10),
-                 n_draws=5000, scheme=scheme).summary
+                 n_draws=5000, scheme=scheme)
     r2 = analyze(y, PoissonExchangeable(offsets), RngStream(20),
-                 n_draws=5000, scheme=scheme).summary
+                 n_draws=5000, scheme=scheme)
     r5 = analyze(y, PoissonSaturated(offsets, 0.5), RngStream(30),
-                 n_draws=5000, scheme=scheme).summary
+                 n_draws=5000, scheme=scheme)
     ok = (r1.auc >= 0.99 and r1.exceedance_rate >= 0.99
           and abs(r2.auc - 0.517) <= 0.05 and abs(r2.exceedance_rate - 0.055) <= 0.03
           and abs(r5.auc - 0.501) <= 0.05 and abs(r5.exceedance_rate - 0.047) <= 0.02)

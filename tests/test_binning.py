@@ -219,6 +219,13 @@ def test_tally_empty():
     assert list(tally(equiprobable(3), np.array([]))) == [0, 0, 0]
 
 
+@pytest.mark.parametrize("k", [5, 100])  # the edge loop and the search form
+@pytest.mark.parametrize("shape", [(), (2, 3, 4), (1, 1, 1, 1)])
+def test_tally_refuses_other_ranks(k, shape):
+    with pytest.raises(DomainError, match="a vector or a 2-D batch"):
+        tally(equiprobable(k), np.full(shape, 0.5))
+
+
 def test_tally_uniform_band():
     rng = RngStream(88)
     counts = tally(equiprobable(5), rng.generator.random(1000))

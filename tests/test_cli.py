@@ -3,6 +3,7 @@ precedence, and manifest replay."""
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -367,8 +368,8 @@ def test_monitor_reads_the_exchangeable_chain_rows(tmp_path, poisson_csv):
     from bayesgof.models import ChainSettings, PoissonExchangeable
 
     y = np.loadtxt(poisson_csv, delimiter=",", skiprows=1)[:, 0].astype(int)
-    model = PoissonExchangeable(np.ones(y.size))
-    draws = model.run_chain(y, RngStream(9), ChainSettings(retained=60, burn_in=40, thin=1)).draws
+    model = PoissonExchangeable(np.ones(y.size), settings=ChainSettings(burn_in=40, thin=1))
+    draws = model.run_chain(y, 60, RngStream(9)).draws
     assert draws.shape == (60, y.size + 2)
     for row in draws:
         assert np.array_equal(model.theta_from_vector(row), row)
@@ -523,7 +524,7 @@ def test_analyze_trace_bytes_match_csv_writer(tmp_path, poisson_csv, monkeypatch
     assert run_cli("analyze", "--data", poisson_csv, "--model", "poisson-common",
                    "--draws", "300", "--seed", "8", "--outdir", out) == 0
     (result,) = results
-    dof = result.summary.k - 1
+    dof = len(result.mean_bin_counts) - 1
     assert (out / "trace.csv").read_bytes() == _reference_csv(
         ["draw", "value", "dof"], ([i, v, dof] for i, v in enumerate(result.values))
     )
@@ -983,6 +984,86 @@ def test_unwritable_monitor_output_exit_64(tmp_path, normal_csv, capsys):
     err = capsys.readouterr().err
     assert f"error: cannot write {out / 'trace.csv'}: Is a directory" in err
     assert "cannot read" not in err
+
+
+_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDisk(io.StringIO):
+    """An output file on a full disk: each write raises ENOSPC."""
+
+    def write(self, text):
+        raise _ENOSPC
+
+
+class _FullOnClose(io.StringIO):
+    """An output file whose buffered bytes meet a full disk when it is closed."""
+
+    def close(self):
+        if not self.closed:
+            super().close()
+            raise _ENOSPC
+
+
+def _fail_output(monkeypatch, name, file_type):
+    """Give an output file called name as a file_type; every other open()
+    made by the CLI is the real one."""
+    real_open = open
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        if "w" in mode and os.path.basename(path) == name:
+            return file_type()
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("argv, name, file_type", [
+    (["simulate-null", "--reps", "5", "--n", "20"], "qq.csv", _FullDisk),
+    (["analyze", "--model", "normal", "--draws", "30"], "trace.csv", _FullDisk),
+    (["monitor", "--model", "normal"], "trace.csv", _FullDisk),
+    (["analyze", "--model", "normal", "--draws", "30"], "manifest.json", _FullDisk),
+    (["analyze", "--model", "normal", "--draws", "30"], "trace.csv", _FullOnClose),
+], ids=["csv", "analyze-trace", "monitor-trace", "manifest", "analyze-trace-close"])
+def test_a_failed_write_exits_64_naming_the_file(
+    tmp_path, normal_csv, capsys, monkeypatch, argv, name, file_type
+):
+    if argv[0] != "simulate-null":
+        argv += ["--data", normal_csv]
+    if argv[0] == "monitor":
+        argv += ["--draws-file", write_draw_file(tmp_path, normal_csv, "d.txt", ["0.1 1.2"])]
+    out = tmp_path / "out"
+    out.mkdir()
+    _fail_output(monkeypatch, name, file_type)
+    assert run_cli(*argv, "--outdir", out) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert err.endswith(f"{os.sep}{name}: No space left on device\n")
+    assert list(out.iterdir()) == []
+
+
+def test_a_draw_stream_read_error_inside_the_monitor_loop_stays_a_data_error(
+    tmp_path, normal_csv, capsys, monkeypatch
+):
+    # the stream fails while trace.csv is open: its DataError passes through
+    # the output file's error mapping unchanged
+    draws = write_draw_file(tmp_path, normal_csv, "d.txt", ["0.1 1.2"])
+    real_open = open
+
+    class FailingRead(io.StringIO):
+        def __iter__(self):
+            yield "0.1 1.2\n"
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        return FailingRead() if path == str(draws) else real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    out = tmp_path / "out"
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--draws-file", draws, "--outdir", out) == 65
+    assert capsys.readouterr().err == f"error: cannot read {draws}: Input/output error\n"
+    assert list(out.iterdir()) == []
 
 
 def test_config_value_may_begin_with_a_dash(tmp_path, normal_csv, monkeypatch):

@@ -14,6 +14,7 @@ from bayesgof import harness, probkit
 from bayesgof.binning import equiprobable
 from bayesgof.errors import ConfigError, DomainError
 from bayesgof.gof import (
+    exceedance,
     posterior_chisq_continuous,
     posterior_chisq_discrete_randomized,
     reference_auc,
@@ -321,13 +322,40 @@ def test_power_study_without_a_critical_value_runs_the_null_at_seed_plus_one():
         assert np.array_equal(implied.exceedance_fractions[df], fractions)
 
 
-def test_auc_null_requires_normal_model():
+def test_power_study_requires_a_continuous_model():
     cfg = ExperimentConfig(n=30, replicates=30)
     model = PoissonSaturated(np.ones(cfg.n))
     with pytest.raises(ConfigError):
-        null_auc_distribution(cfg, model, 4.2 * model.offsets)
-    with pytest.raises(ConfigError):
         power_study(cfg, 0.786, model, 4.2 * model.offsets)
+
+
+def test_auc_null_runs_on_a_count_model():
+    # replicate r, rebuilt from the stream table: data split(c, 0), posterior
+    # split(c, 1), randomized allocation split(c, 2), with c = split(root, r)
+    cfg = ExperimentConfig(n=50, replicates=40, seed=3, draws_per_dataset=100)
+    model = PoissonSaturated(np.ones(cfg.n))
+    truth = 4.2 * model.offsets
+    res = null_auc_distribution(cfg, model, truth)
+    two = null_auc_distribution(dataclasses.replace(cfg, workers=2), model, truth)
+    assert np.array_equal(res.values, two.values)
+    assert np.array_equal(res.exceedance_values, two.exceedance_values)
+    assert 0.35 < res.values[0] and res.values[-1] < 0.65
+    scheme = equiprobable(cfg.k)
+    threshold = probkit.chi2_quantile(cfg.k - 1, 0.95)
+    aucs, fractions = [], []
+    for r in range(cfg.replicates):
+        c = split(RngStream(3), r)
+        y = model.predictive_draw(truth, split(c, 0), n=cfg.n)
+        thetas = model.posterior_draws(y, cfg.draws_per_dataset, split(c, 1))
+        stream = split(c, 2)  # read by the draws in turn
+        values = np.array([
+            posterior_chisq_discrete_randomized(y, model, theta, scheme, stream).value
+            for theta in thetas
+        ])
+        aucs.append(reference_auc(values, cfg.k - 1))
+        fractions.append(np.count_nonzero(values > threshold) / values.size)
+    assert np.array_equal(res.values, np.sort(aucs))
+    assert np.array_equal(res.exceedance_values, np.sort(fractions))
 
 
 def test_null_calibration_runs_a_model_the_cli_never_maps():
@@ -444,14 +472,13 @@ def test_power_rows_shape():
 def test_analyze_summary_consistency():
     y = RngStream(33).generator.normal(0, 1, 50)
     res = analyze(y, NormalModel(), RngStream(34), n_draws=400)
-    s = res.summary
-    assert s.k == 5
-    assert s.n_draws == 400
+    assert len(res.mean_bin_counts) == 5
     assert res.values.shape == (400,)
-    assert 0.0 <= s.exceedance_rate <= 1.0
-    assert sum(s.mean_bin_counts) == pytest.approx(50.0)
-    assert s.threshold == pytest.approx(probkit.chi2_quantile(4, 0.95))
-    assert s.small_cells == ()
+    assert 0.0 <= res.exceedance_rate <= 1.0
+    assert res.exceedance_rate == exceedance(res.values, res.threshold)
+    assert sum(res.mean_bin_counts) == pytest.approx(50.0)
+    assert res.threshold == pytest.approx(probkit.chi2_quantile(4, 0.95))
+    assert res.small_cells == ()
 
 
 def test_analyze_one_draw_gives_one_value_for_every_model():
@@ -465,8 +492,8 @@ def test_analyze_one_draw_gives_one_value_for_every_model():
         (counts, PoissonExchangeable(offsets, settings=ChainSettings(burn_in=50))),
     ):
         res = analyze(y, model, RngStream(54), n_draws=1)
-        assert res.values.shape == (1,) and res.summary.n_draws == 1
-        assert sum(res.summary.mean_bin_counts) == pytest.approx(12.0)
+        assert res.values.shape == (1,)
+        assert sum(res.mean_bin_counts) == pytest.approx(12.0)
 
 
 def test_analyze_nominal_centering():
@@ -478,7 +505,7 @@ def test_analyze_nominal_centering():
     for r in range(100):
         rep = split(root, r)
         y = rep.generator.normal(0.0, 1.0, 50)
-        aucs.append(analyze(y, NormalModel(), split(rep, 1), n_draws=200).summary.auc)
+        aucs.append(analyze(y, NormalModel(), split(rep, 1), n_draws=200).auc)
     aucs = np.asarray(aucs)
     assert abs(aucs.mean() - 0.5) < 0.05
     assert np.mean((aucs >= 0.15) & (aucs <= 0.85)) >= 0.90
@@ -493,9 +520,9 @@ def test_analyze_flags_small_cells():
     normal = RngStream(51).generator.normal(0.0, 1.0, n)
     for y, model in ((counts, PoissonCommonRate(offsets=np.ones(n))), (normal, NormalModel())):
         res = analyze(y, model, RngStream(36), n_draws=50, scheme=scheme)
-        assert res.summary.small_cells == tuple(range(10))
+        assert res.small_cells == tuple(range(10))
     res = analyze(normal, NormalModel(), RngStream(36), n_draws=50, scheme=equiprobable(4))
-    assert res.summary.small_cells == ()
+    assert res.small_cells == ()
 
 
 def test_pp_test_p_value_granularity():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from bayesgof import models, probkit
-from bayesgof.errors import DataError, DomainError
+from bayesgof.errors import ConfigError, DataError, DomainError
 from bayesgof.models import (
     ChainSettings,
     NormalModel,
@@ -352,6 +352,25 @@ def test_counts_above_2_to_the_53_message_names_ten_observations_and_the_total()
                               f"{list(range(5, 15))} and 35 more, 45 in all")
 
 
+def test_normal_obs_cdf_refusal_names_ten_draws_and_the_total():
+    thetas = np.tile([0.0, 1.0], (200, 1))
+    thetas[5:, 1] = np.inf
+    thetas[7] = [np.nan, -1.0]
+    with pytest.raises(DomainError) as err:
+        NormalModel().obs_cdf(np.zeros(3), thetas)
+    assert str(err.value) == (
+        "normal parameters (mu, sigma) outside the space at draws 5: (0.0, inf), "
+        "6: (0.0, inf), 7: (nan, -1.0), "
+        + ", ".join(f"{i}: (0.0, inf)" for i in range(8, 15))
+        + " and 185 more, 195 in all"
+    )
+    with pytest.raises(DomainError) as err:
+        NormalModel().obs_cdf(np.zeros(3), (1.0, 0.0))
+    assert str(err.value) == (
+        "normal parameters (mu, sigma) outside the space at draws 0: (1.0, 0.0)"
+    )
+
+
 def test_counts_up_to_2_to_the_53_are_read_and_the_common_rate_total_does_not_wrap():
     model = PoissonCommonRate(np.ones(1100))
     with pytest.raises(DataError, match=r"above 2\*\*53 are not held exactly, at observations \[1\]"):
@@ -367,9 +386,10 @@ def test_exchangeable_collapse_to_common_rate():
 
     y = np.array([12, 7, 9, 11, 8, 10])
     offsets = np.ones(6)
-    model = PoissonExchangeable(offsets, sigma2_fixed=1e-10)
-    settings = ChainSettings(retained=5000, burn_in=2000, thin=10)
-    chain = model.run_chain(y, RngStream(22), settings)
+    model = PoissonExchangeable(
+        offsets, sigma2_fixed=1e-10, settings=ChainSettings(burn_in=2000, thin=10)
+    )
+    chain = model.run_chain(y, 5000, RngStream(22))
     rates = np.exp([d[0] for d in chain.draws])
     res = ks_statistic(rates, stats.gamma(float(y.sum()), scale=1.0 / 6.0).cdf, alpha=0.01)
     assert res.passed
@@ -377,17 +397,18 @@ def test_exchangeable_collapse_to_common_rate():
 
 def test_exchangeable_acceptance_rates():
     y = RngStream(23).generator.poisson(6.0, 30)
-    model = PoissonExchangeable(np.ones(30))
-    chain = model.run_chain(y, RngStream(24), ChainSettings(retained=1500, burn_in=1500, thin=2))
+    model = PoissonExchangeable(np.ones(30), settings=ChainSettings(burn_in=1500, thin=2))
+    chain = model.run_chain(y, 1500, RngStream(24))
     assert 0.2 <= chain.accept_alpha0 <= 0.6
     assert 0.2 <= chain.accept_gamma <= 0.6
 
 
 def test_exchangeable_split_half_stationarity():
-    # 4x the default retained count so half-chain means are tight
+    # 4x analyze's default draw count so half-chain means are tight; the
+    # default settings: burn-in 2000, thinning 4
     y = RngStream(25).generator.poisson(8.0, 30)
     model = PoissonExchangeable(np.ones(30))
-    chain = model.run_chain(y, RngStream(26), ChainSettings(retained=20_000, burn_in=2000, thin=4))
+    chain = model.run_chain(y, 20_000, RngStream(26))
     cols = np.array([[d[0], d[-1], *d[1:-1]] for d in chain.draws])
     half = cols.shape[0] // 2
     gap = np.abs(cols[:half].mean(axis=0) - cols[half:].mean(axis=0))
@@ -400,17 +421,17 @@ def test_exchangeable_interval_coverage():
     n = 20
     offsets = np.ones(n)
     true_a0, true_sg = 1.2, 0.5
-    settings = ChainSettings(retained=300, burn_in=400, thin=2)
+    settings = ChainSettings(burn_in=400, thin=2)
     hits = 0
     root = RngStream(27)
     for r in range(100):
         rep = split(root, r)
         gamma = true_sg * split(rep, 0).generator.standard_normal(n)
-        model = PoissonExchangeable(offsets)
+        model = PoissonExchangeable(offsets, settings=settings)
         y = model.predictive_draw(np.r_[true_a0, gamma, true_sg**2], split(rep, 1))
         if y.sum() < 1:
             continue
-        draws = model.run_chain(y, split(rep, 2), settings).draws
+        draws = model.run_chain(y, 300, split(rep, 2)).draws
         a0s = np.array([d[0] for d in draws])
         lo, hi = np.quantile(a0s, [0.025, 0.975])
         hits += int(lo <= true_a0 <= hi)
@@ -439,9 +460,10 @@ def test_exchangeable_means_match_grid_quadrature():
     mean_a0 = float(w @ a[:, 0])
     oracle = np.array([mean_a0] + [mean_a0 + float(w @ c) for c in cond_g])
 
-    model = PoissonExchangeable(offsets, sigma2_fixed=sigma2)
-    settings = ChainSettings(retained=20_000, burn_in=2000, thin=2)
-    draws = model.run_chain(y, RngStream(29), settings).draws
+    model = PoissonExchangeable(
+        offsets, sigma2_fixed=sigma2, settings=ChainSettings(burn_in=2000, thin=2)
+    )
+    draws = model.run_chain(y, 20_000, RngStream(29)).draws
     a0 = np.array([d[0] for d in draws])
     cols = np.column_stack([a0, a0[:, None] + np.array([d[1:-1] for d in draws])])
     batches = cols.reshape(40, -1, 3).mean(axis=1)  # 40 batch means per column
@@ -470,15 +492,14 @@ def test_exchangeable_draws_do_not_depend_on_block_size(monkeypatch):
     from bayesgof import models
 
     y = RngStream(30).generator.poisson(5.0, 6)
-    model = PoissonExchangeable(np.ones(6))
     # 450 sweeps, one default block; burn-in ends inside a block of 7 and
     # inside the second block of 100
-    settings = ChainSettings(retained=100, burn_in=150, thin=3)
-    reference = model.run_chain(y, RngStream(31), settings)
-    assert _same_chain(model.run_chain(y, RngStream(31), settings), reference)
+    model = PoissonExchangeable(np.ones(6), settings=ChainSettings(burn_in=150, thin=3))
+    reference = model.run_chain(y, 100, RngStream(31))
+    assert _same_chain(model.run_chain(y, 100, RngStream(31)), reference)
     for elements in (1, 42, 600, models.CHAIN_ELEMENTS):  # blocks of 1, 7, 100, 2730
         monkeypatch.setattr(models, "CHAIN_ELEMENTS", elements)
-        assert _same_chain(model.run_chain(y, RngStream(31), settings), reference)
+        assert _same_chain(model.run_chain(y, 100, RngStream(31)), reference)
 
 
 def test_exchangeable_chain_memory_does_not_grow_with_the_block():
@@ -488,11 +509,10 @@ def test_exchangeable_chain_memory_does_not_grow_with_the_block():
 
     n = 5000
     y = RngStream(32).generator.poisson(5.0, n)
-    model = PoissonExchangeable(np.ones(n))
-    settings = ChainSettings(retained=10, burn_in=190, thin=1)
+    model = PoissonExchangeable(np.ones(n), settings=ChainSettings(burn_in=190, thin=1))
     tracemalloc.start()
     try:
-        model.run_chain(y, RngStream(33), settings)
+        model.run_chain(y, 10, RngStream(33))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -503,7 +523,7 @@ def test_exchangeable_chain_does_not_advance_its_stream():
     # the chain reads children split(rng, 0..4), pure in (seed, path), so a
     # second call on the same stream repeats the first
     y = RngStream(34).generator.poisson(5.0, 6)
-    model = PoissonExchangeable(np.ones(6), settings=ChainSettings(retained=20, burn_in=50))
+    model = PoissonExchangeable(np.ones(6), settings=ChainSettings(burn_in=50))
     rng = RngStream(35)
     first = model.posterior_sample(y, 20, rng)
     second = model.posterior_sample(y, 20, rng)
@@ -517,7 +537,17 @@ def test_exchangeable_chain_does_not_advance_its_stream():
 def test_exchangeable_rejects_all_zero():
     model = PoissonExchangeable(np.ones(4))
     with pytest.raises(DataError):
-        model.run_chain(np.zeros(4, dtype=int), RngStream(0))
+        model.run_chain(np.zeros(4, dtype=int), 10, RngStream(0))
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_exchangeable_chain_needs_a_retained_draw(size):
+    # no retained sweep would leave the acceptance rates 0 / 0
+    model = PoissonExchangeable(np.ones(4), settings=ChainSettings(burn_in=10))
+    with pytest.raises(ConfigError, match="at least one retained draw"):
+        model.run_chain(np.array([1, 2, 3, 4]), size, RngStream(0))
+    with pytest.raises(ConfigError, match="at least one retained draw"):
+        model.posterior_sample(np.array([1, 2, 3, 4]), size, RngStream(0))
 
 
 def test_posterior_predictive_round_trip():

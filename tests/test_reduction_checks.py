@@ -141,6 +141,15 @@ def _old_reference_auc(values, dof):
     return float(np.mean(probkit.chi2_cdf(dof, v)))
 
 
+def _old_exceedance(values, threshold):
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise DomainError("need a non-empty 1-D vector of statistic values")
+    if not np.isfinite(threshold):
+        raise DomainError("threshold must be finite")
+    return float(np.mean(v > threshold))
+
+
 # --- outcomes, compared bit for bit -----------------------------------------
 
 
@@ -304,6 +313,19 @@ def test_pearson_matches_its_method_form(probs, data):
 )
 def test_reference_auc_matches_its_method_form(values, dof):
     assert _outcome(gof.reference_auc, values, dof) == _outcome(_old_reference_auc, values, dof)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(
+        _float_arrays(_any_float),
+        hnp.arrays(np.float64, st.integers(1, 600), elements=st.floats(0.0, 30.0)),
+    ),
+    threshold=_any_float,
+)
+def test_exceedance_matches_its_mean_form(values, threshold):
+    new, old = (_outcome(f, values, threshold) for f in (gof.exceedance, _old_exceedance))
+    assert new == old
 
 
 @settings(max_examples=300, deadline=None)
