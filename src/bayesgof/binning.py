@@ -143,9 +143,10 @@ def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream)
     equivalent in law to allocating the outcome's mass proportionally across
     the cells it straddles.
 
-    An interval collapsed at 0 or 1 holds a far-tail outcome whose mass is
-    below the rounding of its CDF values; that point lands in the cell the
-    exact interval lies in.  Any other empty interval is rejected.
+    The pair must satisfy 0 <= f_below <= f_at <= 1, or DomainError is
+    raised (NaN fails).  A collapsed pair, f_below == f_at, is an outcome
+    whose mass is below the rounding of its CDF values; its point is f_at.
+    Every outcome draws its uniform, collapsed or not.
     """
     lo = np.asarray(f_below, dtype=float)
     hi = np.asarray(f_at, dtype=float)
@@ -154,15 +155,10 @@ def assign_discrete_randomized(scheme: BinScheme, f_below, f_at, rng: RngStream)
     ):
         raise DomainError("CDF values must lie in [0, 1]")
     width = hi - lo
-    # one reduction decides the common case; NaN fails it
-    if width.size and not np.minimum.reduce(width, axis=None) > 0.0:
-        at_edge = (width == 0.0) & ((hi == 0.0) | (lo == 1.0))
-        if not np.logical_and.reduce((width > 0.0) | at_edge, axis=None):
-            raise DomainError(
-                "zero-probability outcome: f_below must be < f_at, or equal at 0 or 1"
-            )
+    if width.size and not np.minimum.reduce(width, axis=None) >= 0.0:
+        raise DomainError("CDF values must not decrease: f_below must be <= f_at")
     v = rng.generator.random(lo.shape if lo.ndim else None)
-    u = hi - v * width  # lands in (f_below, f_at], or on a collapsed edge
+    u = hi - v * width  # lands in (f_below, f_at], or on f_at when collapsed
     return assign(scheme, u)
 
 

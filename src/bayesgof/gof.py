@@ -149,21 +149,6 @@ def _check_unit_interval(u: np.ndarray, what: str) -> None:
         )
 
 
-def _diagnose_randomized(y, model, theta, f_below, f_at) -> None:
-    """Raise EvaluationError naming the observations whose CDF pair leaves
-    [0, 1], or whose collapsed interval holds zero mass by the log pmf."""
-    _check_unit_interval(f_below, "CDF-below transform")
-    _check_unit_interval(f_at, "CDF-at transform")
-    collapsed = ~(f_at > f_below)
-    if np.any(collapsed):
-        zero = collapsed & (np.asarray(model.obs_logpmf(y, theta)) == -np.inf)
-        if np.any(zero):
-            raise EvaluationError(
-                "observed outcome has zero probability at this draw for observations "
-                f"{np.nonzero(zero)[0].tolist()}"
-            )
-
-
 def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedStat:
     """Pearson statistic from CDF transforms at one parameter value or a batch.
 
@@ -192,23 +177,21 @@ def posterior_chisq_discrete_randomized(
     """Discrete-data variant: each outcome's CDF mass interval is resolved
     to a single point drawn uniformly within it, then binned as usual.
 
-    A far-tail count can have a collapsed interval, so zero mass is judged
-    by the model's log pmf, which does not round to zero.
+    The model's CDF pair is taken as it is: a far-tail count whose mass is
+    below the rounding of its CDF values has a collapsed interval and lands
+    at its CDF value, so an outlier count gives a statistic.  A pair outside
+    0 <= f_below <= f_at <= 1 is refused, naming the observations whose
+    CDF values leave [0, 1].
     """
-    y = np.asarray(data)
-    f_below, f_at = model.obs_cdf_pair(y, theta)
+    f_below, f_at = model.obs_cdf_pair(np.asarray(data), theta)
     f_below = np.asarray(f_below, dtype=float)
     f_at = np.asarray(f_at, dtype=float)
-    # A collapsed interval may be a zero-mass outcome, which only the log pmf
-    # tells apart, so it is diagnosed before any point is drawn.  Otherwise
-    # assign_discrete_randomized checks the ranges, and its DomainError is
-    # diagnosed afterwards.  NaN fails the comparison, which never warns.
-    if not np.logical_and.reduce(f_below < f_at, axis=None):
-        _diagnose_randomized(y, model, theta, f_below, f_at)
     try:
         idx = assign_discrete_randomized(scheme, f_below, f_at, rng)
     except DomainError:
-        _diagnose_randomized(y, model, theta, f_below, f_at)
+        # a value outside [0, 1] is named; an inverted pair is raised as it is
+        _check_unit_interval(f_below, "CDF-below transform")
+        _check_unit_interval(f_at, "CDF-at transform")
         raise
     counts = np.bincount(idx, minlength=scheme.k)
     return BinnedStat(pearson(counts, scheme), counts)

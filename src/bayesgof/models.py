@@ -7,8 +7,8 @@ harness and cli modules:
   the observed value; given a stack of draws it returns draws x
   observations, row i equal to the call at draw i alone;
 - ``obs_cdf_pair(y, theta)`` (discrete) gives each outcome's CDF below and at
-  the observed value, and ``obs_logpmf`` its log mass, which tells a zero
-  mass from one too small for the rounded CDF pair to resolve;
+  the observed value, 0 <= f_below <= f_at <= 1; a collapsed pair,
+  f_below == f_at, means a mass below the rounding of the CDF values;
 - ``posterior_sample(data, size, rng)`` returns a stack of size posterior
   draws given the data and ``posterior_draw(data, rng)`` one draw, row 0 of
   a one-draw stack: the harness's two sampling entries.  The conjugate
@@ -284,8 +284,8 @@ _POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 
 def _poisson_cdf_pair(y: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # a mean below the smallest normal double has underflowed; a positive
-    # count's log mass there is finite but meaningless
+    # a mean below the smallest normal double has underflowed, and the CDF
+    # pair at it means nothing
     low = np.minimum.reduce(means, axis=None)
     if not (_TINY <= low and np.maximum.reduce(means, axis=None) < np.inf):
         raise EvaluationError(f"Poisson means must be normal finite doubles, got {low}")
@@ -310,9 +310,6 @@ class _PoissonBase:
 
     def obs_cdf_pair(self, y, theta):
         return _poisson_cdf_pair(np.asarray(y), self.means(theta))
-
-    def obs_logpmf(self, y, theta):
-        return probkit.poisson_logpmf(self.means(theta), np.asarray(y))
 
     def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
         return self.posterior_sample(data, 1, rng)[0]

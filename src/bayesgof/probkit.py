@@ -29,7 +29,6 @@ __all__ = [
     "chi2_quantile",
     "chi2_upper_quantile",
     "poisson_cdf",
-    "poisson_logpmf",
 ]
 
 MAX_SEED = 2**64  # root seeds lie in [0, MAX_SEED)
@@ -141,13 +140,5 @@ def poisson_cdf(mean, k):
         out = sp.pdtr(k, mean)
     else:
         out = np.where(k < 0.0, 0.0, sp.pdtr(np.maximum(k, 0.0), mean))
-    return out if out.ndim else float(out)
-
-
-def poisson_logpmf(mean, k):
-    """log P(Y = k): finite for any positive mass, however small."""
-    k = np.asarray(k, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    out = np.where(k < 0.0, -np.inf, sp.xlogy(k, mean) - mean - sp.gammaln(k + 1.0))
     return out if out.ndim else float(out)
 

@@ -117,9 +117,17 @@ def test_randomized_full_support_matches_cell_probs():
         assert abs(np.mean(hits == k) - 0.25) < 0.01
 
 
-def test_randomized_rejects_zero_mass():
+def test_randomized_takes_a_collapsed_pair_and_rejects_a_bad_one():
+    # a pair collapsed inside (0, 1) holds a mass below the rounding of its
+    # CDF values, and its point is f_at: 0.4 lies in (0.2, 0.4], cell 1.  An
+    # inverted pair, or one with a NaN, is refused.
+    s = equiprobable(5)
+    assert assign_discrete_randomized(s, 0.4, 0.4, RngStream(0)) == assign(s, 0.4) == 1
     with pytest.raises(DomainError):
-        assign_discrete_randomized(equiprobable(5), 0.4, 0.4, RngStream(0))
+        assign_discrete_randomized(s, 0.4, 0.3, RngStream(0))
+    for lo, hi in ((np.nan, np.nan), (np.nan, 0.4), (0.4, np.nan)):
+        with pytest.raises(DomainError):
+            assign_discrete_randomized(s, lo, hi, RngStream(0))
 
 
 def test_randomized_collapsed_edges_take_their_point():

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from bayesgof import cli, harness
 from bayesgof.probkit import RngStream
@@ -317,6 +318,42 @@ def test_outlier_count_gives_a_statistic(tmp_path, poisson_csv):
                        "--seed", "5", "--outdir", out) == 0
     summary = read_csv(tmp_path / "analyze" / "summary.csv")
     assert float(summary[1][1]) > 0.9  # a gross outlier reads as misfit
+
+
+def far_tail_csv(tmp_path, outlier):
+    """40 counts of 30 and one far-tail count, every offset 1."""
+    path = tmp_path / f"far-tail-{outlier}.csv"
+    path.write_text("y,E\n" + "30,1.0\n" * 40 + f"{outlier},1.0\n")
+    return path
+
+
+@pytest.mark.parametrize("outlier", [84, 88, 92])
+def test_far_tail_count_with_a_collapsed_cdf_pair_gives_a_statistic(tmp_path, outlier):
+    # at some draws pdtr(outlier - 1, m) and pdtr(outlier, m) are the same
+    # double below 1; the outlier lands at that value, in the top cell
+    path = far_tail_csv(tmp_path, outlier)
+    out = tmp_path / "analyze"
+    assert run_cli("analyze", "--data", path, "--model", "poisson-common",
+                   "--draws", "2000", "--seed", "1", "--outdir", out) == 0
+    summary = dict(zip(*read_csv(out / "summary.csv")))
+    assert summary["k"] == "4" and float(summary["mean_count_bin4"]) == 1.0
+    assert run_cli("pp-test", "--data", path, "--model", "poisson-common", "--pp-reps", "3",
+                   "--draws", "2000", "--seed", "1", "--outdir", tmp_path / "pp") == 0
+
+
+def test_monitor_on_rates_where_the_outlier_pair_collapses_exit_0(tmp_path):
+    # at every rate in 29.367..29.383, pdtr(83, m) == pdtr(84, m) < 1
+    rates = np.linspace(29.3675, 29.3825, 40)
+    assert all(sp.pdtr(83, m) == sp.pdtr(84, m) < 1.0 for m in rates)
+    path = far_tail_csv(tmp_path, 84)
+    draws = write_draw_file(tmp_path, path, "rates.txt", [repr(float(m)) for m in rates])
+    out = tmp_path / "run"
+    assert run_cli("monitor", "--data", path, "--model", "poisson-common",
+                   "--draws-file", draws, "--outdir", out) == 0
+    trace = read_csv(out / "trace.csv")
+    assert len(trace) == 41 and all(row[2] == "true" for row in trace[1:])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["derived"] == {"draw_lines": 40, "malformed_lines": 0}
 
 
 def test_pp_test_outputs(tmp_path, normal_csv):

@@ -1,6 +1,7 @@
 """Statistic-level checks: hand-computable Pearson values, exact-fit zeros,
 the classical comparators, and the tail-area summaries."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from bayesgof import gof, probkit
 from bayesgof.binning import assign, assign_discrete_randomized, equiprobable
@@ -177,21 +179,44 @@ def test_randomized_zero_count_at_huge_mean_lands_in_bottom_cell():
     assert list(stat.counts) == [1, 0, 0, 0, 0]
 
 
-class _ZeroMassModel:
-    """Outcome 0 has no mass: its CDF interval is empty at 0.5."""
+def _collapsed_pairs(means, counts_at):
+    """The (mean, count) pairs among means x counts_at(mean) whose pdtr pair
+    collapses strictly inside (0, 1), with that CDF value."""
+    pairs = []
+    for mean in means:
+        ks = counts_at(mean)
+        f_at = sp.pdtr(ks, mean)
+        f_below = sp.pdtr(ks - 1.0, mean)
+        hit = (f_below == f_at) & (f_at > 0.0) & (f_at < 1.0)
+        pairs += [(float(mean), int(k), float(f)) for k, f in zip(ks[hit], f_at[hit])]
+    return pairs
 
-    def obs_cdf_pair(self, y, theta):
-        return np.where(y == 0, 0.5, 0.25), np.where(y == 0, 0.5, 0.75)
 
-    def obs_logpmf(self, y, theta):
-        return np.where(y == 0, -np.inf, np.log(0.5))
-
-
-def test_randomized_true_zero_mass_rejected():
-    with pytest.raises(EvaluationError):
-        posterior_chisq_discrete_randomized(
-            np.array([1, 0, 1]), _ZeroMassModel(), None, equiprobable(4), RngStream(8)
+def test_randomized_interior_collapse_gives_a_statistic():
+    # a count whose mass is below the rounding of its CDF values has a
+    # collapsed pair inside (0, 1); it lands in the cell of its CDF value.
+    # Means 0.25..400 give 1956 such pairs, with masses near the spacing of
+    # doubles at 1; means 1e9..1e12 give some whose mass is far above it.
+    small = _collapsed_pairs(
+        np.arange(1, 1601) / 4, lambda m: np.arange(m + 40 * m**0.5 + 60, dtype=float)
+    )
+    large = _collapsed_pairs(
+        [1e9, 1e10, 1e11, 1e12], lambda m: np.floor(m + np.arange(250, 450) * m**0.5 / 50)
+    )
+    assert len(small) == 1956 and len(large) > 20
+    log_mass_over_spacing = max(
+        k * math.log(m) - m - math.lgamma(k + 1) - math.log(np.spacing(f))
+        for m, k, f in large
+    )
+    assert log_mass_over_spacing > math.log(10.0)
+    model, scheme = PoissonCommonRate([1.0]), equiprobable(5)
+    for mean, count, f_at in small + large:
+        stat = posterior_chisq_discrete_randomized(
+            np.array([count]), model, [mean], scheme, RngStream(count)
         )
+        cell = np.zeros(scheme.k, dtype=int)
+        cell[assign(scheme, f_at)] = 1
+        assert stat.counts.tolist() == cell.tolist() and stat.value == pytest.approx(4.0)
 
 
 def test_plugin_counts_and_probs():
@@ -554,9 +579,8 @@ def _reference_assign_randomized(scheme, f_below, f_at, rng):
     if lo.size and not (lo.min() >= 0.0 and hi.max() <= 1.0):
         raise DomainError("CDF values must lie in [0, 1]")
     width = hi - lo
-    at_edge = (width == 0.0) & ((hi == 0.0) | (lo == 1.0))
-    if np.any(~((width > 0.0) | at_edge)):
-        raise DomainError("zero-probability outcome: f_below must be < f_at, or equal at 0 or 1")
+    if np.any(~(width >= 0.0)):
+        raise DomainError("CDF values must not decrease: f_below must be <= f_at")
     v = rng.generator.random(lo.shape if lo.ndim else None)
     return assign(scheme, hi - v * width)
 
@@ -567,31 +591,19 @@ def _reference_discrete_randomized(y, model, theta, scheme, rng):
     f_at = np.asarray(f_at, dtype=float)
     _reference_unit_interval(f_below, "CDF-below transform")
     _reference_unit_interval(f_at, "CDF-at transform")
-    collapsed = ~(f_at > f_below)
-    if np.any(collapsed):
-        zero = collapsed & (np.asarray(model.obs_logpmf(y, theta)) == -np.inf)
-        if np.any(zero):
-            raise EvaluationError(
-                "observed outcome has zero probability at this draw for observations "
-                f"{np.nonzero(zero)[0].tolist()}"
-            )
     idx = _reference_assign_randomized(scheme, f_below, f_at, rng)
     counts = np.bincount(idx, minlength=scheme.k)
     return gof.BinnedStat(pearson(counts, scheme.widths()), counts)
 
 
 class _TableModel:
-    """Hands back fixed CDF pairs and log masses, whatever the draw."""
+    """Hands back fixed CDF pairs, whatever the draw."""
 
-    def __init__(self, f_below, f_at, logpmf):
+    def __init__(self, f_below, f_at):
         self.pair = (np.array(f_below, dtype=float), np.array(f_at, dtype=float))
-        self.logpmf = np.array(logpmf, dtype=float)
 
     def obs_cdf_pair(self, y, theta):
         return self.pair
-
-    def obs_logpmf(self, y, theta):
-        return self.logpmf
 
 
 def _outcome(fn, *args):
@@ -623,17 +635,12 @@ _cdf_interval = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    rows=st.lists(
-        st.tuples(_cdf_interval, st.sampled_from([-np.inf, -2.5])), min_size=0, max_size=8
-    ),
+    rows=st.lists(_cdf_interval, min_size=0, max_size=8),
     k=st.integers(min_value=2, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_randomized_checks_match_the_element_wise_reference(rows, k, seed):
-    f_below = [lo for (lo, _), _ in rows]
-    f_at = [hi for (_, hi), _ in rows]
-    logpmf = [lp for _, lp in rows]
-    model = _TableModel(f_below, f_at, logpmf)
+    model = _TableModel([lo for lo, _ in rows], [hi for _, hi in rows])
     y = np.zeros(len(rows), dtype=np.int64)
     scheme = equiprobable(k)
     assert _outcome(

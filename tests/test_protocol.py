@@ -32,11 +32,9 @@ def _outcome(f, *args):
         return type(exc)
 
 
-def _transforms(model):
-    """The observation-level transforms a model of its kind provides."""
-    if model.is_discrete:
-        return model.obs_cdf_pair, model.obs_logpmf
-    return (model.obs_cdf,)
+def _transform(model):
+    """The observation-level transform a model of its kind provides."""
+    return model.obs_cdf_pair if model.is_discrete else model.obs_cdf
 
 
 def test_the_table_holds_every_data_model():
@@ -72,11 +70,11 @@ def test_a_stack_scores_as_its_rows_one_at_a_time(case):
 def test_a_stack_transforms_as_its_rows_one_at_a_time(case):
     model, y = case.model, case.model.validate_data(case.data)
     thetas = model.posterior_sample(y, DRAWS, RngStream(4))
-    for transform in _transforms(model):
-        stacked = np.asarray(transform(y, thetas))
-        assert stacked.shape[-2:] == (DRAWS, y.size)
-        for i, theta in enumerate(thetas):
-            assert np.array_equal(stacked[..., i, :], transform(y, theta))
+    transform = _transform(model)
+    stacked = np.asarray(transform(y, thetas))
+    assert stacked.shape[-2:] == (DRAWS, y.size)
+    for i, theta in enumerate(thetas):
+        assert np.array_equal(stacked[..., i, :], transform(y, theta))
 
 
 @each_model
@@ -84,12 +82,12 @@ def test_a_stack_with_a_row_outside_the_space_fails_as_that_row_does(case):
     model, y = case.model, case.model.validate_data(case.data)
     thetas = model.posterior_sample(y, DRAWS, RngStream(5))
     thetas[3, case.positive[0]] = 0.0
-    for transform in _transforms(model):
-        stacked, single = _outcome(transform, y, thetas), _outcome(transform, y, thetas[3])
-        if isinstance(single, type):
-            assert stacked is single
-        else:
-            assert np.array_equal(stacked[..., 3, :], single)
+    transform = _transform(model)
+    stacked, single = _outcome(transform, y, thetas), _outcome(transform, y, thetas[3])
+    if isinstance(single, type):
+        assert stacked is single
+    else:
+        assert np.array_equal(stacked[..., 3, :], single)
     if not model.is_discrete:
         assert _outcome(model.obs_cdf, y, thetas) is DomainError
 

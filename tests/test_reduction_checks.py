@@ -4,8 +4,8 @@ must decide, raise and return exactly as its earlier method-based form
 oracle: the same exception type and message, the same kinds of warning, or
 bit-identical results.  So must pearson of a BinScheme, whose cell
 probabilities were checked when it was built, against pearson of its widths.
-The randomized statistic's collapse test is checked against its element-wise
-reference in test_gof."""
+The randomized statistic's range checks are checked against their
+element-wise reference in test_gof."""
 
 import dataclasses
 import math
@@ -80,12 +80,8 @@ def _old_assign_discrete_randomized(scheme, f_below, f_at, rng):
     if lo.size and not (lo.min() >= 0.0 and hi.max() <= 1.0):
         raise DomainError("CDF values must lie in [0, 1]")
     width = hi - lo
-    if width.size and not width.min() > 0.0:
-        at_edge = (width == 0.0) & ((hi == 0.0) | (lo == 1.0))
-        if np.any(~((width > 0.0) | at_edge)):
-            raise DomainError(
-                "zero-probability outcome: f_below must be < f_at, or equal at 0 or 1"
-            )
+    if width.size and not width.min() >= 0.0:
+        raise DomainError("CDF values must not decrease: f_below must be <= f_at")
     v = rng.generator.random(lo.shape if lo.ndim else None)
     return _old_assign(scheme, hi - v * width)
 
