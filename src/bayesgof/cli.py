@@ -161,11 +161,7 @@ def _digest(path: str) -> str | None:
 def _write_manifest(
     outdir: str, ns: argparse.Namespace, outputs: list[str], started: float, derived: dict
 ) -> None:
-    config = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in vars(ns).items()
-        if k not in ("command", "config")
-    }
+    config = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
     # the one input hashed: the draw stream for monitor, else the dataset
     input_path = ns.draws_file if ns.command == "monitor" else getattr(ns, "data", None)
     entry = None
@@ -308,29 +304,29 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     return y, e
 
 
+def _exchangeable(ns: argparse.Namespace, offsets: np.ndarray) -> models.PoissonExchangeable:
+    settings = models.ChainSettings(
+        burn_in=ns.chain_burn_in, thin=ns.chain_thin,
+        target_accept=ns.chain_target_accept, initial_step=ns.chain_step,
+    )
+    return models.PoissonExchangeable(offsets, sigma2_fixed=ns.sigma2_fixed, settings=settings)
+
+
+# the dataset models, by --model name: each builds from the flags and offsets
+_DATA_MODELS = {
+    "normal": lambda ns, offsets: models.NormalModel(),
+    "poisson-common": lambda ns, offsets: models.PoissonCommonRate(offsets),
+    "poisson-saturated": lambda ns, offsets: models.PoissonSaturated(offsets, ns.prior_exponent),
+    "poisson-exchangeable": _exchangeable,
+}
+
+
 def _build_model(ns: argparse.Namespace, offsets: np.ndarray | None):
-    name = ns.model
-    if name == "normal":
-        return models.NormalModel()
-    if offsets is None:
+    if offsets is None and ns.model != "normal":  # every count model needs exposures
         raise DataError(
-            f"dataset is missing the offset column 'E' required by model {name}"
+            f"dataset is missing the offset column 'E' required by model {ns.model}"
         )
-    if name == "poisson-common":
-        return models.PoissonCommonRate(offsets)
-    if name == "poisson-saturated":
-        return models.PoissonSaturated(offsets, prior_exponent=ns.prior_exponent)
-    if name == "poisson-exchangeable":
-        settings = models.ChainSettings(
-            burn_in=ns.chain_burn_in,
-            thin=ns.chain_thin,
-            target_accept=ns.chain_target_accept,
-            initial_step=ns.chain_step,
-        )
-        return models.PoissonExchangeable(
-            offsets, sigma2_fixed=ns.sigma2_fixed, settings=settings
-        )
-    raise ConfigError(f"unknown model {name}")
+    return _DATA_MODELS[ns.model](ns, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +427,11 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
         truth = ns.mean * model.offsets
     result = harness.null_calibration(cfg, model, truth)
 
-    names = [n for n in ("posterior", "plugin", "grouped") if n in result.series]
     # a series gets a reference column iff it has a chi-square reference law
     # (the plugin statistic has none); the KS entry may still be skipped for
     # runs too small for the asymptotic test
-    header, columns = ["rank"], [range(1, result.replicates + 1)]
-    for name in names:
-        series = result.series[name]
+    header, columns = ["rank"], [range(1, cfg.replicates + 1)]
+    for name, series in result.series.items():
         header.append(name)
         columns.append(series.values)
         if series.ref_quantiles is not None:
@@ -450,20 +444,19 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
         "ks_statistic", "ks_critical", "ks_alpha", "ks_passed",
     ]
     summary_rows = []
-    for name in names:
-        s = result.series[name]
+    for name, s in result.series.items():
         ks = s.ks
         summary_rows.append([
-            name, result.replicates, result.n, result.k, s.mean, s.variance,
+            name, cfg.replicates, cfg.n, cfg.k, s.mean, s.variance,
             ks.statistic if ks else None, ks.critical if ks else None,
-            ks.alpha if ks else None, ks.passed if ks else None,
+            cfg.ks_alpha if ks else None, ks.passed if ks else None,
         ])
     outputs.append(_write_csv(outdir, "summary.csv", summary_header, summary_rows))
     derived = {"runtime_s": result.runtime_s}
     if result.grouped_iterations is not None:
         derived["grouped_fit"] = _grouped_fit(result.grouped_iterations)
 
-    failed = [n for n in names if result.series[n].ks and not result.series[n].ks.passed]
+    failed = [n for n, s in result.series.items() if s.ks and not s.ks.passed]
     if ns.assert_calibrated and failed:
         print(f"calibration failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CALIBRATION, outputs, derived
@@ -476,10 +469,7 @@ def cmd_power(ns: argparse.Namespace, outdir: str) -> _Outcome:
         df_grid=tuple(ns.df), methods=tuple(ns.methods),
     )
     result = harness.power_study(cfg, ns.auc_critical, models.NormalModel(), STANDARD_NORMAL)
-    rows = [
-        [row.df, row.method, row.rejections, row.replicates, row.rate]
-        for row in result.rows
-    ]
+    rows = [[row.df, row.method, row.rejections, cfg.replicates, row.rate] for row in result.rows]
     outputs = [
         _write_csv(outdir, "power.csv", ["df", "method", "rejections", "replicates", "rate"], rows)
     ]
@@ -683,9 +673,9 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--chain-target-accept", type=float, default=0.44)
 
 
-def _add_dataset_flags(sub: argparse.ArgumentParser, choices: list[str]) -> None:
+def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", required=True, help="headered CSV with columns y[,E]")
-    sub.add_argument("--model", required=True, choices=choices)
+    sub.add_argument("--model", required=True, choices=_DATA_MODELS)
     _add_model_flags(sub)
     sub.add_argument("--k", type=int, default=None,
                      help="bin count (default: rule-of-thumb from n)")
@@ -699,9 +689,6 @@ def _add_study_flags(sub: argparse.ArgumentParser, reps_default: int, reps_help:
     scale.add_argument("--full-scale", action="store_true",
                        help=f"{reps_help}: 10000 instead of the desk-scale {reps_default}")
     sub.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-
-
-_DATA_MODELS = ["normal", "poisson-common", "poisson-saturated", "poisson-exchangeable"]
 
 
 def build_parser() -> _Parser:
@@ -768,7 +755,7 @@ def build_parser() -> _Parser:
         + DATASET_SCHEMA + EXIT_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    _add_dataset_flags(an, _DATA_MODELS)
+    _add_dataset_flags(an)
     an.add_argument("--draws", type=int, default=5000, help="posterior draws")
     an.add_argument("--threshold", type=float, default=None,
                     help="exceedance threshold (default: 0.95 reference quantile)")
@@ -783,7 +770,7 @@ def build_parser() -> _Parser:
         "predictive.csv: replicate, auc.\n" + DATASET_SCHEMA + EXIT_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    _add_dataset_flags(pp, _DATA_MODELS)
+    _add_dataset_flags(pp)
     pp.add_argument("--pp-reps", type=int, default=100, help="predictive replicates")
     pp.add_argument("--draws", type=int, default=1000, help="posterior draws per fit")
     _add_common(pp)
@@ -800,7 +787,7 @@ def build_parser() -> _Parser:
         + DATASET_SCHEMA + EXIT_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    _add_dataset_flags(mon, _DATA_MODELS)
+    _add_dataset_flags(mon)
     mon.add_argument("--draws-file", default="-",
                      help="draw stream path, or '-' for standard input")
     mon.add_argument("--threshold", type=float, default=None)

@@ -29,6 +29,9 @@ Stream layout (fixed, documented so runs can be reproduced precisely):
                                gamma variates split(p,4)
   predictive recalibration     observed split(rng,0), predictive parameters
                                split(rng,1), replicate m: split(rng, 2 + m)
+  streaming monitor            a discrete model's randomization reads the rng
+                               it is given, draw after draw; the monitor
+                               command passes split(root, 0)
 
 The AUC null and power studies also record each dataset's exceedance
 fraction, the share of its posterior draws above the upper-alpha
@@ -121,8 +124,6 @@ class ExperimentConfig:
 class KsResult:
     statistic: float
     critical: float
-    alpha: float
-    n: int
     passed: bool
 
 
@@ -145,9 +146,6 @@ class CalibrationResult:
     grouped fit, in replicate order; None when no grouped fit ran."""
 
     series: dict[str, CalibrationSeries]
-    n: int
-    k: int
-    replicates: int
     runtime_s: float
     grouped_iterations: np.ndarray | None = None
 
@@ -176,7 +174,6 @@ class PowerRow:
     df: float
     method: str
     rejections: int
-    replicates: int
     rate: float
 
 
@@ -261,7 +258,7 @@ def ks_statistic(values, cdf: Callable, alpha: float = 0.01) -> KsResult:
     d_minus = np.max(cdf_vals - (i - 1) / v.size)
     d = float(max(d_plus, d_minus))
     critical = math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(v.size)
-    return KsResult(d, critical, alpha, int(v.size), d < critical)
+    return KsResult(d, critical, d < critical)
 
 
 def _require_continuous(model, what: str) -> None:
@@ -425,7 +422,7 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
         series["grouped"] = _series(out.grouped, grouped_dof, config.ks_alpha)
         grouped_iterations = out.iterations
     runtime_s = time.perf_counter() - t0
-    return CalibrationResult(series, config.n, k, config.replicates, runtime_s, grouped_iterations)
+    return CalibrationResult(series, runtime_s, grouped_iterations)
 
 
 def _upper_critical(values: np.ndarray, alpha: float) -> float:
@@ -511,7 +508,7 @@ def power_study(
         for method in POWER_METHODS:
             if method in config.methods:
                 rej = int(np.count_nonzero(values[method] > critical[method]))
-                rows.append(PowerRow(float(df), method, rej, reps, rej / reps))
+                rows.append(PowerRow(float(df), method, rej, rej / reps))
     return PowerResult(
         tuple(rows),
         float(auc_critical),
@@ -633,6 +630,8 @@ def stream_monitor(
     grossly miscoded evaluator overshoots it within a few hundred draws.
     """
     y = model.validate_data(data)
+    if model.is_discrete and rng is None:
+        raise ConfigError("discrete models need an rng for randomized allocation")
     if not (alert_factor > 1.0 and math.isfinite(alert_factor)):  # NaN fails too
         raise ConfigError(f"alert_factor must be a finite number above 1, got {alert_factor}")
     if min_draws < 1:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bayesgof import cli
+from bayesgof.cli import STANDARD_NORMAL
 from bayesgof.harness import (
     ExperimentConfig,
     null_auc_distribution,
@@ -20,9 +21,6 @@ from bayesgof.harness import (
     power_study,
 )
 from bayesgof.models import NormalModel
-
-# the true (mu, sigma) of the normal model's null data
-STANDARD_NORMAL = (0.0, 1.0)
 
 
 class ModelCase(NamedTuple):

@@ -49,6 +49,9 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert run_cli("no-such-command") == 64
     assert run_cli("simulate-null", "--bogus-flag") == 64
     assert run_cli("power", "--df", "0..3", "--outdir", tmp_path) == 64
+    for df in ("2..1", "a..3", "x"):
+        assert run_cli("power", "--df", df, "--outdir", tmp_path) == 64
+    assert run_cli("power", "--methods", "bogus", "--outdir", tmp_path) == 64
     assert run_cli("power", "--reps", "5", "--full-scale", "--outdir", tmp_path) == 64
     err = capsys.readouterr().err
     assert "usage" in err
@@ -64,6 +67,13 @@ def test_bad_header_exit_65(tmp_path, capsys):
     bad.write_text("value\n1.0\n")
     assert run_cli("validate", "--data", bad, "--outdir", tmp_path) == 65
     assert "header" in capsys.readouterr().err
+
+
+def test_non_numeric_row_exit_65(tmp_path, capsys):
+    path = tmp_path / "text.csv"
+    path.write_text("y\n1.0\nabc\n")
+    assert run_cli("validate", "--data", path, "--outdir", tmp_path) == 65
+    assert "row 3 is not numeric" in capsys.readouterr().err
 
 
 def test_missing_offset_column_named(tmp_path, normal_csv, capsys):
@@ -356,6 +366,19 @@ def test_monitor_on_rates_where_the_outlier_pair_collapses_exit_0(tmp_path):
     assert manifest["derived"] == {"draw_lines": 40, "malformed_lines": 0}
 
 
+@pytest.mark.parametrize("model", ["poisson-common", "poisson-exchangeable"])
+def test_pp_test_replicate_violating_the_model_exit_70(tmp_path, model, capsys):
+    # at offsets 0.01 a predictive replicate of these counts can be all zero
+    path = tmp_path / "sparse.csv"
+    path.write_text("y,E\n1,0.01\n" + "0,0.01\n" * 19)
+    out = tmp_path / "run"
+    assert run_cli("pp-test", "--data", path, "--model", model, "--pp-reps", "20",
+                   "--draws", "50", "--outdir", out) == 70
+    err = capsys.readouterr().err
+    assert "predictive replicate 2 violates model data requirements: all counts are zero" in err
+    assert list(out.iterdir()) == []
+
+
 def test_pp_test_outputs(tmp_path, normal_csv):
     out = tmp_path / "run"
     assert run_cli("pp-test", "--data", normal_csv, "--model", "normal",
@@ -386,8 +409,9 @@ def posterior_rows(normal_csv, n_draws, seed=7):
 
 def test_monitor_clean_stream_exit_0(tmp_path, normal_csv):
     out = tmp_path / "run"
-    draws = write_draw_file(tmp_path, normal_csv, "draws.txt",
-                            posterior_rows(normal_csv, 400))
+    rows = posterior_rows(normal_csv, 400)
+    rows[100:100] = ["", "   "]  # blank lines are neither draws nor malformed
+    draws = write_draw_file(tmp_path, normal_csv, "draws.txt", [*rows, ""])
     code = run_cli("monitor", "--data", normal_csv, "--model", "normal",
                    "--draws-file", draws, "--outdir", out)
     assert code == 0
@@ -749,6 +773,7 @@ def test_undecodable_manifest_exit_65(tmp_path, poisson_csv, capsys):
 @pytest.mark.parametrize("text", [
     "1", "[]", "null", '"analyze"', '{"command": ["validate"]}',
     "[" * 100_000,  # deeper than the json module recurses
+    '{"command": "validate", "version": "0.1.0"}',  # no config block
 ])
 def test_replay_rejects_a_manifest_that_is_not_an_object(tmp_path, text):
     path = tmp_path / "manifest.json"
@@ -781,6 +806,18 @@ def test_replay_fills_missing_keys_from_defaults(tmp_path, poisson_csv):
     second = tmp_path / "second"
     assert run_cli("replay", path, "--outdir", second) == 0
     assert (first / "trace.csv").read_bytes() == (second / "trace.csv").read_bytes()
+
+
+def test_replay_of_another_version_warns_and_reproduces_bytes(tmp_path, poisson_csv, capsys):
+    first, manifest = _recorded_analyze(tmp_path, poisson_csv)
+    manifest["version"] = "0.0.1"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    second = tmp_path / "second"
+    assert run_cli("replay", path, "--outdir", second) == 0
+    assert "warning: manifest written by version 0.0.1" in capsys.readouterr().err
+    for name in ("summary.csv", "trace.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_replay_rejects_unknown_key(tmp_path, poisson_csv, capsys):
@@ -955,6 +992,28 @@ def test_input_path_holding_a_nul_byte_exit_65(tmp_path, normal_csv, capsys):
     for name in ("a\0b", "c\0d", "e\0f", "g\0h"):
         assert f"error: cannot read {name}: embedded null byte" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, flags", [
+    ("true", ["--classical"]), ("yes", ["--classical"]), ("false", []), ("0", []),
+])
+def test_config_file_boolean_sets_the_flag(tmp_path, value, flags):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"classical = {value}\nreps = 20\nseed = 3\n")
+    from_file, from_flags = tmp_path / "from_file", tmp_path / "from_flags"
+    assert run_cli("simulate-null", "--config", cfgfile, "--outdir", from_file) == 0
+    assert run_cli("simulate-null", *flags, "--reps", "20", "--seed", "3",
+                   "--outdir", from_flags) == 0
+    for name in ("qq.csv", "summary.csv"):
+        assert (from_file / name).read_bytes() == (from_flags / name).read_bytes()
+
+
+def test_config_file_boolean_neither_true_nor_false_exit_64(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("classical = maybe\n")
+    assert run_cli("simulate-null", "--config", cfgfile, "--outdir", tmp_path / "run") == 64
+    assert "boolean 'classical' must be true or false" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_file_unknown_key_exit_64(tmp_path, normal_csv, capsys):

@@ -465,7 +465,7 @@ def test_power_rows_shape():
     assert len(res.rows) == 2 * 3
     for row in res.rows:
         assert 0.0 <= row.rate <= 1.0
-        assert row.replicates == 40
+        assert row.rate * 40 == row.rejections
     assert res.rate(1, "auc") >= res.rate(5, "auc") - 0.05
 
 
@@ -623,3 +623,15 @@ def test_monitor_config_errors():
         stream_monitor([], y, NormalModel(), equiprobable(5), alert_factor=1.0)
     with pytest.raises(ConfigError):
         stream_monitor([], y, NormalModel(), equiprobable(5), min_draws=0)
+
+
+class _UnreadStream:
+    def __iter__(self):
+        raise AssertionError("a draw was read")
+
+
+def test_monitor_refuses_a_count_model_without_rng_on_the_call():
+    # the settings are checked before the first draw is read
+    model = PoissonCommonRate(np.ones(4))
+    with pytest.raises(ConfigError, match="rng"):
+        stream_monitor(_UnreadStream(), np.array([3, 0, 6, 2]), model, equiprobable(3))

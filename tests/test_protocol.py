@@ -38,7 +38,7 @@ def _transform(model):
 
 
 def test_the_table_holds_every_data_model():
-    assert [case.name for case in MODEL_CASES] == cli._DATA_MODELS
+    assert [case.name for case in MODEL_CASES] == list(cli._DATA_MODELS)
 
 
 @each_model
