@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, first_ten
 from .probkit import RngStream
 
 __all__ = [
@@ -44,7 +44,7 @@ def check_cell_probs(p: np.ndarray) -> list[float]:
     if not min(q) >= PROB_FLOOR:
         raise EvaluationError(
             f"cell probability below the {PROB_FLOOR} floor in cells "
-            f"{np.nonzero(p < PROB_FLOOR)[0].tolist()}"
+            f"{first_ten(np.nonzero(p < PROB_FLOOR)[0].tolist())}"
         )
     return q
 

@@ -135,14 +135,12 @@ def _open_output(path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_csv(outdir: str, name: str, header: list[str], rows) -> str:
-    """Write outdir/name; returns name, for the manifest's outputs."""
+def _write_csv(outdir: str, name: str, header: list[str], rows) -> None:
     with _open_output(os.path.join(outdir, name)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    return name
 
 
 def _digest(path: str) -> str | None:
@@ -380,22 +378,24 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# a handler's (exit code, output file names, manifest "derived" block)
-_Outcome = tuple[int, list[str], dict]
+# a handler's (exit code, manifest "derived" block)
+_Outcome = tuple[int, dict]
 
 
 def _run(ns: argparse.Namespace) -> int:
     """The one run lifecycle: make the output directory, run the handler in a
-    staging directory inside it, write manifest.json there and, once both
-    are done, whatever the exit code, rename the outputs into place, the
-    manifest last.  A handler that raises moves no file into the output
-    directory; the staging directory is removed either way."""
+    staging directory inside it, write manifest.json there, listing the files
+    the handler wrote in name order, and, once both are done, whatever the
+    exit code, rename the outputs into place, the manifest last.  A handler
+    that raises moves no file into the output directory; the staging
+    directory is removed either way."""
     started = time.perf_counter()
     if ns.outdir is None:  # recorded in the manifest as resolved here
         ns.outdir = os.environ.get("BAYESGOF_OUTDIR", ".")
     staging = _staging_dir(ns.outdir)
     try:
-        code, outputs, derived = _COMMANDS[ns.command](ns, staging)
+        code, derived = _COMMANDS[ns.command](ns, staging)
+        outputs = sorted(os.listdir(staging))
         _write_manifest(staging, ns, outputs, started, derived)
         _publish(staging, ns.outdir, [*outputs, "manifest.json"])
     finally:
@@ -437,7 +437,7 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
         if series.ref_quantiles is not None:
             header.append(f"{name}_ref")
             columns.append(series.ref_quantiles)
-    outputs = [_write_csv(outdir, "qq.csv", header, zip(*columns))]
+    _write_csv(outdir, "qq.csv", header, zip(*columns))
 
     summary_header = [
         "series", "replicates", "n", "k", "mean", "variance",
@@ -451,7 +451,7 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
             ks.statistic if ks else None, ks.critical if ks else None,
             cfg.ks_alpha if ks else None, ks.passed if ks else None,
         ])
-    outputs.append(_write_csv(outdir, "summary.csv", summary_header, summary_rows))
+    _write_csv(outdir, "summary.csv", summary_header, summary_rows)
     derived = {"runtime_s": result.runtime_s}
     if result.grouped_iterations is not None:
         derived["grouped_fit"] = _grouped_fit(result.grouped_iterations)
@@ -459,8 +459,8 @@ def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
     failed = [n for n, s in result.series.items() if s.ks and not s.ks.passed]
     if ns.assert_calibrated and failed:
         print(f"calibration failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_CALIBRATION, outputs, derived
-    return EXIT_OK, outputs, derived
+        return EXIT_CALIBRATION, derived
+    return EXIT_OK, derived
 
 
 def cmd_power(ns: argparse.Namespace, outdir: str) -> _Outcome:
@@ -470,13 +470,11 @@ def cmd_power(ns: argparse.Namespace, outdir: str) -> _Outcome:
     )
     result = harness.power_study(cfg, ns.auc_critical, models.NormalModel(), STANDARD_NORMAL)
     rows = [[row.df, row.method, row.rejections, cfg.replicates, row.rate] for row in result.rows]
-    outputs = [
-        _write_csv(outdir, "power.csv", ["df", "method", "rejections", "replicates", "rate"], rows)
-    ]
+    _write_csv(outdir, "power.csv", ["df", "method", "rejections", "replicates", "rate"], rows)
     derived = {"auc_critical": result.auc_critical}
     if result.grouped_iterations is not None:
         derived["grouped_fit"] = _grouped_fit(result.grouped_iterations)
-    return EXIT_OK, outputs, derived
+    return EXIT_OK, derived
 
 
 def _load_fit(ns: argparse.Namespace):
@@ -509,7 +507,7 @@ def cmd_analyze(ns: argparse.Namespace, outdir: str) -> _Outcome:
     with _open_output(os.path.join(outdir, "trace.csv")) as fh:
         fh.write("draw,value,dof\n")
         fh.writelines(f"{i},{v:.17g},{dof}\n" for i, v in enumerate(result.values.tolist()))
-    return EXIT_OK, ["summary.csv", "trace.csv"], {}
+    return EXIT_OK, {}
 
 
 def cmd_pp_test(ns: argparse.Namespace, outdir: str) -> _Outcome:
@@ -518,17 +516,15 @@ def cmd_pp_test(ns: argparse.Namespace, outdir: str) -> _Outcome:
         y, model, RngStream(ns.seed),
         pp_reps=ns.pp_reps, n_draws=ns.draws, scheme=scheme,
     )
-    outputs = [
-        _write_csv(
-            outdir, "summary.csv", ["auc_observed", "pp_reps", "p_value"],
-            [[result.auc_observed, ns.pp_reps, result.p_value]],
-        ),
-        _write_csv(
-            outdir, "predictive.csv", ["replicate", "auc"],
-            ([i, a] for i, a in enumerate(result.predictive_aucs)),
-        ),
-    ]
-    return EXIT_OK, outputs, {}
+    _write_csv(
+        outdir, "summary.csv", ["auc_observed", "pp_reps", "p_value"],
+        [[result.auc_observed, ns.pp_reps, result.p_value]],
+    )
+    _write_csv(
+        outdir, "predictive.csv", ["replicate", "auc"],
+        ([i, a] for i, a in enumerate(result.predictive_aucs)),
+    )
+    return EXIT_OK, {}
 
 
 def cmd_monitor(ns: argparse.Namespace, outdir: str) -> _Outcome:
@@ -592,7 +588,7 @@ def cmd_monitor(ns: argparse.Namespace, outdir: str) -> _Outcome:
     derived = {"draw_lines": counters["total"], "malformed_lines": counters["malformed"]}
     if invalid:
         derived["invalid_draws"] = invalid
-    return EXIT_ALERT if alerted else EXIT_OK, ["trace.csv"], derived
+    return EXIT_ALERT if alerted else EXIT_OK, derived
 
 
 def cmd_validate(ns: argparse.Namespace, outdir: str) -> _Outcome:
@@ -602,7 +598,7 @@ def cmd_validate(ns: argparse.Namespace, outdir: str) -> _Outcome:
         model = _build_model(ns, offsets)
         model.validate_data(y)
         print(f"model {ns.model}: data accepted")
-    return EXIT_OK, [], {}
+    return EXIT_OK, {}
 
 
 def cmd_replay(ns: argparse.Namespace) -> int:
@@ -827,8 +823,7 @@ def build_parser() -> _Parser:
 
 @cache
 def _parser() -> _Parser:
-    """The process's one parser, built on first use; parsing leaves it as it
-    was."""
+    """The process's one parser, built on first use."""
     return build_parser()
 
 
@@ -851,40 +846,22 @@ def _settable(parser: argparse.ArgumentParser, command: str) -> dict[str, argpar
 
 
 def _parse_command_line(parser: _Parser, args: list[str]) -> argparse.Namespace:
-    """Parse a command line and the --config file it names.  The file's
-    tokens and the command line are parsed together, the command line last,
-    so its flags win over the file's."""
-    try:
-        ns = parser.parse_args(args)
-    except _UsageError as exc:
-        # a required flag missing from the command line may be in the file;
-        # any other error, or no file, keeps the strict parse's message
+    """Parse a command line and the --config file it names.  The file is read
+    first, so a fault in it is reported before the command line is checked;
+    its tokens and the command line are then parsed together, the command
+    line last, so its flags win over the file's."""
+    if args and args[0] in _COMMANDS:
+        peek = _Parser(add_help=False)
+        peek.add_argument("--config")
+        peek.add_argument("-h", "--help", action="store_true")
         try:
-            ns = _parse_without_required(parser, args)
-        except _UsageError:
-            raise exc from None
-        if not getattr(ns, "config", None):
-            raise exc from None
-    config_path = getattr(ns, "config", None)
-    if not config_path:
-        return ns
-    tokens = _config_tokens(config_path, _settable(parser, ns.command))
-    return parser.parse_args([args[0], *tokens, *args[1:]])
-
-
-def _parse_without_required(parser: _Parser, args: list[str]) -> argparse.Namespace:
-    """parse_args with every subcommand's required flags made optional."""
-    required = [
-        a for sub in _subcommands(parser).values() for a in sub._actions
-        if a.option_strings and a.required
-    ]
-    for action in required:
-        action.required = False
-    try:
-        return parser.parse_args(args)
-    finally:
-        for action in required:
-            action.required = True
+            given, _ = peek.parse_known_args(args[1:])
+        except _UsageError:  # as --config with no value: the full parse says so
+            given = None
+        if given and given.config and not given.help:
+            tokens = _config_tokens(given.config, _settable(parser, args[0]))
+            return parser.parse_args([args[0], *tokens, *args[1:]])
+    return parser.parse_args(args)
 
 
 def _config_tokens(path: str, actions: dict) -> list[str]:

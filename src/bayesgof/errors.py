@@ -27,3 +27,10 @@ class EvaluationError(BayesgofError, RuntimeError):
 
 class OptimizationError(BayesgofError, RuntimeError):
     """An iterative optimizer failed to converge within its budget."""
+
+
+def first_ten(items: list, text=str) -> str:
+    """`text` of the first ten items, then " and N more, M in all" when there
+    are more: the one rule by which a refusal names its offenders."""
+    more = f" and {len(items) - 10} more, {len(items)} in all" if len(items) > 10 else ""
+    return text(items[:10]) + more

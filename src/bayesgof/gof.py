@@ -21,7 +21,7 @@ import numpy as np
 
 from . import probkit
 from .binning import PROB_FLOOR, BinScheme, assign_discrete_randomized, check_cell_probs, tally
-from .errors import ConfigError, DomainError, EvaluationError, OptimizationError
+from .errors import ConfigError, DomainError, EvaluationError, OptimizationError, first_ten
 from .probkit import RngStream
 
 __all__ = [
@@ -145,7 +145,7 @@ def _check_unit_interval(u: np.ndarray, what: str) -> None:
         bad = ~((u >= 0.0) & (u <= 1.0))
         raise EvaluationError(
             f"{what} produced invalid values at observations "
-            f"{np.unique(np.nonzero(bad)[-1]).tolist()}"
+            f"{first_ten(np.unique(np.nonzero(bad)[-1]).tolist())}"
         )
 
 

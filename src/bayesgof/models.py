@@ -47,7 +47,7 @@ from operator import sub
 import numpy as np
 
 from . import probkit
-from .errors import ConfigError, DataError, DomainError, EvaluationError
+from .errors import ConfigError, DataError, DomainError, EvaluationError, first_ten
 from .probkit import RngStream, split
 
 __all__ = [
@@ -160,11 +160,11 @@ class NormalModel:
         if not (-math.inf < mu_lo and mu_hi < math.inf and 0.0 < sigma_lo and sigma_hi < math.inf):
             rows = t.reshape(-1, 2)
             bad = np.flatnonzero(~(np.isfinite(rows).all(axis=1) & (rows[:, 1] > 0.0)))
-            shown = ", ".join(f"{i}: {tuple(rows[i].tolist())}" for i in bad[:10].tolist())
-            more = f" and {bad.size - 10} more, {bad.size} in all" if bad.size > 10 else ""
-            raise DomainError(
-                f"normal parameters (mu, sigma) outside the space at draws {shown}{more}"
+            shown = first_ten(
+                bad.tolist(),
+                lambda draws: ", ".join(f"{i}: {tuple(rows[i].tolist())}" for i in draws),
             )
+            raise DomainError(f"normal parameters (mu, sigma) outside the space at draws {shown}")
         y = np.asarray(y, dtype=float)
         if t.ndim == 1:  # one draw: n values from its two floats
             return probkit.normal_cdf((y - mu_lo) / sigma_lo)
@@ -270,10 +270,9 @@ def _validate_counts(data, n: int) -> np.ndarray:
     if not np.all(np.isfinite(yf)) or np.any(yf < 0) or np.any(yf != np.floor(yf)):
         raise DataError("counts must be non-negative integers")
     if np.any(yf > 2.0**53):  # above 2**53 a float, and so a CSV value, skips integers
-        bad = np.flatnonzero(yf > 2.0**53)
-        more = f" and {bad.size - 10} more, {bad.size} in all" if bad.size > 10 else ""
+        bad = np.flatnonzero(yf > 2.0**53).tolist()
         raise DataError(
-            f"counts above 2**53 are not held exactly, at observations {bad[:10].tolist()}{more}"
+            f"counts above 2**53 are not held exactly, at observations {first_ten(bad)}"
         )
     return yf.astype(np.int64)
 
@@ -382,7 +381,7 @@ class PoissonSaturated(_PoissonBase):
             bad = np.nonzero(shapes <= 0.0)[0].tolist()
             raise DataError(
                 "improper posterior components (zero count with prior exponent 1) "
-                f"at observations {bad}"
+                f"at observations {first_ten(bad)}"
             )
         return shapes
 

@@ -936,6 +936,43 @@ def test_usage_error_beside_a_config_file_keeps_the_strict_usage(tmp_path, norma
     assert "[-h] --data DATA --model" in err  # the required flags shown as required
 
 
+@pytest.mark.parametrize("form", [["--conf", "{}"], ["--config={}"]])
+def test_config_flag_forms_give_the_bytes_of_config(tmp_path, normal_csv, form):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"data = {normal_csv}\nmodel = normal\ndraws = 40\n")
+    spaced, other = tmp_path / "spaced", tmp_path / "other"
+    assert run_cli("analyze", "--config", cfgfile, "--outdir", spaced) == 0
+    assert run_cli("analyze", *[token.format(cfgfile) for token in form], "--outdir", other) == 0
+    for name in ("summary.csv", "trace.csv"):
+        assert (spaced / name).read_bytes() == (other / name).read_bytes()
+
+
+def test_config_flag_without_a_value_exit_64_with_the_subcommand_usage(capsys):
+    assert run_cli("analyze", "--config") == 64
+    err = capsys.readouterr().err
+    assert "usage: bayesgof analyze [-h] --data DATA --model" in err
+    assert "argument --config: expected one argument" in err
+
+
+def test_replay_takes_no_config_flag_exit_64(tmp_path, capsys):
+    assert run_cli("replay", tmp_path / "manifest.json", "--config", tmp_path / "x") == 64
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_help_beside_a_missing_config_file_exit_0(tmp_path, capsys):
+    with pytest.raises(SystemExit) as done:
+        run_cli("analyze", "--config", tmp_path / "missing.cfg", "-h")
+    assert done.value.code == 0
+    assert "usage: bayesgof analyze" in capsys.readouterr().out
+
+
+def test_missing_config_file_is_reported_before_a_usage_error_exit_65(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run_cli("analyze", "--config", missing, "--k", "abc", "--outdir", tmp_path) == 65
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+
 def _required_flags(parser):
     return {
         (command, a.dest): a.required
@@ -944,9 +981,9 @@ def _required_flags(parser):
 
 
 def test_the_shared_parser_parses_each_call_as_a_fresh_one(tmp_path, normal_csv, capsys):
-    # main parses with one parser per process; a config file that sets a
-    # required flag makes it relax the required flags for one parse, so they
-    # must come back, and each parse must match a fresh parser's
+    # main parses with one parser per process, with and without a config
+    # file and after a usage error: each parse must match a fresh parser's,
+    # and the parser's required flags must stay required
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"data = {normal_csv}\nmodel = normal\ndraws = 40\n")
     first = tmp_path / "first"

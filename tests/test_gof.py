@@ -564,11 +564,9 @@ def test_classical_cdf_ordering(null_run_2000):
 
 def _reference_unit_interval(u, what):
     if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
-        bad = ~((u >= 0.0) & (u <= 1.0))
-        raise EvaluationError(
-            f"{what} produced invalid values at observations "
-            f"{np.unique(np.nonzero(bad)[-1]).tolist()}"
-        )
+        bad = np.unique(np.nonzero(~((u >= 0.0) & (u <= 1.0)))[-1]).tolist()
+        more = f" and {len(bad) - 10} more, {len(bad)} in all" if len(bad) > 10 else ""
+        raise EvaluationError(f"{what} produced invalid values at observations {bad[:10]}{more}")
 
 
 def _reference_assign_randomized(scheme, f_below, f_at, rng):

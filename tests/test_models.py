@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from bayesgof import models, probkit
-from bayesgof.errors import ConfigError, DataError, DomainError
+from bayesgof import binning, gof, models, probkit
+from bayesgof.errors import ConfigError, DataError, DomainError, EvaluationError
 from bayesgof.models import (
     ChainSettings,
     NormalModel,
@@ -369,6 +369,49 @@ def test_normal_obs_cdf_refusal_names_ten_draws_and_the_total():
     assert str(err.value) == (
         "normal parameters (mu, sigma) outside the space at draws 0: (1.0, 0.0)"
     )
+
+
+def test_improper_saturated_posterior_refusal_names_ten_observations_and_the_total():
+    model = PoissonSaturated(np.ones(500), prior_exponent=1.0)
+    with pytest.raises(DataError) as err:
+        model.posterior_draws(np.arange(500) % 2, 10, RngStream(0))
+    assert str(err.value) == (
+        "improper posterior components (zero count with prior exponent 1) at observations "
+        f"{list(range(0, 20, 2))} and 240 more, 250 in all"
+    )
+    with pytest.raises(DataError) as err:
+        model.posterior_draws(np.r_[np.zeros(10), np.ones(490)], 10, RngStream(0))
+    assert str(err.value).endswith(f"at observations {list(range(10))}")
+
+
+def test_out_of_range_cdf_refusal_names_ten_observations_and_the_total():
+    class TooHigh:
+        def obs_cdf(self, y, theta):
+            return np.where(np.arange(y.size) >= 3, 1.5, 0.5)
+
+    with pytest.raises(EvaluationError) as err:
+        gof.posterior_chisq_continuous(np.zeros(40), TooHigh(), None, binning.equiprobable(4))
+    assert str(err.value) == (
+        "CDF transform produced invalid values at observations "
+        f"{list(range(3, 13))} and 27 more, 37 in all"
+    )
+    with pytest.raises(EvaluationError) as err:
+        gof.posterior_chisq_continuous(np.zeros(13), TooHigh(), None, binning.equiprobable(4))
+    assert str(err.value).endswith(f"at observations {list(range(3, 13))}")
+
+
+def test_cell_probabilities_below_the_floor_refusal_names_ten_cells_and_the_total():
+    p = np.full(100, 1e-14)
+    p[[0, 50]] = 0.5 - 49e-14
+    with pytest.raises(EvaluationError) as err:
+        binning.check_cell_probs(p)
+    assert str(err.value) == (
+        f"cell probability below the {binning.PROB_FLOOR} floor in cells "
+        f"{list(range(1, 11))} and 88 more, 98 in all"
+    )
+    with pytest.raises(EvaluationError) as err:
+        binning.check_cell_probs(np.r_[[1e-14] * 10, [0.5 - 5e-14] * 2])
+    assert str(err.value).endswith(f"floor in cells {list(range(10))}")
 
 
 def test_counts_up_to_2_to_the_53_are_read_and_the_common_rate_total_does_not_wrap():

@@ -103,9 +103,10 @@ def _old_pearson(counts, probs):
     if not abs(p.sum() - 1.0) <= 1e-9:
         raise DomainError(f"cell probabilities must sum to 1, got {p.sum()!r}")
     if not p.min() >= gof.PROB_FLOOR:
+        low = np.nonzero(p < gof.PROB_FLOOR)[0].tolist()
+        more = f" and {len(low) - 10} more, {len(low)} in all" if len(low) > 10 else ""
         raise EvaluationError(
-            f"cell probability below the {gof.PROB_FLOOR} floor in cells "
-            f"{np.nonzero(p < gof.PROB_FLOOR)[0].tolist()}"
+            f"cell probability below the {gof.PROB_FLOOR} floor in cells {low[:10]}{more}"
         )
     expected = n[..., None] * p
     value = ((m - expected) ** 2 / expected).sum(axis=-1)
