@@ -171,14 +171,14 @@ def tally(scheme: BinScheme, u) -> np.ndarray:
     row-offset indexes for a batch.  A 2-D batch of fewer cells is counted
     edge by edge instead (_tally_by_edge), with the same counts.
     """
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim == 1:
-        return np.bincount(assign(scheme, arr), minlength=scheme.k)
-    if arr.ndim != 2:
-        raise DomainError(f"tally takes a vector or a 2-D batch, got shape {arr.shape}")
+    rank = np.ndim(u)
+    if rank == 1:
+        return np.bincount(assign(scheme, u), minlength=scheme.k)
+    if rank != 2:
+        raise DomainError(f"tally takes a vector or a 2-D batch, got shape {np.shape(u)}")
     if scheme.k <= _EDGE_LOOP_MAX_CELLS:
-        return _tally_by_edge(scheme, arr)
-    idx = assign(scheme, arr)
+        return _tally_by_edge(scheme, u)
+    idx = assign(scheme, u)
     rows, k = idx.shape[0], scheme.k
     idx += np.arange(rows)[:, None] * k  # row r counts in cells r*k .. r*k + k - 1
     return np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
@@ -192,7 +192,7 @@ def tally(scheme: BinScheme, u) -> np.ndarray:
 _EDGE_LOOP_MAX_CELLS = 64
 
 
-def _tally_by_edge(scheme: BinScheme, arr: np.ndarray) -> np.ndarray:
+def _tally_by_edge(scheme: BinScheme, u) -> np.ndarray:
     """tally of a 2-D batch: for each interior edge, the number of values in
     each row strictly above it.  A cell's count is the count above its left
     edge less the count above its right edge, all n values counted for the
@@ -203,8 +203,8 @@ def _tally_by_edge(scheme: BinScheme, arr: np.ndarray) -> np.ndarray:
     comparison into a reused bool buffer and one sum that adds whole rows of
     it, in the smallest unsigned type that holds n (no count exceeds n).
     """
-    rows, n = arr.shape
-    by_obs = np.ascontiguousarray(_unit_values(arr).T)
+    by_obs = np.ascontiguousarray(_unit_values(u).T)
+    n, rows = by_obs.shape
     above = np.empty((rows, scheme.k + 1), dtype=np.intp)
     above[:, 0] = n
     above[:, -1] = 0

@@ -139,8 +139,9 @@ def pearson(counts, probs):
     return float(value) if m.ndim == 1 else value
 
 
-def _check_unit_interval(u: np.ndarray, what: str) -> None:
+def _check_unit_interval(u, what: str) -> None:
     # one min/max pass; NaN fails both comparisons
+    u = np.asarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
         bad = ~((u >= 0.0) & (u <= 1.0))
         raise EvaluationError(
@@ -160,8 +161,7 @@ def posterior_chisq_continuous(data, model, theta, scheme: BinScheme) -> BinnedS
     theta may also be a stack of draws from the model's posterior_sample; row i
     of the result then equals the call at draw i alone.
     """
-    y = np.asarray(data, dtype=float)
-    u = np.asarray(model.obs_cdf(y, theta), dtype=float)
+    u = model.obs_cdf(data, theta)
     try:
         counts = tally(scheme, u)
     except DomainError:
@@ -183,9 +183,7 @@ def posterior_chisq_discrete_randomized(
     0 <= f_below <= f_at <= 1 is refused, naming the observations whose
     CDF values leave [0, 1].
     """
-    f_below, f_at = model.obs_cdf_pair(np.asarray(data), theta)
-    f_below = np.asarray(f_below, dtype=float)
-    f_at = np.asarray(f_at, dtype=float)
+    f_below, f_at = model.obs_cdf_pair(data, theta)
     try:
         idx = assign_discrete_randomized(scheme, f_below, f_at, rng)
     except DomainError:
@@ -209,10 +207,11 @@ def posterior_chisq(data, model, theta, scheme: BinScheme, rng=None) -> BinnedSt
         raise ConfigError("discrete models need an rng for randomized allocation")
     if np.ndim(theta) != 2:
         return posterior_chisq_discrete_randomized(data, model, theta, scheme, rng)
+    y = np.asarray(data, dtype=float)  # converted once for all rows
     values = np.empty(len(theta))
     counts = np.empty((len(theta), scheme.k), dtype=np.int64)
     for i, row in enumerate(theta):
-        stat = posterior_chisq_discrete_randomized(data, model, row, scheme, rng)
+        stat = posterior_chisq_discrete_randomized(y, model, row, scheme, rng)
         values[i], counts[i] = stat.value, stat.counts
     return BinnedStat(values, counts)
 

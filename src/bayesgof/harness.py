@@ -3,14 +3,15 @@
 The studies name no model.  The caller passes a model and its true
 parameter, and a null replicate's data are model.predictive_draw(truth, ...)
 as in Cook, Gelman & Rubin (2006).  The power study's alternatives are
-Student-t data; there, truth fixes the classical cells.
+Student-t data; there, truth fixes the classical cells.  _Replicate, the one
+implementation of the table's study rows, takes its data as a callable, a
+partial of model.predictive_draw or of generate_t, and names neither.
 
 Replicates are independent work units.  Each replicate r derives its own
 random stream as split(root, r), so results are identical for any worker
 count and unaffected by adding or removing other replicates.  Each worker
-thread runs one contiguous block of replicates (_Block), and the blocks'
-records are joined in replicate order.  _Replicate is the one
-implementation of the table's study rows; each study reduces its records.
+thread runs one contiguous block, partial(_block, spec, root) at a
+(start, stop) pair, and the blocks' records are joined in replicate order.
 
 Stream layout (fixed, documented so runs can be reproduced precisely):
   calibration / size studies   replicate r: data split(c,0), posterior
@@ -47,6 +48,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -309,29 +311,25 @@ class _Record(NamedTuple):
 
 @dataclass(frozen=True)
 class _Replicate:
-    """One replicate from its stream c: data from split(c, 0) at truth, or
-    Student-t data when df is set; the posterior from split(c, 1); a discrete
-    model's randomization from split(c, 2).  draws None scores one
-    model.posterior_draw, else model.posterior_sample's stack gives the AUC
-    and the fraction above threshold.  With edges the grouped fit runs on
-    those classical cells, from the plugin fit's start when plugin is set."""
+    """One replicate from its stream c: data(rng=split(c, 0), n=n), the
+    posterior from split(c, 1) and a discrete model's randomization from
+    split(c, 2).  draws None scores one model.posterior_draw, else
+    model.posterior_sample's stack gives the AUC and the fraction above
+    threshold.  With edges the grouped fit runs on those classical cells,
+    from the plugin fit's start when plugin is set.  Pickles if data does."""
 
     model: object
-    truth: object
+    data: Callable[..., np.ndarray]
     n: int
     scheme: BinScheme
     draws: int | None = None
     threshold: float = math.nan
-    df: float | None = None
     edges: np.ndarray | None = None
     plugin: bool = False
 
     def __call__(self, c: RngStream) -> _Record:
         model, scheme = self.model, self.scheme
-        if self.df is None:
-            y = model.predictive_draw(self.truth, split(c, 0), n=self.n)
-        else:
-            y = generate_t(self.n, self.df, split(c, 0))
+        y = self.data(rng=split(c, 0), n=self.n)
         auc = fraction = plugin = grouped = math.nan
         iterations = 0
         if self.draws is None:
@@ -357,19 +355,12 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class _Block:
-    """The replicates start <= r < stop of one study.  Called, it gives
-    spec's records at the streams split(root, r) in replicate order; being
-    module-level and frozen, it pickles."""
-
-    spec: _Replicate
-    root: RngStream
-    start: int
-    stop: int
-
-    def __call__(self) -> list[_Record]:
-        return [self.spec(split(self.root, r)) for r in range(self.start, self.stop)]
+def _block(spec: _Replicate, root: RngStream, bounds: tuple[int, int]) -> list[_Record]:
+    """spec's records at the streams split(root, r), start <= r < stop for
+    bounds = (start, stop), in replicate order.  Module-level, so a partial
+    of it pickles."""
+    start, stop = bounds
+    return [spec(split(root, r)) for r in range(start, stop)]
 
 
 def _run(spec: _Replicate, root: RngStream, reps: int, workers: int) -> _Record:
@@ -379,12 +370,12 @@ def _run(spec: _Replicate, root: RngStream, reps: int, workers: int) -> _Record:
     block runs inline, more run one per thread."""
     threads = min(workers, reps, _usable_cpus())
     bounds = [b * reps // threads for b in range(threads + 1)]
-    blocks = [_Block(spec, root, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    block, spans = partial(_block, spec, root), list(zip(bounds, bounds[1:]))
     if threads == 1:
-        records = blocks[0]()
+        records = block(spans[0])
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = [rec for block in pool.map(_Block.__call__, blocks) for rec in block]
+            records = [rec for recs in pool.map(block, spans) for rec in recs]
     return _Record(*map(np.array, zip(*records)))
 
 
@@ -413,7 +404,8 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
         _require_continuous(model, "classical statistics are")
         grouped_dof = _grouped_dof(k, model)
         edges = model.quantile_edges(truth, k)
-    spec = _Replicate(model, truth, config.n, equiprobable(k), edges=edges, plugin=True)
+    data = partial(model.predictive_draw, truth)
+    spec = _Replicate(model, data, config.n, equiprobable(k), edges=edges, plugin=True)
     out = _run(spec, root, config.replicates, config.workers)
     series = {"posterior": _series(out.statistic, k - 1, config.ks_alpha)}
     grouped_iterations = None
@@ -444,7 +436,8 @@ def null_auc_distribution(config: ExperimentConfig, model, truth) -> AucDistribu
     root = RngStream(config.seed)
     k = config.k
     threshold = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
-    spec = _Replicate(model, truth, config.n, equiprobable(k), config.draws_per_dataset, threshold)
+    data = partial(model.predictive_draw, truth)
+    spec = _Replicate(model, data, config.n, equiprobable(k), config.draws_per_dataset, threshold)
     out = _run(spec, root, config.replicates, config.workers)
     values, fractions = np.sort(out.auc), np.sort(out.fraction)
     return AucDistribution(
@@ -494,13 +487,11 @@ def power_study(
         raise ConfigError(f"auc_critical must lie in (0, 1), got {auc_critical}")
     k = config.k
     single_crit = probkit.chi2_quantile(k - 1, 1.0 - config.alpha)
-    spec = _Replicate(
-        model, None, config.n, equiprobable(k), config.draws_per_dataset, single_crit,
-        edges=model.quantile_edges(truth, k) if grouped else None,
-    )
-    reps = config.replicates
-    outs = [_run(replace(spec, df=df), split(root, d), reps, config.workers)
-            for d, df in enumerate(config.df_grid)]
+    scheme, reps = equiprobable(k), config.replicates
+    edges = model.quantile_edges(truth, k) if grouped else None
+    specs = [_Replicate(model, partial(generate_t, df=df), config.n, scheme,
+                        config.draws_per_dataset, single_crit, edges) for df in config.df_grid]
+    outs = [_run(spec, split(root, d), reps, config.workers) for d, spec in enumerate(specs)]
     critical = {"auc": auc_critical, "single-draw": single_crit, "grouped": grouped_crit}
     rows = []
     for df, out in zip(config.df_grid, outs):
@@ -579,16 +570,14 @@ def predictive_auc_test(
     y = model.validate_data(data)
     if pp_reps < 1:
         raise ConfigError("pp_reps must be positive")
-    sch = scheme if scheme is not None else equiprobable(default_bin_count(y.size))
-
-    observed = analyze(y, model, split(rng, 0), n_draws=n_draws, scheme=sch).auc
+    observed = analyze(y, model, split(rng, 0), n_draws=n_draws, scheme=scheme).auc
     thetas = model.posterior_sample(y, pp_reps, split(rng, 1))
     aucs = np.empty(pp_reps)
     for m_idx, theta in enumerate(thetas):
         c = split(rng, 2 + m_idx)
         y_pp = model.predictive_draw(theta, split(c, 0), n=y.size)
         try:
-            aucs[m_idx] = analyze(y_pp, model, split(c, 1), n_draws=n_draws, scheme=sch).auc
+            aucs[m_idx] = analyze(y_pp, model, split(c, 1), n_draws=n_draws, scheme=scheme).auc
         except DataError as exc:
             raise EvaluationError(
                 f"predictive replicate {m_idx} violates model data requirements: {exc}"

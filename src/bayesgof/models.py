@@ -3,6 +3,8 @@
 Every model exposes the same behavioral surface consumed by the gof,
 harness and cli modules:
 
+- ``validate_data(data)`` returns the checked data as a float64 vector;
+  counts above 2**53 are refused, so it holds each count exactly;
 - ``obs_cdf(y, theta)`` (continuous) evaluates each observation's own CDF at
   the observed value; given a stack of draws it returns draws x
   observations, row i equal to the call at draw i alone;
@@ -83,7 +85,10 @@ def _normal_sample(data) -> tuple[np.ndarray, float, float]:
     d = y - mean
     ss = np.add.reduce(d * d)
     if ss / (y.size - 1) <= 0.0:
-        raise DataError("degenerate sample: all observations are equal")
+        if np.minimum.reduce(y) == np.maximum.reduce(y):
+            raise DataError("degenerate sample: all observations are equal")
+        raise DataError("sample spread underflows: the observations differ, but their "
+                        "squared deviations round to 0 in double precision")
     return y, mean, ss
 
 
@@ -274,7 +279,7 @@ def _validate_counts(data, n: int) -> np.ndarray:
         raise DataError(
             f"counts above 2**53 are not held exactly, at observations {first_ten(bad)}"
         )
-    return yf.astype(np.int64)
+    return yf
 
 
 _TINY = np.finfo(float).tiny
@@ -288,7 +293,7 @@ def _poisson_cdf_pair(y: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.
     low = np.minimum.reduce(means, axis=None)
     if not (_TINY <= low and np.maximum.reduce(means, axis=None) < np.inf):
         raise EvaluationError(f"Poisson means must be normal finite doubles, got {low}")
-    k = np.asarray(y, dtype=float)  # converted once; poisson_cdf takes floats as they are
+    k = np.asarray(y, dtype=float)  # poisson_cdf takes floats as they are
     f_at = probkit.poisson_cdf(means, k)
     f_below = probkit.poisson_cdf(means, k - 1.0)
     return f_below, f_at
@@ -308,7 +313,7 @@ class _PoissonBase:
         return _validate_counts(data, self.n_obs)
 
     def obs_cdf_pair(self, y, theta):
-        return _poisson_cdf_pair(np.asarray(y), self.means(theta))
+        return _poisson_cdf_pair(y, self.means(theta))
 
     def posterior_draw(self, data, rng: RngStream) -> np.ndarray:
         return self.posterior_sample(data, 1, rng)[0]
@@ -344,10 +349,10 @@ class PoissonCommonRate(_PoissonBase):
         return np.asarray(theta, dtype=float)[..., :1] * self.offsets
 
     def posterior_draws(self, data, size: int, rng: RngStream) -> np.ndarray:
-        total = sum(self.validate_data(data).tolist())  # Python ints do not wrap
+        total = math.fsum(self.validate_data(data).tolist())  # exact, rounded once
         if total < 1:
             raise DataError("all counts are zero: the rate posterior is improper")
-        return rng.generator.gamma(float(total), 1.0 / self.offsets.sum(), (size, 1))
+        return rng.generator.gamma(total, 1.0 / self.offsets.sum(), (size, 1))
 
 
 class PoissonSaturated(_PoissonBase):
@@ -484,7 +489,7 @@ class PoissonExchangeable(_PoissonBase):
         """size draws, kept one every thin sweeps after self.settings' burn-in."""
         if size < 1:
             raise ConfigError(f"the chain needs at least one retained draw, got {size}")
-        y = self.validate_data(data).astype(float)
+        y = self.validate_data(data)
         if y.sum() < 1:
             raise DataError("all counts are zero: cannot initialize the chain")
         cfg = self.settings

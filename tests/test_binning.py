@@ -11,6 +11,19 @@ from bayesgof.errors import DomainError
 from bayesgof.probkit import RngStream
 
 
+@pytest.mark.parametrize("k", [4, binning._EDGE_LOOP_MAX_CELLS, binning._EDGE_LOOP_MAX_CELLS + 1])
+def test_tally_of_lists_equals_the_array_call(k):
+    # a 2-D batch is counted edge by edge up to _EDGE_LOOP_MAX_CELLS cells,
+    # by search above; a vector always by search
+    u = RngStream(7).generator.random((3, 40))
+    u[0, :3] = (0.0, -0.0, 1.0)
+    scheme = equiprobable(k)
+    assert np.array_equal(tally(scheme, u[0].tolist()), tally(scheme, u[0]))
+    assert np.array_equal(tally(scheme, u.tolist()), tally(scheme, u))
+    with pytest.raises(DomainError, match=r"got shape \(1, 3, 40\)$"):
+        tally(scheme, [u.tolist()])
+
+
 def test_equiprobable_edges():
     assert np.allclose(equiprobable(5).edges, (0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
     assert np.allclose(equiprobable(2).edges, (0.0, 0.5, 1.0))

@@ -45,7 +45,7 @@ def poisson_csv(tmp_path):
     return path
 
 
-def test_usage_errors_exit_64(tmp_path, capsys):
+def test_usage_errors_exit_64(tmp_path, capsys, normal_csv):
     assert run_cli("no-such-command") == 64
     assert run_cli("simulate-null", "--bogus-flag") == 64
     assert run_cli("power", "--df", "0..3", "--outdir", tmp_path) == 64
@@ -53,6 +53,14 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         assert run_cli("power", "--df", df, "--outdir", tmp_path) == 64
     assert run_cli("power", "--methods", "bogus", "--outdir", tmp_path) == 64
     assert run_cli("power", "--reps", "5", "--full-scale", "--outdir", tmp_path) == 64
+    # settings out of range, refused before any draw
+    assert run_cli("analyze", "--data", normal_csv, "--model", "normal", "--draws", "0",
+                   "--outdir", tmp_path) == 64
+    assert run_cli("pp-test", "--data", normal_csv, "--model", "normal", "--pp-reps", "0",
+                   "--outdir", tmp_path) == 64
+    assert run_cli("simulate-null", "--workers", "0", "--outdir", tmp_path) == 64
+    for critical in ("1.5", "0", "nan"):
+        assert run_cli("power", "--auc-critical", critical, "--outdir", tmp_path) == 64
     err = capsys.readouterr().err
     assert "usage" in err
 
@@ -74,6 +82,23 @@ def test_non_numeric_row_exit_65(tmp_path, capsys):
     path.write_text("y\n1.0\nabc\n")
     assert run_cli("validate", "--data", path, "--outdir", tmp_path) == 65
     assert "row 3 is not numeric" in capsys.readouterr().err
+    for value in ("nan", "inf"):
+        path.write_text(f"y\n1.0\n{value}\n")
+        assert run_cli("validate", "--data", path, "--outdir", tmp_path) == 65
+        assert "column y contains non-finite values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, message", [
+    ("5 5 5", "degenerate sample: all observations are equal"),
+    ("1e-320 2e-320 3e-320", "sample spread underflows: the observations differ, but their "
+                             "squared deviations round to 0 in double precision"),
+])
+def test_sample_without_spread_exit_65_saying_why(tmp_path, capsys, values, message):
+    path = tmp_path / "flat.csv"
+    path.write_text("y\n" + "\n".join(values.split()) + "\n")
+    assert run_cli("analyze", "--data", path, "--model", "normal", "--draws", "10",
+                   "--outdir", tmp_path) == 65
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_offset_column_named(tmp_path, normal_csv, capsys):

@@ -15,7 +15,7 @@ from scipy import special as sp
 
 from bayesgof import gof, probkit
 from bayesgof.binning import assign, assign_discrete_randomized, equiprobable
-from bayesgof.errors import DomainError, EvaluationError, OptimizationError
+from bayesgof.errors import ConfigError, DomainError, EvaluationError, OptimizationError
 from bayesgof.gof import (
     exceedance,
     grouped_chisq,
@@ -134,6 +134,34 @@ def test_continuous_out_of_range_cdf_names_its_observations(u, named):
     with pytest.raises(EvaluationError, match=rf"CDF transform produced invalid values at "
                                               rf"observations \[{', '.join(map(str, named))}\]$"):
         posterior_chisq_continuous(y, model, None, equiprobable(4))
+
+
+def test_continuous_cdf_of_another_rank_gets_the_tally_error_as_it_is():
+    # the values lie in [0, 1], so the unit-interval diagnosis names nothing
+    model = _FixedCdf(np.full((2, 2, 3), 0.5))
+    with pytest.raises(DomainError) as err:
+        posterior_chisq_continuous(np.zeros(3), model, None, equiprobable(4))
+    assert str(err.value) == "tally takes a vector or a 2-D batch, got shape (2, 2, 3)"
+
+
+def test_count_model_without_an_rng_is_refused():
+    with pytest.raises(ConfigError, match="discrete models need an rng"):
+        gof.posterior_chisq([1, 2, 3], PoissonCommonRate(np.ones(3)), [2.0], equiprobable(3))
+
+
+@pytest.mark.parametrize("model, data, draws", [
+    (NormalModel(), [0.3, -1.2, 2.5, 0.7, 1.1, -0.4], [(0.5, 1.5), (0.1, 0.9), (1.0, 2.0)]),
+    (PoissonCommonRate(np.ones(6)), [3, 0, 5, 2, 7, 1], [(2.5,), (3.0,), (4.5,)]),
+])
+def test_posterior_chisq_of_lists_and_tuples_equals_the_array_call(model, data, draws):
+    # each layer converts what it first needs: the data as a list, a draw as
+    # a tuple and a stack as a list of tuples give the arrays' statistic
+    scheme = equiprobable(3)
+    for theta in (draws[0], draws):
+        given = gof.posterior_chisq(data, model, theta, scheme, RngStream(4))
+        arrays = gof.posterior_chisq(np.array(data), model, np.array(theta), scheme, RngStream(4))
+        assert np.asarray(given.value).tobytes() == np.asarray(arrays.value).tobytes()
+        assert np.array_equal(given.counts, arrays.counts)
 
 
 def test_randomized_single_observation_two_cells():

@@ -3,6 +3,7 @@ analysis summaries, the predictive significance test, and the stream monitor."""
 
 import collections
 import dataclasses
+import functools
 import os
 import pickle
 
@@ -126,7 +127,7 @@ def test_worker_count_does_not_change_results():
 
 class _RecordingPool:
     """Stands in for ThreadPoolExecutor: records the pool size it is asked
-    for and the (start, stop) bounds of the blocks it maps, and runs the map
+    for and the (start, stop) pairs of the blocks it maps, and runs the map
     inline, starting no thread."""
 
     def __init__(self, sizes, max_workers, bounds):
@@ -141,7 +142,7 @@ class _RecordingPool:
 
     def map(self, fn, iterable):
         blocks = list(iterable)
-        self.bounds.append([(b.start, b.stop) for b in blocks])
+        self.bounds.append(blocks)
         return map(fn, blocks)
 
 
@@ -201,18 +202,20 @@ def test_usable_cpus_bounds_the_threads():
 
 
 def test_replicate_spec_pickles():
-    model = NormalModel()
-    spec = harness._Replicate(model, STANDARD_NORMAL, 30, equiprobable(5), draws=20,
-                              threshold=probkit.chi2_quantile(4, 0.95),
-                              edges=model.quantile_edges(STANDARD_NORMAL, 5), plugin=True)
-    record = spec(split(RngStream(5), 0))
-    assert not any(np.isnan(record))
-    assert pickle.loads(pickle.dumps(spec))(split(RngStream(5), 0)) == record
-    # a block of replicates pickles too and gives the records run inline
-    root = RngStream(5)
-    block = harness._Block(spec, root, 2, 5)
-    inline = [spec(split(root, r)) for r in range(2, 5)]
-    assert pickle.loads(pickle.dumps(block))() == inline
+    # with the null studies' data and with the power study's
+    model, root = NormalModel(), RngStream(5)
+    for data in (functools.partial(model.predictive_draw, STANDARD_NORMAL),
+                 functools.partial(generate_t, df=3)):
+        spec = harness._Replicate(model, data, 30, equiprobable(5), draws=20,
+                                  threshold=probkit.chi2_quantile(4, 0.95),
+                                  edges=model.quantile_edges(STANDARD_NORMAL, 5), plugin=True)
+        record = spec(split(root, 0))
+        assert not any(np.isnan(record))
+        assert pickle.loads(pickle.dumps(spec))(split(root, 0)) == record
+        # a block of replicates pickles too and gives the records run inline
+        block = functools.partial(harness._block, spec, root)
+        inline = [spec(split(root, r)) for r in range(2, 5)]
+        assert pickle.loads(pickle.dumps(block))((2, 5)) == inline
 
 
 def test_null_calibration_stream_layout_on_counts():

@@ -423,6 +423,26 @@ def test_counts_up_to_2_to_the_53_are_read_and_the_common_rate_total_does_not_wr
     np.testing.assert_allclose(draws, 2.0**53, rtol=1e-8)
 
 
+@pytest.mark.parametrize("model", [
+    PoissonCommonRate(np.ones(5)), PoissonSaturated(np.ones(5)), PoissonExchangeable(np.ones(5)),
+])
+def test_count_models_validate_data_to_float64_holding_each_count(model):
+    counts = [0, 7, 2**52 + 1, 2**53 - 1, 2**53]
+    for data in (counts, np.array(counts, dtype=np.int64), np.array(counts, dtype=float)):
+        y = model.validate_data(data)
+        assert y.dtype == np.float64
+        assert [int(v) for v in y.tolist()] == counts
+
+
+def test_common_rate_shape_is_the_count_total_rounded_once():
+    # 2**53 + 1 + 1 summed in floats rounds to 2**53 at each step; the shape
+    # is the exact total 2**53 + 2, a double
+    model = PoissonCommonRate(np.ones(3))
+    draws = model.posterior_draws([2**53, 1, 1], 5, RngStream(3))
+    assert np.array_equal(draws, RngStream(3).generator.gamma(2.0**53 + 2, 1 / 3, (5, 1)))
+    assert not np.array_equal(draws, RngStream(3).generator.gamma(2.0**53, 1 / 3, (5, 1)))
+
+
 def test_exchangeable_collapse_to_common_rate():
     # sigma2 pinned at ~0 makes exp(alpha0) follow the common-rate posterior
     from bayesgof.harness import ks_statistic

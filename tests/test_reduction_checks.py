@@ -123,7 +123,10 @@ def _old_normal_sample(data):
     d = y - mean
     ss = np.add.reduce(d * d)
     if ss / (y.size - 1) <= 0.0:
-        raise DataError("degenerate sample: all observations are equal")
+        if np.all(y == y[0]):
+            raise DataError("degenerate sample: all observations are equal")
+        raise DataError("sample spread underflows: the observations differ, but their "
+                        "squared deviations round to 0 in double precision")
     return y, mean, ss
 
 
