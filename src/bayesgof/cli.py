@@ -17,8 +17,9 @@ own parser; a config file may set required flags, and a manifest key it
 lacks takes the flag's default.
 
 Exit codes: 0 success, 2 calibration assertion failed, 3 monitor alert,
-64 usage error or unusable output directory or file, 65 data error (a
-recorded value the flag rejects too), 70 numerical failure.
+64 usage error, unusable output directory or file, or a setting too large
+for memory, 65 data error (a recorded value the flag rejects too), 70
+numerical failure.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ flags take true/false.
 
 EXIT_HELP = """\
 Exit codes: 0 ok; 2 calibration assertion failed (--assert-calibrated);
-3 monitor alert; 64 usage error or unusable output; 65 data error;
-70 numerical failure.
+3 monitor alert; 64 usage error, unusable output or a setting too large
+for memory; 65 data error; 70 numerical failure.
 Environment: BAYESGOF_OUTDIR sets the default output directory.
 """
 
@@ -925,6 +926,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # as numpy's refusal of a 1e14-element array
+        print(f"error: a setting is too large for memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

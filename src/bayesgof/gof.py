@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import add, mul, truediv
+from operator import add, mul
 
 import numpy as np
 
@@ -276,37 +275,23 @@ def _group_loglik(model, edges: list, counts: list, vec: list, start: RawStart |
     return sum(map(mul, counts, map(math.log, p))), theta, p
 
 
-def _cholesky_solve(lower: list, b: list) -> list:
-    """x with A x = b, for the symmetric s x s matrix A given by the rows of
-    its lower triangle (row i holds i + 1 entries), by a Cholesky
-    factorization A = L L' in plain loops.  OptimizationError unless A is
-    positive definite, which a singular matrix is not."""
-    factor: list[list[float]] = []  # the rows of L
-    x: list[float] = []  # first the solution z of L z = b, row by row
-    for i, row in enumerate(lower):
-        li: list[float] = []
-        for j, lj in enumerate(factor):
-            v = row[j]
-            for k in range(j):
-                v -= li[k] * lj[k]
-            li.append(v / lj[j])
-        pivot, v = row[i], b[i]
-        for l_k, x_k in zip(li, x):
-            pivot -= l_k * l_k
-            v -= l_k * x_k
-        if not pivot > 0.0:  # NaN fails too
-            raise OptimizationError("grouped-fit information matrix is not positive definite")
-        diagonal = math.sqrt(pivot)
-        li.append(diagonal)
-        factor.append(li)
-        x.append(v / diagonal)
-    # then, last row first, the solution of L' x = z in place
-    for i in range(len(x) - 1, -1, -1):
-        v = x[i]
-        for j in range(i + 1, len(x)):
-            v -= factor[j][i] * x[j]
-        x[i] = v / factor[i][i]
-    return x
+def _cholesky_step(i_aa: float, i_ba: float, i_bb: float, g_a: float, g_b: float) -> tuple:
+    """x with I x = g for the 2 x 2 information I = [[i_aa, i_ba], [i_ba,
+    i_bb]] and the score g, through the Cholesky factor of I: pivots d_a =
+    sqrt(i_aa) and d_b = sqrt(i_bb - l^2), l = i_ba / d_a.
+    OptimizationError unless I is positive definite, which a singular I is
+    not."""
+    if not i_aa > 0.0:  # NaN fails too
+        raise OptimizationError("grouped-fit information matrix is not positive definite")
+    d_a = math.sqrt(i_aa)
+    low = i_ba / d_a
+    pivot = i_bb - low * low
+    if not pivot > 0.0:
+        raise OptimizationError("grouped-fit information matrix is not positive definite")
+    d_b = math.sqrt(pivot)
+    z_a = g_a / d_a  # L z = g, then L' x = z
+    x_b = (g_b - low * z_a) / d_b / d_b
+    return (z_a - low * x_b) / d_a, x_b
 
 
 def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedStat:
@@ -329,14 +314,14 @@ def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedSt
     probabilities need only lie at or above 1e-300, not at PROB_FLOOR as
     for the plugin statistic.
 
-    The steps run on Python floats, with no array inside the loop: the
-    counts and edges are converted once, the model's cell_probs and
-    cell_probs_jacobian return lists, the score and the lower triangle of I
-    are sums over the cells of products of J's columns, and the step solves
-    I by a Cholesky factorization in plain loops, for any number s of free
-    parameters.  A trial step at which theta overflows, sigma underflows to
-    0, or a cell probability is NaN or below 1e-300, has l = -inf and is
-    halved.
+    The model has s = 2 free parameters, as every classical comparator
+    does, and the steps run on Python floats, with no array inside the
+    loop: the counts and edges are converted once, the model's cell_probs
+    and cell_probs_jacobian return lists, one pass over the K cells sums the
+    two score entries and the three distinct entries of I, and the step
+    solves I through its 2 x 2 Cholesky factor.  A trial step at which
+    theta overflows, sigma underflows to 0, or a cell probability is NaN or
+    below 1e-300, has l = -inf and is halved.
 
     EvaluationError: l is not finite at the start, or a fitted cell
     probability lies below the floor.  OptimizationError: the information
@@ -354,21 +339,23 @@ def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedSt
     if loglik == -math.inf:
         raise EvaluationError("grouped likelihood is not finite at the raw MLE start")
     for iterations in range(1, SCORING_MAX_ITER + 1):
-        # the columns of J, one per free parameter
-        columns = list(zip(*model.cell_probs_jacobian(cuts, theta)))
-        ratio = list(map(truediv, counts, probs))
-        score = [sum(map(mul, col, ratio)) for col in columns]
-        info = []
-        for a, col in enumerate(columns):
-            weighted = list(map(truediv, col, probs))
-            info.append([n * sum(map(mul, weighted, columns[b])) for b in range(a + 1)])
-        if not all(map(math.isfinite, chain.from_iterable(info))):
+        # one pass over the K rows (J_a, J_b) of J: the score terms, the
+        # information terms (J_a / p) J_a, (J_b / p) J_a and (J_b / p) J_b,
+        # and m / p
+        terms = []
+        for m_j, p_j, (ja, jb) in zip(counts, probs, model.cell_probs_jacobian(cuts, theta)):
+            r = m_j / p_j
+            wa, wb = ja / p_j, jb / p_j
+            terms.append((ja * r, jb * r, wa * ja, wb * ja, wb * jb, r))
+        g_a, g_b, s_aa, s_ba, s_bb, ratio_sum = map(sum, zip(*terms))
+        i_aa, i_ba, i_bb = n * s_aa, n * s_ba, n * s_bb
+        if not all(map(math.isfinite, (i_aa, i_ba, i_bb))):
             raise OptimizationError("grouped-fit information matrix is not finite")
         # l is rounded by about one unit per unit of |l| + sum(m / p): the
         # sum, and cell probabilities with an absolute rounding error
-        tol = SCORING_TOL * (1.0 + abs(loglik) + sum(ratio))
-        step = _cholesky_solve(info, score)
-        decrement = sum(map(mul, score, step))
+        tol = SCORING_TOL * (1.0 + abs(loglik) + ratio_sum)
+        step = _cholesky_step(i_aa, i_ba, i_bb, g_a, g_b)
+        decrement = g_a * step[0] + g_b * step[1]
         for _ in range(SCORING_MAX_HALVINGS):
             trial_vec = list(map(add, vec, step))
             trial = _group_loglik(model, cuts, counts, trial_vec)

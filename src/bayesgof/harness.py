@@ -357,10 +357,20 @@ def _usable_cpus() -> int:
 
 def _block(spec: _Replicate, root: RngStream, bounds: tuple[int, int]) -> list[_Record]:
     """spec's records at the streams split(root, r), start <= r < stop for
-    bounds = (start, stop), in replicate order.  Module-level, so a partial
-    of it pickles."""
+    bounds = (start, stop), in replicate order.  A replicate's data that
+    the model refuses are the program's, not the user's: the DataError is
+    raised as an EvaluationError naming r.  Module-level, so a partial of
+    it pickles."""
     start, stop = bounds
-    return [spec(split(root, r)) for r in range(start, stop)]
+    records = []
+    for r in range(start, stop):
+        try:
+            records.append(spec(split(root, r)))
+        except DataError as exc:
+            raise EvaluationError(
+                f"replicate {r} violates model data requirements: {exc}"
+            ) from exc
+    return records
 
 
 def _run(spec: _Replicate, root: RngStream, reps: int, workers: int) -> _Record:

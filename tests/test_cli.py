@@ -404,6 +404,39 @@ def test_pp_test_replicate_violating_the_model_exit_70(tmp_path, model, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ("analyze", "--model", "normal", "--draws", "100000000000000"),
+    ("power", "--draws", "100000000000000", "--reps", "2"),
+    ("simulate-null", "--n", "100000000000000", "--reps", "1"),
+])
+def test_setting_too_large_for_memory_exits_64(tmp_path, capsys, normal_csv, command):
+    # 1e14 elements: numpy refuses the array at once, allocating nothing
+    data = ("--data", normal_csv) if command[0] == "analyze" else ()
+    out = tmp_path / "run"
+    assert run_cli(*command, *data, "--outdir", out) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: a setting is too large for memory: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_simulated_replicate_violating_the_model_exit_70(tmp_path, monkeypatch, capsys, workers):
+    # at mean 6 and seed 2, replicates 9, 11 and 19 hold a zero count, which
+    # the prior exponent 1 refuses; three threads run 0-5, 6-12 and 13-19,
+    # and the lowest, 9, is named at any worker count
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    out = tmp_path / "run"
+    assert run_cli("simulate-null", "--model", "poisson-synthetic", "--prior-exponent", "1",
+                   "--mean", "6", "--seed", "2", "--reps", "20", "--workers", workers,
+                   "--outdir", out) == 70
+    assert capsys.readouterr().err == (
+        "numerical failure: replicate 9 violates model data requirements: improper "
+        "posterior components (zero count with prior exponent 1) at observations [49]\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_pp_test_outputs(tmp_path, normal_csv):
     out = tmp_path / "run"
     assert run_cli("pp-test", "--data", normal_csv, "--model", "normal",

@@ -501,15 +501,28 @@ def test_grouped_raises_on_an_information_not_positive_definite():
         grouped_chisq(_spread_sample(), _SingularInformation(), edges)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
-def test_cholesky_solve_matches_numpy(s):
-    gen = np.random.default_rng(40 + s)
+class _InfiniteInformation(NormalModel):
+    """NormalModel whose Jacobian has an infinite entry in its last row."""
+
+    def cell_probs_jacobian(self, edges, theta):
+        *rows, (d_mu, _) = super().cell_probs_jacobian(edges, theta)
+        return [*rows, (d_mu, math.inf)]
+
+
+def test_grouped_raises_on_an_information_not_finite():
+    edges = probkit.normal_quantile(np.arange(1, 5) / 5)
+    with pytest.raises(OptimizationError, match="information matrix is not finite"):
+        grouped_chisq(_spread_sample(), _InfiniteInformation(), edges)
+
+
+def test_cholesky_solve_matches_numpy():
+    gen = np.random.default_rng(42)
     for _ in range(50):
-        a = gen.standard_normal((s, s))
-        spd = a @ a.T + 0.1 * np.eye(s)
-        b = gen.standard_normal(s)
-        lower = [spd[i, : i + 1].tolist() for i in range(s)]
-        x = np.array(gof._cholesky_solve(lower, b.tolist()))
+        a = gen.standard_normal((2, 2))
+        spd = a @ a.T + 0.1 * np.eye(2)
+        b = gen.standard_normal(2)
+        (i_aa, _), (i_ba, i_bb) = spd.tolist()
+        x = np.array(gof._cholesky_step(i_aa, i_ba, i_bb, *b.tolist()))
         ref = np.linalg.solve(spd, b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -519,12 +532,12 @@ def test_cholesky_solve_matches_numpy(s):
     [[0.0], [0.0, 1.0]],  # singular: a zero pivot first
     [[1.0], [2.0, 1.0]],  # indefinite: eigenvalues 3 and -1
     [[4.0], [0.0, -1.0]],  # indefinite, diagonal
-    [[1.0], [0.0, 1.0], [0.0, 0.0, 0.0]],  # singular in the last row
     [[float("nan")], [0.0, 1.0]],
 ])
 def test_cholesky_solve_rejects_matrices_not_positive_definite(lower):
+    (i_aa,), (i_ba, i_bb) = lower
     with pytest.raises(OptimizationError, match="not positive definite"):
-        gof._cholesky_solve(lower, [1.0] * len(lower))
+        gof._cholesky_step(i_aa, i_ba, i_bb, 1.0, 1.0)
 
 
 def test_scipy_optimize_not_imported_by_cli():
