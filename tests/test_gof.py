@@ -532,6 +532,7 @@ def test_cholesky_solve_matches_numpy():
     [[0.0], [0.0, 1.0]],  # singular: a zero pivot first
     [[1.0], [2.0, 1.0]],  # indefinite: eigenvalues 3 and -1
     [[4.0], [0.0, -1.0]],  # indefinite, diagonal
+    [[1.0], [0.0, 0.0]],  # singular: a zero pivot last
     [[float("nan")], [0.0, 1.0]],
 ])
 def test_cholesky_solve_rejects_matrices_not_positive_definite(lower):
