@@ -12,6 +12,13 @@ into --outdir, so an earlier run's outputs and manifest stay as they were.
 `bayesgof replay manifest.json` re-executes the run and reproduces the
 output files byte for byte.
 
+simulate-null builds its model and the null truth from one table,
+_NULL_MODELS, as the dataset subcommands build theirs from _DATA_MODELS; a
+model joins either through one entry there.  A default the library also
+holds (ExperimentConfig's, ChainSettings', the keyword defaults of
+harness.analyze, predictive_auc_test and stream_monitor, and the saturated
+model's prior exponents) is read from it, never written here a second time.
+
 A --config file or manifest becomes --flag=value tokens for the subcommand's
 own parser; a config file may set required flags, and a manifest key it
 lacks takes the flag's default.
@@ -64,6 +71,14 @@ EXIT_NUMERIC = 70
 MALFORMED_CAP = 0.10
 
 STANDARD_NORMAL = (0.0, 1.0)  # true (mu, sigma) of the normal model's null data
+
+# the library's defaults, read at import, before a wrapper put around one of
+# these functions (as a tracer does) can hide its keyword defaults
+_STUDY = ExperimentConfig()
+_CHAIN = models.ChainSettings()
+_ANALYZE = harness.analyze.__kwdefaults__
+_PP_TEST = harness.predictive_auc_test.__kwdefaults__
+_MONITOR = harness.stream_monitor.__kwdefaults__
 
 DATASET_SCHEMA = """\
 Dataset files are headered CSV with column y (observations) and, for count
@@ -320,6 +335,27 @@ _DATA_MODELS = {
 }
 
 
+def _poisson_synthetic(ns: argparse.Namespace, n: int):
+    """One free mean per observation, all at --mean."""
+    if not 0.0 < ns.mean < np.inf:  # NaN fails too
+        raise ConfigError(f"--mean must be positive and finite, got {ns.mean}")
+    if ns.mean > 2.0**52:  # 2**26 standard deviations below 2**53
+        raise ConfigError(
+            f"--mean must be at most 2**52, so that its Poisson counts stay below "
+            f"2**53 and are held exactly; got {ns.mean}"
+        )
+    model = models.PoissonSaturated(np.ones(n), ns.prior_exponent)
+    return model, ns.mean * model.offsets
+
+
+# the simulated-data models, by --model name: each builds the model and its
+# true parameter from the flags and the observations per dataset
+_NULL_MODELS = {
+    "normal": lambda ns, n: (models.NormalModel(), STANDARD_NORMAL),
+    "poisson-synthetic": _poisson_synthetic,
+}
+
+
 def _build_model(ns: argparse.Namespace, offsets: np.ndarray | None):
     if offsets is None and ns.model != "normal":  # every count model needs exposures
         raise DataError(
@@ -344,7 +380,8 @@ def _parse_df_list(text: str) -> tuple[float, ...]:
                 raise argparse.ArgumentTypeError(f"bad df range {part!r}") from None
             if lo > hi:
                 raise argparse.ArgumentTypeError(f"empty df range {part!r}")
-            out.extend(range(lo, hi + 1))
+            # a range out of 1..10 is not expanded: its ends fail the check
+            out.extend(range(lo, hi + 1) if 1 <= lo and hi <= 10 else (lo, hi))
         else:
             try:
                 out.append(int(part))
@@ -414,18 +451,7 @@ def _study_config(ns: argparse.Namespace, **fields) -> ExperimentConfig:
 
 def cmd_simulate_null(ns: argparse.Namespace, outdir: str) -> _Outcome:
     cfg = _study_config(ns, ks_alpha=ns.ks_alpha, include_classical=ns.classical)
-    if ns.model == "normal":
-        model, truth = models.NormalModel(), STANDARD_NORMAL
-    else:  # poisson-synthetic: one free mean per observation, all at --mean
-        if not 0.0 < ns.mean < np.inf:  # NaN fails too
-            raise ConfigError(f"--mean must be positive and finite, got {ns.mean}")
-        if ns.mean > 2.0**52:  # 2**26 standard deviations below 2**53
-            raise ConfigError(
-                f"--mean must be at most 2**52, so that its Poisson counts stay below "
-                f"2**53 and are held exactly; got {ns.mean}"
-            )
-        model = models.PoissonSaturated(np.ones(cfg.n), ns.prior_exponent)
-        truth = ns.mean * model.offsets
+    model, truth = _NULL_MODELS[ns.model](ns, cfg.n)
     result = harness.null_calibration(cfg, model, truth)
 
     # a series gets a reference column iff it has a chi-square reference law
@@ -469,7 +495,8 @@ def cmd_power(ns: argparse.Namespace, outdir: str) -> _Outcome:
         ns, draws_per_dataset=ns.draws, alpha=ns.alpha,
         df_grid=tuple(ns.df), methods=tuple(ns.methods),
     )
-    result = harness.power_study(cfg, ns.auc_critical, models.NormalModel(), STANDARD_NORMAL)
+    # the normal null model, whose alternatives are the t data
+    result = harness.power_study(cfg, ns.auc_critical, *_NULL_MODELS["normal"](ns, cfg.n))
     rows = [[row.df, row.method, row.rejections, cfg.replicates, row.rate] for row in result.rows]
     _write_csv(outdir, "power.csv", ["df", "method", "rejections", "replicates", "rate"], rows)
     derived = {"auc_critical": result.auc_critical}
@@ -657,17 +684,19 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="key=value config file")
 
 
+def _add_prior_exponent(sub: argparse.ArgumentParser, **kwargs) -> None:
+    sub.add_argument("--prior-exponent", type=float, default=models.PRIOR_EXPONENTS[0],
+                     choices=models.PRIOR_EXPONENTS, **kwargs)
+
+
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--prior-exponent", type=float, default=0.5, choices=[0.5, 1.0],
-        help="saturated-model prior is mean**(-exponent)",
-    )
+    _add_prior_exponent(sub, help="saturated-model prior is mean**(-exponent)")
     sub.add_argument("--sigma2-fixed", type=float, default=None,
                      help="freeze the exchangeable random-effect variance")
-    sub.add_argument("--chain-burn-in", type=int, default=2000)
-    sub.add_argument("--chain-thin", type=int, default=4)
-    sub.add_argument("--chain-step", type=float, default=0.2)
-    sub.add_argument("--chain-target-accept", type=float, default=0.44)
+    sub.add_argument("--chain-burn-in", type=int, default=_CHAIN.burn_in)
+    sub.add_argument("--chain-thin", type=int, default=_CHAIN.thin)
+    sub.add_argument("--chain-step", type=float, default=_CHAIN.initial_step)
+    sub.add_argument("--chain-target-accept", type=float, default=_CHAIN.target_accept)
 
 
 def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
@@ -679,13 +708,13 @@ def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_study_flags(sub: argparse.ArgumentParser, reps_default: int, reps_help: str) -> None:
-    sub.add_argument("--n", type=int, default=50, help="observations per dataset")
+    sub.add_argument("--n", type=int, default=_STUDY.n, help="observations per dataset")
     sub.add_argument("--k", type=int, default=None, help="bin count (default: rule from n)")
     scale = sub.add_mutually_exclusive_group()
     scale.add_argument("--reps", type=int, default=reps_default, help=reps_help)
     scale.add_argument("--full-scale", action="store_true",
                        help=f"{reps_help}: 10000 instead of the desk-scale {reps_default}")
-    sub.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    sub.add_argument("--workers", type=int, default=_STUDY.workers, help=WORKERS_HELP)
 
 
 def build_parser() -> _Parser:
@@ -708,16 +737,16 @@ def build_parser() -> _Parser:
         "ks_critical, ks_alpha, ks_passed.\n" + EXIT_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sim.add_argument("--model", choices=["normal", "poisson-synthetic"], default="normal")
-    _add_study_flags(sim, 2000, "replicate datasets")
+    sim.add_argument("--model", choices=_NULL_MODELS, default="normal")
+    _add_study_flags(sim, _STUDY.replicates, "replicate datasets")
     sim.add_argument("--classical", action="store_true",
                      help="also tabulate the plugin and grouped-MLE statistics")
     sim.add_argument("--assert-calibrated", action="store_true",
                      help="exit 2 if any tracked series fails its KS check")
-    sim.add_argument("--ks-alpha", type=float, default=0.01)
+    sim.add_argument("--ks-alpha", type=float, default=_STUDY.ks_alpha)
     sim.add_argument("--mean", type=float, default=4.2,
                      help="true mean for poisson-synthetic data, in (0, 2**52]")
-    sim.add_argument("--prior-exponent", type=float, default=0.5, choices=[0.5, 1.0])
+    _add_prior_exponent(sim)
     _add_common(sim)
 
     pw = subs.add_parser(
@@ -728,14 +757,14 @@ def build_parser() -> _Parser:
         epilog="power.csv: df, method, rejections, replicates, rate.\n" + EXIT_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    pw.add_argument("--df", type=_parse_df_list, default=(1.0, 2.0, 3.0, 5.0, 10.0),
+    pw.add_argument("--df", type=_parse_df_list, default=_STUDY.df_grid,
                     help="comma list, ranges allowed: 1,2,3 or 1..10")
     pw.add_argument("--methods", type=_parse_methods, default=harness.POWER_METHODS,
                     help=f"comma list among {','.join(harness.POWER_METHODS)}")
     _add_study_flags(pw, 1000, "replicates per df")
-    pw.add_argument("--draws", type=int, default=500,
+    pw.add_argument("--draws", type=int, default=_STUDY.draws_per_dataset,
                     help="posterior draws per dataset for the averaged test")
-    pw.add_argument("--alpha", type=float, default=0.05, help="test size")
+    pw.add_argument("--alpha", type=float, default=_STUDY.alpha, help="test size")
     pw.add_argument("--auc-critical", type=float, default=None,
                     help="stored null critical value; computed fresh at seed+1 if omitted")
     _add_common(pw)
@@ -753,7 +782,7 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     _add_dataset_flags(an)
-    an.add_argument("--draws", type=int, default=5000, help="posterior draws")
+    an.add_argument("--draws", type=int, default=_ANALYZE["n_draws"], help="posterior draws")
     an.add_argument("--threshold", type=float, default=None,
                     help="exceedance threshold (default: 0.95 reference quantile)")
     _add_common(an)
@@ -768,8 +797,10 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     _add_dataset_flags(pp)
-    pp.add_argument("--pp-reps", type=int, default=100, help="predictive replicates")
-    pp.add_argument("--draws", type=int, default=1000, help="posterior draws per fit")
+    pp.add_argument("--pp-reps", type=int, default=_PP_TEST["pp_reps"],
+                    help="predictive replicates")
+    pp.add_argument("--draws", type=int, default=_PP_TEST["n_draws"],
+                    help="posterior draws per fit")
     _add_common(pp)
 
     mon = subs.add_parser(
@@ -788,9 +819,9 @@ def build_parser() -> _Parser:
     mon.add_argument("--draws-file", default="-",
                      help="draw stream path, or '-' for standard input")
     mon.add_argument("--threshold", type=float, default=None)
-    mon.add_argument("--alert-factor", type=float, default=8.0,
+    mon.add_argument("--alert-factor", type=float, default=_MONITOR["alert_factor"],
                      help="alert when the running rate exceeds factor x nominal")
-    mon.add_argument("--min-draws", type=int, default=200,
+    mon.add_argument("--min-draws", type=int, default=_MONITOR["min_draws"],
                      help="valid draws required before alerting")
     _add_common(mon)
 

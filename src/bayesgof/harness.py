@@ -96,7 +96,7 @@ class ExperimentConfig:
     ks_alpha: float = 0.01
     include_classical: bool = False
     workers: int = 1
-    df_grid: tuple[int, ...] = (1, 2, 3, 5, 10)
+    df_grid: tuple[float, ...] = (1.0, 2.0, 3.0, 5.0, 10.0)
     methods: tuple[str, ...] = POWER_METHODS
 
     def __post_init__(self) -> None:
@@ -159,14 +159,12 @@ class AucDistribution:
     values and critical belong to the AUC.  exceedance_values are the
     fractions of each dataset's draws above the upper-alpha chi-square(k - 1)
     point, and exceedance_critical is their empirical upper-alpha point, by
-    the same rule as critical.
+    the same rule as critical.  The level, replicate and draw counts are the
+    ExperimentConfig's that made it.
     """
 
     values: np.ndarray  # sorted
     critical: float
-    alpha: float
-    replicates: int
-    draws_per_dataset: int
     exceedance_values: np.ndarray  # sorted
     exceedance_critical: float
 
@@ -451,8 +449,8 @@ def null_auc_distribution(config: ExperimentConfig, model, truth) -> AucDistribu
     out = _run(spec, root, config.replicates, config.workers)
     values, fractions = np.sort(out.auc), np.sort(out.fraction)
     return AucDistribution(
-        values, _upper_critical(values, config.alpha), config.alpha, config.replicates,
-        config.draws_per_dataset, fractions, _upper_critical(fractions, config.alpha),
+        values, _upper_critical(values, config.alpha),
+        fractions, _upper_critical(fractions, config.alpha),
     )
 
 

@@ -59,6 +59,7 @@ __all__ = [
     "PoissonExchangeable",
     "ChainSettings",
     "ChainResult",
+    "PRIOR_EXPONENTS",
     "normal_posterior_from_uniforms",
     "generate_t",
 ]
@@ -355,6 +356,10 @@ class PoissonCommonRate(_PoissonBase):
         return rng.generator.gamma(total, 1.0 / self.offsets.sum(), (size, 1))
 
 
+# the saturated model's allowed prior exponents, the first its default
+PRIOR_EXPONENTS = (0.5, 1.0)
+
+
 class PoissonSaturated(_PoissonBase):
     """One free mean per observation, prior mu_i ** (-prior_exponent).
 
@@ -363,10 +368,12 @@ class PoissonSaturated(_PoissonBase):
     data error naming the offending observations.
     """
 
-    def __init__(self, offsets, prior_exponent: float = 0.5) -> None:
+    def __init__(self, offsets, prior_exponent: float = PRIOR_EXPONENTS[0]) -> None:
         super().__init__(offsets)
-        if prior_exponent not in (0.5, 1.0):
-            raise DomainError(f"prior_exponent must be 0.5 or 1.0, got {prior_exponent}")
+        if prior_exponent not in PRIOR_EXPONENTS:
+            raise DomainError(
+                f"prior_exponent must be one of {PRIOR_EXPONENTS}, got {prior_exponent}"
+            )
         self.prior_exponent = float(prior_exponent)
 
     @property
@@ -528,7 +535,9 @@ class PoissonExchangeable(_PoissonBase):
         accepted = np.empty((block, m), dtype=bool)
         move = np.empty(m)
 
-        with np.errstate(over="ignore"):
+        # a proposal whose log-ratio overflows, or is NaN as inf - inf, fails
+        # its acceptance comparison and is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, total, block):
                 sweeps = min(block, total - start)
                 z_a = gen_za.standard_normal(sweeps).tolist()
@@ -542,7 +551,10 @@ class PoissonExchangeable(_PoissonBase):
                     t = start + j
                     # alpha0: random walk on the shared log-rate
                     prop_a = alpha0 + step_a * z_a[j]
-                    exp_prop_a = math.exp(prop_a)
+                    try:
+                        exp_prop_a = math.exp(prop_a)
+                    except OverflowError:  # delta is then -inf or NaN: rejected
+                        exp_prop_a = math.inf
                     s_eg = float(np.dot(e, exp_g))
                     delta = y_sum * (prop_a - alpha0) - s_eg * (exp_prop_a - exp_a)
                     a_accepted = log_u_a[j] < delta

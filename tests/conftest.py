@@ -3,7 +3,8 @@
 The 2000-replicate null run and the stored null AUC distribution are reused
 across several test modules, so they are computed once per session.
 MODEL_CASES holds every model the CLI builds for a dataset; the protocol
-suite and the theta-layout checks run on it.
+suite and the theta-layout checks run on it.  NULL_CASES holds every model
+and true parameter simulate-null builds, each at its flags' defaults.
 """
 
 import time
@@ -58,6 +59,29 @@ def _model_cases() -> list[ModelCase]:
 
 MODEL_CASES = _model_cases()
 
+
+class NullCase(NamedTuple):
+    """A model and its true parameter as simulate-null builds them."""
+
+    name: str
+    model: object
+    truth: object
+
+
+def _null_cases() -> list[NullCase]:
+    parser = cli.build_parser()
+    cases = []
+    for name in cli._NULL_MODELS:
+        ns = parser.parse_args(["simulate-null", "--model", name])
+        cases.append(NullCase(name, *cli._NULL_MODELS[name](ns, ns.n)))
+    return cases
+
+
+NULL_CASES = _null_cases()
+
+# the configuration of the stored null AUC distribution
+AUC_NULL_CONFIG = ExperimentConfig(n=50, bins=5, replicates=2000, seed=11, draws_per_dataset=500)
+
 # verdict lines recorded by the acceptance tests; replayed after the run so
 # they land on the real terminal rather than in pytest's captured stdout
 ACCEPTANCE_LINES: list[str] = []
@@ -84,9 +108,9 @@ def null_run_2000():
 
 @pytest.fixture(scope="session")
 def stored_auc_null():
-    """Null distribution of the tail-area summary, 2000 datasets x 500 draws."""
-    cfg = ExperimentConfig(n=50, bins=5, replicates=2000, seed=11, draws_per_dataset=500)
-    return null_auc_distribution(cfg, NormalModel(), STANDARD_NORMAL)
+    """Null distribution of the tail-area summary at AUC_NULL_CONFIG, 2000
+    datasets x 500 draws."""
+    return null_auc_distribution(AUC_NULL_CONFIG, NormalModel(), STANDARD_NORMAL)
 
 
 @pytest.fixture(scope="session")

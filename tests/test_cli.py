@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, file schemas, config
 precedence, and manifest replay."""
 
+import argparse
 import csv
 import dataclasses
 import errno
@@ -254,6 +255,22 @@ def test_power_df_range_parsing(tmp_path):
                    "--draws", "20", "--n", "30", "--auc-critical", "0.7",
                    "--outdir", out) == 0
     assert "grouped_fit" not in json.loads((out / "manifest.json").read_text())["derived"]
+
+
+def test_power_df_range_is_checked_before_it_is_expanded(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(argparse.ArgumentTypeError, match=r"1\.\.10"):
+            cli._parse_df_list("1..3000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 1e11 values would not fit in memory: the range is refused unexpanded
+    assert run_cli("power", "--df", "1..100000000000", "--reps", "1") == 64
+    assert "df values must lie in 1..10" in capsys.readouterr().err
 
 
 def test_power_refuses_its_settings_before_the_null_run(tmp_path, monkeypatch, capsys):
@@ -1375,3 +1392,58 @@ def test_replay_round_trip_of_every_recording_command(
         assert replayed["outputs"] == manifest["outputs"]
         for name, data in outputs.items():
             assert (out / name).read_bytes() == data, name
+
+
+# every subcommand's parsed defaults, required flags aside; the manifest
+# records them, so a change of value or of type (8 for 8.0) changes its bytes
+PARSED_DEFAULTS = {
+    "simulate-null": {
+        "command": "simulate-null", "model": "normal", "n": 50, "k": None, "reps": 2000,
+        "full_scale": False, "workers": 1, "classical": False, "assert_calibrated": False,
+        "ks_alpha": 0.01, "mean": 4.2, "prior_exponent": 0.5, "seed": 0, "outdir": None,
+        "config": None,
+    },
+    "power": {
+        "command": "power", "df": (1.0, 2.0, 3.0, 5.0, 10.0),
+        "methods": ("auc", "single-draw", "grouped"), "n": 50, "k": None, "reps": 1000,
+        "full_scale": False, "workers": 1, "draws": 500, "alpha": 0.05,
+        "auc_critical": None, "seed": 0, "outdir": None, "config": None,
+    },
+    "analyze": {
+        "command": "analyze", "data": "d.csv", "model": "normal", "prior_exponent": 0.5,
+        "sigma2_fixed": None, "chain_burn_in": 2000, "chain_thin": 4, "chain_step": 0.2,
+        "chain_target_accept": 0.44, "k": None, "draws": 5000, "threshold": None,
+        "seed": 0, "outdir": None, "config": None,
+    },
+    "pp-test": {
+        "command": "pp-test", "data": "d.csv", "model": "normal", "prior_exponent": 0.5,
+        "sigma2_fixed": None, "chain_burn_in": 2000, "chain_thin": 4, "chain_step": 0.2,
+        "chain_target_accept": 0.44, "k": None, "pp_reps": 100, "draws": 1000,
+        "seed": 0, "outdir": None, "config": None,
+    },
+    "monitor": {
+        "command": "monitor", "data": "d.csv", "model": "normal", "prior_exponent": 0.5,
+        "sigma2_fixed": None, "chain_burn_in": 2000, "chain_thin": 4, "chain_step": 0.2,
+        "chain_target_accept": 0.44, "k": None, "draws_file": "-", "threshold": None,
+        "alert_factor": 8.0, "min_draws": 200, "seed": 0, "outdir": None, "config": None,
+    },
+    "validate": {
+        "command": "validate", "data": "d.csv", "model": None, "prior_exponent": 0.5,
+        "sigma2_fixed": None, "chain_burn_in": 2000, "chain_thin": 4, "chain_step": 0.2,
+        "chain_target_accept": 0.44, "seed": 0, "outdir": None, "config": None,
+    },
+    "replay": {"command": "replay", "manifest": "m.json", "outdir": None},
+}
+
+
+def test_parsed_defaults_are_the_recorded_ones():
+    parser = cli.build_parser()
+    dataset = ["--data", "d.csv", "--model", "normal"]
+    required = {
+        "simulate-null": [], "power": [], "analyze": dataset, "pp-test": dataset,
+        "monitor": dataset, "validate": ["--data", "d.csv"], "replay": ["m.json"],
+    }
+    parsed = {command: vars(parser.parse_args([command, *args]))
+              for command, args in required.items()}
+    assert parsed == PARSED_DEFAULTS
+    assert json.dumps(parsed, sort_keys=True) == json.dumps(PARSED_DEFAULTS, sort_keys=True)

@@ -39,7 +39,7 @@ from bayesgof.models import (
     generate_t,
 )
 from bayesgof.probkit import RngStream, split
-from conftest import STANDARD_NORMAL
+from conftest import AUC_NULL_CONFIG, STANDARD_NORMAL
 
 
 def normal_null(config):
@@ -379,19 +379,19 @@ def test_auc_null_centering(stored_auc_null):
 
 
 def test_exceedance_critical_is_upper_alpha_point(stored_auc_null):
-    null = stored_auc_null
+    cfg, null = AUC_NULL_CONFIG, stored_auc_null
     v = null.exceedance_values
-    assert v.shape == (null.replicates,)
+    assert v.shape == (cfg.replicates,)
     assert np.all(np.diff(v) >= 0)
     # fractions of a fixed number of draws
-    assert np.allclose(v * null.draws_per_dataset, np.round(v * null.draws_per_dataset))
+    assert np.allclose(v * cfg.draws_per_dataset, np.round(v * cfg.draws_per_dataset))
     crit = null.exceedance_critical
     assert crit in v
-    assert np.mean(v > crit) <= null.alpha
+    assert np.mean(v > crit) <= cfg.alpha
     # and it is the smallest such value: the next one down leaves more above
     below = v[v < crit]
     if below.size:
-        assert np.mean(v > below[-1]) > null.alpha
+        assert np.mean(v > below[-1]) > cfg.alpha
 
 
 def test_power_exceedance_matches_scalar_recomputation():

@@ -6,6 +6,7 @@ numerical integration of the unnormalized posterior densities.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -580,6 +581,20 @@ def test_exchangeable_chain_memory_does_not_grow_with_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 8 * n  # a few dozen vectors of n doubles
+
+
+@pytest.mark.parametrize("step", [1000.0, 1e308])
+def test_exchangeable_chain_rejects_a_proposal_whose_log_ratio_overflows(step):
+    # at step 1000 exp of an alpha0 proposal overflows; at step 1e308 a
+    # proposal is infinite and its log-ratio inf - inf: either is rejected,
+    # with no exception and no numpy warning
+    model = PoissonExchangeable(
+        np.ones(4), settings=ChainSettings(burn_in=50, initial_step=step)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        chain = model.run_chain(np.array([3, 0, 6, 2]), 50, RngStream(5))
+    assert np.isfinite(chain.draws).all()
 
 
 def test_exchangeable_chain_does_not_advance_its_stream():

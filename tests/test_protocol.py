@@ -4,7 +4,9 @@ The diagnostics need only a finite-dimensional parameter vector and
 conditionally independent observations; the models module states what a
 model must provide for that.  Each test here runs on every entry of
 conftest.MODEL_CASES, one per name in cli._DATA_MODELS, so a model the CLI
-can build is held to the whole protocol.
+can build is held to the whole protocol.  The simulated-data models of
+conftest.NULL_CASES, one per name in cli._NULL_MODELS, are checked to
+simulate data they accept and to run a null calibration.
 """
 
 import math
@@ -15,9 +17,10 @@ import pytest
 from bayesgof import cli, gof
 from bayesgof.binning import equiprobable
 from bayesgof.errors import DomainError
+from bayesgof.harness import ExperimentConfig, null_calibration
 from bayesgof.probkit import RngStream
 
-from conftest import MODEL_CASES
+from conftest import MODEL_CASES, NULL_CASES
 
 DRAWS = 20
 
@@ -126,3 +129,30 @@ def test_predictive_data_at_a_posterior_draw_pass_validate_data(case):
         theta = model.posterior_draw(y, RngStream(seed))
         replicate = model.predictive_draw(theta, RngStream(100 + seed), n=y.size)
         assert model.validate_data(replicate).shape == y.shape
+
+
+# ---------------------------------------------------------------------------
+# simulate-null's models
+# ---------------------------------------------------------------------------
+
+each_null_model = pytest.mark.parametrize("case", NULL_CASES, ids=lambda case: case.name)
+
+
+def test_the_table_holds_every_null_model():
+    assert [case.name for case in NULL_CASES] == list(cli._NULL_MODELS)
+
+
+@each_null_model
+def test_null_data_at_the_truth_pass_validate_data(case):
+    n = ExperimentConfig().n  # simulate-null's default --n
+    for seed in range(5):
+        y = case.model.predictive_draw(case.truth, RngStream(seed), n=n)
+        assert case.model.validate_data(y).shape == (n,)
+
+
+@each_null_model
+def test_a_null_calibration_runs_at_the_defaults(case):
+    result = null_calibration(ExperimentConfig(replicates=20), case.model, case.truth)
+    posterior = result.series["posterior"]
+    assert posterior.values.shape == (20,)
+    assert np.isfinite(posterior.values).all()
