@@ -116,7 +116,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the BSD-style usage exit code instead of 2."""
+    """argparse with the BSD-style usage exit code instead of 2, and one help
+    layout: text as written, every epilog ending in the exit codes."""
+
+    def __init__(self, *, epilog: str = "", **kwargs) -> None:
+        kwargs["formatter_class"] = argparse.RawDescriptionHelpFormatter
+        super().__init__(epilog=epilog + EXIT_HELP, **kwargs)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message, self.format_usage())
@@ -176,8 +181,8 @@ def _write_manifest(
     outdir: str, ns: argparse.Namespace, outputs: list[str], started: float, derived: dict
 ) -> None:
     config = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    # the one input hashed: the draw stream for monitor, else the dataset
-    input_path = ns.draws_file if ns.command == "monitor" else getattr(ns, "data", None)
+    # the one input hashed: a command's draw stream if it reads one, else its dataset
+    input_path = config.get("draws_file", config.get("data"))
     entry = None
     if input_path is not None:
         entry = {"path": input_path, "sha256": _digest(input_path)}
@@ -266,11 +271,6 @@ def _read_lines(path: str, fh):
         raise _unreadable(path, exc) from exc
 
 
-def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
-    bad = exc.object[exc.start:exc.end]
-    return DataError(f"{path}: not UTF-8 text (bytes {bad.hex()}: {exc.reason})")
-
-
 def _read_text(path: str, **open_kwargs) -> str:
     """The text of an input file, opened with open_kwargs; a file that cannot
     be opened, read or decoded is a DataError naming it."""
@@ -278,7 +278,8 @@ def _read_text(path: str, **open_kwargs) -> str:
         with open(path, **open_kwargs) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:  # a ValueError, so caught first
-        raise _undecodable(path, exc) from None
+        bad = exc.object[exc.start:exc.end]
+        raise DataError(f"{path}: not UTF-8 text (bytes {bad.hex()}: {exc.reason})") from None
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _unreadable(path, exc) from None
 
@@ -326,12 +327,13 @@ def _exchangeable(ns: argparse.Namespace, offsets: np.ndarray) -> models.Poisson
     return models.PoissonExchangeable(offsets, sigma2_fixed=ns.sigma2_fixed, settings=settings)
 
 
-# the dataset models, by --model name: each builds from the flags and offsets
+# the dataset models, by --model name: whether the model needs the offsets of
+# the E column, and its builder from the flags and the offsets e
 _DATA_MODELS = {
-    "normal": lambda ns, offsets: models.NormalModel(),
-    "poisson-common": lambda ns, offsets: models.PoissonCommonRate(offsets),
-    "poisson-saturated": lambda ns, offsets: models.PoissonSaturated(offsets, ns.prior_exponent),
-    "poisson-exchangeable": _exchangeable,
+    "normal": (False, lambda ns, e: models.NormalModel()),
+    "poisson-common": (True, lambda ns, e: models.PoissonCommonRate(e)),
+    "poisson-saturated": (True, lambda ns, e: models.PoissonSaturated(e, ns.prior_exponent)),
+    "poisson-exchangeable": (True, _exchangeable),
 }
 
 
@@ -357,11 +359,12 @@ _NULL_MODELS = {
 
 
 def _build_model(ns: argparse.Namespace, offsets: np.ndarray | None):
-    if offsets is None and ns.model != "normal":  # every count model needs exposures
+    needs_offsets, build = _DATA_MODELS[ns.model]
+    if needs_offsets and offsets is None:
         raise DataError(
             f"dataset is missing the offset column 'E' required by model {ns.model}"
         )
-    return _DATA_MODELS[ns.model](ns, offsets)
+    return build(ns, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +724,7 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="bayesgof",
         description="Posterior-draw chi-square goodness-of-fit toolkit.",
-        epilog=DATASET_SCHEMA + CONFIG_HELP + EXIT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=DATASET_SCHEMA + CONFIG_HELP,
     )
     parser.add_argument("--version", action="version", version=f"bayesgof {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -734,8 +736,7 @@ def build_parser() -> _Parser:
         "statistic's distribution against its reference law.",
         epilog="qq.csv: rank, <series>, <series>_ref per included series.\n"
         "summary.csv: series, replicates, n, k, mean, variance, ks_statistic, "
-        "ks_critical, ks_alpha, ks_passed.\n" + EXIT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "ks_critical, ks_alpha, ks_passed.\n",
     )
     sim.add_argument("--model", choices=_NULL_MODELS, default="normal")
     _add_study_flags(sim, _STUDY.replicates, "replicate datasets")
@@ -754,8 +755,7 @@ def build_parser() -> _Parser:
         help="size/power study over t alternatives; writes power.csv",
         description="Reject-rate study against heavy-tailed alternatives indexed "
         "by degrees of freedom (df=1 far, df=10 near the null).",
-        epilog="power.csv: df, method, rejections, replicates, rate.\n" + EXIT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="power.csv: df, method, rejections, replicates, rate.\n",
     )
     pw.add_argument("--df", type=_parse_df_list, default=_STUDY.df_grid,
                     help="comma list, ranges allowed: 1,2,3 or 1..10")
@@ -777,9 +777,7 @@ def build_parser() -> _Parser:
         epilog="summary.csv: model, auc, exceedance, threshold, n_draws, k, "
         "small_cells, mean_count_bin1..K. small_cells holds 1-based bin "
         "indexes whose mean expected count fell below 1, ';'-joined.\n"
-        "trace.csv: draw, value, dof.\n"
-        + DATASET_SCHEMA + EXIT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "trace.csv: draw, value, dof.\n" + DATASET_SCHEMA,
     )
     _add_dataset_flags(an)
     an.add_argument("--draws", type=int, default=_ANALYZE["n_draws"], help="posterior draws")
@@ -793,8 +791,7 @@ def build_parser() -> _Parser:
         description="Approximate the sampling distribution of the AUC by "
         "regenerating datasets from the fitted model and re-fitting.",
         epilog="summary.csv: auc_observed, pp_reps, p_value.\n"
-        "predictive.csv: replicate, auc.\n" + DATASET_SCHEMA + EXIT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        "predictive.csv: replicate, auc.\n" + DATASET_SCHEMA,
     )
     _add_dataset_flags(pp)
     pp.add_argument("--pp-reps", type=int, default=_PP_TEST["pp_reps"],
@@ -810,10 +807,9 @@ def build_parser() -> _Parser:
         "(normal: location scale; poisson-common: rate; poisson-saturated: one "
         "mean per observation; poisson-exchangeable: alpha0, effects..., sigma2) "
         "and track the statistic's running exceedance rate.  Malformed lines are "
-        "skipped and counted, tolerated up to 10% of the stream.",
+        f"skipped and counted, tolerated up to {MALFORMED_CAP:.0%} of the stream.",
         epilog="trace.csv: index, value, valid, exceeds, cumulative_rate, alert.\n"
-        + DATASET_SCHEMA + EXIT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        + DATASET_SCHEMA,
     )
     _add_dataset_flags(mon)
     mon.add_argument("--draws-file", default="-",
@@ -830,8 +826,7 @@ def build_parser() -> _Parser:
         help="check a dataset file against the input schema",
         description="Parse a dataset and, when --model is given, check it against "
         "that model's requirements.",
-        epilog=DATASET_SCHEMA + EXIT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=DATASET_SCHEMA,
     )
     val.add_argument("--data", required=True)
     val.add_argument("--model", choices=_DATA_MODELS, default=None)
@@ -843,8 +838,6 @@ def build_parser() -> _Parser:
         help="re-run a recorded manifest; outputs are byte-identical",
         description="Re-execute the command recorded in a manifest.json with its "
         "stored configuration and seed.",
-        epilog=EXIT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     rp.add_argument("manifest", help="path to a manifest.json")
     rp.add_argument("--outdir", default=None,
@@ -896,6 +889,13 @@ def _parse_command_line(parser: _Parser, args: list[str]) -> argparse.Namespace:
     return parser.parse_args(args)
 
 
+def _token(action: argparse.Action, text: str) -> str:
+    """The token setting action to text: a store_true flag alone, any other as
+    one --flag=text token, so that a text beginning with '-' stays a value."""
+    flag = action.option_strings[0]
+    return flag if action.nargs == 0 else f"{flag}={text}"
+
+
 def _config_tokens(path: str, actions: dict) -> list[str]:
     tokens: list[str] = []
     # universal newlines have made every line end "\n"
@@ -909,14 +909,11 @@ def _config_tokens(path: str, actions: dict) -> list[str]:
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        flag = action.option_strings[0]
-        if action.nargs != 0:
-            # one --flag=value token: a value beginning with '-' stays a value
-            tokens.append(f"{flag}={value}")
-        elif value.lower() in ("true", "1", "yes"):
-            tokens.append(flag)
-        elif value.lower() not in ("false", "0", "no"):
-            raise ConfigError(f"{path}:{lineno}: boolean {key!r} must be true or false")
+        if action.nargs == 0 and value.lower() not in ("true", "1", "yes"):
+            if value.lower() not in ("false", "0", "no"):
+                raise ConfigError(f"{path}:{lineno}: boolean {key!r} must be true or false")
+            continue  # a store_true flag left unset
+        tokens.append(_token(action, value))
     return tokens
 
 
@@ -940,9 +937,8 @@ def _manifest_tokens(path: str, config: dict, actions: dict) -> list[str]:
         if not ok and not (value is None and action.default is None):
             raise DataError(f"{path}: config key {dest!r} has an invalid value {value!r}")
         if value != action.default:
-            flag = action.option_strings[0]
             text = ",".join(map(_fmt, value)) if isinstance(value, list) else _fmt(value)
-            tokens.append(flag if action.nargs == 0 else f"{flag}={text}")
+            tokens.append(_token(action, text))
     return tokens
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import errno
 import io
 import json
+import math
 import os
 import threading
 import warnings
@@ -44,6 +45,17 @@ def poisson_csv(tmp_path):
     rows = "\n".join(f"{int(v)},1.0" for v in y)
     path.write_text("y,E\n" + rows + "\n")
     return path
+
+
+@pytest.mark.parametrize(
+    "command", ["", "simulate-null", "power", "analyze", "pp-test", "monitor", "validate", "replay"],
+    ids=lambda command: command or "top-level",
+)
+def test_help_of_every_parser_ends_in_the_exit_codes(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        run_cli(*command.split(), "--help")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.endswith("\n" + cli.EXIT_HELP)
 
 
 def test_usage_errors_exit_64(tmp_path, capsys, normal_csv):
@@ -102,12 +114,13 @@ def test_sample_without_spread_exit_65_saying_why(tmp_path, capsys, values, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_missing_offset_column_named(tmp_path, normal_csv, capsys):
-    code = run_cli("analyze", "--data", normal_csv, "--model", "poisson-common",
-                   "--outdir", tmp_path)
+@pytest.mark.parametrize("model", ["poisson-common", "poisson-saturated", "poisson-exchangeable"])
+def test_missing_offset_column_named(tmp_path, normal_csv, capsys, model):
+    code = run_cli("analyze", "--data", normal_csv, "--model", model, "--outdir", tmp_path)
     assert code == 65
-    err = capsys.readouterr().err
-    assert "E" in err and "poisson-common" in err
+    assert capsys.readouterr().err == (
+        f"error: dataset is missing the offset column 'E' required by model {model}\n"
+    )
 
 
 def test_non_integer_counts_exit_65(tmp_path, capsys):
@@ -227,6 +240,21 @@ def test_counts_above_2_to_the_53_exit_65_naming_them(tmp_path, capsys, model, c
                        "--chain-burn-in", "10", "--outdir", tmp_path / "out") == 65
     err = capsys.readouterr().err
     assert f"counts above 2**53 are not held exactly, at observations {bad}" in err
+
+
+def test_improper_saturated_posterior_refusal_is_one_line_naming_ten(tmp_path, capsys):
+    # 500 counts alternating 1, 0: the 250 zeros, under the prior exponent 1,
+    # are named ten at a time with the total
+    path = tmp_path / "zeros.csv"
+    path.write_text("y,E\n" + "".join(f"{i % 2},1.0\n" for i in range(1, 501)))
+    out = tmp_path / "run"
+    assert run_cli("analyze", "--data", path, "--model", "poisson-saturated",
+                   "--prior-exponent", "1", "--draws", "10", "--outdir", out) == 65
+    assert capsys.readouterr().err == (
+        "error: improper posterior components (zero count with prior exponent 1) at "
+        f"observations {list(range(1, 20, 2))} and 240 more, 250 in all\n"
+    )
+    assert list(out.iterdir()) == []
 
 
 def test_power_outputs(tmp_path):
@@ -577,6 +605,19 @@ def test_analyze_non_finite_threshold_exit_64(tmp_path, normal_csv, threshold, c
 
 
 _EXCHANGEABLE = ("analyze", "--model", "poisson-exchangeable", "--draws", "20")
+
+
+@pytest.mark.parametrize("step", ["1000", "1e308"])
+def test_chain_step_whose_proposals_overflow_exit_0(tmp_path, poisson_csv, capsys, step):
+    # at step 1000 exp of an alpha0 proposal overflows, and at 1e308 its
+    # log-ratio is inf - inf: the chain rejects such a proposal, with no
+    # RuntimeWarning (an error in this suite) and nothing on stderr
+    out = tmp_path / "run"
+    assert run_cli("analyze", "--data", poisson_csv, "--model", "poisson-exchangeable",
+                   "--draws", "50", "--chain-burn-in", "100", "--chain-step", step,
+                   "--outdir", out) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_csv(out / "trace.csv")) == 51
 
 
 @pytest.mark.parametrize("args", [
@@ -980,6 +1021,12 @@ def test_config_file_supplies_required_flags(tmp_path, normal_csv, poisson_csv):
     assert run_cli("analyze", "--config", cfgfile, "--outdir", out) == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert (config["data"], config["model"], config["draws"]) == (str(normal_csv), "normal", 40)
+    # and the bytes the same flags give on the command line
+    flags = tmp_path / "from_flags"
+    assert run_cli("analyze", "--data", normal_csv, "--model", "normal", "--draws", "40",
+                   "--outdir", flags) == 0
+    for name in ("summary.csv", "trace.csv"):
+        assert (out / name).read_bytes() == (flags / name).read_bytes()
     # the command line still wins over the file, required flags included
     out = tmp_path / "overridden"
     assert run_cli("analyze", "--config", cfgfile, "--data", poisson_csv,
@@ -1283,15 +1330,17 @@ def test_config_value_may_begin_with_a_dash(tmp_path, normal_csv, monkeypatch):
     assert manifest["config"]["outdir"] == "-out"
 
 
-def test_same_seed_same_bytes_any_workers(tmp_path):
+def test_same_seed_same_bytes_any_workers(tmp_path, monkeypatch):
+    # on four usable CPUs, 64 workers are capped at four threads
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
     runs = []
-    for name, workers in (("a", "1"), ("b", "4"), ("c", "1")):
-        out = tmp_path / name
+    for label, workers in (("a", "1"), ("b", "2"), ("c", "4"), ("d", "64"), ("e", "1")):
+        out = tmp_path / label
         assert run_cli("simulate-null", "--model", "normal", "--n", "40",
                        "--reps", "60", "--seed", "12", "--classical",
                        "--workers", workers, "--outdir", out) == 0
-        runs.append((out / "qq.csv").read_bytes())
-    assert runs[0] == runs[1] == runs[2]
+        runs.append([(out / name).read_bytes() for name in ("qq.csv", "summary.csv")])
+    assert all(run == runs[0] for run in runs)
 
 
 def test_replay_rejects_mutually_exclusive_keys(tmp_path, monkeypatch, capsys):
@@ -1331,56 +1380,99 @@ def test_replay_of_a_full_scale_manifest_runs_full_scale(tmp_path, monkeypatch):
     assert (first / "qq.csv").read_bytes() == (second / "qq.csv").read_bytes()
 
 
-# one run of every command that records a manifest, with values away from
-# their defaults of every kind: lists, floats, ints, choices and a store_true
-# flag (a mean of 12.5 keeps zero counts, which prior exponent 1 rejects,
-# out of the simulated data); "{counts}" and "{rates}" name the input files
+# the recorded runs, by case: one of every command that records a manifest,
+# with values away from their defaults of every kind (lists, floats, ints,
+# choices and a store_true flag; a mean of 12.5 keeps zero counts, which prior
+# exponent 1 rejects, out of the simulated data), then every dataset model on
+# analyze and monitor, the normal one on pp-test, the classical study and a
+# power study with its own null run; "{name}" is one of _recorded_inputs
 _RECORDED_RUNS = {
     "power": ("power", "--df", "1,3", "--methods", "auc,grouped", "--auc-critical", "0.78",
               "--reps", "4", "--n", "30", "--draws", "20", "--seed", "4"),
+    "power-null-critical": ("power", "--reps", "5", "--draws", "50"),
     "simulate-null": ("simulate-null", "--model", "poisson-synthetic", "--prior-exponent", "1.0",
                       "--mean", "12.5", "--reps", "20", "--n", "30", "--assert-calibrated"),
+    "simulate-null-classical-k12": ("simulate-null", "--classical", "--k", "12", "--reps", "50"),
+    "simulate-null-classical-w2": ("simulate-null", "--classical", "--workers", "2",
+                                   "--reps", "50"),
     "analyze": ("analyze", "--data", "{counts}", "--model", "poisson-common", "--draws", "50",
                 "--threshold", "2.5", "--k", "4", "--seed", "3"),
+    "analyze-normal": ("analyze", "--data", "{normal}", "--model", "normal", "--draws", "200",
+                       "--seed", "4"),
+    "analyze-saturated": ("analyze", "--data", "{counts}", "--model", "poisson-saturated",
+                          "--draws", "200", "--seed", "4"),
+    "analyze-exchangeable": ("analyze", "--data", "{counts}", "--model", "poisson-exchangeable",
+                             "--draws", "50", "--chain-burn-in", "100"),
     "pp-test": ("pp-test", "--data", "{counts}", "--model", "poisson-common",
                 "--pp-reps", "3", "--draws", "40", "--seed", "5"),
+    "pp-test-normal": ("pp-test", "--data", "{normal}", "--model", "normal",
+                       "--pp-reps", "5", "--draws", "50", "--seed", "4"),
     "monitor": ("monitor", "--data", "{counts}", "--model", "poisson-common",
                 "--draws-file", "{rates}", "--min-draws", "5", "--alert-factor", "2.5"),
+    "monitor-normal": ("monitor", "--data", "{normal}", "--model", "normal",
+                       "--draws-file", "{normal_draws}"),
+    "monitor-saturated": ("monitor", "--data", "{counts}", "--model", "poisson-saturated",
+                          "--draws-file", "{means}"),
+    "monitor-exchangeable": ("monitor", "--data", "{counts}", "--model", "poisson-exchangeable",
+                             "--draws-file", "{effects}"),
     "validate": ("validate", "--data", "{counts}", "--model", "poisson-common",
                  "--prior-exponent", "1.0"),
 }
 
 
-# the flag naming the one input file a manifest hashes; the studies read none
-_INPUT_FLAG = {"analyze": "--data", "pp-test": "--data", "validate": "--data",
-               "monitor": "--draws-file"}
+# each recording command's outputs, and the flag naming the one input file its
+# manifest hashes (the studies read none)
+_RECORDS = {
+    "simulate-null": (["qq.csv", "summary.csv"], None),
+    "power": (["power.csv"], None),
+    "analyze": (["summary.csv", "trace.csv"], "--data"),
+    "pp-test": (["predictive.csv", "summary.csv"], "--data"),
+    "monitor": (["trace.csv"], "--draws-file"),
+    "validate": ([], "--data"),
+}
+
+
+def _recorded_inputs(tmp_path, poisson_csv, normal_csv) -> dict:
+    """The input files of the recorded runs, by name: the two datasets, and
+    draw lines of each layout for the 30 counts (30 rates; 40 lines of means,
+    and of alpha0, effects and sigma2) and for the normal data (40 lines)."""
+    gen = RngStream(8).generator
+    rows = {
+        "rates": [repr(4.0 + 0.05 * i) for i in range(30)],
+        "means": [" ".join(map(repr, row)) for row in gen.gamma(100.0, 0.05, (40, 30)).tolist()],
+        "effects": [" ".join(map(repr, [math.log(5.0), *row, 0.01]))
+                    for row in gen.normal(0.0, 0.1, (40, 30)).tolist()],
+        "normal_draws": posterior_rows(normal_csv, 40),
+    }
+    files = {name: write_draw_file(tmp_path, normal_csv, f"{name}.txt", lines)
+             for name, lines in rows.items()}
+    return {"counts": poisson_csv, "normal": normal_csv, **files}
 
 
 def _checked_manifest(out, command, input_path) -> dict:
     """out/manifest.json, checked against its run: the command, the outputs
-    (every other file in out) and the one input."""
+    (the command's, and every other file in out) and the one input."""
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
-    assert sorted(manifest["outputs"]) == sorted(
-        p.name for p in out.iterdir() if p.name != "manifest.json"
-    )
+    found = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["outputs"] == _RECORDS[command][0] == found
     assert (manifest["input"] and manifest["input"]["path"]) == input_path
     return manifest
 
 
-@pytest.mark.parametrize("command", sorted(_RECORDED_RUNS))
+@pytest.mark.parametrize("case", sorted(_RECORDED_RUNS))
 def test_replay_round_trip_of_every_recording_command(
-    tmp_path, poisson_csv, monkeypatch, command
+    tmp_path, poisson_csv, normal_csv, monkeypatch, case
 ):
     # output directories beginning with '-' must stay values on every route
     monkeypatch.chdir(tmp_path)
-    rates = tmp_path / "rates.txt"
-    rates.write_text("".join(f"{4.0 + 0.05 * i!r}\n" for i in range(30)))
-    args = [a.format(counts=poisson_csv, rates=rates) for a in _RECORDED_RUNS[command]]
+    inputs = _recorded_inputs(tmp_path, poisson_csv, normal_csv)
+    args = [a.format(**inputs) for a in _RECORDED_RUNS[case]]
+    command = args[0]
     code = run_cli(*args, "--outdir=-first")
     assert code in (0, 2, 3)
     first = tmp_path / "-first"
-    flag = _INPUT_FLAG.get(command)
+    flag = _RECORDS[command][1]
     input_path = args[args.index(flag) + 1] if flag else None
     manifest = _checked_manifest(first, command, input_path)
     outputs = {name: (first / name).read_bytes() for name in manifest["outputs"]}
