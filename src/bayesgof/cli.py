@@ -102,10 +102,10 @@ Environment: BAYESGOF_OUTDIR sets the default output directory.
 
 
 WORKERS_HELP = (
-    "replicate threads (default 1); outputs are byte-identical for any count. "
-    "The replicates are cut into min(workers, replicates, usable CPUs) "
-    "contiguous blocks, one per thread. The threads share the interpreter "
-    "lock, so more than one speeds up only the work done inside numpy"
+    "worker processes (default 1); outputs are byte-identical for any count. "
+    "The replicates are cut into min(workers, usable CPUs, replicates // "
+    f"{harness.MIN_REPS_PER_PROCESS}) contiguous blocks, one per forked "
+    "process; when that is under 2, or the platform cannot fork, they run inline"
 )
 
 
@@ -177,12 +177,17 @@ def _digest(path: str) -> str | None:
     return h.hexdigest()
 
 
+def _input_path(config: dict) -> str | None:
+    """The one input a run hashes: its draw stream if it reads one, else its
+    dataset; None for a study, which reads neither."""
+    return config.get("draws_file", config.get("data"))
+
+
 def _write_manifest(
     outdir: str, ns: argparse.Namespace, outputs: list[str], started: float, derived: dict
 ) -> None:
     config = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    # the one input hashed: a command's draw stream if it reads one, else its dataset
-    input_path = config.get("draws_file", config.get("data"))
+    input_path = _input_path(config)
     entry = None
     if input_path is not None:
         entry = {"path": input_path, "sha256": _digest(input_path)}
@@ -328,12 +333,14 @@ def _exchangeable(ns: argparse.Namespace, offsets: np.ndarray) -> models.Poisson
 
 
 # the dataset models, by --model name: whether the model needs the offsets of
-# the E column, and its builder from the flags and the offsets e
+# the E column, the layout of a monitor draw line, and its builder from the
+# flags and the offsets e
 _DATA_MODELS = {
-    "normal": (False, lambda ns, e: models.NormalModel()),
-    "poisson-common": (True, lambda ns, e: models.PoissonCommonRate(e)),
-    "poisson-saturated": (True, lambda ns, e: models.PoissonSaturated(e, ns.prior_exponent)),
-    "poisson-exchangeable": (True, _exchangeable),
+    "normal": (False, "location scale", lambda ns, e: models.NormalModel()),
+    "poisson-common": (True, "rate", lambda ns, e: models.PoissonCommonRate(e)),
+    "poisson-saturated": (True, "one mean per observation",
+                          lambda ns, e: models.PoissonSaturated(e, ns.prior_exponent)),
+    "poisson-exchangeable": (True, "alpha0, effects..., sigma2", _exchangeable),
 }
 
 
@@ -359,7 +366,7 @@ _NULL_MODELS = {
 
 
 def _build_model(ns: argparse.Namespace, offsets: np.ndarray | None):
-    needs_offsets, build = _DATA_MODELS[ns.model]
+    needs_offsets, _, build = _DATA_MODELS[ns.model]
     if needs_offsets and offsets is None:
         raise DataError(
             f"dataset is missing the offset column 'E' required by model {ns.model}"
@@ -663,6 +670,19 @@ def cmd_replay(ns: argparse.Namespace) -> int:
         named = set(re.findall(r"--[\w-]+", str(exc)))
         keys = [repr(dest) for dest, a in actions.items() if named & set(a.option_strings)]
         raise DataError(f"{ns.manifest}: config key(s) {', '.join(keys)}: {exc}") from None
+    # a run's input must be the one recorded, where both ends were hashed
+    entry, path = manifest.get("input"), _input_path(vars(replay_ns))
+    recorded = entry.get("sha256") if isinstance(entry, dict) else None
+    if recorded is not None and path is not None:
+        try:
+            actual = _digest(path)
+        except OSError as exc:
+            raise _unreadable(path, exc) from None
+        if actual is not None and actual != recorded:
+            raise DataError(
+                f"{path}: input differs from the one {ns.manifest} recorded: "
+                f"sha256 {actual}, recorded {recorded}"
+            )
     return _run(replay_ns)
 
 
@@ -803,10 +823,9 @@ def build_parser() -> _Parser:
     mon = subs.add_parser(
         "monitor",
         help="stream parameter draws and alert on tail-rate excess; exit 3 on alert",
-        description="Read one whitespace-separated parameter vector per line "
-        "(normal: location scale; poisson-common: rate; poisson-saturated: one "
-        "mean per observation; poisson-exchangeable: alpha0, effects..., sigma2) "
-        "and track the statistic's running exceedance rate.  Malformed lines are "
+        description="Read one whitespace-separated parameter vector per line ("
+        + "; ".join(f"{name}: {layout}" for name, (_, layout, _) in _DATA_MODELS.items())
+        + ") and track the statistic's running exceedance rate.  Malformed lines are "
         f"skipped and counted, tolerated up to {MALFORMED_CAP:.0%} of the stream.",
         epilog="trace.csv: index, value, valid, exceeds, cumulative_rate, alert.\n"
         + DATASET_SCHEMA,

@@ -9,9 +9,12 @@ partial of model.predictive_draw or of generate_t, and names neither.
 
 Replicates are independent work units.  Each replicate r derives its own
 random stream as split(root, r), so results are identical for any worker
-count and unaffected by adding or removing other replicates.  Each worker
-thread runs one contiguous block, partial(_block, spec, root) at a
-(start, stop) pair, and the blocks' records are joined in replicate order.
+count and unaffected by adding or removing other replicates.  A study's
+replicates run in one contiguous block inline, or, when --workers asks for
+more and each worker would get at least MIN_REPS_PER_PROCESS of them, in one
+block per forked worker process: partial(_block, spec, root) at a
+(start, stop) pair, the blocks' records joined in replicate order, so every
+output is byte-identical at any worker count.
 
 Stream layout (fixed, documented so runs can be reproduced precisely):
   calibration / size studies   replicate r: data split(c,0), posterior
@@ -46,7 +49,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -371,19 +373,45 @@ def _block(spec: _Replicate, root: RngStream, bounds: tuple[int, int]) -> list[_
     return records
 
 
+# the fewest replicates a worker process repays on the cheapest study, the
+# normal null without the classical fits: on a 2-vCPU Xeon two worker
+# processes broke even with the inline run at about 300 of its replicates
+# and won from 400 on, and broke even at about 150 of the classical study's
+# (BENCH_process_pool.json)
+MIN_REPS_PER_PROCESS = 200
+
+
+def _pool(processes: int):
+    """An executor of `processes` forked workers, imported here, so a study
+    run inline never loads multiprocessing.  Fork, not spawn: a spawned
+    worker imports numpy and scipy afresh, and on the 2-vCPU Xeon two of
+    them ran 2000 classical-null replicates in 608 ms against 349 inline and
+    219 forked.  The workers fork before the executor starts its threads,
+    and the program starts no other.  An executor, not multiprocessing.Pool:
+    the pool waits forever on the block of a worker killed from outside,
+    where the executor raises BrokenProcessPool."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
+
+
 def _run(spec: _Replicate, root: RngStream, reps: int, workers: int) -> _Record:
     """spec at the streams split(root, r) for r < reps, each field an array
-    in replicate order.  range(reps) is cut into threads = min(workers, reps,
-    usable CPUs) contiguous blocks whose sizes differ by at most one; the one
-    block runs inline, more run one per thread."""
-    threads = min(workers, reps, _usable_cpus())
-    bounds = [b * reps // threads for b in range(threads + 1)]
-    block, spans = partial(_block, spec, root), list(zip(bounds, bounds[1:]))
-    if threads == 1:
-        records = block(spans[0])
+    in replicate order.  With processes = min(workers, usable CPUs,
+    reps // MIN_REPS_PER_PROCESS) above 1 on a platform that forks,
+    range(reps) is cut into that many contiguous blocks whose sizes differ
+    by at most one, one per worker process, and the executor's map returns
+    them in replicate order, so a failing study names its lowest failing
+    replicate; otherwise the one block runs inline."""
+    processes = min(workers, _usable_cpus(), reps // MIN_REPS_PER_PROCESS)
+    block = partial(_block, spec, root)
+    if processes <= 1 or not hasattr(os, "fork"):
+        records = block((0, reps))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = [rec for recs in pool.map(block, spans) for rec in recs]
+        bounds = [b * reps // processes for b in range(processes + 1)]
+        with _pool(processes) as pool:
+            records = [rec for recs in pool.map(block, zip(bounds, bounds[1:])) for rec in recs]
     return _Record(*map(np.array, zip(*records)))
 
 

@@ -5,7 +5,7 @@ primitives (regularized incomplete gamma, erfc), chosen
 so that upper tails are computed directly instead of as 1 - cdf.  Random
 streams are counter-based (Philox) and keyed by (seed, path), so any stream
 can be split into child streams that are independent by construction and
-reproducible across runs and thread counts.
+reproducible across runs and worker counts.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ import argparse
 import csv
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import threading
 import warnings
@@ -56,6 +58,14 @@ def test_help_of_every_parser_ends_in_the_exit_codes(capsys, command):
         run_cli(*command.split(), "--help")
     assert done.value.code == 0
     assert capsys.readouterr().out.endswith("\n" + cli.EXIT_HELP)
+
+
+def test_monitor_help_gives_the_draw_line_of_every_dataset_model(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("monitor", "--help")
+    out = " ".join(capsys.readouterr().out.split())
+    for name, (_, layout, _) in cli._DATA_MODELS.items():
+        assert f"{name}: {layout}" in out
 
 
 def test_usage_errors_exit_64(tmp_path, capsys, normal_csv):
@@ -465,11 +475,13 @@ def test_setting_too_large_for_memory_exits_64(tmp_path, capsys, normal_csv, com
     assert not out.exists() or list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_simulated_replicate_violating_the_model_exit_70(tmp_path, monkeypatch, capsys, workers):
     # at mean 6 and seed 2, replicates 9, 11 and 19 hold a zero count, which
-    # the prior exponent 1 refuses; three threads run 0-5, 6-12 and 13-19,
-    # and the lowest, 9, is named at any worker count
+    # the prior exponent 1 refuses; with the floor at one replicate, two
+    # worker processes run 0-9 and 10-19, three run 0-5, 6-12 and 13-19, and
+    # the lowest, 9, is named at any worker count, with no process left behind
+    monkeypatch.setattr(harness, "MIN_REPS_PER_PROCESS", 1)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
     out = tmp_path / "run"
     assert run_cli("simulate-null", "--model", "poisson-synthetic", "--prior-exponent", "1",
@@ -480,6 +492,7 @@ def test_simulated_replicate_violating_the_model_exit_70(tmp_path, monkeypatch, 
         "posterior components (zero count with prior exponent 1) at observations [49]\n"
     )
     assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_pp_test_outputs(tmp_path, normal_csv):
@@ -914,6 +927,53 @@ def _recorded_analyze(tmp_path, poisson_csv):
     return first, json.loads((first / "manifest.json").read_text())
 
 
+def test_replay_of_an_edited_input_exit_65(tmp_path, poisson_csv, capsys):
+    # one count edited after the run: the replay names the file and both
+    # digests, and writes nothing
+    first, manifest = _recorded_analyze(tmp_path, poisson_csv)
+    header, row, *rest = poisson_csv.read_text().splitlines()
+    count, offset = row.split(",")
+    poisson_csv.write_text("\n".join([header, f"{int(count) + 1},{offset}", *rest]) + "\n")
+    edited = hashlib.sha256(poisson_csv.read_bytes()).hexdigest()
+    second = tmp_path / "second"
+    assert run_cli("replay", first / "manifest.json", "--outdir", second) == 65
+    assert capsys.readouterr().err == (
+        f"error: {poisson_csv}: input differs from the one {first / 'manifest.json'} "
+        f"recorded: sha256 {edited}, recorded {manifest['input']['sha256']}\n"
+    )
+    assert not second.exists() or list(second.iterdir()) == []
+
+
+def test_replay_checks_the_input_only_where_both_ends_are_hashed(
+    tmp_path, normal_csv, monkeypatch
+):
+    # a replay from standard input hashes nothing now, and a manifest with
+    # no recorded digest, as standard input gives, has nothing to compare:
+    # either way the replay runs, the second on an edited stream
+    draws = tmp_path / "draws.txt"
+    draws.write_text("\n".join(posterior_rows(normal_csv, 50)) + "\n")
+    first = tmp_path / "first"
+    assert run_cli("monitor", "--data", normal_csv, "--model", "normal",
+                   "--draws-file", draws, "--outdir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["input"]["sha256"] is not None
+    manifest["config"]["draws_file"] = "-"
+    from_stdin = tmp_path / "stdin.json"
+    from_stdin.write_text(json.dumps(manifest))
+    stdin = io.TextIOWrapper(io.BytesIO(draws.read_bytes()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run_cli("replay", from_stdin, "--outdir", tmp_path / "second") == 0
+    trace = (first / "trace.csv").read_bytes()
+    assert (tmp_path / "second" / "trace.csv").read_bytes() == trace
+    manifest["config"]["draws_file"] = str(draws)
+    manifest["input"]["sha256"] = None
+    unhashed = tmp_path / "unhashed.json"
+    unhashed.write_text(json.dumps(manifest))
+    draws.write_text(draws.read_text() + "0.1 1.0\n")
+    assert run_cli("replay", unhashed, "--outdir", tmp_path / "third") == 0
+    assert (tmp_path / "third" / "trace.csv").read_bytes().startswith(trace)
+
+
 def test_replay_fills_missing_keys_from_defaults(tmp_path, poisson_csv):
     first, manifest = _recorded_analyze(tmp_path, poisson_csv)
     assert manifest["config"].pop("threshold") is None
@@ -1331,8 +1391,10 @@ def test_config_value_may_begin_with_a_dash(tmp_path, normal_csv, monkeypatch):
 
 
 def test_same_seed_same_bytes_any_workers(tmp_path, monkeypatch):
-    # on four usable CPUs, 64 workers are capped at four threads
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    # with the floor at 10 replicates and three usable CPUs, 60 replicates
+    # run in 2, 3 and 3 worker processes at workers 2, 4 and 64
+    monkeypatch.setattr(harness, "MIN_REPS_PER_PROCESS", 10)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
     runs = []
     for label, workers in (("a", "1"), ("b", "2"), ("c", "4"), ("d", "64"), ("e", "1")):
         out = tmp_path / label
@@ -1341,6 +1403,15 @@ def test_same_seed_same_bytes_any_workers(tmp_path, monkeypatch):
                        "--workers", workers, "--outdir", out) == 0
         runs.append([(out / name).read_bytes() for name in ("qq.csv", "summary.csv")])
     assert all(run == runs[0] for run in runs)
+    # and power, whose null AUC run and every df each run in a pool
+    runs = []
+    for label, workers in (("p1", "1"), ("p2", "2"), ("p3", "3")):
+        out = tmp_path / label
+        assert run_cli("power", "--df", "1,3", "--reps", "30", "--draws", "40", "--n", "30",
+                       "--seed", "7", "--workers", workers, "--outdir", out) == 0
+        runs.append((out / "power.csv").read_bytes())
+    assert runs[0] == runs[1] == runs[2]
+    assert multiprocessing.active_children() == []
 
 
 def test_replay_rejects_mutually_exclusive_keys(tmp_path, monkeypatch, capsys):

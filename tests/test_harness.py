@@ -4,6 +4,7 @@ analysis summaries, the predictive significance test, and the stream monitor."""
 import collections
 import dataclasses
 import functools
+import multiprocessing
 import os
 import pickle
 
@@ -117,21 +118,28 @@ def test_replicate_values_are_independent_of_count():
     assert all(large_counts[v] >= c for v, c in small_counts.items())
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    # through real pools: the floor lowered so that 60 replicates fill three
+    # worker processes, the most a test starts
+    monkeypatch.setattr(harness, "MIN_REPS_PER_PROCESS", 10)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
     base = ExperimentConfig(n=40, replicates=60, seed=14, include_classical=True)
     one = normal_null(base)
-    four = normal_null(ExperimentConfig(**{**base.__dict__, "workers": 4}))
-    for name in ("posterior", "plugin", "grouped"):
-        assert np.array_equal(one.series[name].values, four.series[name].values)
+    for workers in (2, 3, 10**6):
+        many = normal_null(dataclasses.replace(base, workers=workers))
+        for name in ("posterior", "plugin", "grouped"):
+            assert np.array_equal(one.series[name].values, many.series[name].values)
+        assert np.array_equal(one.grouped_iterations, many.grouped_iterations)
+    assert multiprocessing.active_children() == []
 
 
 class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records the pool size it is asked
+    """Stands in for harness._pool: records the worker count it is asked
     for and the (start, stop) pairs of the blocks it maps, and runs the map
-    inline, starting no thread."""
+    inline, starting no process."""
 
-    def __init__(self, sizes, max_workers, bounds):
-        sizes.append(max_workers)
+    def __init__(self, sizes, processes, bounds):
+        sizes.append(processes)
         self.bounds = bounds
 
     def __enter__(self):
@@ -148,12 +156,14 @@ class _RecordingPool:
 
 @pytest.mark.parametrize("cpus, reps, pool", [(4, 6, [4]), (64, 6, [6]), (1, 6, [])])
 def test_replicate_threads_are_capped(monkeypatch, cpus, reps, pool):
-    # a million workers get min(workers, replicates, usable CPUs) threads,
-    # none at all when that is 1
+    # with one replicate enough for a process, a million workers get
+    # min(workers, usable CPUs, replicates) worker processes, none at all
+    # when that is 1
     sizes = []
+    monkeypatch.setattr(harness, "MIN_REPS_PER_PROCESS", 1)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(harness, "ThreadPoolExecutor",
-                        lambda max_workers: _RecordingPool(sizes, max_workers, []))
+    monkeypatch.setattr(harness, "_pool",
+                        lambda processes: _RecordingPool(sizes, processes, []))
     cfg = ExperimentConfig(n=30, replicates=reps, seed=4, include_classical=True, bins=5)
     many = normal_null(dataclasses.replace(cfg, workers=10**6))
     assert sizes == pool
@@ -174,14 +184,47 @@ def test_replicate_threads_are_capped(monkeypatch, cpus, reps, pool):
         assert np.array_equal(many.exceedance_fractions[df], fractions)
 
 
+@pytest.mark.parametrize("reps, fork, pool", [
+    (5, True, []), (6, True, [2]), (8, True, [2]), (9, True, [3]), (9, False, []),
+])
+def test_a_process_runs_at_least_the_floor_of_replicates(monkeypatch, reps, fork, pool):
+    # with a floor of 3, reps // 3 caps the processes, and a study that
+    # would give one of them fewer, or a platform with no fork, runs inline
+    sizes = []
+    monkeypatch.setattr(harness, "MIN_REPS_PER_PROCESS", 3)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(harness, "_pool",
+                        lambda processes: _RecordingPool(sizes, processes, []))
+    if not fork:
+        monkeypatch.delattr(harness.os, "fork", raising=False)
+    cfg = ExperimentConfig(n=30, replicates=reps, seed=4, bins=5)
+    many = normal_null(dataclasses.replace(cfg, workers=10**6))
+    assert sizes == pool
+    assert np.array_equal(many.series["posterior"].values, normal_null(cfg).series["posterior"].values)
+
+
+def test_the_floor_keeps_small_studies_inline(monkeypatch):
+    # fewer than 2 * MIN_REPS_PER_PROCESS replicates start no process at any
+    # worker count
+    sizes = []
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(harness, "_pool",
+                        lambda processes: _RecordingPool(sizes, processes, []))
+    cfg = ExperimentConfig(n=30, replicates=2 * harness.MIN_REPS_PER_PROCESS - 1, seed=4,
+                           bins=5, workers=10**6)
+    normal_null(cfg)
+    assert sizes == []
+
+
 @pytest.mark.parametrize("workers, threads", [(2, 2), (3, 3), (10**6, 7)])
 def test_each_thread_runs_one_contiguous_block(monkeypatch, workers, threads):
-    # 7 replicates on `threads` threads: one block per thread, in replicate
-    # order, covering range(7), sizes within one of each other
+    # 7 replicates on `threads` worker processes: one block per process, in
+    # replicate order, covering range(7), sizes within one of each other
     sizes, bounds = [], []
+    monkeypatch.setattr(harness, "MIN_REPS_PER_PROCESS", 1)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
-    monkeypatch.setattr(harness, "ThreadPoolExecutor",
-                        lambda max_workers: _RecordingPool(sizes, max_workers, bounds))
+    monkeypatch.setattr(harness, "_pool",
+                        lambda processes: _RecordingPool(sizes, processes, bounds))
     cfg = ExperimentConfig(n=30, replicates=7, seed=4, include_classical=True, bins=5)
     many = normal_null(dataclasses.replace(cfg, workers=workers))
     assert sizes == [threads] and len(bounds) == 1
