@@ -8,6 +8,10 @@ model carries, which is what makes averaging tail areas over posterior draws
 meaningful.  Classical comparators (cells fixed in data space, parameters
 fitted by raw-data or grouped maximum likelihood) are provided for the same
 cell layouts.
+
+The posterior statistic comes back as a BinnedStat, the value and the cell
+counts, once per evaluated draw on the per-draw paths; it is a named tuple,
+which costs less to build than a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +50,7 @@ SCORING_MAX_ITER = 50
 SCORING_MAX_HALVINGS = 60
 
 
-@dataclass(frozen=True)
-class BinnedStat:
+class BinnedStat(NamedTuple):
     """A float and K counts at one parameter value; D values and D x K counts
     for a batch of D draws."""
 

@@ -42,6 +42,10 @@ fraction, the share of its posterior draws above the upper-alpha
 chi-square(k - 1) point (AucDistribution, PowerResult).  It is
 gof.exceedance of the draws the AUC already evaluates, as in analyze, so it
 adds no random-stream use.
+
+The records made once per replicate or per monitored draw, _Record and
+MonitorRecord, are named tuples, which cost less to build than frozen
+dataclasses; the study results, made once per run, stay dataclasses.
 """
 
 from __future__ import annotations
@@ -224,8 +228,7 @@ class PredictiveAucResult:
     p_value: float
 
 
-@dataclass(frozen=True)
-class MonitorRecord:
+class MonitorRecord(NamedTuple):
     """One monitored draw; reason names the exception that made an invalid
     draw give no statistic, and is empty for a valid one."""
 
@@ -403,15 +406,26 @@ def _run(spec: _Replicate, root: RngStream, reps: int, workers: int) -> _Record:
     range(reps) is cut into that many contiguous blocks whose sizes differ
     by at most one, one per worker process, and the executor's map returns
     them in replicate order, so a failing study names its lowest failing
-    replicate; otherwise the one block runs inline."""
+    replicate; otherwise the one block runs inline.  A worker killed from
+    outside, as by the out-of-memory killer, is a ConfigError."""
     processes = min(workers, _usable_cpus(), reps // MIN_REPS_PER_PROCESS)
     block = partial(_block, spec, root)
     if processes <= 1 or not hasattr(os, "fork"):
         records = block((0, reps))
     else:
+        from concurrent.futures.process import BrokenProcessPool
+
         bounds = [b * reps // processes for b in range(processes + 1)]
-        with _pool(processes) as pool:
-            records = [rec for recs in pool.map(block, zip(bounds, bounds[1:])) for rec in recs]
+        try:
+            with _pool(processes) as pool:
+                records = [rec for recs in pool.map(block, zip(bounds, bounds[1:]))
+                           for rec in recs]
+        except BrokenProcessPool:
+            raise ConfigError(
+                f"one of {processes} worker processes ended before its replicates were "
+                "done, most likely killed by the system for want of memory; "
+                "try fewer --workers"
+            ) from None
     return _Record(*map(np.array, zip(*records)))
 
 

@@ -94,18 +94,24 @@ def _normal_sample(data) -> tuple[np.ndarray, float, float]:
 
 
 def _parameter_vector(values, size: int, positive) -> np.ndarray:
-    """values as a vector of size finite floats whose [positive] entries are > 0."""
+    """values as a vector of size finite floats whose [positive] entries are > 0,
+    positive an index or a slice.  The checks run on the vector's Python
+    floats: on the few values of a monitored draw line, numpy's reductions
+    cost more than the conversion."""
     v = np.asarray(values, dtype=float)
-    if (
-        v.shape != (size,)
-        or not np.logical_and.reduce(np.isfinite(v))
-        # NaN has failed the finiteness test
-        or not np.minimum.reduce(v[positive], axis=None) > 0.0
-    ):
-        raise DomainError(
-            f"need {size} finite parameter values with a positive scale, rate, mean or sigma2"
-        )
-    return v
+    if v.shape == (size,):
+        floats = v.tolist()
+        lead = floats[positive]
+        # a sum of finite values is finite unless it overflows, and a NaN or
+        # an infinity makes it NaN or infinite; NaN has then failed the
+        # finiteness test, and size >= 1, so a slice is not empty
+        if (math.isfinite(sum(floats)) or all(map(math.isfinite, floats))) and (
+            min(lead) if isinstance(positive, slice) else lead
+        ) > 0.0:
+            return v
+    raise DomainError(
+        f"need {size} finite parameter values with a positive scale, rate, mean or sigma2"
+    )
 
 
 def _column_span(t: np.ndarray) -> tuple[list, list]:

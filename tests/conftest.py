@@ -1,7 +1,9 @@
 """Shared fixtures for the expensive Monte Carlo runs, and the model table.
 
 The 2000-replicate null run and the stored null AUC distribution are reused
-across several test modules, so they are computed once per session.
+across several test modules, so they are computed once per session.  They
+and the power run ask for two workers: their results are byte-identical at
+any worker count, and a host with one usable CPU runs them inline.
 MODEL_CASES holds every model the CLI builds for a dataset; the protocol
 suite and the theta-layout checks run on it.  NULL_CASES holds every model
 and true parameter simulate-null builds, each at its flags' defaults.
@@ -80,7 +82,9 @@ def _null_cases() -> list[NullCase]:
 NULL_CASES = _null_cases()
 
 # the configuration of the stored null AUC distribution
-AUC_NULL_CONFIG = ExperimentConfig(n=50, bins=5, replicates=2000, seed=11, draws_per_dataset=500)
+AUC_NULL_CONFIG = ExperimentConfig(
+    n=50, bins=5, replicates=2000, seed=11, draws_per_dataset=500, workers=2
+)
 
 # verdict lines recorded by the acceptance tests; replayed after the run so
 # they land on the real terminal rather than in pytest's captured stdout
@@ -100,7 +104,9 @@ def null_run_2000():
 
     Returns (result, wall_seconds); the timing feeds the runtime budget check.
     """
-    cfg = ExperimentConfig(n=50, bins=5, replicates=2000, seed=8, include_classical=True)
+    cfg = ExperimentConfig(
+        n=50, bins=5, replicates=2000, seed=8, include_classical=True, workers=2
+    )
     t0 = time.perf_counter()
     res = null_calibration(cfg, NormalModel(), STANDARD_NORMAL)
     return res, time.perf_counter() - t0
@@ -118,6 +124,6 @@ def power_result(stored_auc_null):
     """Rejection rates against t alternatives at df 1, 2, 3, 5, 10."""
     cfg = ExperimentConfig(
         n=50, bins=5, replicates=1000, seed=500,
-        draws_per_dataset=500, df_grid=(1, 2, 3, 5, 10),
+        draws_per_dataset=500, df_grid=(1, 2, 3, 5, 10), workers=2,
     )
     return power_study(cfg, stored_auc_null.critical, NormalModel(), STANDARD_NORMAL)

@@ -11,6 +11,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import threading
 import warnings
 
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from bayesgof import cli, harness
+from bayesgof import cli, harness, models
 from bayesgof.probkit import RngStream
 
 
@@ -490,6 +491,32 @@ def test_simulated_replicate_violating_the_model_exit_70(tmp_path, monkeypatch, 
     assert capsys.readouterr().err == (
         "numerical failure: replicate 9 violates model data requirements: improper "
         "posterior components (zero count with prior exponent 1) at observations [49]\n"
+    )
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+_TEST_PID = os.getpid()
+
+
+def _killed_in_a_worker(self, theta, rng, n):
+    """A predictive_draw that kills the worker process it runs in."""
+    assert os.getpid() != _TEST_PID, "ran inline, not in a worker process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_killed_worker_process_exit_64(tmp_path, monkeypatch, capsys):
+    # each of two worker processes kills itself at its first replicate, as
+    # the out-of-memory killer would; the run ends on one line, no traceback
+    monkeypatch.setattr(harness, "MIN_REPS_PER_PROCESS", 1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(models.NormalModel, "predictive_draw", _killed_in_a_worker)
+    out = tmp_path / "run"
+    assert run_cli("simulate-null", "--model", "normal", "--reps", "4", "--workers", "2",
+                   "--outdir", out) == 64
+    assert capsys.readouterr().err == (
+        "error: one of 2 worker processes ended before its replicates were done, most "
+        "likely killed by the system for want of memory; try fewer --workers\n"
     )
     assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []

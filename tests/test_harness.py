@@ -16,6 +16,7 @@ from bayesgof import harness, probkit
 from bayesgof.binning import equiprobable
 from bayesgof.errors import ConfigError, DomainError
 from bayesgof.gof import (
+    BinnedStat,
     exceedance,
     posterior_chisq_continuous,
     posterior_chisq_discrete_randomized,
@@ -23,6 +24,7 @@ from bayesgof.gof import (
 )
 from bayesgof.harness import (
     ExperimentConfig,
+    MonitorRecord,
     analyze,
     ks_statistic,
     null_auc_distribution,
@@ -636,6 +638,20 @@ def test_monitor_marks_invalid_draws():
     assert np.isnan(recs[1].value)
     # invalid draws are excluded from the running denominator
     assert recs[2].cumulative_rate in (0.0, 0.5, 1.0)
+
+
+def test_per_draw_records_are_named_tuples_in_their_field_order():
+    y = RngStream(45).generator.normal(0, 1, 50)
+    rec, = stream_monitor([(0.0, 1.0)], y, NormalModel(), equiprobable(5))
+    assert type(rec) is MonitorRecord and isinstance(rec, tuple)
+    assert MonitorRecord._fields == (
+        "index", "value", "valid", "exceeds", "cumulative_rate", "alert", "reason"
+    )
+    assert rec[0] == rec.index == 0 and rec[-1] == rec.reason == ""
+    stat = posterior_chisq_continuous(y, NormalModel(), (0.0, 1.0), equiprobable(5))
+    assert type(stat) is BinnedStat and BinnedStat._fields == ("value", "counts")
+    value, counts = stat
+    assert value == stat.value and counts is stat.counts
 
 
 def test_monitor_evaluator_faults_propagate():

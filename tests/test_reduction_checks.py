@@ -4,8 +4,9 @@ must decide, raise and return exactly as its earlier method-based form
 oracle: the same exception type and message, the same kinds of warning, or
 bit-identical results.  So must pearson of a BinScheme, whose cell
 probabilities were checked when it was built, against pearson of its widths.
-The randomized statistic's range checks are checked against their
-element-wise reference in test_gof."""
+The theta check, which runs on Python floats, must also decide exactly as its
+ufunc-reduction form did.  The randomized statistic's range checks are
+checked against their element-wise reference in test_gof."""
 
 import dataclasses
 import math
@@ -50,6 +51,20 @@ def _old_poisson_cdf_pair(y, means):
 def _old_parameter_vector(values, size, positive):
     v = np.asarray(values, dtype=float)
     if v.shape != (size,) or not np.isfinite(v).all() or not (v[positive] > 0.0).all():
+        raise DomainError(
+            f"need {size} finite parameter values with a positive scale, rate, mean or sigma2"
+        )
+    return v
+
+
+def _numpy_parameter_vector(values, size, positive):
+    # the ufunc-reduction form that checked the values before the Python-float one
+    v = np.asarray(values, dtype=float)
+    if (
+        v.shape != (size,)
+        or not np.logical_and.reduce(np.isfinite(v))
+        or not np.minimum.reduce(v[positive], axis=None) > 0.0
+    ):
         raise DomainError(
             f"need {size} finite parameter values with a positive scale, rate, mean or sigma2"
         )
@@ -154,8 +169,8 @@ def _old_exceedance(values, threshold):
 
 
 def _bits(out):
-    if isinstance(out, tuple):
-        return tuple(_bits(v) for v in out)
+    if isinstance(out, tuple):  # a named tuple, as BinnedStat, keeps its type
+        return type(out), tuple(_bits(v) for v in out)
     if dataclasses.is_dataclass(out):
         return type(out), _bits(tuple(getattr(out, f.name) for f in dataclasses.fields(out)))
     if isinstance(out, (np.ndarray, np.generic)):
@@ -242,6 +257,33 @@ def test_theta_from_vector_matches_its_method_form(model, values):
     new = _outcome(model.theta_from_vector, values)
     with mock.patch.object(models, "_parameter_vector", _old_parameter_vector):
         assert new == _outcome(model.theta_from_vector, values)
+
+
+def _parameter_vector_inputs(size):
+    """Vectors of about size values: one special value at the first, second
+    or last entry, or at all of them; wrong lengths; 2-D and 0-D input."""
+    base = [0.5] * size
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1.0, 1e308]
+    vectors = [base, [-1.0] * size]
+    for v in specials:
+        vectors.append([v] * size)
+        for j in {0, min(1, size - 1), size - 1}:
+            vectors.append(base[:j] + [v] + base[j + 1:])
+    wrong = [base[:-1], base + [0.5], [], [base], [[v] for v in base], 0.5]
+    return vectors + [np.array(v) for v in vectors] + wrong
+
+
+@pytest.mark.parametrize("size, positive", [
+    (size, positive)
+    for size in (1, 2, 56, 58)
+    for positive in (0, 1, -1, slice(None))
+    if positive != 1 or size > 1  # no model names an entry beyond its vector
+], ids=lambda p: "all" if isinstance(p, slice) else str(p))
+def test_parameter_vector_matches_its_numpy_form(size, positive):
+    for values in _parameter_vector_inputs(size):
+        assert _outcome(models._parameter_vector, values, size, positive) == _outcome(
+            _numpy_parameter_vector, values, size, positive
+        )
 
 
 _schemes = st.one_of(
