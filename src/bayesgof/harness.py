@@ -406,8 +406,8 @@ def _run(spec: _Replicate, root: RngStream, reps: int, workers: int) -> _Record:
     range(reps) is cut into that many contiguous blocks whose sizes differ
     by at most one, one per worker process, and the executor's map returns
     them in replicate order, so a failing study names its lowest failing
-    replicate; otherwise the one block runs inline.  A worker killed from
-    outside, as by the out-of-memory killer, is a ConfigError."""
+    replicate; otherwise the one block runs inline.  A worker process that
+    ends abruptly, killed from outside or crashed, is a ConfigError."""
     processes = min(workers, _usable_cpus(), reps // MIN_REPS_PER_PROCESS)
     block = partial(_block, spec, root)
     if processes <= 1 or not hasattr(os, "fork"):
@@ -420,12 +420,12 @@ def _run(spec: _Replicate, root: RngStream, reps: int, workers: int) -> _Record:
             with _pool(processes) as pool:
                 records = [rec for recs in pool.map(block, zip(bounds, bounds[1:]))
                            for rec in recs]
-        except BrokenProcessPool:
+        except BrokenProcessPool as exc:
             raise ConfigError(
-                f"one of {processes} worker processes ended before its replicates were "
-                "done, most likely killed by the system for want of memory; "
-                "try fewer --workers"
-            ) from None
+                f"one of {processes} worker processes ended abruptly before its "
+                "replicates were done (killed, as by the out-of-memory killer, or "
+                "crashed); try fewer --workers"
+            ) from exc
     return _Record(*map(np.array, zip(*records)))
 
 

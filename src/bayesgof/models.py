@@ -102,10 +102,7 @@ def _parameter_vector(values, size: int, positive) -> np.ndarray:
     if v.shape == (size,):
         floats = v.tolist()
         lead = floats[positive]
-        # a sum of finite values is finite unless it overflows, and a NaN or
-        # an infinity makes it NaN or infinite; NaN has then failed the
-        # finiteness test, and size >= 1, so a slice is not empty
-        if (math.isfinite(sum(floats)) or all(map(math.isfinite, floats))) and (
+        if all(map(math.isfinite, floats)) and (
             min(lead) if isinstance(positive, slice) else lead
         ) > 0.0:
             return v

@@ -102,7 +102,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def null_run_2000():
     """Normal-model null calibration with the classical comparators.
 
-    Returns (result, wall_seconds); the timing feeds the runtime budget check.
+    Returns (result, wall_seconds); the timing feeds criterion 1's runtime
+    budget, so on a host with two or more usable CPUs that budget times a run
+    split across two worker processes, and on one CPU the inline run.
     """
     cfg = ExperimentConfig(
         n=50, bins=5, replicates=2000, seed=8, include_classical=True, workers=2

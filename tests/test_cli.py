@@ -515,8 +515,8 @@ def test_killed_worker_process_exit_64(tmp_path, monkeypatch, capsys):
     assert run_cli("simulate-null", "--model", "normal", "--reps", "4", "--workers", "2",
                    "--outdir", out) == 64
     assert capsys.readouterr().err == (
-        "error: one of 2 worker processes ended before its replicates were done, most "
-        "likely killed by the system for want of memory; try fewer --workers\n"
+        "error: one of 2 worker processes ended abruptly before its replicates were "
+        "done (killed, as by the out-of-memory killer, or crashed); try fewer --workers\n"
     )
     assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []
