@@ -10,15 +10,21 @@ fitted by raw-data or grouped maximum likelihood) are provided for the same
 cell layouts.
 
 The posterior statistic comes back as a BinnedStat, the value and the cell
-counts, once per evaluated draw on the per-draw paths; it is a named tuple,
-which costs less to build than a frozen dataclass.
+counts, once per evaluated draw on the per-draw paths; the classical fits
+come back as a FittedStat and begin from a RawStart.  All three are named
+tuples, which cost less to build than frozen dataclasses.
+
+Each Fisher-scoring step of the grouped fit is one pass over the cells on
+Python floats: the score, the information and sum(m / p), and the
+log-likelihood of a trial point, are each added left to right from 0.0, in
+cell order.  Those are plain IEEE additions, so the fit gives the same bits
+on every CPython, unlike builtin sum, which compensates float sums from
+Python 3.12 on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +64,7 @@ class BinnedStat(NamedTuple):
     counts: np.ndarray
 
 
-@dataclass(frozen=True)
-class RawStart:
+class RawStart(NamedTuple):
     """What both classical fits begin from: the data-space cell counts, the
     cut points as floats, theta = the raw-data MLE and the cell
     probabilities at theta as floats."""
@@ -70,8 +75,7 @@ class RawStart:
     probs: list
 
 
-@dataclass(frozen=True)
-class FittedStat:
+class FittedStat(NamedTuple):
     """A classical statistic together with the parameter value it used; the
     plugin statistic also keeps the RawStart it was evaluated at."""
 
@@ -273,10 +277,12 @@ def _group_loglik(model, edges: list, counts: list, vec: list, start: RawStart |
             p = model.cell_probs(edges, theta)
     except (OverflowError, ZeroDivisionError):
         return -math.inf, None, None
-    # min() would miss a NaN that is not the first item
-    if not all(q >= 1e-300 for q in p):
-        return -math.inf, None, None
-    return sum(map(mul, counts, map(math.log, p))), theta, p
+    loglik = 0.0
+    for m_j, p_j in zip(counts, p):
+        if not p_j >= 1e-300:  # NaN fails too
+            return -math.inf, None, None
+        loglik += m_j * math.log(p_j)
+    return loglik, theta, p
 
 
 def _cholesky_step(i_aa: float, i_ba: float, i_bb: float, g_a: float, g_b: float) -> tuple:
@@ -321,11 +327,15 @@ def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedSt
     The model has s = 2 free parameters, as every classical comparator
     does, and the steps run on Python floats, with no array inside the
     loop: the counts and edges are converted once, the model's cell_probs
-    and cell_probs_jacobian return lists, one pass over the K cells sums the
-    two score entries and the three distinct entries of I, and the step
-    solves I through its 2 x 2 Cholesky factor.  A trial step at which
-    theta overflows, sigma underflows to 0, or a cell probability is NaN or
-    below 1e-300, has l = -inf and is halved.
+    and cell_probs_jacobian return lists, one pass over the K cells adds
+    the two score entries, the three distinct entries of I and sum(m / p)
+    into six floats, and the step solves I through its 2 x 2 Cholesky
+    factor.  A trial point's l is added up in one more pass, which stops
+    at the first cell probability below 1e-300.  Every such sum starts
+    at 0.0 and adds the cells left to right, so the fit rounds the same on
+    every CPython version.  A trial step at which theta overflows, sigma
+    underflows to 0, or a cell probability is NaN or below 1e-300, has
+    l = -inf and is halved.  The FittedStat is a named tuple.
 
     EvaluationError: l is not finite at the start, or a fitted cell
     probability lies below the floor.  OptimizationError: the information
@@ -343,29 +353,33 @@ def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedSt
     if loglik == -math.inf:
         raise EvaluationError("grouped likelihood is not finite at the raw MLE start")
     for iterations in range(1, SCORING_MAX_ITER + 1):
-        # one pass over the K rows (J_a, J_b) of J: the score terms, the
+        # one pass over the K rows (J_a, J_b) of J sums the score terms, the
         # information terms (J_a / p) J_a, (J_b / p) J_a and (J_b / p) J_b,
         # and m / p
-        terms = []
+        g_a = g_b = s_aa = s_ba = s_bb = ratio_sum = 0.0
         for m_j, p_j, (ja, jb) in zip(counts, probs, model.cell_probs_jacobian(cuts, theta)):
             r = m_j / p_j
             wa, wb = ja / p_j, jb / p_j
-            terms.append((ja * r, jb * r, wa * ja, wb * ja, wb * jb, r))
-        g_a, g_b, s_aa, s_ba, s_bb, ratio_sum = map(sum, zip(*terms))
+            g_a += ja * r
+            g_b += jb * r
+            s_aa += wa * ja
+            s_ba += wb * ja
+            s_bb += wb * jb
+            ratio_sum += r
         i_aa, i_ba, i_bb = n * s_aa, n * s_ba, n * s_bb
         if not all(map(math.isfinite, (i_aa, i_ba, i_bb))):
             raise OptimizationError("grouped-fit information matrix is not finite")
         # l is rounded by about one unit per unit of |l| + sum(m / p): the
         # sum, and cell probabilities with an absolute rounding error
         tol = SCORING_TOL * (1.0 + abs(loglik) + ratio_sum)
-        step = _cholesky_step(i_aa, i_ba, i_bb, g_a, g_b)
-        decrement = g_a * step[0] + g_b * step[1]
+        d_a, d_b = _cholesky_step(i_aa, i_ba, i_bb, g_a, g_b)
+        decrement = g_a * d_a + g_b * d_b
         for _ in range(SCORING_MAX_HALVINGS):
-            trial_vec = list(map(add, vec, step))
+            trial_vec = [vec[0] + d_a, vec[1] + d_b]
             trial = _group_loglik(model, cuts, counts, trial_vec)
             if trial[0] >= loglik:
                 break
-            step = [0.5 * d for d in step]
+            d_a, d_b = 0.5 * d_a, 0.5 * d_b
         else:
             raise OptimizationError(
                 "no halving of the scoring step keeps the grouped likelihood"

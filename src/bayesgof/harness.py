@@ -316,10 +316,11 @@ class _Record(NamedTuple):
 class _Replicate:
     """One replicate from its stream c: data(rng=split(c, 0), n=n), the
     posterior from split(c, 1) and a discrete model's randomization from
-    split(c, 2).  draws None scores one model.posterior_draw, else
-    model.posterior_sample's stack gives the AUC and the fraction above
-    threshold.  With edges the grouped fit runs on those classical cells,
-    from the plugin fit's start when plugin is set.  Pickles if data does."""
+    split(c, 2), which a continuous model neither reads nor makes.  draws
+    None scores one model.posterior_draw, else model.posterior_sample's
+    stack gives the AUC and the fraction above threshold.  With edges the
+    grouped fit runs on those classical cells, from the plugin fit's start
+    when plugin is set.  Pickles if data does."""
 
     model: object
     data: Callable[..., np.ndarray]
@@ -333,14 +334,15 @@ class _Replicate:
     def __call__(self, c: RngStream) -> _Record:
         model, scheme = self.model, self.scheme
         y = self.data(rng=split(c, 0), n=self.n)
+        rng = split(c, 2) if model.is_discrete else None
         auc = fraction = plugin = grouped = math.nan
         iterations = 0
         if self.draws is None:
             theta = model.posterior_draw(y, split(c, 1))
-            statistic = gof.posterior_chisq(y, model, theta, scheme, split(c, 2)).value
+            statistic = gof.posterior_chisq(y, model, theta, scheme, rng).value
         else:
             thetas = model.posterior_sample(y, self.draws, split(c, 1))
-            values = gof.posterior_chisq(y, model, thetas, scheme, split(c, 2)).value
+            values = gof.posterior_chisq(y, model, thetas, scheme, rng).value
             statistic, auc = float(values[0]), reference_auc(values, scheme.k - 1)
             fraction = exceedance(values, self.threshold)
         if self.edges is not None:

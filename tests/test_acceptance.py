@@ -326,11 +326,31 @@ def test_criterion_11_monitor_fault_injection():
     assert false_alarms <= 5
 
 
-def test_criterion_12_byte_identical_reruns(tmp_path):
+def test_criterion_12_byte_identical_reruns(tmp_path, monkeypatch):
+    import multiprocessing
+
+    from bayesgof import harness
     from bayesgof.cli import main
 
+    # the floor lowered and four CPUs reported, so that each multi-worker
+    # run below starts worker processes: 150 replicates in 4, and each
+    # power df's 50 in 3
+    monkeypatch.setattr(harness, "MIN_REPS_PER_PROCESS", 10)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    pools = []
+    pool = harness._pool
+
+    def counted_pool(processes):
+        pools.append(processes)
+        return pool(processes)
+
+    monkeypatch.setattr(harness, "_pool", counted_pool)
+    started = []  # the pools each run started
+
     def run(outdir, *args):
+        before = len(pools)
         assert main([*map(str, args), "--outdir", str(outdir)]) == 0
+        started.append(pools[before:])
         return outdir
 
     identical = True
@@ -346,6 +366,9 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
                 "--n", "40", "--seed", "7", "--auc-critical", "0.78"]
     pouts = [run(tmp_path / f"pow{i}", *pow_args, "--workers", w)
              for i, w in enumerate(("1", "3"))]
+    # the inline runs start no pool; each multi-worker run starts its own
+    assert started == [[], [4], [], [], [3, 3]]
+    assert multiprocessing.active_children() == []
     pblobs = [(o / "power.csv").read_bytes() for o in pouts]
     identical = identical and pblobs[0] == pblobs[1]
 
@@ -361,6 +384,7 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
         )
 
     report(12, outcome(identical),
-           "simulate-null at workers 1/4/1, power at workers 1/3, and a "
-           "manifest replay all reproduced byte-identical CSV outputs")
+           "simulate-null at workers 1/4/1, power at workers 1/3, the "
+           "multi-worker runs in worker processes, and a manifest replay all "
+           "reproduced byte-identical CSV outputs")
     assert identical

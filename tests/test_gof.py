@@ -455,6 +455,43 @@ def test_grouped_from_the_plugin_start_equals_the_fit_from_scratch(k):
     assert 0 < moved < 100
 
 
+# (plugin value, grouped value, grouped theta, grouped iterations) as
+# float.hex, recorded from the fits before their sums were written as
+# one-pass loops; the arithmetic is IEEE double and libm's erfc, exp and log
+_CLASSICAL_FIT_BITS = [
+    ("0x1.c2d773a29a316p+1", "0x1.cfb556a3bb144p-6",
+     ("0x1.8181f3f1dc458p-4", "0x1.70b3d022f1e4ep+0"), 5),
+    ("0x1.c283616d89ef6p+0", "0x1.55d80a8a5a894p+0",
+     ("0x1.64948da4ae103p-3", "0x1.1e8a6e7d86b7bp+0"), 5),
+    ("0x1.4a5539e5c8be4p+1", "0x1.40c4d16b41db1p+1",
+     ("0x1.65a0371d19eadp-5", "0x1.b0ad490c31fbcp-1"), 5),
+    ("0x1.02b34d7a0bf7dp+6", "0x1.a07223f01d166p-6",
+     ("-0x1.ff02629ceb11cp-5", "0x1.ff1da22d31594p-1"), 6),
+]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_classical_fits_keep_their_bits(case):
+    # three normal samples of 50, and a t(2) sample whose first trial step
+    # is halved, at the standard normal's quintiles
+    edges = probkit.normal_quantile(np.arange(1, 5) / 5)
+    if case < 3:
+        y = split(RngStream(211), case).generator.standard_normal(50)
+    else:
+        y = split(RngStream(29), 1).generator.standard_t(2, 50)
+    model = _BadFirstTrial(None)  # spoils nothing, records each vector
+    plugin, value, theta, iterations = _CLASSICAL_FIT_BITS[case]
+    assert plugin_chisq(y, model, edges).value.hex() == plugin
+    model.vecs.clear()
+    grp = grouped_chisq(y, model, edges)
+    assert (grp.value.hex(), tuple(t.hex() for t in grp.theta), grp.iterations) == (
+        value, theta, iterations
+    )
+    start, first, second = (np.array(v) for v in model.vecs[:3])
+    halved = np.allclose(second - start, 0.5 * (first - start), rtol=1e-12)
+    assert halved == (case == 3)
+
+
 class _FarStart(NormalModel):
     """NormalModel whose raw MLE is moved 8 sigma up, so that the bottom
     cell's probability at the start lies far below PROB_FLOOR; it records

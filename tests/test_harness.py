@@ -263,6 +263,29 @@ def test_replicate_spec_pickles():
         assert pickle.loads(pickle.dumps(block))((2, 5)) == inline
 
 
+@pytest.mark.parametrize("discrete", [False, True])
+def test_each_replicate_opens_only_the_streams_it_reads(monkeypatch, discrete):
+    # a stream is opened at the first use of its generator: the normal
+    # model's data and posterior streams, classical fits included, and a
+    # count model's randomization stream as well
+    opened = []
+    generator = RngStream.generator.fget
+
+    def counted(stream):
+        if stream._gen is None:
+            opened.append(stream.path)
+        return generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", property(counted))
+    cfg = ExperimentConfig(n=30, replicates=7, seed=41, include_classical=not discrete)
+    if discrete:
+        null_calibration(cfg, PoissonCommonRate(np.ones(cfg.n)), [4.2])
+    else:
+        normal_null(cfg)
+    children = (0, 1, 2) if discrete else (0, 1)
+    assert sorted(opened) == [(r, j) for r in range(7) for j in children]
+
+
 def test_null_calibration_stream_layout_on_counts():
     # replicate r, rebuilt from the stream table: data split(c, 0), posterior
     # split(c, 1), randomized allocation split(c, 2), with c = split(root, r)
