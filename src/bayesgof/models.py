@@ -414,8 +414,9 @@ _SIGMA2_SHAPE = 0.001
 _SIGMA2_RATE = 0.001
 
 # gamma variates drawn at once: a block of the chain holds CHAIN_ELEMENTS // n
-# sweeps (at least one) of n counts, and its two float and one bool (block, n)
-# arrays take about 17 * CHAIN_ELEMENTS bytes, 272 KB, whatever n is
+# sweeps (at least one) of n counts, and its four float (variates and moves)
+# and one bool (block, n) arrays take about 33 * CHAIN_ELEMENTS bytes, 528 KB,
+# whatever n is
 CHAIN_ELEMENTS = 1 << 14
 
 
@@ -457,7 +458,11 @@ class PoissonExchangeable(_PoissonBase):
     alpha0, per-coordinate vectorized updates for gamma, and a conjugate
     inverse-gamma refresh for sigma2.  Step sizes adapt toward the target
     acceptance rate during burn-in only and are frozen afterwards, so the
-    retained draws come from a fixed transition kernel.
+    retained draws come from a fixed transition kernel.  With the steps
+    frozen, the gamma moves step * z and y * move of a block's retained
+    sweeps are formed at once, at its first retained sweep; each is the
+    product a sweep would form alone, so the draws equal those of moves
+    formed sweep by sweep.
 
     Each kind of variate has its own child of the chain's stream rng:
     split(rng, 0) the alpha0 proposal normals, split(rng, 1) the alpha0
@@ -503,17 +508,19 @@ class PoissonExchangeable(_PoissonBase):
         if y.sum() < 1:
             raise DataError("all counts are zero: cannot initialize the chain")
         cfg = self.settings
+        burn_in, thin, target = cfg.burn_in, cfg.thin, cfg.target_accept
+        sigma2_fixed = self.sigma2_fixed
         m = self.n_obs
         e = self.offsets
 
         alpha0 = math.log(float(y.sum() / e.sum()))
-        sigma2 = self.sigma2_fixed if self.sigma2_fixed is not None else 0.1
+        sigma2 = sigma2_fixed if sigma2_fixed is not None else 0.1
         if not math.isfinite(alpha0):
             raise EvaluationError("log-posterior is not finite at initialization")
 
         step_a = cfg.initial_step
         step_g = np.full(m, cfg.initial_step)
-        total = cfg.burn_in + size * cfg.thin
+        total = burn_in + size * thin
         y_sum = float(y.sum())
         posterior_shape = _SIGMA2_SHAPE + m / 2.0  # of the sigma2 refresh
         # one child stream per variate family, so the draws do not depend on
@@ -521,12 +528,15 @@ class PoissonExchangeable(_PoissonBase):
         gen_za, gen_ua, gen_zg, gen_ug, gen_s2 = (split(rng, i).generator for i in range(5))
 
         # rows gamma, exp(gamma) and gamma^2, so that one acceptance mask
-        # carries all three from a proposal into the state
+        # carries all three from a proposal into the state, and one
+        # subtraction gives the three rows of prop - state
         state = np.zeros((3, m))
         state[1] = 1.0
         gamma, exp_g, sq_g = state
         prop = np.empty((3, m))
         prop_g, exp_prop_g, sq_prop_g = prop
+        diff = np.empty((3, m))
+        _, diff_exp_g, diff_sq_g = diff
         exp_a = math.exp(alpha0)
         rate_e = exp_a * e
         draws = np.empty((size, m + 2))
@@ -536,7 +546,13 @@ class PoissonExchangeable(_PoissonBase):
         # each sweep's gamma acceptances, summed once per block
         block = max(1, CHAIN_ELEMENTS // m)
         accepted = np.empty((block, m), dtype=bool)
-        move = np.empty(m)
+        # each sweep's gamma moves step_g * z_g and y * move; step_g is frozen
+        # after burn-in, so a block's retained sweeps have theirs made at once
+        moves = np.empty((block, m))
+        y_moves = np.empty((block, m))
+        multiply, add, subtract, exp, less, copyto, dot = (
+            np.multiply, np.add, np.subtract, np.exp, np.less, np.copyto, np.dot
+        )
 
         # a proposal whose log-ratio overflows, or is NaN as inf - inf, fails
         # its acceptance comparison and is rejected
@@ -547,8 +563,10 @@ class PoissonExchangeable(_PoissonBase):
                 log_u_a = np.log(np.maximum(gen_ua.random(sweeps), 1e-300)).tolist()
                 z_g = gen_zg.standard_normal((sweeps, m))
                 log_u_g = np.log(np.maximum(gen_ug.random((sweeps, m)), 1e-300))
-                if self.sigma2_fixed is None:
+                if sigma2_fixed is None:
                     v_s2 = gen_s2.gamma(posterior_shape, 1.0, sweeps).tolist()
+                # sweeps j < adapting still adapt their steps
+                adapting = min(max(burn_in - start, 0), sweeps)
 
                 for j in range(sweeps):
                     t = start + j
@@ -558,7 +576,7 @@ class PoissonExchangeable(_PoissonBase):
                         exp_prop_a = math.exp(prop_a)
                     except OverflowError:  # delta is then -inf or NaN: rejected
                         exp_prop_a = math.inf
-                    s_eg = float(np.dot(e, exp_g))
+                    s_eg = float(dot(e, exp_g))
                     delta = y_sum * (prop_a - alpha0) - s_eg * (exp_prop_a - exp_a)
                     a_accepted = log_u_a[j] < delta
                     if a_accepted:
@@ -566,36 +584,40 @@ class PoissonExchangeable(_PoissonBase):
                         rate_e = exp_a * e
 
                     # gamma: independent per-coordinate proposals, accepted coordinatewise
-                    np.multiply(step_g, z_g[j], out=move)
-                    np.add(gamma, move, out=prop_g)
-                    np.exp(prop_g, out=exp_prop_g)
-                    np.multiply(prop_g, prop_g, out=sq_prop_g)
-                    delta_g = (
-                        y * move
-                        - rate_e * (exp_prop_g - exp_g)
-                        - (sq_prop_g - sq_g) * (0.5 / sigma2)
-                    )
-                    g_accepted = np.less(log_u_g[j], delta_g, out=accepted[j])
-                    np.copyto(state, prop, where=g_accepted)
+                    if j < adapting:
+                        move = multiply(step_g, z_g[j], out=moves[j])
+                        y_move = multiply(y, move, out=y_moves[j])
+                    else:
+                        if j == adapting:  # the last adaptation is done
+                            multiply(step_g, z_g[j:], out=moves[j:sweeps])
+                            multiply(y, moves[j:sweeps], out=y_moves[j:sweeps])
+                        move, y_move = moves[j], y_moves[j]
+                    add(gamma, move, out=prop_g)
+                    exp(prop_g, out=exp_prop_g)
+                    multiply(prop_g, prop_g, out=sq_prop_g)
+                    subtract(prop, state, out=diff)
+                    delta_g = y_move - rate_e * diff_exp_g - diff_sq_g * (0.5 / sigma2)
+                    g_accepted = less(log_u_g[j], delta_g, out=accepted[j])
+                    copyto(state, prop, where=g_accepted)
 
                     # sigma2: conjugate inverse-gamma refresh
-                    if self.sigma2_fixed is None:
-                        rate = _SIGMA2_RATE + float(np.dot(gamma, gamma)) / 2.0
+                    if sigma2_fixed is None:
+                        rate = _SIGMA2_RATE + float(dot(gamma, gamma)) / 2.0
                         sigma2 = rate / v_s2[j]
 
-                    if t < cfg.burn_in:
+                    if j < adapting:
                         lr = (t + 1) ** -0.6
-                        step_a *= math.exp(lr * ((1.0 if a_accepted else 0.0) - cfg.target_accept))
-                        step_g *= np.exp(lr * (g_accepted - cfg.target_accept))
+                        step_a *= math.exp(lr * ((1.0 if a_accepted else 0.0) - target))
+                        step_g *= exp(lr * (g_accepted - target))
                     else:
                         acc_a += a_accepted
-                        if (t - cfg.burn_in) % cfg.thin == cfg.thin - 1:
+                        if (t - burn_in) % thin == thin - 1:
                             row = draws[kept]
                             row[0], row[1:-1], row[-1] = alpha0, gamma, sigma2
                             kept += 1
-                acc_g += accepted[max(cfg.burn_in - start, 0):sweeps].sum(axis=0)
+                acc_g += accepted[adapting:sweeps].sum(axis=0)
 
-        kept_iters = total - cfg.burn_in
+        kept_iters = total - burn_in
         return ChainResult(
             draws=draws,
             accept_alpha0=acc_a / kept_iters,

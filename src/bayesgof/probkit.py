@@ -134,11 +134,15 @@ def chi2_upper_quantile(df: float, q):
 
 
 def poisson_cdf(mean, k):
-    """P(Y <= floor(k)) for Y ~ poisson(mean); 0 below the support."""
-    k = np.floor(np.asarray(k, dtype=float))
+    """P(Y <= floor(k)) for Y ~ poisson(mean); 0 below the support.
+
+    scipy's pdtr floors k itself; for a k below 0 it gives NaN, which
+    becomes 0 here.
+    """
+    k = np.asarray(k, dtype=float)
     if k.size and np.minimum.reduce(k, axis=None) >= 0.0:  # NaN fails too
         out = sp.pdtr(k, mean)
     else:
-        out = np.where(k < 0.0, 0.0, sp.pdtr(np.maximum(k, 0.0), mean))
+        out = np.where(k < 0.0, 0.0, sp.pdtr(k, mean))
     return out if out.ndim else float(out)
 

@@ -556,14 +556,23 @@ def test_exchangeable_draws_do_not_depend_on_block_size(monkeypatch):
     from bayesgof import models
 
     y = RngStream(30).generator.poisson(5.0, 6)
-    # 450 sweeps, one default block; burn-in ends inside a block of 7 and
-    # inside the second block of 100
-    model = PoissonExchangeable(np.ones(6), settings=ChainSettings(burn_in=150, thin=3))
-    reference = model.run_chain(y, 100, RngStream(31))
-    assert _same_chain(model.run_chain(y, 100, RngStream(31)), reference)
-    for elements in (1, 42, 600, models.CHAIN_ELEMENTS):  # blocks of 1, 7, 100, 2730
-        monkeypatch.setattr(models, "CHAIN_ELEMENTS", elements)
+    default = models.CHAIN_ELEMENTS
+    # burn-in 150 ends inside a block of 7 and inside the second block of
+    # 100; burn-in 0 leaves no sweep to adapt, so the steps are frozen from
+    # the first; burn-in 700 ends on a boundary of blocks of 1, 7 and 100; a
+    # fixed sigma2 skips the refresh
+    for burn_in, sigma2_fixed in ((150, None), (0, None), (700, None), (150, 0.5)):
+        monkeypatch.setattr(models, "CHAIN_ELEMENTS", default)
+        model = PoissonExchangeable(
+            np.ones(6), sigma2_fixed=sigma2_fixed,
+            settings=ChainSettings(burn_in=burn_in, thin=3),
+        )
+        reference = model.run_chain(y, 100, RngStream(31))  # one default block
         assert _same_chain(model.run_chain(y, 100, RngStream(31)), reference)
+        # blocks of 1, 7, 100, 2730; a block of 1 forms each sweep's moves alone
+        for elements in (1, 42, 600, default):
+            monkeypatch.setattr(models, "CHAIN_ELEMENTS", elements)
+            assert _same_chain(model.run_chain(y, 100, RngStream(31)), reference)
 
 
 def test_exchangeable_chain_memory_does_not_grow_with_the_block():

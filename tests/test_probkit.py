@@ -215,16 +215,27 @@ def test_poisson_cdf_matches_pmf_sum():
 
 
 def test_poisson_cdf_equals_its_clipped_form_bit_for_bit():
-    # the form that clips every k, kept as the reference for the path that
-    # skips the clip when no k is negative
+    # the form that floors and clips every k, kept as the reference for the
+    # path that skips the clip when no k is negative, and for both paths
+    # leaving the floor to pdtr
     gen = RngStream(12).generator
     for size in (1, 5, 56):
         for low in (-3, 0):
-            k = gen.integers(low, 40, size).astype(float)
-            k[gen.random(size) < 0.1] = np.nan
-            k[gen.random(size) < 0.1] = -0.0
-            mean = gen.gamma(2.0, 5.0, size)
-            ref = np.where(k < 0.0, 0.0, sp.pdtr(np.maximum(k, 0.0), mean))
-            assert probkit.poisson_cdf(mean, k).tobytes() == ref.tobytes()
+            for whole in (True, False):
+                k = gen.integers(low, 40, size).astype(float)
+                if not whole:
+                    k += gen.random(size)  # fractions in [0, 1)
+                if not whole and low < 0:
+                    k[gen.random(size) < 0.1] = -0.5
+                    k[gen.random(size) < 0.1] = -1e-300
+                k[gen.random(size) < 0.1] = np.nan
+                k[gen.random(size) < 0.1] = -0.0
+                mean = gen.gamma(2.0, 5.0, size)
+                floor = np.floor(k)
+                ref = np.where(floor < 0.0, 0.0, sp.pdtr(np.maximum(floor, 0.0), mean))
+                assert probkit.poisson_cdf(mean, k).tobytes() == ref.tobytes()
     assert probkit.poisson_cdf(2.0, 3.0) == sp.pdtr(3.0, 2.0)
+    assert probkit.poisson_cdf(2.0, 3.7) == sp.pdtr(3.0, 2.0)
     assert probkit.poisson_cdf(2.0, -1.0) == 0.0
+    assert probkit.poisson_cdf(2.0, -0.5) == 0.0
+    assert probkit.poisson_cdf(2.0, -1e-300) == 0.0
