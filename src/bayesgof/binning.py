@@ -53,11 +53,11 @@ def check_cell_probs(p: np.ndarray) -> list[float]:
 class BinScheme:
     """Ordered cut points 0 = a_0 < a_1 < ... < a_K = 1 on the unit interval.
 
-    The interior edges and the widths are also kept as read-only arrays,
-    built once: a scheme is evaluated once per posterior draw.  So is the
-    outcome of check_cell_probs on the widths, which a scheme need not pass:
-    cell_probs gives it.  None of these are fields, so equality, hashing
-    and repr see the edge tuple only.
+    The widths are the cell probabilities of a Pearson statistic: a scheme
+    whose widths fail check_cell_probs is refused, with what it raises.
+    The interior edges, the widths and the checked probabilities are kept,
+    built once: a scheme is evaluated once per posterior draw.  None of
+    these are fields, so equality, hashing and repr see the edge tuple only.
     """
 
     edges: tuple[float, ...]
@@ -74,13 +74,9 @@ class BinScheme:
         widths = np.asarray(np.diff(np.asarray(e)), dtype=float)
         interior.setflags(write=False)
         widths.setflags(write=False)
-        try:
-            probs = check_cell_probs(widths)
-        except (DomainError, EvaluationError):
-            probs = None  # cell_probs raises the error on every call
         object.__setattr__(self, "_interior", interior)
         object.__setattr__(self, "_widths", widths)
-        object.__setattr__(self, "_probs", probs)
+        object.__setattr__(self, "_probs", check_cell_probs(widths))
 
     @property
     def k(self) -> int:
@@ -91,10 +87,8 @@ class BinScheme:
         return self._widths
 
     def cell_probs(self) -> list[float]:
-        """What check_cell_probs(self.widths()) returns or raises; widths
-        that pass were checked once, when the scheme was built."""
-        if self._probs is None:
-            return check_cell_probs(self._widths)
+        """What check_cell_probs(self.widths()) returned when the scheme was
+        built (shared)."""
         return self._probs
 
 

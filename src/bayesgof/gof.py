@@ -44,6 +44,7 @@ __all__ = [
     "posterior_chisq_discrete_randomized",
     "plugin_chisq",
     "grouped_chisq",
+    "grouped_dof",
     "reference_auc",
     "exceedance",
 ]
@@ -93,9 +94,8 @@ def pearson(counts, probs):
 
     probs is a vector of cell probabilities, checked on each call by
     binning.check_cell_probs, or a BinScheme, whose widths are the cell
-    probabilities and were checked once, when it was built.
-    pearson(counts, scheme) returns and raises exactly what
-    pearson(counts, scheme.widths()) does.
+    probabilities and passed that check when it was built, so that
+    pearson(counts, scheme) is pearson(counts, scheme.widths()).
 
     A vector of an integer dtype, as np.bincount, tally and the data-space
     counts give it, is scored on Python numbers: each term is
@@ -316,7 +316,7 @@ def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedSt
     score' I^-1 score is below SCORING_TOL * (1 + |l| + sum(m / p)), the
     scale on which l is rounded: about 3e-12 for 50 observations in 5
     well-fitting cells.  FittedStat.iterations counts the steps.  Reference
-    law: chi-square(K - 1 - s).
+    law: chi-square(K - 1 - s), grouped_dof degrees of freedom.
 
     start is the RawStart of the data and edges, built here when it is
     None; a caller that has the plugin fit passes its FittedStat.start, so
@@ -324,8 +324,8 @@ def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedSt
     probabilities need only lie at or above 1e-300, not at PROB_FLOOR as
     for the plugin statistic.
 
-    The model has s = 2 free parameters, as every classical comparator
-    does, and the steps run on Python floats, with no array inside the
+    The fit frees s = 2 parameters, as every classical comparator has,
+    and the steps run on Python floats, with no array inside the
     loop: the counts and edges are converted once, the model's cell_probs
     and cell_probs_jacobian return lists, one pass over the K cells adds
     the two score entries, the three distinct entries of I and sum(m / p)
@@ -400,6 +400,25 @@ def grouped_chisq(data, model, edges, start: RawStart | None = None) -> FittedSt
     return FittedStat(pearson(start.counts, p), start.counts, p, tuple(theta), iterations)
 
 
+def grouped_dof(k: int) -> int:
+    """The degrees of freedom k - 1 - s of grouped_chisq's statistic on k
+    cells, s = 2 the parameters its fit frees; ConfigError unless at least 1."""
+    dof = k - 3
+    if dof < 1:
+        raise ConfigError(
+            f"the grouped-MLE statistic has k - 1 - s = {dof} degrees of freedom "
+            f"with k = {k} cells and s = 2 fitted parameters; it needs k >= 4"
+        )
+    return dof
+
+
+def _statistic_vector(values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise DomainError("need a non-empty 1-D vector of statistic values")
+    return v
+
+
 def reference_auc(values, dof: int) -> float:
     """Probability that the statistic exceeds an independent chi-square(dof)
     variate, averaged over the supplied draws.
@@ -407,9 +426,7 @@ def reference_auc(values, dof: int) -> float:
     Equals the area under the ROC curve separating the two laws; 0.5 when the
     draws follow the reference chi-square exactly, and near 1 under misfit.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise DomainError("need a non-empty 1-D vector of statistic values")
+    v = _statistic_vector(values)
     # one min/max pass; NaN fails both comparisons
     if not (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) < np.inf):
         raise DomainError("statistic values must be finite and non-negative")
@@ -422,9 +439,7 @@ def reference_auc(values, dof: int) -> float:
 
 def exceedance(values, threshold: float) -> float:
     """Fraction of draws strictly above the threshold."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise DomainError("need a non-empty 1-D vector of statistic values")
+    v = _statistic_vector(values)
     if not math.isfinite(threshold):
         raise DomainError("threshold must be finite")
     return float(np.count_nonzero(v > threshold) / v.size)

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import probkit, gof
 from .binning import BinScheme, equiprobable, default_bin_count
-from .errors import ConfigError, DataError, DomainError, EvaluationError
+from .errors import ConfigError, DataError, DomainError, EvaluationError, OptimizationError
 from .gof import reference_auc, exceedance
 from .models import generate_t
 from .probkit import RngStream, split
@@ -284,19 +284,6 @@ def _series(values: np.ndarray, ref_df: int | None, ks_alpha: float) -> Calibrat
     return CalibrationSeries(v, ref, float(v.mean()), var, ks)
 
 
-def _grouped_dof(k: int, model) -> int:
-    """The degrees of freedom k - 1 - s of the grouped-MLE statistic of a
-    model with s fitted parameters; ConfigError unless at least 1."""
-    dof = k - 1 - model.n_params
-    if dof < 1:
-        raise ConfigError(
-            f"the grouped-MLE statistic has k - 1 - s = {dof} degrees of freedom "
-            f"with k = {k} cells and s = {model.n_params} fitted parameters; "
-            f"it needs k >= {model.n_params + 2}"
-        )
-    return dof
-
-
 # ---------------------------------------------------------------------------
 # the replicate engine
 # ---------------------------------------------------------------------------
@@ -364,8 +351,8 @@ def _block(spec: _Replicate, root: RngStream, bounds: tuple[int, int]) -> list[_
     """spec's records at the streams split(root, r), start <= r < stop for
     bounds = (start, stop), in replicate order.  A replicate's data that
     the model refuses are the program's, not the user's: the DataError is
-    raised as an EvaluationError naming r.  Module-level, so a partial of
-    it pickles."""
+    raised as an EvaluationError naming r, and any numerical error keeps
+    its type, named "replicate r: ".  Module-level, so a partial pickles."""
     start, stop = bounds
     records = []
     for r in range(start, stop):
@@ -375,6 +362,8 @@ def _block(spec: _Replicate, root: RngStream, bounds: tuple[int, int]) -> list[_
             raise EvaluationError(
                 f"replicate {r} violates model data requirements: {exc}"
             ) from exc
+        except (EvaluationError, OptimizationError) as exc:
+            raise type(exc)(f"replicate {r}: {exc}") from exc
     return records
 
 
@@ -454,7 +443,7 @@ def null_calibration(config: ExperimentConfig, model, truth) -> CalibrationResul
     edges = None
     if config.include_classical:
         _require_continuous(model, "classical statistics are")
-        grouped_dof = _grouped_dof(k, model)
+        grouped_dof = gof.grouped_dof(k)
         edges = model.quantile_edges(truth, k)
     data = partial(model.predictive_draw, truth)
     spec = _Replicate(model, data, config.n, equiprobable(k), edges=edges, plugin=True)
@@ -528,7 +517,7 @@ def power_study(
     grouped = "grouped" in config.methods
     grouped_crit = None
     if grouped:
-        grouped_crit = probkit.chi2_quantile(_grouped_dof(config.k, model), 1.0 - config.alpha)
+        grouped_crit = probkit.chi2_quantile(gof.grouped_dof(config.k), 1.0 - config.alpha)
     root = RngStream(config.seed)
     if auc_critical is None:
         if config.seed + 1 >= probkit.MAX_SEED:

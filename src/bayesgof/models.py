@@ -21,16 +21,16 @@ harness and cli modules:
 - ``theta_from_vector(values)`` builds theta from a flat vector of
   ``theta_size`` values, raising DomainError for a wrong length, a
   non-finite value or a non-positive scale, rate, mean or sigma2;
-- for the classical comparators, which take two free parameters, the normal
-  model also has ``n_params`` (2) for the number of fitted parameters,
-  ``mle`` for the raw-data maximum-likelihood estimate, ``quantile_edges``
-  for the data-space cut points at a parameter value, ``cell_probs`` for the
-  cells between cut points, ``free_params`` / ``theta_from_free`` for
-  unconstrained coordinates, and ``cell_probs_jacobian`` for the derivative
-  of the cell probabilities in those coordinates.  These run inside the grouped fit's scoring loop on
-  Python floats: ``cell_probs`` and ``cell_probs_jacobian`` take the cut
-  points as floats and return lists, K floats and K rows of two floats,
-  and ``free_params`` returns a list of two.
+- for the classical comparators, whose fits free two parameters (see
+  gof.grouped_dof), the normal model also has ``mle`` for the raw-data
+  maximum-likelihood estimate, ``quantile_edges`` for the data-space cut
+  points at a parameter value, ``cell_probs`` for the cells between cut
+  points, ``free_params`` / ``theta_from_free`` for unconstrained
+  coordinates, and ``cell_probs_jacobian`` for the derivative of the cell
+  probabilities in those coordinates.  These run inside the grouped fit's
+  scoring loop on Python floats: ``cell_probs`` and ``cell_probs_jacobian``
+  take the cut points as floats and return lists, K floats and K rows of
+  two floats, and ``free_params`` returns a list of two.
 
 theta is a float vector of ``theta_size`` values in ``theta_from_vector``'s
 layout: (mu, sigma) for the normal model, (rate,) for the pooled Poisson
@@ -151,7 +151,6 @@ class NormalModel:
     """I.i.d. normal observations under the scale-reference prior 1/sigma."""
 
     is_discrete = False
-    n_params = 2
     theta_size = 2
 
     def validate_data(self, data) -> np.ndarray:
@@ -513,7 +512,7 @@ class PoissonExchangeable(_PoissonBase):
         m = self.n_obs
         e = self.offsets
 
-        alpha0 = math.log(float(y.sum() / e.sum()))
+        alpha0 = math.log(float(y.sum()) / float(e.sum()))  # an overflow is inf, not a warning
         sigma2 = sigma2_fixed if sigma2_fixed is not None else 0.1
         if not math.isfinite(alpha0):
             raise EvaluationError("log-posterior is not finite at initialization")

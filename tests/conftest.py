@@ -7,6 +7,7 @@ any worker count, and a host with one usable CPU runs them inline.
 MODEL_CASES holds every model the CLI builds for a dataset; the protocol
 suite and the theta-layout checks run on it.  NULL_CASES holds every model
 and true parameter simulate-null builds, each at its flags' defaults.
+scheme_of_cuts builds the bin schemes the property tests draw.
 """
 
 import time
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from bayesgof import cli
+from bayesgof.binning import PROB_FLOOR, BinScheme
 from bayesgof.cli import STANDARD_NORMAL
 from bayesgof.harness import (
     ExperimentConfig,
@@ -24,6 +26,17 @@ from bayesgof.harness import (
     power_study,
 )
 from bayesgof.models import NormalModel
+
+
+def scheme_of_cuts(cuts) -> BinScheme:
+    """The scheme of the sorted cuts, each in [PROB_FLOOR, 1 - PROB_FLOOR],
+    less any cut that would leave a cell below PROB_FLOOR, which no scheme
+    may have; the first cut is always kept."""
+    kept = [0.0]
+    for cut in sorted(cuts):
+        if cut - kept[-1] >= PROB_FLOOR and 1.0 - cut >= PROB_FLOOR:
+            kept.append(cut)
+    return BinScheme((*kept, 1.0))
 
 
 class ModelCase(NamedTuple):

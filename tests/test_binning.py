@@ -10,6 +10,8 @@ from bayesgof.binning import BinScheme, assign, assign_discrete_randomized, equi
 from bayesgof.errors import DomainError
 from bayesgof.probkit import RngStream
 
+from conftest import scheme_of_cuts
+
 
 @pytest.mark.parametrize("k", [4, binning._EDGE_LOOP_MAX_CELLS, binning._EDGE_LOOP_MAX_CELLS + 1])
 def test_tally_of_lists_equals_the_array_call(k):
@@ -81,8 +83,9 @@ def _assign_by_all_edges(scheme, u):
 
 _schemes = st.one_of(
     st.integers(2, 12).map(equiprobable),
-    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=10,
-             unique=True).map(lambda cuts: BinScheme((0.0, *sorted(cuts), 1.0))),
+    st.lists(st.floats(binning.PROB_FLOOR, 1.0 - binning.PROB_FLOOR), min_size=1, max_size=10).map(
+        scheme_of_cuts
+    ),
 )
 
 

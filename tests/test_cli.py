@@ -164,6 +164,49 @@ def test_validate_reports_shape(tmp_path, poisson_csv, capsys):
     assert "accepted" in out
 
 
+@pytest.mark.parametrize("rows, flags, code, message", [
+    ("0,1.0\n" * 3, ("--model", "poisson-common"),
+     65, "error: all counts are zero: the rate posterior is improper"),
+    ("0,1.0\n" * 3, ("--model", "poisson-exchangeable"),
+     65, "error: all counts are zero: cannot initialize the chain"),
+    ("3,1.0\n0,2.0\n5,1.0\n", ("--model", "poisson-saturated", "--prior-exponent", "1"),
+     65, "error: improper posterior components (zero count with prior exponent 1) at "
+     "observations [1]"),
+    # the chain's starting rate 2**53 / 2e-300 overflows
+    ("9007199254740992,1e-300\n0,1e-300\n", ("--model", "poisson-exchangeable"),
+     70, "numerical failure: log-posterior is not finite at initialization"),
+], ids=["common", "exchangeable", "saturated", "exchangeable-overflow"])
+def test_validate_refuses_what_analyze_refuses(tmp_path, capsys, rows, flags, code, message):
+    path = tmp_path / "counts.csv"
+    path.write_text("y,E\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("validate", "--data", path, *flags, "--outdir", tmp_path / "v") == code
+        assert run_cli("analyze", "--data", path, *flags, "--draws", "10",
+                       "--outdir", tmp_path / "a") == code
+    err = capsys.readouterr().err
+    assert err == f"{message}\n" * 2
+
+
+def test_validate_makes_one_draw_from_the_seed_and_chain_flags(tmp_path, poisson_csv, monkeypatch,
+                                                                 capsys):
+    calls = []
+    run_chain = models.PoissonExchangeable.run_chain
+
+    def recorded(self, data, size, rng):
+        calls.append((self.settings, size, rng))
+        return run_chain(self, data, size, rng)
+
+    monkeypatch.setattr(models.PoissonExchangeable, "run_chain", recorded)
+    assert run_cli("validate", "--data", poisson_csv, "--model", "poisson-exchangeable",
+                   "--seed", "8", "--chain-burn-in", "10", "--chain-thin", "1",
+                   "--outdir", tmp_path) == 0
+    assert "model poisson-exchangeable: data accepted" in capsys.readouterr().out
+    [(settings, size, rng)] = calls
+    assert (settings.burn_in, settings.thin, size) == (10, 1, 1)
+    assert (rng.seed, rng.path) == (8, ())
+
+
 def test_simulate_null_outputs(tmp_path):
     out = tmp_path / "run"
     assert run_cli("simulate-null", "--model", "normal", "--n", "40", "--reps", "50",
@@ -445,6 +488,33 @@ def test_monitor_on_rates_where_the_outlier_pair_collapses_exit_0(tmp_path):
     assert len(trace) == 41 and all(row[2] == "true" for row in trace[1:])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["derived"] == {"draw_lines": 40, "malformed_lines": 0}
+
+
+@pytest.mark.parametrize("model, rows, line, value, invalid", [
+    # exp(800) overflows to an infinite Poisson mean, which is refused
+    ("poisson-exchangeable", "3,1.0\n0,1.0\n6,1.0\n2,1.0\n", "800 0 0 0 0 0.1", "nan",
+     {"EvaluationError": 1}),
+    # so does 1e308 times the offset 2
+    ("poisson-common", "3,1.0\n0,2.0\n6,1.0\n2,1.0\n", "1e308", "nan", {"EvaluationError": 1}),
+    # (y - 0) / 1e-310 overflows to -inf or inf, whose CDF values 0 and 1
+    # fill the first and last of three cells, 2 and 4 of 6 against 2 each
+    ("normal", "0.1\n-0.4\n1.2\n0.3\n-1.1\n0.7\n", "0.0 1e-310", "4", None),
+], ids=["exchangeable", "common", "normal"])
+def test_monitor_overflow_on_an_extreme_draw_warns_nothing(tmp_path, capsys, model, rows, line,
+                                                          value, invalid):
+    path = tmp_path / "data.csv"
+    path.write_text(("y\n" if model == "normal" else "y,E\n") + rows)
+    draws = write_draw_file(tmp_path, path, "draws.txt", [line])
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("monitor", "--data", path, "--model", model,
+                       "--draws-file", draws, "--outdir", out) == 0
+    assert capsys.readouterr().err == ""
+    trace = read_csv(out / "trace.csv")
+    assert [row[1:3] for row in trace[1:]] == [[value, "false" if invalid else "true"]]
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    assert derived.get("invalid_draws") == invalid
 
 
 @pytest.mark.parametrize("model", ["poisson-common", "poisson-exchangeable"])

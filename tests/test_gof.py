@@ -19,6 +19,7 @@ from bayesgof.errors import ConfigError, DomainError, EvaluationError, Optimizat
 from bayesgof.gof import (
     exceedance,
     grouped_chisq,
+    grouped_dof,
     pearson,
     plugin_chisq,
     posterior_chisq_continuous,
@@ -550,6 +551,17 @@ def test_grouped_raises_on_an_information_not_finite():
     edges = probkit.normal_quantile(np.arange(1, 5) / 5)
     with pytest.raises(OptimizationError, match="information matrix is not finite"):
         grouped_chisq(_spread_sample(), _InfiniteInformation(), edges)
+
+
+def test_grouped_dof_is_k_less_one_less_the_two_fitted_parameters():
+    assert [grouped_dof(k) for k in (4, 5, 12)] == [1, 2, 9]
+    for k in (3, 2):
+        with pytest.raises(ConfigError) as info:
+            grouped_dof(k)
+        assert str(info.value) == (
+            f"the grouped-MLE statistic has k - 1 - s = {k - 3} degrees of freedom "
+            f"with k = {k} cells and s = 2 fitted parameters; it needs k >= 4"
+        )
 
 
 def test_cholesky_solve_matches_numpy():

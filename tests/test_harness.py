@@ -14,7 +14,7 @@ from scipy import special, stats
 
 from bayesgof import harness, probkit
 from bayesgof.binning import equiprobable
-from bayesgof.errors import ConfigError, DomainError
+from bayesgof.errors import ConfigError, DomainError, EvaluationError, OptimizationError
 from bayesgof.gof import (
     BinnedStat,
     exceedance,
@@ -359,6 +359,36 @@ def test_classical_null_without_grouped_degrees_of_freedom_is_refused(n, bins):
     # without the classical fits the posterior series alone is studied
     null_calibration(dataclasses.replace(cfg, include_classical=False), model, STANDARD_NORMAL)
     assert model.datasets == 40
+
+
+class _SingularInformation(NormalModel):
+    """NormalModel whose Jacobian has a zero log-sigma column, so that every
+    grouped fit meets a singular information matrix."""
+
+    def cell_probs_jacobian(self, edges, theta):
+        return [(d_mu, 0.0) for d_mu, _ in super().cell_probs_jacobian(edges, theta)]
+
+
+def test_a_numerical_failure_names_its_replicate_and_keeps_its_type(monkeypatch):
+    cfg = ExperimentConfig(n=30, bins=5, replicates=4, seed=3, include_classical=True)
+    with pytest.raises(OptimizationError) as info:
+        null_calibration(cfg, _SingularInformation(), STANDARD_NORMAL)
+    assert str(info.value) == (
+        "replicate 0: grouped-fit information matrix is not positive definite"
+    )
+    # an EvaluationError stays one; the replicate named is the first to fail
+    fits = iter([None, None, EvaluationError("grouped-fit cell probability below floor")])
+
+    def grouped_chisq(*args):
+        failure = next(fits)
+        if failure is not None:
+            raise failure
+        return harness.gof.FittedStat(1.0, None, None, (0.0, 1.0), 3)
+
+    monkeypatch.setattr(harness.gof, "grouped_chisq", grouped_chisq)
+    with pytest.raises(EvaluationError) as info:
+        null_calibration(cfg, NormalModel(), STANDARD_NORMAL)
+    assert str(info.value) == "replicate 2: grouped-fit cell probability below floor"
 
 
 def test_grouped_power_without_degrees_of_freedom_is_refused(monkeypatch):

@@ -3,7 +3,8 @@ must decide, raise and return exactly as its earlier method-based form
 (ndarray.min/max/sum/all, np.any, np.mean, np.searchsorted), kept here as the
 oracle: the same exception type and message, the same kinds of warning, or
 bit-identical results.  So must pearson of a BinScheme, whose cell
-probabilities were checked when it was built, against pearson of its widths.
+probabilities were checked when it was built, against pearson of its widths;
+a scheme is built exactly when its widths pass that check.
 The theta check, which runs on Python floats, must also decide exactly as its
 ufunc-reduction form did.  The randomized statistic's range checks are
 checked against their element-wise reference in test_gof."""
@@ -26,7 +27,7 @@ from bayesgof.binning import BinScheme, equiprobable
 from bayesgof.errors import DataError, DomainError, EvaluationError
 from bayesgof.probkit import RngStream
 
-from conftest import MODEL_CASES
+from conftest import MODEL_CASES, scheme_of_cuts
 
 # --- the earlier forms, as they were before the ufunc reductions -------------
 
@@ -422,18 +423,44 @@ def test_normal_obs_cdf_of_one_draw_matches_its_slice_form(y, mu, sigma):
     assert new == _outcome(_old_normal_obs_cdf, y, (mu, sigma))
 
 
-_pearson_schemes = st.one_of(
-    st.integers(2, 8).map(equiprobable),
+_edges = st.one_of(
+    st.integers(2, 8).map(lambda k: equiprobable(k).edges),
     st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=6,
-             unique=True).map(lambda cuts: BinScheme((0.0, *sorted(cuts), 1.0))),
-    # a cell narrower than PROB_FLOOR, inside or at either end
-    st.tuples(st.floats(1e-3, 0.99), st.sampled_from([1e-15, 1e-13, 9e-13])).map(
-        lambda cut: BinScheme((0.0, cut[0], cut[0] + cut[1], 1.0))
+             unique=True).map(lambda cuts: (0.0, *sorted(cuts), 1.0)),
+    # a cell narrower than PROB_FLOOR, or about as wide, inside or at either end
+    st.tuples(st.floats(1e-3, 0.99), st.sampled_from([1e-15, 1e-13, 9e-13, 1e-12, 2e-12])).map(
+        lambda cut: (0.0, cut[0], cut[0] + cut[1], 1.0)
     ),
     st.sampled_from([
-        BinScheme((0.0, 5e-324, 0.5, 1.0)),
-        BinScheme((0.0, 0.5, np.nextafter(1.0, 0.0), 1.0)),
+        (0.0, 5e-324, 0.5, 1.0),
+        (0.0, 0.5, np.nextafter(1.0, 0.0), 1.0),
+        (0.0, gof.PROB_FLOOR, 0.5, 1.0),
+        (0.0, 0.5, 1.0 - 2e-12, 1.0),
     ]),
+)
+
+
+def _cell_probs_of_a_scheme(edges):
+    return BinScheme(edges).cell_probs()
+
+
+@settings(max_examples=400, deadline=None)
+@given(edges=_edges)
+def test_a_scheme_is_built_exactly_when_its_widths_pass_the_cell_check(edges):
+    widths = np.diff(np.asarray(edges))
+    assert _outcome(_cell_probs_of_a_scheme, edges) == _outcome(binning.check_cell_probs, widths)
+
+
+_pearson_schemes = st.one_of(
+    st.integers(2, 8).map(equiprobable),
+    st.lists(st.floats(gof.PROB_FLOOR, 1.0 - gof.PROB_FLOOR), min_size=1, max_size=6).map(
+        scheme_of_cuts
+    ),
+    # a cell about as wide as PROB_FLOOR, inside or at either end
+    st.tuples(st.floats(1e-3, 0.99), st.sampled_from([1e-12, 1.001e-12, 2e-12])).map(
+        lambda cut: scheme_of_cuts((cut[0], cut[0] + cut[1]))
+    ),
+    st.sampled_from([(gof.PROB_FLOOR, 0.5), (0.5, 1.0 - 2e-12)]).map(scheme_of_cuts),
 )
 
 
@@ -453,16 +480,10 @@ def test_pearson_of_a_scheme_matches_pearson_of_its_widths(scheme, data):
     assert _outcome(gof.pearson, counts, scheme) == _outcome(gof.pearson, counts, scheme.widths())
 
 
-def test_a_scheme_with_a_cell_below_the_floor_builds_and_assigns_but_gives_no_statistic():
-    scheme = BinScheme((0.0, 0.5, 0.5 + 1e-13, 1.0))
-    assert scheme.widths()[1] < gof.PROB_FLOOR
-    assert binning.assign(scheme, [0.25, 0.5 + 5e-14, 0.75]).tolist() == [0, 1, 2]
-    counts = np.array([3, 0, 2])
-    for c in (counts, counts.astype(float), np.array([counts, counts])):
-        outcome = _outcome(gof.pearson, c, scheme)
-        assert outcome == _outcome(gof.pearson, c, scheme.widths())
-        assert outcome[0][:2] == ("raised", EvaluationError)
-        assert outcome[0][2].endswith("floor in cells [1]")
+def test_a_scheme_with_a_cell_below_the_floor_is_refused_when_built():
+    edges = (0.0, 0.5, 0.5 + 1e-13, 1.0)
+    with pytest.raises(EvaluationError, match=r"floor in cells \[1\]$"):
+        BinScheme(edges)
 
 
 @pytest.mark.parametrize(
