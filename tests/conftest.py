@@ -28,8 +28,14 @@ from bayesgof.harness import (
 from bayesgof.models import NormalModel
 
 
+# The largest cut that leaves the last cell at least PROB_FLOOR wide: the
+# float nearest 1 - PROB_FLOOR is above it, and leaves a last cell of 9.9998e-13.
+MAX_CUT = float(np.nextafter(1.0 - PROB_FLOOR, 0.0))
+assert 1.0 - MAX_CUT >= PROB_FLOOR
+
+
 def scheme_of_cuts(cuts) -> BinScheme:
-    """The scheme of the sorted cuts, each in [PROB_FLOOR, 1 - PROB_FLOOR],
+    """The scheme of the sorted cuts, each in [PROB_FLOOR, MAX_CUT],
     less any cut that would leave a cell below PROB_FLOOR, which no scheme
     may have; the first cut is always kept."""
     kept = [0.0]

@@ -10,7 +10,7 @@ from bayesgof.binning import BinScheme, assign, assign_discrete_randomized, equi
 from bayesgof.errors import DomainError
 from bayesgof.probkit import RngStream
 
-from conftest import scheme_of_cuts
+from conftest import MAX_CUT, scheme_of_cuts
 
 
 @pytest.mark.parametrize("k", [4, binning._EDGE_LOOP_MAX_CELLS, binning._EDGE_LOOP_MAX_CELLS + 1])
@@ -83,7 +83,7 @@ def _assign_by_all_edges(scheme, u):
 
 _schemes = st.one_of(
     st.integers(2, 12).map(equiprobable),
-    st.lists(st.floats(binning.PROB_FLOOR, 1.0 - binning.PROB_FLOOR), min_size=1, max_size=10).map(
+    st.lists(st.floats(binning.PROB_FLOOR, MAX_CUT), min_size=1, max_size=10).map(
         scheme_of_cuts
     ),
 )

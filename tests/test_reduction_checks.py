@@ -27,7 +27,7 @@ from bayesgof.binning import BinScheme, equiprobable
 from bayesgof.errors import DataError, DomainError, EvaluationError
 from bayesgof.probkit import RngStream
 
-from conftest import MODEL_CASES, scheme_of_cuts
+from conftest import MAX_CUT, MODEL_CASES, scheme_of_cuts
 
 # --- the earlier forms, as they were before the ufunc reductions -------------
 
@@ -453,7 +453,7 @@ def test_a_scheme_is_built_exactly_when_its_widths_pass_the_cell_check(edges):
 
 _pearson_schemes = st.one_of(
     st.integers(2, 8).map(equiprobable),
-    st.lists(st.floats(gof.PROB_FLOOR, 1.0 - gof.PROB_FLOOR), min_size=1, max_size=6).map(
+    st.lists(st.floats(gof.PROB_FLOOR, MAX_CUT), min_size=1, max_size=6).map(
         scheme_of_cuts
     ),
     # a cell about as wide as PROB_FLOOR, inside or at either end
