@@ -20,6 +20,12 @@ log-likelihood of a trial point, are each added left to right from 0.0, in
 cell order.  Those are plain IEEE additions, so the fit gives the same bits
 on every CPython, unlike builtin sum, which compensates float sums from
 Python 3.12 on.
+
+pearson on a vector of integer counts adds its terms the same way when there
+are fewer than PAIRWISE_BLOCK (8) cells.  That is the order in which numpy's
+pairwise sum adds so short a run, so the value is np.add.reduce's bit for
+bit without building an array; from 8 cells on, np.add.reduce sums them.
+Neither math.fsum nor builtin sum would keep those bits.
 """
 
 from __future__ import annotations
@@ -55,6 +61,12 @@ __all__ = [
 SCORING_TOL = 1e-14
 SCORING_MAX_ITER = 50
 SCORING_MAX_HALVINGS = 60
+
+# numpy's pairwise float sum adds a run shorter than its 8-value block left
+# to right from zero, and a longer one in 8 interleaved accumulators
+# (pairwise_sum in numpy/_core/src/umath/loops_utils.h.src); below this
+# length a Python loop adds a vector's Pearson terms in numpy's order
+PAIRWISE_BLOCK = 8
 
 
 class BinnedStat(NamedTuple):
@@ -99,11 +111,14 @@ def pearson(counts, probs):
 
     A vector of an integer dtype, as np.bincount, tally and the data-space
     counts give it, is scored on Python numbers: each term is
-    (m - n p)^2 / (n p) in the same IEEE operations, and one np.add.reduce
-    sums the K terms in numpy's order, so the value is the array path's bit
-    for bit.  Its total n is exact, where an int64 total would wrap above
-    2^63.  Float counts and 2-D batches are scored as arrays.  Both paths
-    make the same checks, with the same messages and warnings.
+    (m - n p)^2 / (n p) in the same IEEE operations.  Below PAIRWISE_BLOCK
+    cells the K terms are added into one float left to right from 0.0,
+    which is the order of numpy's pairwise sum on so short a run; from
+    PAIRWISE_BLOCK cells on, np.add.reduce sums them.  Either way the value
+    is the array path's bit for bit.  Its total n is exact, where an int64
+    total would wrap above 2^63.  Float counts and 2-D batches are scored as
+    arrays.  Both paths make the same checks, with the same messages and
+    warnings.
     """
     m = np.asarray(counts)
     fixed = isinstance(probs, BinScheme)
@@ -135,6 +150,13 @@ def pearson(counts, probs):
         raise DomainError("counts must sum to a positive total")
     q = probs.cell_probs() if fixed else check_cell_probs(p)
     if vector:
+        if len(m) < PAIRWISE_BLOCK:
+            total = 0.0
+            for m_j, p_j in zip(m, q):
+                e_j = n * p_j
+                d_j = m_j - e_j
+                total += d_j * d_j / e_j
+            return total
         terms = []
         for m_j, p_j in zip(m, q):
             e_j = n * p_j

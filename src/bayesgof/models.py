@@ -42,6 +42,7 @@ gives it, reads as a normal theta.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from operator import sub
@@ -51,6 +52,8 @@ import numpy as np
 from . import probkit
 from .errors import ConfigError, DataError, DomainError, EvaluationError, first_ten
 from .probkit import RngStream, split
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "NormalModel",
@@ -500,7 +503,11 @@ class PoissonExchangeable(_PoissonBase):
         return np.exp(t[..., :1] + t[..., 1:-1]) * self.offsets
 
     def run_chain(self, data, size: int, rng: RngStream) -> ChainResult:
-        """size draws, kept one every thin sweeps after self.settings' burn-in."""
+        """size draws, kept one every thin sweeps after self.settings' burn-in.
+
+        A chain that accepts no alpha0 and no gamma proposal after burn-in
+        retains one point size times; it then logs one warning on the
+        "bayesgof.models" logger, naming both rates and the final steps."""
         if size < 1:
             raise ConfigError(f"the chain needs at least one retained draw, got {size}")
         y = self.validate_data(data)
@@ -617,10 +624,20 @@ class PoissonExchangeable(_PoissonBase):
                 acc_g += accepted[adapting:sweeps].sum(axis=0)
 
         kept_iters = total - burn_in
+        accept_a = acc_a / kept_iters
+        accept_g = int(acc_g.sum()) / (kept_iters * m)
+        if accept_a == 0.0 and accept_g == 0.0:
+            # every retained draw is the state the burn-in ended in
+            log.warning(
+                "the exchangeable chain accepted no proposal after burn-in "
+                "(accept_alpha0 %r, accept_gamma %r; final steps: alpha0 %r, "
+                "gamma %r to %r); its retained draws are all one point",
+                accept_a, accept_g, step_a, float(step_g.min()), float(step_g.max()),
+            )
         return ChainResult(
             draws=draws,
-            accept_alpha0=acc_a / kept_iters,
-            accept_gamma=int(acc_g.sum()) / (kept_iters * m),
+            accept_alpha0=accept_a,
+            accept_gamma=accept_g,
             step_alpha0=step_a,
             step_gamma=step_g,
             iterations=total,

@@ -8,6 +8,7 @@ import errno
 import hashlib
 import io
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -440,6 +441,19 @@ def test_analyze_outputs(tmp_path, poisson_csv):
     assert trace[0] == ["draw", "value", "dof"]
     assert len(trace) == 201
     assert all(r[2] == "3" for r in trace[1:])
+
+
+def test_analyze_on_a_chain_that_never_moves_warns(tmp_path, caplog):
+    # the run still exits 0, but the frozen chain is named on the log
+    path = tmp_path / "five.csv"
+    path.write_text("y,E\n3,1.0\n0,1.0\n6,1.0\n2,1.0\n5,1.0\n")
+    with caplog.at_level(logging.WARNING, logger="bayesgof.models"):
+        assert run_cli("analyze", "--data", path, "--model", "poisson-exchangeable",
+                       "--draws", "50", "--chain-step", "1e308", "--seed", "5",
+                       "--outdir", tmp_path / "run") == 0
+    assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
+        "the exchangeable chain accepted no proposal after burn-in"
+    ]
 
 
 def test_outlier_count_gives_a_statistic(tmp_path, poisson_csv):

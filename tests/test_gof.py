@@ -51,6 +51,67 @@ def test_pearson_rejects_bad_probs():
         pearson([1, 1, 0], [0.5, 0.5, 0.0])
 
 
+def _pearson_terms(row, probs):
+    # pearson's terms on Python numbers, in its IEEE operations
+    n = sum(row.tolist())
+    terms = []
+    for m_j, p_j in zip(row.tolist(), probs):
+        e_j = n * p_j
+        d_j = m_j - e_j
+        terms.append(d_j * d_j / e_j)
+    return terms
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int8, np.uint16, np.int64, np.intp], ids=["int8", "uint16", "int64", "intp"]
+)
+@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("equal", [True, False])
+def test_pearson_vector_sums_its_terms_in_numpy_order(k, dtype, equal):
+    # below gof.PAIRWISE_BLOCK cells the terms are added on Python floats,
+    # from there on by np.add.reduce; either way the bits are numpy's
+    gen = RngStream(1000 * k + 10 * np.dtype(dtype).itemsize + equal).generator
+    probs = np.full(k, 1.0 / k) if equal else gen.dirichlet(np.full(k, 2.0))
+    probs = (probs / probs.sum()).tolist()
+    top = 15 if dtype is np.int8 else 400  # int8 holds a count up to 127
+    rows = gen.multinomial(gen.integers(1, top * k // 2, 300), probs).astype(dtype)
+    batch = pearson(rows, probs)
+    for row, batch_value in zip(rows, batch.tolist()):
+        value = pearson(row, probs)
+        assert type(value) is float
+        reference = float(np.add.reduce(_pearson_terms(row, probs)))
+        assert value.hex() == reference.hex() == batch_value.hex()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        # two terms round once in any order, so no sum can differ at k = 2
+        [100001000003, 99999999997, 99999000001],
+        [100001000003, 99999999997, 100000000000, 99999000001],
+        [100003000009, 100000000000, 99999999998, 99999999996, 99996999998],
+        [100009000027, 99999999999, 99999999997, 100000000000, 99999999998, 99990999980],
+        [100004000012, 99999999999, 99999999997, 100000000000, 99999999998,
+         99999999996, 99995999999],
+    ],
+    ids=lambda row: f"k{len(row)}",
+)
+def test_pearson_vector_of_wide_terms_is_not_a_compensated_sum(row):
+    # the terms span over ten orders of magnitude, so math.fsum, and builtin
+    # sum from Python 3.12 on, round them otherwise than numpy's left to right
+    row = np.array(row, dtype=np.int64)
+    probs = [1.0 / row.size] * row.size
+    terms = _pearson_terms(row, probs)
+    assert row.size < gof.PAIRWISE_BLOCK and max(terms) / min(terms) >= 1e10
+    left_to_right = 0.0
+    for term in terms:
+        left_to_right += term
+    assert math.fsum(terms) != left_to_right
+    value = pearson(row, probs)
+    assert value.hex() == left_to_right.hex() == float(np.add.reduce(terms)).hex()
+    assert value.hex() == pearson(row[None, :], probs)[0].hex()
+
+
 def test_pearson_rows_equal_single_calls():
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     counts = RngStream(5).generator.multinomial(40, probs, size=7)

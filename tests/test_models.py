@@ -5,6 +5,7 @@ a random-walk Metropolis chain written directly in this file, and brute-force
 numerical integration of the unnormalized posterior densities.
 """
 
+import logging
 import math
 import warnings
 
@@ -604,6 +605,31 @@ def test_exchangeable_chain_rejects_a_proposal_whose_log_ratio_overflows(step):
         warnings.simplefilter("error", RuntimeWarning)
         chain = model.run_chain(np.array([3, 0, 6, 2]), 50, RngStream(5))
     assert np.isfinite(chain.draws).all()
+
+
+def test_exchangeable_chain_that_accepts_nothing_warns(caplog):
+    # at step 1e308 the burn-in cannot shrink the steps enough: every
+    # retained draw is one point, and the chain says so once
+    model = PoissonExchangeable(np.ones(5), settings=ChainSettings(initial_step=1e308))
+    with caplog.at_level(logging.WARNING, logger="bayesgof.models"):
+        chain = model.run_chain(np.array([3, 0, 6, 2, 5]), 200, RngStream(5))
+    assert chain.accept_alpha0 == chain.accept_gamma == 0.0
+    assert len(np.unique(chain.draws[:, 0])) == 1
+    (record,) = caplog.records
+    assert record.name == "bayesgof.models" and record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert "accepted no proposal" in message
+    assert "accept_alpha0 0.0, accept_gamma 0.0" in message
+    assert repr(chain.step_alpha0) in message
+    assert repr(float(chain.step_gamma.max())) in message
+
+
+def test_exchangeable_chain_at_default_settings_logs_nothing(caplog):
+    model = PoissonExchangeable(np.ones(5))
+    with caplog.at_level(logging.DEBUG, logger="bayesgof"):
+        chain = model.run_chain(np.array([3, 0, 6, 2, 5]), 200, RngStream(5))
+    assert chain.accept_alpha0 > 0.0 and chain.accept_gamma > 0.0
+    assert caplog.records == []
 
 
 def test_exchangeable_chain_does_not_advance_its_stream():
