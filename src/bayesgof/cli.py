@@ -59,7 +59,7 @@ from .errors import (
     OptimizationError,
 )
 from .harness import ExperimentConfig
-from .probkit import MAX_SEED, RngStream, split
+from .probkit import MAX_SEED, RngStream
 
 EXIT_OK = 0
 EXIT_CALIBRATION = 2
@@ -107,6 +107,8 @@ WORKERS_HELP = (
     f"{harness.MIN_REPS_PER_PROCESS}) contiguous blocks, one per forked "
     "process; when that is under 2, or the platform cannot fork, they run inline"
 )
+
+THRESHOLD_HELP = f"exceedance threshold (default: {1.0 - _STUDY.alpha:g} reference quantile)"
 
 
 class _UsageError(Exception):
@@ -588,19 +590,17 @@ def cmd_monitor(ns: argparse.Namespace, outdir: str) -> _Outcome:
 
     alerted = False
     with _open_input(ns.draws_file) as lines:
-        # stream_monitor checks the settings and the data here, before
-        # trace.csv is opened; a continuous model never reads, so never
-        # opens, the random stream
+        # stream_monitor checks the settings and the data here, before trace.csv is opened
         records = harness.stream_monitor(
             parse_stream(_read_lines(ns.draws_file, lines)), y, model, scheme,
-            split(RngStream(ns.seed), 0),
+            RngStream(ns.seed),
             threshold=ns.threshold, alert_factor=ns.alert_factor,
             min_draws=ns.min_draws,
         )
         # one preformatted line per record, with the fields _write_csv would
         # give: ints, .17g floats (nan for an invalid draw) and true/false,
         # none of which can need CSV quoting.  An overflow ends in a CDF limit
-        # or a refused mean; one errstate per run, as one costs 9 % of a line.
+        # or a refused mean; stream_monitor leaves the errstate to its caller.
         flag = ("false", "true")
         with _open_output(os.path.join(outdir, "trace.csv")) as fh, np.errstate(over="ignore"):
             fh.write("index,value,valid,exceeds,cumulative_rate,alert\n")
@@ -801,8 +801,7 @@ def build_parser() -> _Parser:
     )
     _add_dataset_flags(an)
     an.add_argument("--draws", type=int, default=_ANALYZE["n_draws"], help="posterior draws")
-    an.add_argument("--threshold", type=float, default=None,
-                    help="exceedance threshold (default: 0.95 reference quantile)")
+    an.add_argument("--threshold", type=float, default=None, help=THRESHOLD_HELP)
     _add_common(an)
 
     pp = subs.add_parser(
@@ -833,7 +832,7 @@ def build_parser() -> _Parser:
     _add_dataset_flags(mon)
     mon.add_argument("--draws-file", default="-",
                      help="draw stream path, or '-' for standard input")
-    mon.add_argument("--threshold", type=float, default=None)
+    mon.add_argument("--threshold", type=float, default=None, help=THRESHOLD_HELP)
     mon.add_argument("--alert-factor", type=float, default=_MONITOR["alert_factor"],
                      help="alert when the running rate exceeds factor x nominal")
     mon.add_argument("--min-draws", type=int, default=_MONITOR["min_draws"],

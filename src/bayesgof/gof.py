@@ -68,6 +68,11 @@ SCORING_MAX_HALVINGS = 60
 # length a Python loop adds a vector's Pearson terms in numpy's order
 PAIRWISE_BLOCK = 8
 
+# an integer batch whose largest count times K reaches this may hold a row
+# total that a 64-bit sum wraps or a float rounds; its rows are scored as
+# vectors, on Python ints
+EXACT_TOTAL = 2**53
+
 
 class BinnedStat(NamedTuple):
     """A float and K counts at one parameter value; D values and D x K counts
@@ -117,8 +122,10 @@ def pearson(counts, probs):
     PAIRWISE_BLOCK cells on, np.add.reduce sums them.  Either way the value
     is the array path's bit for bit.  Its total n is exact, where an int64
     total would wrap above 2^63.  Float counts and 2-D batches are scored as
-    arrays.  Both paths make the same checks, with the same messages and
-    warnings.
+    arrays, except an integer batch whose largest count times K reaches
+    EXACT_TOTAL: each of its rows is scored by its own vector call, so it
+    gives that call's value or refusal.  Both paths make the same checks,
+    with the same messages and warnings.
     """
     m = np.asarray(counts)
     fixed = isinstance(probs, BinScheme)
@@ -134,6 +141,8 @@ def pearson(counts, probs):
     else:
         if m.dtype.kind not in "iu":
             m = m.astype(float)
+        elif int(np.maximum.reduce(m, axis=None)) * m.shape[-1] >= EXACT_TOTAL:
+            return np.array([pearson(row, probs) for row in m])
         # the checks call the ufunc reductions that ndarray.min/sum end in,
         # without their Python-level wrappers
         whole = np.minimum.reduce(m, axis=None) >= 0 and (

@@ -33,9 +33,8 @@ Stream layout (fixed, documented so runs can be reproduced precisely):
                                gamma variates split(p,4)
   predictive recalibration     observed split(rng,0), predictive parameters
                                split(rng,1), replicate m: split(rng, 2 + m)
-  streaming monitor            a discrete model's randomization reads the rng
-                               it is given, draw after draw; the monitor
-                               command passes split(root, 0)
+  streaming monitor            a discrete model's randomization reads
+                               split(rng,0), draw after draw
 
 The AUC null and power studies also record each dataset's exceedance
 fraction, the share of its posterior draws above the upper-alpha
@@ -269,6 +268,15 @@ def ks_statistic(values, cdf: Callable, alpha: float = 0.01) -> KsResult:
 def _require_continuous(model, what: str) -> None:
     if model.is_discrete:
         raise ConfigError(f"{what} defined for continuous models only")
+
+
+def _tail_threshold(threshold: float | None, k: int) -> float:
+    """threshold if finite; None gives the upper ExperimentConfig.alpha chi2(k - 1) point."""
+    if threshold is None:
+        return probkit.chi2_quantile(k - 1, 1.0 - ExperimentConfig.alpha)
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
+    return threshold
 
 
 def _series(values: np.ndarray, ref_df: int | None, ks_alpha: float) -> CalibrationSeries:
@@ -566,19 +574,19 @@ def analyze(
     summarized by the AUC, the exceedance rate over the threshold, and mean
     cell counts, in one AnalysisResult.
 
-    The draws are model.posterior_sample's stack, scored by one
-    gof.posterior_chisq call for every model; a discrete model's randomized
-    allocation reads one dedicated child stream across the draws, so results
-    are reproducible from (seed, path).
+    The draws are model.posterior_sample's stack from split(rng, 0), scored
+    by one gof.posterior_chisq call for every model; a discrete model's
+    randomized allocation reads split(rng, 1) across the draws, so results
+    are reproducible from (seed, path).  threshold defaults to the upper
+    ExperimentConfig.alpha point of chi-square(k - 1); a ConfigError,
+    before any draw is made, when it is not finite.
     """
     y = model.validate_data(data)
     if n_draws < 1:
         raise ConfigError("n_draws must be positive")
-    if threshold is not None and not math.isfinite(threshold):
-        raise ConfigError(f"threshold must be finite, got {threshold}")
     sch = scheme if scheme is not None else equiprobable(default_bin_count(y.size))
     k = sch.k
-    thr = threshold if threshold is not None else probkit.chi2_quantile(k - 1, 0.95)
+    thr = _tail_threshold(threshold, k)
 
     thetas = model.posterior_sample(y, n_draws, split(rng, 0))
     stat = gof.posterior_chisq(y, model, thetas, sch, split(rng, 1))
@@ -650,8 +658,16 @@ def stream_monitor(
     rate over valid draws.  The alert flag latches once the rate sits above
     alert_factor times the reference tail mass with at least min_draws valid
     draws seen.  Memory use is constant in stream length.  Each draw is
-    evaluated by gof.posterior_chisq, so a discrete model needs rng for its
-    randomized allocation.
+    evaluated by gof.posterior_chisq, so a discrete model needs rng: its
+    randomized allocation reads split(rng, 0), draw after draw.  threshold
+    defaults to the upper ExperimentConfig.alpha point of chi-square(k - 1).
+
+    numpy's floating-point error state is the caller's: an extreme draw
+    may overflow on its way to a CDF limit or a refused mean, and the
+    generator sets no np.errstate of its own, since one set around a yield
+    leaks into the caller's frames and one per draw costs some 7 % of a
+    monitored line.  A caller that makes warnings errors wraps the whole
+    iteration in np.errstate(over="ignore"), as the monitor command does.
 
     The default factor is deliberately far above 1: on a well-specified
     model the per-dataset exceedance rate varies widely around the nominal
@@ -666,9 +682,8 @@ def stream_monitor(
         raise ConfigError(f"alert_factor must be a finite number above 1, got {alert_factor}")
     if min_draws < 1:
         raise ConfigError("min_draws must be positive")
-    thr = threshold if threshold is not None else probkit.chi2_quantile(scheme.k - 1, 0.95)
-    if not math.isfinite(thr):
-        raise ConfigError(f"threshold must be finite, got {thr}")
+    thr = _tail_threshold(threshold, scheme.k)
+    rng = None if rng is None else split(rng, 0)
     nominal = probkit.chi2_survival(scheme.k - 1, thr)
     band = alert_factor * nominal
 

@@ -7,7 +7,9 @@ any worker count, and a host with one usable CPU runs them inline.
 MODEL_CASES holds every model the CLI builds for a dataset; the protocol
 suite and the theta-layout checks run on it.  NULL_CASES holds every model
 and true parameter simulate-null builds, each at its flags' defaults.
-scheme_of_cuts builds the bin schemes the property tests draw.
+scheme_of_cuts builds the bin schemes the property tests draw, and
+reference_assign_randomized is the randomized allocation's element-wise
+oracle, which the property tests of test_gof and test_reduction_checks share.
 """
 
 import time
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 from bayesgof import cli
-from bayesgof.binning import PROB_FLOOR, BinScheme
+from bayesgof.binning import PROB_FLOOR, BinScheme, assign
+from bayesgof.errors import DomainError
 from bayesgof.cli import STANDARD_NORMAL
 from bayesgof.harness import (
     ExperimentConfig,
@@ -43,6 +46,20 @@ def scheme_of_cuts(cuts) -> BinScheme:
         if cut - kept[-1] >= PROB_FLOOR and 1.0 - cut >= PROB_FLOOR:
             kept.append(cut)
     return BinScheme((*kept, 1.0))
+
+
+def reference_assign_randomized(scheme, f_below, f_at, rng):
+    """The element-wise check sequence of assign_discrete_randomized, kept as
+    the reference its one-reduction form must agree with."""
+    lo = np.asarray(f_below, dtype=float)
+    hi = np.asarray(f_at, dtype=float)
+    if lo.size and not (lo.min() >= 0.0 and hi.max() <= 1.0):
+        raise DomainError("CDF values must lie in [0, 1]")
+    width = hi - lo
+    if np.any(~(width >= 0.0)):
+        raise DomainError("CDF values must not decrease: f_below must be <= f_at")
+    v = rng.generator.random(lo.shape if lo.ndim else None)
+    return assign(scheme, hi - v * width)
 
 
 class ModelCase(NamedTuple):

@@ -44,6 +44,12 @@ def test_default_bin_count():
     assert binning.default_bin_count(200) == 8
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_default_bin_count_refuses_no_observations(n):
+    with pytest.raises(DomainError, match=rf"^default_bin_count requires n >= 1, got {n}$"):
+        binning.default_bin_count(n)
+
+
 def test_assign_boundaries():
     # indexes are 0-based: spec-level "bin 1" is index 0
     s = equiprobable(5)
@@ -310,6 +316,12 @@ def test_scheme_requires_monotone_edges():
         BinScheme(edges=(0.0, 0.6, 0.4, 1.0))
     with pytest.raises(DomainError):
         BinScheme(edges=(0.1, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("edges", [(), (0.0,), (0.0, 1.0)])
+def test_scheme_refuses_fewer_than_three_edges(edges):
+    with pytest.raises(DomainError, match="^a bin scheme needs at least two bins$"):
+        BinScheme(edges=edges)
 
 
 @pytest.mark.parametrize(

@@ -1055,6 +1055,23 @@ def test_replay_of_an_edited_input_exit_65(tmp_path, poisson_csv, capsys):
     assert not second.exists() or list(second.iterdir()) == []
 
 
+def test_replay_of_an_input_that_cannot_be_read_for_its_digest_exit_65(
+    tmp_path, poisson_csv, capsys, monkeypatch
+):
+    first, _ = _recorded_analyze(tmp_path, poisson_csv)
+
+    def unreadable(path):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(cli, "_digest", unreadable)
+    second = tmp_path / "second"
+    assert run_cli("replay", first / "manifest.json", "--outdir", second) == 65
+    assert capsys.readouterr().err == (
+        f"error: cannot read {poisson_csv}: {os.strerror(errno.EACCES)}\n"
+    )
+    assert not second.exists() or list(second.iterdir()) == []
+
+
 def test_replay_checks_the_input_only_where_both_ends_are_hashed(
     tmp_path, normal_csv, monkeypatch
 ):
@@ -1398,6 +1415,24 @@ def test_unwritable_later_output_moves_no_earlier_one(tmp_path, normal_csv, caps
     assert f"error: cannot write {out / 'trace.csv'}: Is a directory" in capsys.readouterr().err
     assert (out / "summary.csv").read_text() == "an earlier summary\n"
     assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "trace.csv"]
+
+
+def test_failed_rename_into_outdir_exit_64(tmp_path, normal_csv, capsys, monkeypatch):
+    # the first rename into --outdir fails: a usage error naming its target
+    targets = []
+
+    def refuse(src, dst):
+        targets.append(dst)
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "o8"
+    assert run_cli("analyze", "--data", normal_csv, "--model", "normal", "--draws", "30",
+                   "--outdir", out) == 64
+    assert targets == [str(out / "summary.csv")]
+    assert capsys.readouterr().err == (
+        f"error: cannot write {targets[0]}: {os.strerror(errno.EACCES)}\n"
+    )
 
 
 def test_unwritable_monitor_output_exit_64(tmp_path, normal_csv, capsys):

@@ -29,6 +29,8 @@ from bayesgof.gof import (
 from bayesgof.models import NormalModel, PoissonCommonRate
 from bayesgof.probkit import RngStream, split
 
+from conftest import reference_assign_randomized
+
 
 def test_pearson_exact_fit_is_zero():
     assert pearson([1, 1, 1, 1, 1], [0.2] * 5) == 0.0
@@ -136,6 +138,27 @@ def test_pearson_rows_reject_what_single_calls_reject(counts, probs, error):
         pearson(counts, probs)
     with pytest.raises(error):
         pearson(np.array([[2] * len(counts), counts]), probs)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64], ids=["int64", "uint64"])
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_integer_batch_of_huge_counts_scores_each_row_as_its_vector(dtype, k):
+    # a row total past 2^63 wraps an int64 sum, past 2^64 a uint64 one, and
+    # past 2^53 a float rounds it; each row still gives its vector call's bits
+    gen = RngStream(k).generator
+    top = int(np.iinfo(dtype).max)
+    probs = (np.full(k, 1.0 / k) if k != 5 else gen.dirichlet(np.full(k, 2.0))).tolist()
+    huge = [[top // 2] * k, [top] + [0] * (k - 1), [2**53 + 1] + [1] * (k - 1)]
+    small = gen.multinomial(40, [1.0 / k] * k, size=3).tolist()
+    spread = gen.integers(0, top, size=(4, k), dtype=dtype, endpoint=True).tolist()
+    rows = np.array(huge + small + spread, dtype=dtype)
+    batch = pearson(rows, probs)
+    assert batch.shape == (rows.shape[0],)
+    for row, value in zip(rows, batch.tolist()):
+        assert value.hex() == pearson(row, probs).hex()
+    assert pearson(np.array([[2**62, 2**62]], dtype=dtype), [0.5, 0.5]).tolist() == [0.0]
+    with pytest.raises(DomainError, match="counts must sum to a positive total"):
+        pearson(np.array([[top, 1] + [0] * (k - 2), [0] * k], dtype=dtype), probs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -614,6 +637,38 @@ def test_grouped_raises_on_an_information_not_finite():
         grouped_chisq(_spread_sample(), _InfiniteInformation(), edges)
 
 
+class _NoTrialKept(NormalModel):
+    """NormalModel whose every trial step overflows: the start, the first
+    point at which the fit evaluates the grouped likelihood, is the only
+    one with a finite likelihood, so no halving of a step keeps it."""
+
+    def __init__(self):
+        self.points = 0
+
+    def theta_from_free(self, vec):
+        self.points += 1
+        if self.points > 1:
+            raise OverflowError("math range error")
+        return super().theta_from_free(vec)
+
+
+def test_grouped_raises_when_no_halving_keeps_the_likelihood():
+    edges = probkit.normal_quantile(np.arange(1, 5) / 5)
+    model = _NoTrialKept()
+    message = "^no halving of the scoring step keeps the grouped likelihood$"
+    with pytest.raises(OptimizationError, match=message):
+        grouped_chisq(_spread_sample(), model, edges)
+    assert model.points == 1 + gof.SCORING_MAX_HALVINGS
+
+
+@pytest.mark.parametrize("edges", [[0.5, 0.1], [0.2, 0.2], [], [[-0.5, 0.5]]])
+@pytest.mark.parametrize("fit", [plugin_chisq, grouped_chisq])
+def test_classical_fits_refuse_data_space_edges_that_do_not_increase(fit, edges):
+    message = "^data-space edges must be strictly increasing interior cut points$"
+    with pytest.raises(DomainError, match=message):
+        fit(_spread_sample(), NormalModel(), edges)
+
+
 def test_grouped_dof_is_k_less_one_less_the_two_fitted_parameters():
     assert [grouped_dof(k) for k in (4, 5, 12)] == [1, 2, 9]
     for k in (3, 2):
@@ -721,27 +776,13 @@ def _reference_unit_interval(u, what):
         raise EvaluationError(f"{what} produced invalid values at observations {bad[:10]}{more}")
 
 
-def _reference_assign_randomized(scheme, f_below, f_at, rng):
-    """The element-wise check sequence of assign_discrete_randomized, kept as
-    the reference its one-reduction form must agree with."""
-    lo = np.asarray(f_below, dtype=float)
-    hi = np.asarray(f_at, dtype=float)
-    if lo.size and not (lo.min() >= 0.0 and hi.max() <= 1.0):
-        raise DomainError("CDF values must lie in [0, 1]")
-    width = hi - lo
-    if np.any(~(width >= 0.0)):
-        raise DomainError("CDF values must not decrease: f_below must be <= f_at")
-    v = rng.generator.random(lo.shape if lo.ndim else None)
-    return assign(scheme, hi - v * width)
-
-
 def _reference_discrete_randomized(y, model, theta, scheme, rng):
     f_below, f_at = model.obs_cdf_pair(y, theta)
     f_below = np.asarray(f_below, dtype=float)
     f_at = np.asarray(f_at, dtype=float)
     _reference_unit_interval(f_below, "CDF-below transform")
     _reference_unit_interval(f_at, "CDF-at transform")
-    idx = _reference_assign_randomized(scheme, f_below, f_at, rng)
+    idx = reference_assign_randomized(scheme, f_below, f_at, rng)
     counts = np.bincount(idx, minlength=scheme.k)
     return gof.BinnedStat(pearson(counts, scheme.widths()), counts)
 
@@ -798,7 +839,7 @@ def test_randomized_checks_match_the_element_wise_reference(rows, k, seed):
     ) == _outcome(_reference_discrete_randomized, y, model, None, scheme, RngStream(seed))
     lo, hi = model.pair
     assert _outcome(assign_discrete_randomized, scheme, lo, hi, RngStream(seed)) == _outcome(
-        _reference_assign_randomized, scheme, lo, hi, RngStream(seed)
+        reference_assign_randomized, scheme, lo, hi, RngStream(seed)
     )
 
 

@@ -7,12 +7,13 @@ import functools
 import multiprocessing
 import os
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from bayesgof import harness, probkit
+from bayesgof import gof, harness, probkit
 from bayesgof.binning import equiprobable
 from bayesgof.errors import ConfigError, DomainError, EvaluationError, OptimizationError
 from bayesgof.gof import (
@@ -25,6 +26,8 @@ from bayesgof.gof import (
 from bayesgof.harness import (
     ExperimentConfig,
     MonitorRecord,
+    PowerResult,
+    PowerRow,
     analyze,
     ks_statistic,
     null_auc_distribution,
@@ -65,6 +68,12 @@ def test_ks_needs_twenty_points():
         ks_statistic(np.ones(19), chi2_cdf(4))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, float("nan")])
+def test_ks_refuses_an_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\)$"):
+        ks_statistic(np.linspace(0.1, 9.0, 20), chi2_cdf(4), alpha)
+
+
 def test_ks_accepts_matching_law():
     for seed in (0, 1, 2, 3, 4):
         draws = RngStream(seed).generator.chisquare(4, 2000)
@@ -96,6 +105,21 @@ def test_config_validation():
         ExperimentConfig(methods=("auc", "bogus"))
     with pytest.raises(ConfigError):
         ExperimentConfig(bins=1)
+
+
+@pytest.mark.parametrize("df_grid", [(), (1.0, 0.0), (-2.0,)])
+def test_config_refuses_an_empty_or_non_positive_df_grid(df_grid):
+    with pytest.raises(ConfigError, match=r"^df_grid must be non-empty with positive entries$"):
+        ExperimentConfig(df_grid=df_grid)
+
+
+def test_power_result_rate_of_a_row_it_lacks_is_a_key_error():
+    res = PowerResult((PowerRow(1.0, "auc", 3, 0.3),), 0.8, {1.0: np.zeros(10)})
+    assert res.rate(1.0, "auc") == 0.3
+    for df, method in ((2.0, "auc"), (1.0, "grouped")):
+        with pytest.raises(KeyError) as caught:
+            res.rate(df, method)
+        assert caught.value.args == ((df, method),)
 
 
 def test_default_bin_rule_in_config():
@@ -750,3 +774,56 @@ def test_monitor_refuses_a_count_model_without_rng_on_the_call():
     model = PoissonCommonRate(np.ones(4))
     with pytest.raises(ConfigError, match="rng"):
         stream_monitor(_UnreadStream(), np.array([3, 0, 6, 2]), model, equiprobable(3))
+
+
+class _NoDraws(NormalModel):
+    def posterior_sample(self, data, n_draws, rng):
+        raise AssertionError("a draw was made")
+
+
+@pytest.mark.parametrize("k", [3, 5, 12])
+def test_analyze_and_monitor_default_to_the_upper_alpha_point(k):
+    # one rule: the upper ExperimentConfig.alpha point of chi-square(k - 1),
+    # the 0.95 quantile bit for bit
+    y = RngStream(45).generator.normal(0, 1, 50)
+    expected = probkit.chi2_quantile(k - 1, 0.95)
+    res = analyze(y, NormalModel(), RngStream(3), n_draws=20, scheme=equiprobable(k))
+    assert res.threshold.hex() == expected.hex()
+    mu, sigma = NormalModel().posterior_draws(y, 200, RngStream(4)).T
+    recs = list(stream_monitor(zip(mu, sigma), y, NormalModel(), equiprobable(k)))
+    assert [r.exceeds for r in recs] == [r.value > expected for r in recs]
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_threshold_is_refused_before_any_draw(threshold):
+    y = RngStream(45).generator.normal(0, 1, 50)
+    message = rf"^threshold must be finite, got {threshold}$"
+    with pytest.raises(ConfigError, match=message):
+        analyze(y, _NoDraws(), RngStream(3), threshold=threshold)
+    with pytest.raises(ConfigError, match=message):
+        stream_monitor(_UnreadStream(), y, NormalModel(), equiprobable(5), threshold=threshold)
+
+
+def test_monitor_randomization_reads_child_0_of_its_stream():
+    # draw after draw, as a count model's randomized allocation reads it
+    offsets = np.ones(4)
+    y, model, scheme = np.array([3, 0, 6, 2]), PoissonCommonRate(offsets), equiprobable(3)
+    rates = [model.theta_from_vector([r]) for r in (2.0, 2.5, 3.0, 3.5, 4.0)]
+    recs = list(stream_monitor(rates, y, model, scheme, RngStream(6)))
+    child = split(RngStream(6), 0)
+    expected = [gof.posterior_chisq(y, model, t, scheme, child).value for t in rates]
+    assert [r.value for r in recs] == expected
+
+
+def test_monitor_leaves_numpy_error_state_to_its_caller():
+    # a scale of 1e-310 overflows (y - mu) / sigma; the generator sets no
+    # errstate of its own, so the caller's decides, as in the monitor command
+    y = RngStream(45).generator.normal(0, 1, 6)
+    draw = np.array([0.0, 1e-310])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            rec, = stream_monitor([draw], y, NormalModel(), equiprobable(3))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            list(stream_monitor([draw], y, NormalModel(), equiprobable(3)))
+    assert rec.valid and rec.reason == "" and np.isfinite(rec.value)

@@ -7,6 +7,7 @@ numerical integration of the unnormalized posterior densities.
 
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -322,6 +323,28 @@ def test_generate_t_rejects_bad_df():
     for df in (0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             generate_t(10, df, RngStream(0))
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_generate_t_refuses_fewer_than_two_draws(n):
+    with pytest.raises(DomainError, match=rf"^need n >= 2, got {n}$"):
+        generate_t(n, 5.0, RngStream(0))
+
+
+@pytest.mark.parametrize("theta, shape", [
+    ((0.0, 1.0, 2.0), "(3,)"), ([[[0.0, 1.0]]], "(1, 1, 2)"), (0.5, "()"),
+])
+def test_normal_obs_cdf_refuses_a_theta_of_another_shape(theta, shape):
+    message = rf"^need \(mu, sigma\) or rows of them, got shape {re.escape(shape)}$"
+    with pytest.raises(DomainError, match=message):
+        NormalModel().obs_cdf(np.array([0.1, 0.2]), theta)
+
+
+@pytest.mark.parametrize("model", [PoissonCommonRate, PoissonSaturated, PoissonExchangeable])
+@pytest.mark.parametrize("offsets", [[], [[1.0, 2.0], [3.0, 4.0]], 2.0])
+def test_poisson_models_refuse_offsets_that_are_not_a_non_empty_vector(model, offsets):
+    with pytest.raises(DataError, match="^offsets must be a non-empty 1-D vector$"):
+        model(offsets)
 
 
 def test_poisson_predictive_draw_uses_means():

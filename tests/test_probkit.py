@@ -206,6 +206,18 @@ def test_domain_errors():
         split(RngStream(0), -1)
 
 
+@pytest.mark.parametrize("path", [(-1,), (0, 3, -2)])
+def test_stream_refuses_a_negative_path_entry(path):
+    with pytest.raises(DomainError, match="^stream path entries must be non-negative$"):
+        RngStream(0, path)
+
+
+@pytest.mark.parametrize("child_id", [1.0, "1", True, None])
+def test_split_refuses_a_child_id_that_is_not_an_integer(child_id):
+    with pytest.raises(DomainError, match="^child_id must be an integer$"):
+        split(RngStream(0), child_id)
+
+
 def test_poisson_cdf_matches_pmf_sum():
     mean = 3.7
     direct = sum(

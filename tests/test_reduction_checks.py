@@ -6,8 +6,9 @@ bit-identical results.  So must pearson of a BinScheme, whose cell
 probabilities were checked when it was built, against pearson of its widths;
 a scheme is built exactly when its widths pass that check.
 The theta check, which runs on Python floats, must also decide exactly as its
-ufunc-reduction form did.  The randomized statistic's range checks are
-checked against their element-wise reference in test_gof."""
+ufunc-reduction form did.  The randomized allocation's checks are checked
+against conftest.reference_assign_randomized, their element-wise reference,
+here and in test_gof."""
 
 import dataclasses
 import math
@@ -27,7 +28,7 @@ from bayesgof.binning import BinScheme, equiprobable
 from bayesgof.errors import DataError, DomainError, EvaluationError
 from bayesgof.probkit import RngStream
 
-from conftest import MAX_CUT, MODEL_CASES, scheme_of_cuts
+from conftest import MAX_CUT, MODEL_CASES, reference_assign_randomized, scheme_of_cuts
 
 # --- the earlier forms, as they were before the ufunc reductions -------------
 
@@ -74,18 +75,6 @@ def _old_assign(scheme, u):
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("assign requires values in [0, 1]")
     return np.searchsorted(scheme._interior, arr, side="left")
-
-
-def _old_assign_discrete_randomized(scheme, f_below, f_at, rng):
-    lo = np.asarray(f_below, dtype=float)
-    hi = np.asarray(f_at, dtype=float)
-    if lo.size and not (lo.min() >= 0.0 and hi.max() <= 1.0):
-        raise DomainError("CDF values must lie in [0, 1]")
-    width = hi - lo
-    if width.size and not width.min() >= 0.0:
-        raise DomainError("CDF values must not decrease: f_below must be <= f_at")
-    v = rng.generator.random(lo.shape if lo.ndim else None)
-    return _old_assign(scheme, hi - v * width)
 
 
 def _old_pearson(counts, probs):
@@ -303,7 +292,7 @@ def test_assign_randomized_matches_its_method_form(scheme, shape, data, seed):
     ))
     assert _outcome(
         binning.assign_discrete_randomized, scheme, lo, hi, RngStream(seed)
-    ) == _outcome(_old_assign_discrete_randomized, scheme, lo, hi, RngStream(seed))
+    ) == _outcome(reference_assign_randomized, scheme, lo, hi, RngStream(seed))
 
 
 _probs = st.one_of(
