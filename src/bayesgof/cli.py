@@ -88,9 +88,10 @@ are allowed.  Poisson models require non-negative integer y and the E column.
 
 CONFIG_HELP = """\
 --config FILE reads flat key=value lines mirroring long flag names
-(hyphen or underscore, '#' comments allowed), required flags included.
-Precedence: command-line flags > config file > built-in defaults.  Boolean
-flags take true/false.
+(hyphen or underscore), required flags included.  A '#' at the start of a
+line or after whitespace begins a comment; one inside a value, as in a
+path, is kept.  Precedence: command-line flags > config file > built-in
+defaults.  Boolean flags take true/false.
 """
 
 EXIT_HELP = """\
@@ -255,19 +256,31 @@ def _unreadable(path: str, exc: OSError | ValueError) -> DataError:
     return DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
+# the one reading rule of every input, the dataset, a config file, a manifest
+# and a draw stream alike: UTF-8 with LF, CRLF or CR-only line endings, each
+# read as "\n", and a leading byte-order mark, as spreadsheets write, skipped
+_ENCODING = "utf-8-sig"
+
+
+def _open_text(path: str, errors: str):
+    """The file at path as text by the reading rule; errors says what becomes
+    of bytes that are not UTF-8.  A path that cannot be opened, one holding a
+    NUL byte included, is a DataError naming it."""
+    try:
+        return open(path, encoding=_ENCODING, errors=errors)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise _unreadable(path, exc) from None
+
+
 def _open_input(path: str):
     """A draw stream as text: the file at path, or standard input for '-',
-    both decoded alike, as UTF-8 with any line ending, and with bytes that
-    are not UTF-8 replaced by U+FFFD.  A path that cannot be opened, one
-    holding a NUL byte included, is a DataError naming the file."""
+    both decoded by the reading rule, with bytes that are not UTF-8 replaced
+    by U+FFFD, so that their line counts as malformed."""
     if path == "-":
         if sys.stdin is None:  # the process was started with it closed
             raise DataError("cannot read -: standard input is closed")
-        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="replace")
-    try:
-        return open(path, encoding="utf-8", errors="replace")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise _unreadable(path, exc) from None
+        return io.TextIOWrapper(sys.stdin.buffer, encoding=_ENCODING, errors="replace")
+    return _open_text(path, "replace")
 
 
 def _read_lines(path: str, fh):
@@ -278,23 +291,24 @@ def _read_lines(path: str, fh):
         raise _unreadable(path, exc) from exc
 
 
-def _read_text(path: str, **open_kwargs) -> str:
-    """The text of an input file, opened with open_kwargs; a file that cannot
-    be opened, read or decoded is a DataError naming it."""
+def _read_text(path: str) -> str:
+    """The whole text of an input file by the reading rule; a file that
+    cannot be opened or read, or that holds bytes that are not UTF-8, is a
+    DataError naming it (and the bytes)."""
     try:
-        with open(path, **open_kwargs) as fh:
+        with _open_text(path, "strict") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:  # a ValueError, so caught first
         bad = exc.object[exc.start:exc.end]
         raise DataError(f"{path}: not UTF-8 text (bytes {bad.hex()}: {exc.reason})") from None
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+    except OSError as exc:
         raise _unreadable(path, exc) from None
 
 
 def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parse a headered UTF-8 CSV with column y and optional positive-offset
-    column E; a leading byte-order mark, as spreadsheets write, is skipped."""
-    text = _read_text(path, encoding="utf-8-sig", newline="")
+    """Parse a headered CSV with column y and optional positive-offset column
+    E, read by the reading rule."""
+    text = _read_text(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -640,7 +654,7 @@ def cmd_validate(ns: argparse.Namespace, outdir: str) -> _Outcome:
 
 
 def cmd_replay(ns: argparse.Namespace) -> int:
-    text = _read_text(ns.manifest, encoding="utf-8")
+    text = _read_text(ns.manifest)
     try:
         manifest = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
@@ -915,11 +929,16 @@ def _token(action: argparse.Action, text: str) -> str:
     return flag if action.nargs == 0 else f"{flag}={text}"
 
 
+# a '#' that begins a line or follows whitespace begins a comment, so that a
+# value may hold one, as a path can
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def _config_tokens(path: str, actions: dict) -> list[str]:
     tokens: list[str] = []
-    # universal newlines have made every line end "\n"
-    for lineno, raw in enumerate(_read_text(path, encoding="utf-8").split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+    # the reading rule has made every line end "\n"
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -974,7 +993,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # as numpy's refusal of a 1e14-element array
-        print(f"error: a setting is too large for memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""  # Python's own has no text
+        print(f"error: a setting is too large for memory{detail}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -560,6 +560,18 @@ def test_setting_too_large_for_memory_exits_64(tmp_path, capsys, normal_csv, com
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_memory_error_without_text_ends_the_line_without_a_colon(tmp_path, capsys, monkeypatch):
+    # Python's own MemoryError, as a huge tuple of bin edges raises, has no text
+    def exhausted(ns, outdir):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "power", exhausted)
+    out = tmp_path / "run"
+    assert run_cli("power", "--outdir", out) == 64
+    assert capsys.readouterr().err == "error: a setting is too large for memory\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_simulated_replicate_violating_the_model_exit_70(tmp_path, monkeypatch, capsys, workers):
     # at mean 6 and seed 2, replicates 9, 11 and 19 hold a zero count, which
@@ -992,6 +1004,88 @@ def test_dataset_with_a_byte_order_mark_is_read(tmp_path, capsys):
     assert "2 rows, columns y,E" in capsys.readouterr().out
     y, e = cli.read_dataset(str(path))
     assert y.tolist() == [3.0, 5.0] and e.tolist() == [1.0, 2.0]
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _run_on_input(work, normal_csv, monkeypatch, kind, prefix):
+    """Run the command that reads an input of the given kind, the input's
+    bytes preceded by prefix: its exit code and every output file but the
+    manifest, which records the input's own path and digest."""
+    work.mkdir()
+    draws = ("\n".join(posterior_rows(normal_csv, 40)) + "\n").encode()
+    analyze = ("analyze", "--model", "normal", "--draws", "40", "--seed", "3")
+    monitor = ("monitor", "--data", normal_csv, "--model", "normal")
+    if kind == "dataset":
+        data = work / "data.csv"
+        data.write_bytes(prefix + normal_csv.read_bytes())
+        argv = (*analyze, "--data", data)
+    elif kind == "config":
+        config = work / "run.cfg"
+        config.write_bytes(
+            prefix + f"data = {normal_csv}\nmodel = normal\ndraws = 40\nseed = 3\n".encode()
+        )
+        argv = ("analyze", "--config", config)
+    elif kind == "manifest":
+        assert run_cli(*analyze, "--data", normal_csv, "--outdir", work / "first") == 0
+        manifest = work / "manifest.json"
+        manifest.write_bytes(prefix + (work / "first" / "manifest.json").read_bytes())
+        argv = ("replay", manifest)
+    elif kind == "draw file":
+        path = work / "draws.txt"
+        path.write_bytes(prefix + draws)
+        argv = (*monitor, "--draws-file", path)
+    else:  # the draw stream on standard input
+        stdin = io.TextIOWrapper(io.BytesIO(prefix + draws), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = (*monitor, "--draws-file", "-")
+    out = work / "out"
+    code = run_cli(*argv, "--outdir", out)
+    return code, {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("kind", ["dataset", "config", "manifest", "draw file", "stdin"])
+def test_a_byte_order_mark_before_any_input_changes_nothing(
+    tmp_path, normal_csv, monkeypatch, capsys, kind
+):
+    bare = _run_on_input(tmp_path / "bare", normal_csv, monkeypatch, kind, b"")
+    bare_streams = capsys.readouterr()
+    assert bare[0] == 0 and "trace.csv" in bare[1]
+    assert _run_on_input(tmp_path / "bom", normal_csv, monkeypatch, kind, BOM) == bare
+    assert capsys.readouterr() == bare_streams
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_config_and_dataset_read_alike_at_every_line_ending(tmp_path, ending):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(ending.join([
+        "# a note", "seed = 21  # a comment", "", "model=normal", "draws=80\t#eighty", "",
+    ]).encode())
+    actions = cli._settable(cli._parser(), "analyze")
+    assert cli._config_tokens(str(config), actions) == ["--seed=21", "--model=normal", "--draws=80"]
+    data = tmp_path / "data.csv"
+    data.write_bytes(ending.join(["y,E", "3,1.5", '"0", 2.0', "", "7,4.0", ""]).encode())
+    y, e = cli.read_dataset(str(data))
+    assert y.tolist() == [3.0, 0.0, 7.0] and e.tolist() == [1.5, 2.0, 4.0]
+
+
+def test_config_path_holding_a_hash_reads_as_on_the_command_line(tmp_path, normal_csv):
+    data = tmp_path / "a#b.csv"
+    data.write_bytes(normal_csv.read_bytes())
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data = {data}  # the dataset\nmodel = normal\n#draws = 5\ndraws = 40\n")
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    assert run_cli("analyze", "--config", config, "--outdir", from_file) == 0
+    assert run_cli("analyze", "--data", data, "--model", "normal", "--draws", "40",
+                   "--outdir", from_flags) == 0
+    for name in ("summary.csv", "trace.csv"):
+        assert (from_file / name).read_bytes() == (from_flags / name).read_bytes()
+    configs = [json.loads((out / "manifest.json").read_text())["config"]
+               for out in (from_file, from_flags)]
+    for recorded in configs:
+        assert recorded.pop("outdir") and recorded["data"] == str(data)
+    assert configs[0] == configs[1]
 
 
 def test_undecodable_config_exit_65(tmp_path, normal_csv, capsys):

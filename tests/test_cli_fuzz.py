@@ -112,21 +112,41 @@ _config_line = st.one_of(
     ),
     st.text(max_size=20),
 )
-_config_text = st.lists(_config_line, max_size=6).map(
-    lambda lines: "\n".join(lines).encode("utf-8", errors="surrogatepass")
-)
+_config_text = st.builds(
+    lambda bom, lines, end: bom + end.join(lines),
+    st.sampled_from(["", "\ufeff"]),  # a byte-order mark, or none
+    st.lists(_config_line, max_size=6),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+).map(lambda t: t.encode("utf-8", errors="surrogatepass"))
+
+BOM = "\ufeff".encode()
+
+
+def _validate_with_config(tmp_path, good, content, name):
+    """The exit code of validate with content as its --config file and, at
+    exit 0, the configuration its manifest records, but for --outdir."""
+    path = tmp_path / f"{name}.cfg"
+    path.write_bytes(content)
+    out = tmp_path / name
+    code = _exit_code("validate", "--data", good, "--config", path, "--outdir", out)
+    if code != cli.EXIT_OK:
+        return code, None
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    config.pop("outdir")
+    return code, config
 
 
 @FUZZ
 @given(content=st.one_of(st.binary(max_size=200), _config_text))
 def test_fuzzed_config_file_exits_with_a_documented_code(work, content):
+    """A leading byte-order mark changes neither the exit code nor the
+    configuration of the run."""
     tmp_path, good = work
-    path = tmp_path / "run.cfg"
-    path.write_bytes(content)
-    code = _exit_code(
-        "validate", "--data", good, "--config", path, "--outdir", tmp_path / "out"
-    )
-    assert code in DOCUMENTED
+    run = _validate_with_config(tmp_path, good, content, "given")
+    assert run[0] in DOCUMENTED
+    bare = content.removeprefix(BOM)
+    if bare != content and not bare.startswith(BOM):  # the reader skips one mark
+        assert _validate_with_config(tmp_path, good, bare, "bare") == run
 
 
 @pytest.fixture()
